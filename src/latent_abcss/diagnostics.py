@@ -13,7 +13,7 @@ true forward operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "analyze_curve",
     "rmse",
     "rmse_batch",
+    "self_transport_costs",
     "wasserstein_diagnostics",
     "resimulation_report",
     "curve_to_csv",
@@ -198,28 +199,56 @@ def rmse_batch(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean((samples - reference[None, :]) ** 2, axis=1))
 
 
+def _self_cost(cloud: np.ndarray, cfg: SinkhornConfig) -> float:
+    return _plain_entropic_ot(cost_matrix(cloud, cloud, cfg.p), cfg, False).cost
+
+
+def self_transport_costs(
+    clouds: dict[str, np.ndarray], ot_cfg: SinkhornConfig | None = None
+) -> dict[str, float]:
+    """Entropic self-transport cost OT(r, r) of each cloud, keyed by name.
+
+    A reference's self term does not depend on the solutions, so an
+    inversion computes it once and hands it to every
+    :func:`wasserstein_diagnostics` call against the same references.
+    """
+    cfg = ot_cfg or SinkhornConfig()
+    return {name: _self_cost(cloud, cfg) for name, cloud in clouds.items()}
+
+
 def wasserstein_diagnostics(
     solutions: np.ndarray,
     references: dict[str, np.ndarray],
     ot_cfg: SinkhornConfig | None = None,
+    reference_self: dict[str, float] | None = None,
 ) -> dict[str, float]:
     """Debiased transport divergence of the solutions against each reference.
 
-    References are point clouds in the flattened field space; a single
-    vector is treated as a Dirac (one repeated point).  The solutions'
-    self-transport term is computed once and shared.
+    S(s, r) = OT(s, r) - OT(s, s)/2 - OT(r, r)/2, each term a plain
+    log-domain Sinkhorn solve (``ot_cfg.debiased`` is not read).  References
+    are point clouds in the flattened field space; a single vector is
+    treated as a Dirac (one point).  OT(s, s) is solved once per call and
+    shared by all references.  ``reference_self`` holds precomputed OT(r, r)
+    by reference name (see :func:`self_transport_costs`); without it they
+    are solved here.
+
+    Raises:
+        ValueError: with no references, or when ``reference_self`` lacks a
+            reference's name.
     """
-    cfg = replace(ot_cfg or SinkhornConfig(), debiased=False)
-    sols = np.atleast_2d(np.asarray(solutions, dtype=np.float64))
+    cfg = ot_cfg or SinkhornConfig()
     if not references:
         raise ValueError("need at least one reference ensemble")
-    self_s = _plain_entropic_ot(cost_matrix(sols, sols, cfg.p), cfg, False).cost
+    if reference_self is None:
+        reference_self = self_transport_costs(references, cfg)
+    missing = sorted(set(references) - set(reference_self))
+    if missing:
+        raise ValueError(f"no precomputed self-transport cost for {', '.join(missing)}")
+    self_s = _self_cost(solutions, cfg)
     out = {}
     for name, ref in references.items():
-        ref = np.atleast_2d(np.asarray(ref, dtype=np.float64))
-        cross = _plain_entropic_ot(cost_matrix(sols, ref, cfg.p), cfg, False).cost
-        self_r = _plain_entropic_ot(cost_matrix(ref, ref, cfg.p), cfg, False).cost
-        out[name] = cross - 0.5 * self_s - 0.5 * self_r
+        cross = _plain_entropic_ot(cost_matrix(solutions, ref, cfg.p), cfg, False).cost
+        out[name] = cross - 0.5 * self_s - 0.5 * reference_self[name]
     return out
 
 

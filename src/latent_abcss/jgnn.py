@@ -13,6 +13,7 @@ the learned joint distribution.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -492,8 +493,19 @@ def _rebuild_mlp(layout: dict, flat: np.ndarray, offset: int):
 
 
 def load_model(path: str) -> JGNNModel:
+    """Read a checkpoint written by :func:`save_model`.
+
+    Raises:
+        ValueError: if the blob size differs from what the manifest implies.
+    """
     with open(path + ".json") as fh:
         manifest = json.load(fh)
+    layouts = [manifest[net]["sizes"] for net in ("encoder", "decoder")]
+    # per layer: weights, bias, u, v (the _mlp_blocks order), f32 each
+    expected = 4 * sum(o * i + 2 * o + i for s in layouts for i, o in zip(s, s[1:]))
+    size = os.path.getsize(path)
+    if size != expected:
+        raise ValueError(f"checkpoint {path} has {size} bytes, manifest implies {expected}")
     flat = np.fromfile(path, dtype="<f4").astype(np.float64)
     encoder, offset = _rebuild_mlp(manifest["encoder"], flat, 0)
     decoder, offset = _rebuild_mlp(manifest["decoder"], flat, offset)

@@ -28,9 +28,10 @@ __all__ = [
 class SinkhornConfig:
     """Entropic-OT settings.
 
-    ``debiased`` subtracts the two self-transport costs, which makes the
-    value vanish on identical clouds; sample diagnostics use it, the model
-    training latent term uses it too.
+    ``debiased`` makes :func:`entropic_ot` subtract the two self-transport
+    costs, so the value vanishes on identical clouds.  The training latent
+    term and the transport diagnostics combine plain solves themselves and
+    do not use it.
 
     ``max_iter`` is a hard budget.  With ``tol`` zero (the default, and the
     training setting) the budget is simply spent; a positive ``tol`` stops
@@ -66,49 +67,74 @@ class TransportPlan:
 
 
 def cost_matrix(xs: np.ndarray, ys: np.ndarray, p: int = 2) -> np.ndarray:
-    """Pairwise ``||x - y||_p^p``; clouds are (n, d) and (m, d)."""
+    """Pairwise ``||x - y||_p^p``; clouds are (n, d) and (m, d).
+
+    For p=2 the cost is one GEMM, ``||x||^2 + ||y||^2 - 2 x y^T``, on clouds
+    shifted to a common centre to limit cancellation, clamped at zero.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"point dimensions differ: {xs.shape[1]} vs {ys.shape[1]}")
-    if p == 2:
-        c = cdist(xs, ys, metric="sqeuclidean")
-    else:
-        c = cdist(xs, ys, metric="cityblock")
-    return c
+    if p != 2:
+        return cdist(xs, ys, metric="cityblock")
+    centre = 0.5 * (xs.mean(axis=0) + ys.mean(axis=0))
+    with np.errstate(invalid="ignore"):  # inf - inf: non-finite either way
+        xs = xs - centre
+        ys = ys - centre
+    c = xs @ ys.T
+    c *= -2.0
+    c += np.einsum("ij,ij->i", xs, xs)[:, None]
+    c += np.einsum("ij,ij->i", ys, ys)[None, :]
+    return np.maximum(c, 0.0, out=c)
 
 
-def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
-    mx = np.max(m, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(m - mx), axis=axis)) + np.squeeze(mx, axis=axis)
-    return out
+def _logsumexp(neg_c: np.ndarray, shift: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
+    """``log sum exp(neg_c + shift)`` along ``axis``, computed in ``buf``.
+
+    ``shift`` varies along ``axis`` and is broadcast across the other one;
+    ``buf`` (same shape as ``neg_c``) is overwritten.
+    """
+    np.add(neg_c, shift[None, :] if axis == 1 else shift[:, None], out=buf)
+    mx = np.max(buf, axis=axis, keepdims=True)
+    buf -= mx
+    np.exp(buf, out=buf)
+    return np.log(np.sum(buf, axis=axis)) + np.squeeze(mx, axis=axis)
+
+
+def _plan_into(buf, neg_c, f, g, reg, log_a, log_b) -> np.ndarray:
+    """The coupling ``exp((f_i + g_j - c_ij) / reg) a_i b_j``, written into ``buf``."""
+    np.add(neg_c, (f / reg + log_a)[:, None], out=buf)
+    buf += (g / reg + log_b)[None, :]
+    return np.exp(buf, out=buf)
 
 
 def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, track: bool) -> TransportPlan:
     n, m = c.shape
+    reg = cfg.reg
     log_a = -np.log(n)
     log_b = -np.log(m)
+    neg_c = c / -reg
+    buf = np.empty_like(neg_c)
     f = np.zeros(n)
     g = np.zeros(m)
     residuals = [] if track else None
     for _ in range(cfg.max_iter):
-        f_new = -cfg.reg * _logsumexp((g[None, :] - c) / cfg.reg + log_b, axis=1)
-        g_new = -cfg.reg * _logsumexp((f_new[:, None] - c) / cfg.reg + log_a, axis=0)
+        f_new = -reg * _logsumexp(neg_c, g / reg + log_b, 1, buf)
+        g_new = -reg * _logsumexp(neg_c, f_new / reg + log_a, 0, buf)
         moved = max(
             float(np.max(np.abs(f_new - f))), float(np.max(np.abs(g_new - g)))
         )
         f, g = f_new, g_new
         if track:
-            log_plan = (f[:, None] + g[None, :] - c) / cfg.reg + log_a + log_b
-            plan = np.exp(log_plan)
+            plan = _plan_into(buf, neg_c, f, g, reg, log_a, log_b)
             residuals.append(
                 np.abs(plan.sum(axis=1) - 1.0 / n).sum()
                 + np.abs(plan.sum(axis=0) - 1.0 / m).sum()
             )
         if cfg.tol > 0.0 and moved < cfg.tol:
             break
-    log_plan = (f[:, None] + g[None, :] - c) / cfg.reg + log_a + log_b
-    plan = np.exp(log_plan)
+    plan = _plan_into(buf, neg_c, f, g, reg, log_a, log_b)
     cost = float(np.sum(plan * c))
     return TransportPlan(plan, cost, np.asarray(residuals) if track else None)
 

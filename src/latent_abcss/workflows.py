@@ -28,6 +28,7 @@ from .diagnostics import (
     probability_curve,
     resimulation_report,
     rmse_batch,
+    self_transport_costs,
     wasserstein_diagnostics,
 )
 from .gp_prior import GPConfig, Grid, build_covariance, sample_fields
@@ -382,10 +383,7 @@ def run_inversion(
         metrics.rmse_train_truth = rmse_batch(train_x, truth)
 
     if oracle:
-        prior_cov = add_jitter(build_covariance(cfg.grid, cfg.gp))
-        prior_mean = np.full(cfg.grid.n_cells, cfg.gp.mean)
-        prior = GaussianDist(prior_mean, prior_cov)
-        noise_cov = max(cfg.noise_std, 1e-6) ** 2 * np.eye(n_obs)
+        prior, noise_cov = _oracle_prior_noise(cfg, n_obs)
         post = linear_gaussian_posterior(prior, a, noise_cov, y_obs)
         post_samples = posterior_sample(post, cfg.n_particles, rng.split(2))
         prior_samples = posterior_sample(prior, cfg.n_particles, rng.split(3))
@@ -398,14 +396,17 @@ def run_inversion(
         refs = {"posterior": post_samples[:m_sub], "prior": prior_samples[:m_sub]}
         if truth is not None:
             refs["truth"] = np.asarray(truth, dtype=np.float64).reshape(1, -1)
+        # the references never change within an inversion: solve their
+        # self-transport once for every divergence row below
+        refs_self = self_transport_costs(refs, diag_cfg)
         # one divergence row per tested tolerance: the deep run's level
         # populations stand in for the solution set at their own threshold
         rows = []
         for eps_n_level, sols in _deep_level_solutions(
             model, deep, float(grid_eps[-1]), n_obs, m_sub
         ):
-            rows.append((eps_n_level, wasserstein_diagnostics(sols, refs, diag_cfg)))
-        sol_divs = wasserstein_diagnostics(solutions_x[:m_sub], refs, diag_cfg)
+            rows.append((eps_n_level, wasserstein_diagnostics(sols, refs, diag_cfg, refs_self)))
+        sol_divs = wasserstein_diagnostics(solutions_x[:m_sub], refs, diag_cfg, refs_self)
         rows.append((float(curve.selected_eps_n), sol_divs))
         metrics.wasserstein_by_eps = sorted(rows, key=lambda r: r[0])
         summary["oracle"] = {
@@ -430,6 +431,13 @@ def run_inversion(
     )
 
 
+def _oracle_prior_noise(cfg: PipelineConfig, n_obs: int) -> tuple[GaussianDist, np.ndarray]:
+    """The test case's Gaussian prior on the field and its i.i.d. noise covariance."""
+    prior_cov = add_jitter(build_covariance(cfg.grid, cfg.gp))
+    prior = GaussianDist(np.full(cfg.grid.n_cells, cfg.gp.mean), prior_cov)
+    return prior, max(cfg.noise_std, 1e-6) ** 2 * np.eye(n_obs)
+
+
 def _deep_level_solutions(model: JGNNModel, deep, eps_top: float, n_obs: int, m_sub: int):
     """Field-space snapshots of each deep-run level population.
 
@@ -445,6 +453,21 @@ def _deep_level_solutions(model: JGNNModel, deep, eps_top: float, n_obs: int, m_
         eps_n_j = float(normalize_eps(eps_j, n_obs))
         out.append((eps_n_j, g1(z_pop[:m_sub])))
     return out
+
+
+def _check_inversion_inputs(model: JGNNModel, manifest: dict, y_obs, truth) -> None:
+    """Refuse inputs that do not fit the model or the dataset, before any work."""
+    if model.dim_x != manifest["n_cells"]:
+        raise ConfigError(
+            f"checkpoint field dimension {model.dim_x} differs from the dataset's "
+            f"{manifest['n_cells']} cells"
+        )
+    if y_obs.size != model.dim_y:
+        raise ConfigError(
+            f"observation has {y_obs.size} travel times, the model expects {model.dim_y}"
+        )
+    if truth is not None and truth.size != model.dim_x:
+        raise ConfigError(f"truth has {truth.size} cells, the model expects {model.dim_x}")
 
 
 def invert_artifacts(
@@ -463,6 +486,7 @@ def invert_artifacts(
     data = _load_dataset(dataset_dir)
     y_obs = load_array(y_obs_path)
     truth = load_array(truth_path) if truth_path else None
+    _check_inversion_inputs(model, data["manifest"], y_obs, truth)
     prov = cfg.provenance("invert")
     rng = RngStream(cfg.seed, stream_id=3)
 
@@ -592,9 +616,7 @@ def compute_oracle_posterior(
     data = _load_dataset(dataset_dir)
     y_obs = load_array(y_obs_path)
     prov = cfg.provenance("oracle-posterior")
-    prior_cov = add_jitter(build_covariance(cfg.grid, cfg.gp))
-    prior = GaussianDist(np.full(cfg.grid.n_cells, cfg.gp.mean), prior_cov)
-    noise_cov = max(cfg.noise_std, 1e-6) ** 2 * np.eye(y_obs.size)
+    prior, noise_cov = _oracle_prior_noise(cfg, y_obs.size)
     post = linear_gaussian_posterior(prior, data["ray_matrix"], noise_cov, y_obs)
     save_array(os.path.join(out_dir, "posterior_mean.f64"), post.mean, prov)
     save_array(os.path.join(out_dir, "posterior_cov.f64"), post.cov, prov)

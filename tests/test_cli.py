@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from latent_abcss.cli import main
@@ -176,6 +177,33 @@ class TestInvert:
             outs.append(out)
         assert tree_digest(outs[0]) == tree_digest(outs[1])
 
+    def test_oracle_solves_reference_self_transport_once(self, pipeline, monkeypatch):
+        from latent_abcss import diagnostics
+        from latent_abcss.workflows import PipelineConfig, invert_artifacts
+
+        root, cfg, data, model = pipeline
+        plain = diagnostics._plain_entropic_ot
+        solves = []
+
+        def counted(c, ot_cfg, track):
+            solves.append(c.shape)
+            return plain(c, ot_cfg, track)
+
+        monkeypatch.setattr(diagnostics, "_plain_entropic_ot", counted)
+        result = invert_artifacts(
+            PipelineConfig.from_json(cfg),
+            os.path.join(model, "model.ckpt"),
+            str(root / "yobs.f64"),
+            data,
+            str(root / "inv_counted"),
+            truth_path=str(root / "truth.f64"),
+            oracle=True,
+        )
+        n_refs = 3  # posterior, prior, truth
+        n_calls = len(result.metrics.wasserstein_by_eps)
+        assert n_calls == len(result.deep_trace.level_samples) + 1
+        assert len(solves) == n_refs + n_calls * (1 + n_refs)
+
     def test_eps_grid_override(self, pipeline):
         root, cfg, data, model = pipeline
         out = str(root / "inv_grid")
@@ -220,6 +248,48 @@ class TestInvert:
             ]
         )
         assert rc == 2
+
+
+class TestInvertInputChecks:
+    def _invert(self, pipeline, yobs, data=None, truth=None):
+        root, cfg, own_data, model = pipeline
+        argv = [
+            "invert",
+            "--config",
+            cfg,
+            "--checkpoint",
+            os.path.join(model, "model.ckpt"),
+            "--yobs",
+            yobs,
+            "--dataset",
+            data or own_data,
+            "--out",
+            str(root / "inv_refused"),
+        ]
+        return main(argv + (["--oracle", "--truth", truth] if truth else []))
+
+    def test_yobs_length_mismatch_exits_2(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        short = str(tmp_path / "short.f64")
+        save_array(short, load_array(str(root / "yobs.f64"))[:-1])
+        assert self._invert(pipeline, short) == 2
+        assert "travel times" in capsys.readouterr().err
+
+    def test_truth_length_mismatch_exits_2(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        truth = str(tmp_path / "truth_long.f64")
+        save_array(truth, np.append(load_array(str(root / "truth.f64")), 0.5))
+        assert self._invert(pipeline, str(root / "yobs.f64"), truth=truth) == 2
+        assert "truth has 31 cells" in capsys.readouterr().err
+
+    def test_checkpoint_dataset_cell_mismatch_exits_2(self, pipeline, tmp_path, capsys):
+        root, cfg, _, _ = pipeline
+        taller = tmp_path / "taller.json"
+        taller.write_text(json.dumps({**MICRO_CONFIG, "grid": {"n_rows": 7, "n_cols": 5, "cell_size": 0.1}}))
+        other = str(tmp_path / "data7x5")
+        assert main(["gendata", "--config", str(taller), "--out", other]) == 0
+        assert self._invert(pipeline, str(root / "yobs.f64"), data=other) == 2
+        assert "35 cells" in capsys.readouterr().err
 
 
 class TestEvaluateAndOracle:

@@ -18,6 +18,7 @@ from latent_abcss.diagnostics import (
     rmse,
     rmse_batch,
     select_threshold,
+    self_transport_costs,
     smooth_log_curve,
     wasserstein_diagnostics,
 )
@@ -246,6 +247,30 @@ class TestWassersteinDiagnostics:
     def test_empty_references_rejected(self):
         with pytest.raises(ValueError):
             wasserstein_diagnostics(np.ones((3, 2)), {}, SinkhornConfig())
+
+    def test_precomputed_reference_self_costs_change_nothing(self):
+        gen = np.random.default_rng(7)
+        cfg = SinkhornConfig(reg=1.0, max_iter=300, tol=1e-10)
+        refs = {
+            "cloud": gen.standard_normal((40, 5)) + 0.5,
+            "dirac": gen.standard_normal(5),
+        }
+        refs_self = self_transport_costs(refs, cfg)
+        assert set(refs_self) == set(refs)
+        for shift in (0.0, 1.0, 3.0):
+            sols = gen.standard_normal((30, 5)) + shift
+            fresh = wasserstein_diagnostics(sols, refs, cfg)
+            cached = wasserstein_diagnostics(sols, refs, cfg, refs_self)
+            assert cached.keys() == fresh.keys()
+            for name in refs:
+                assert cached[name] == pytest.approx(fresh[name], rel=1e-12, abs=1e-300)
+
+    def test_missing_precomputed_self_cost_rejected(self):
+        gen = np.random.default_rng(8)
+        refs = {"a": gen.standard_normal((6, 2)), "b": gen.standard_normal((6, 2))}
+        partial = self_transport_costs({"a": refs["a"]}, SinkhornConfig())
+        with pytest.raises(ValueError, match="b"):
+            wasserstein_diagnostics(gen.standard_normal((5, 2)), refs, SinkhornConfig(), partial)
 
 
 class TestResimulationReport:

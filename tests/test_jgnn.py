@@ -254,3 +254,14 @@ class TestCheckpointIO:
         doc = json.loads((tmp_path / "model.ckpt.json").read_text())
         assert doc["latent_dim"] == DIM_Z
         assert doc["weights_dtype"] == "f32"
+
+    @pytest.mark.parametrize("delta", [-4, 4])
+    def test_blob_size_checked_against_manifest(self, trained_toy, tmp_path, delta):
+        _, _, _, best, _ = trained_toy
+        path = str(tmp_path / "model.ckpt")
+        save_model(path, best)
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:delta] if delta < 0 else blob + bytes(delta))
+        with pytest.raises(ValueError, match="model.ckpt has .* bytes, manifest implies"):
+            load_model(path)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from latent_abcss.sinkhorn import (
     SinkhornConfig,
@@ -23,6 +24,23 @@ def brute_force_assignment_cost(xs, ys, p=2):
     for perm in itertools.permutations(range(n)):
         best = min(best, c[rows, perm].sum() / n)
     return best
+
+
+class TestCostMatrix:
+    def test_gemm_squared_cost_matches_cdist_on_offset_fields(self):
+        # desk-like field clouds: 320 cells around a mean slowness of 0.5
+        gen = np.random.default_rng(10)
+        xs = 0.5 + 0.4 * gen.standard_normal((64, 320))
+        ys = 0.5 + 0.4 * gen.standard_normal((48, 320))
+        for a, b in ((xs, ys), (xs, xs), (xs, ys[:1])):
+            c = cost_matrix(a, b, 2)
+            assert np.all(c >= 0.0)
+            np.testing.assert_allclose(c, cdist(a, b, "sqeuclidean"), rtol=1e-12, atol=1e-12)
+
+    def test_p1_cost_is_cityblock(self):
+        gen = np.random.default_rng(11)
+        xs, ys = gen.standard_normal((7, 3)), gen.standard_normal((5, 3))
+        np.testing.assert_array_equal(cost_matrix(xs, ys, 1), cdist(xs, ys, "cityblock"))
 
 
 class TestEntropicOt:
