@@ -12,7 +12,6 @@ from .rng_linalg import (
     RngStream,
     cholesky,
     sample_mvn,
-    solve_spd,
 )
 from .gp_prior import Field, GPConfig, Grid, build_covariance, exp_kernel, sample_fields
 from .tomography import (
@@ -26,8 +25,8 @@ from .tomography import (
     trace_ray,
 )
 from .analytic_posterior import GaussianDist, linear_gaussian_posterior, posterior_sample
-from .sinkhorn import SinkhornConfig, TransportPlan, entropic_ot, sinkhorn_divergence
-from .neural import AdamState, Layer, MLPParams, adam_step, mlp_backward, mlp_forward, spectral_normalize
+from .sinkhorn import SinkhornConfig, TransportPlan, entropic_ot
+from .neural import AdamState, Layer, MLPParams, adam_step, mlp_backward, mlp_forward
 from .jgnn import (
     JGNNModel,
     TrainConfig,
@@ -44,8 +43,6 @@ from .jgnn import (
 from .subsim import (
     SubSimConfig,
     SubSimTrace,
-    conditional_chain,
-    dissimilarity,
     estimate_p,
     posterior_solutions,
     subsim_run,
@@ -59,7 +56,6 @@ from .diagnostics import (
     normalize_eps,
     probability_curve,
     resimulation_report,
-    rmse,
     select_threshold,
     smooth_log_curve,
     wasserstein_diagnostics,

@@ -80,14 +80,9 @@ def _load_config(args) -> "PipelineConfig":
 
     cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
     overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "train_size", None) is not None:
-        overrides["train_size"] = args.train_size
-    if getattr(args, "noise_std", None) is not None:
-        overrides["noise_std"] = args.noise_std
-    if getattr(args, "latent_dim", None) is not None:
-        overrides["latent_dim"] = args.latent_dim
+    for name in ("seed", "train_size", "noise_std", "latent_dim"):
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)
     if getattr(args, "eps_grid", None):
         parts = args.eps_grid.split(",")
         if len(parts) not in (3, 4):

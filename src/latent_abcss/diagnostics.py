@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sinkhorn import SinkhornConfig, cost_matrix, entropic_ot, _plain_entropic_ot
+from .rng_linalg import write_csv
+from .sinkhorn import SinkhornConfig, cost_matrix, _plain_entropic_ot
 from .subsim import SubSimTrace
 from .tomography import RayMatrix, forward
 
@@ -31,7 +32,6 @@ __all__ = [
     "curvature",
     "select_threshold",
     "analyze_curve",
-    "rmse",
     "rmse_batch",
     "self_transport_costs",
     "wasserstein_diagnostics",
@@ -181,15 +181,6 @@ def analyze_curve(curve: ThresholdCurve, window: int = 9) -> ThresholdCurve:
     return curve
 
 
-def rmse(v1, v2) -> float:
-    """Root mean squared difference of two equal-length vectors."""
-    a = np.asarray(v1, dtype=np.float64).ravel()
-    b = np.asarray(v2, dtype=np.float64).ravel()
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
-
-
 def rmse_batch(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per-row RMSE of a sample batch against one reference vector."""
     samples = np.atleast_2d(samples)
@@ -309,24 +300,22 @@ class MetricsReport:
         if not present:
             raise ValueError("metrics report is empty")
         n_rows = max(v.size for _, v in present)
-        with open(path, "w") as fh:
-            fh.write("sample," + ",".join(n for n, _ in present) + "\n")
-            for i in range(n_rows):
-                cells = [f"{float(v[i])!r}" if i < v.size else "" for _, v in present]
-                fh.write(f"{i}," + ",".join(cells) + "\n")
+        write_csv(
+            path,
+            ["sample", *(n for n, _ in present)],
+            ([i, *(v[i] if i < v.size else None for _, v in present)] for i in range(n_rows)),
+        )
 
 
 def curve_to_csv(curve: ThresholdCurve, path: str) -> None:
     """One row per reached grid point."""
-    with open(path, "w") as fh:
-        fh.write("eps,eps_n,log10_p,smoothed,curvature\n")
-        for i in range(curve.eps.size):
-            sm = f"{float(curve.smoothed[i])!r}" if curve.smoothed is not None else ""
-            ka = f"{float(curve.curvature[i])!r}" if curve.curvature is not None else ""
-            fh.write(
-                f"{float(curve.eps[i])!r},{float(curve.eps_n[i])!r},"
-                f"{float(curve.log_p[i])!r},{sm},{ka}\n"
-            )
+    absent = [None] * curve.eps.size
+    cols = (curve.eps, curve.eps_n, curve.log_p, curve.smoothed, curve.curvature)
+    write_csv(
+        path,
+        ["eps", "eps_n", "log10_p", "smoothed", "curvature"],
+        zip(*(absent if c is None else c for c in cols)),
+    )
 
 
 def curve_summary(curve: ThresholdCurve) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .rng_linalg import RngStream
+from .rng_linalg import RngStream, write_csv
 from .neural import AdamState, MLPParams, adam_step, mlp_backward, mlp_forward, refresh_spectral
 from .sinkhorn import SinkhornConfig, cost_matrix, entropic_ot, ot_point_gradient
 
@@ -184,13 +184,12 @@ class TrainHistory:
         return len(self.mse_x)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("epoch,mse_x,mse_y,ot_term,lambda,val_mse_x,val_mse_y\n")
-            for e in range(len(self)):
-                fh.write(
-                    f"{e},{self.mse_x[e]!r},{self.mse_y[e]!r},{self.ot_term[e]!r},"
-                    f"{self.lam[e]!r},{self.val_mse_x[e]!r},{self.val_mse_y[e]!r}\n"
-                )
+        cols = (self.mse_x, self.mse_y, self.ot_term, self.lam, self.val_mse_x, self.val_mse_y)
+        write_csv(
+            path,
+            ["epoch", "mse_x", "mse_y", "ot_term", "lambda", "val_mse_x", "val_mse_y"],
+            ((e, *row) for e, row in enumerate(zip(*cols))),
+        )
 
 
 class TrainingDiverged(RuntimeError):

@@ -26,7 +26,6 @@ __all__ = [
     "LEAKY_SLOPE",
     "mlp_forward",
     "mlp_backward",
-    "spectral_normalize",
     "refresh_spectral",
     "adam_step",
 ]
@@ -145,25 +144,6 @@ class MLPParams:
         )
 
 
-def spectral_normalize(w: np.ndarray, u: np.ndarray):
-    """One power-iteration step; returns (w / sigma, updated u, sigma).
-
-    ``v = W'u / ||W'u||`` gives ``sigma = u' W v``; the returned ``u`` is
-    ``W v`` renormalized.  A zero matrix floors sigma at 1e-12 instead of
-    dividing by zero.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (w.shape[0],):
-        raise ValueError("u must be a unit vector with length equal to the row count")
-    v = w.T @ u
-    v /= max(float(np.linalg.norm(v)), _SIGMA_FLOOR)
-    sigma = max(float(u @ (w @ v)), _SIGMA_FLOOR)
-    u_new = w @ v
-    u_new /= max(float(np.linalg.norm(u_new)), _SIGMA_FLOOR)
-    return w / sigma, u_new, sigma
-
-
 def refresh_spectral(params: MLPParams) -> None:
     """Advance each spectral layer's (u, v) by one power iteration, in place."""
     for layer in params.layers:
@@ -177,14 +157,15 @@ def refresh_spectral(params: MLPParams) -> None:
         layer.u = u
 
 
-def mlp_forward(params: MLPParams, x: np.ndarray, spectral_norm: bool = True):
+def mlp_forward(params: MLPParams, x: np.ndarray):
     """Batched forward pass.
+
+    Each layer flagged ``spectral`` divides its weights by its sigma
+    estimate before use.
 
     Args:
         params: the network.
         x: input batch, shape (n, in_dim).
-        spectral_norm: divide each flagged layer's weights by its sigma
-            estimate before use.
 
     Returns:
         (output batch, cache) where the cache feeds :func:`mlp_backward`.
@@ -194,7 +175,7 @@ def mlp_forward(params: MLPParams, x: np.ndarray, spectral_norm: bool = True):
         raise ValueError(f"input dim {h.shape[1]} does not match first layer {params.in_dim}")
     cache = []
     for layer in params.layers:
-        use_sn = spectral_norm and layer.spectral
+        use_sn = layer.spectral
         sigma = layer.sigma() if use_sn else 1.0
         w_eff = layer.weights / sigma
         s = h @ w_eff.T + layer.bias

@@ -8,7 +8,8 @@ pipelines bit-reproducible.
 The linear-algebra kernels are thin, strict wrappers around LAPACK: Cholesky
 with no pivoting and no silent jitter (SPD failure is an error carrying the
 failing pivot), SPD solves through the factor, and multivariate-normal
-sampling from a precomputed factor.
+sampling from a precomputed factor.  The artifact readers and writers for
+flat arrays and CSV tables live here too.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ __all__ = [
     "RngStream",
     "NotPositiveDefiniteError",
     "cholesky",
-    "solve_spd",
     "sample_mvn",
     "add_jitter",
     "save_array",
     "load_array",
+    "write_csv",
+    "read_csv_columns",
 ]
 
 
@@ -119,17 +121,11 @@ def add_jitter(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:
     return out
 
 
-def solve_spd(m, rhs) -> np.ndarray:
-    """Solve ``m @ x = rhs`` for SPD ``m`` via its Cholesky factor.
+def solve_spd_factored(chol_lower: np.ndarray, rhs) -> np.ndarray:
+    """Solve ``m @ x = rhs`` given the lower Cholesky factor of SPD ``m``.
 
     ``rhs`` may be a vector or a matrix of stacked right-hand sides.
     """
-    low = cholesky(m)
-    return solve_spd_factored(low, rhs)
-
-
-def solve_spd_factored(chol_lower: np.ndarray, rhs) -> np.ndarray:
-    """Solve using an already-computed lower Cholesky factor."""
     b = np.asarray(rhs, dtype=np.float64)
     if b.shape[0] != chol_lower.shape[0]:
         raise ValueError(
@@ -184,3 +180,41 @@ def load_array(path: str) -> np.ndarray:
         raise ValueError(f"array file {path} has {size} bytes, header implies {expected}")
     data = np.fromfile(path, dtype="<f8")
     return data.reshape(shape)
+
+
+# --- CSV tables: the one text format of every tabular artifact ---
+
+
+def write_csv(path: str, header, rows) -> str:
+    """Write a header line, then one line per row; returns ``path``.
+
+    ``None`` is an empty cell, ``str`` and ``int`` are written as they are,
+    and every other value as ``repr(float(v))``, the shortest string that
+    reads back to the same double.
+    """
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, (str, int)):
+            return str(v)
+        return repr(float(v))
+
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
+    return path
+
+
+def read_csv_columns(path: str) -> dict[str, np.ndarray]:
+    """Float columns of a numeric CSV by header name; empty cells are skipped."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        cols = {h: [] for h in header}
+        for line in fh:
+            cells = line.rstrip("\n").split(",")
+            for h, c in zip(header, cells):
+                if c != "":
+                    cols[h].append(float(c))
+    return {h: np.asarray(v) for h, v in cols.items()}

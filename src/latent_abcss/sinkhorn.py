@@ -19,7 +19,6 @@ __all__ = [
     "TransportPlan",
     "cost_matrix",
     "entropic_ot",
-    "sinkhorn_divergence",
     "ot_point_gradient",
 ]
 
@@ -166,11 +165,6 @@ def entropic_ot(xs, ys, cfg: SinkhornConfig, track_residuals: bool = False) -> T
         self_y = _plain_entropic_ot(cost_matrix(ys, ys, cfg.p), plain, False).cost
         result.cost = result.cost - 0.5 * self_x - 0.5 * self_y
     return result
-
-
-def sinkhorn_divergence(xs, ys, cfg: SinkhornConfig) -> float:
-    """Debiased transport cost; zero on identical clouds, symmetric."""
-    return entropic_ot(xs, ys, replace(cfg, debiased=True)).cost
 
 
 def ot_point_gradient(xs, ys, plan: np.ndarray, p: int = 2) -> np.ndarray:

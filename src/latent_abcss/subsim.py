@@ -23,9 +23,7 @@ __all__ = [
     "SubSimConfig",
     "LevelRecord",
     "SubSimTrace",
-    "dissimilarity",
     "dissimilarity_batch",
-    "conditional_chain",
     "subsim_run",
     "estimate_p",
     "posterior_solutions",
@@ -95,16 +93,6 @@ class SubSimTrace:
         return self.levels[-1].threshold
 
 
-def dissimilarity(y_gen, y_obs) -> float:
-    """Squared L2 distance between two travel-time vectors (ns^2)."""
-    a = np.asarray(y_gen, dtype=np.float64).ravel()
-    b = np.asarray(y_obs, dtype=np.float64).ravel()
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    d = a - b
-    return float(d @ d)
-
-
 def dissimilarity_batch(y_gen: np.ndarray, y_obs: np.ndarray) -> np.ndarray:
     """Row-wise squared L2 distances of a batch against one observation."""
     y_gen = np.atleast_2d(y_gen)
@@ -115,45 +103,13 @@ def dissimilarity_batch(y_gen: np.ndarray, y_obs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", d, d)
 
 
-def conditional_chain(
-    z0: np.ndarray,
-    steps: int,
-    t: float,
-    g2,
-    y_obs,
-    scale: float,
-    rng: RngStream,
-) -> np.ndarray:
-    """Markov chain confined to the tolerance region, seeded at ``z0``.
-
-    Proposals are ``rho * z + sqrt(1 - rho^2) * u`` with
-    ``rho = sqrt(1 - scale^2)`` and standard-normal ``u``; because that move
-    leaves the standard normal invariant, accepting exactly the proposals
-    that stay below the threshold targets the prior restricted to the
-    region.  Returns ``steps`` states, the seed included as row 0.
-    """
-    z0 = np.asarray(z0, dtype=np.float64).ravel()
-    if not (0.0 <= scale <= 1.0):
-        raise ValueError("scale must be in [0, 1]")
-    d0 = dissimilarity_batch(g2(z0[None, :]), y_obs)[0]
-    if not d0 <= t:
-        raise ValueError(f"seed has dissimilarity {d0}, outside the threshold {t}")
-    rho = np.sqrt(1.0 - scale * scale)
-    gen = rng.generator()
-    states = np.empty((steps, z0.size))
-    states[0] = z0
-    cur = z0.copy()
-    for s in range(1, steps):
-        prop = rho * cur + scale * gen.standard_normal(z0.size)
-        if dissimilarity_batch(g2(prop[None, :]), y_obs)[0] <= t:
-            cur = prop
-        states[s] = cur
-    return states
-
-
 def _rejuvenate(seeds, seed_d, t, level_index, scale, g2, y_obs, rng, n_particles):
     """Grow the survivor set back to ``n_particles`` members of the region.
 
+    Each chain proposes ``rho * z + scale * u`` with ``rho = sqrt(1 - scale^2)``
+    and standard-normal ``u``; that move leaves the standard normal invariant,
+    so accepting exactly the proposals within the threshold ``t`` targets the
+    prior restricted to the region.
     One chain per survivor; chain lengths differ by at most one, with the
     remainder going to the first chains.  Chains advance in lockstep so the
     generator map is always evaluated on a batch, and each chain draws its

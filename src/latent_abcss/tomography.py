@@ -9,6 +9,7 @@ operator: one matrix row per ray, one column per grid cell, entries in meters.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,6 @@ class RayMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rays, self.n_cells)
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cell indices, path lengths) of ray ``i``."""
-        lo, hi = self.paths.indptr[i], self.paths.indptr[i + 1]
-        return self.paths.indices[lo:hi], self.paths.data[lo:hi]
 
     def ray_lengths(self) -> np.ndarray:
         """Per-ray total path length in meters."""
@@ -240,9 +236,11 @@ def save_ray_matrix(path: str, a: RayMatrix, provenance: dict | None = None) -> 
 def load_ray_matrix(path: str) -> RayMatrix:
     with open(path + ".json") as fh:
         header = json.load(fh)
+    expected = int(header["nnz"]) * _TRIPLE_DTYPE.itemsize
+    size = os.path.getsize(path)
+    if size != expected:
+        raise ValueError(f"ray matrix file {path} has {size} bytes, header implies {expected}")
     packed = np.fromfile(path, dtype=_TRIPLE_DTYPE)
-    if packed.size != int(header["nnz"]):
-        raise ValueError(f"ray matrix file {path} has {packed.size} entries, header says {header['nnz']}")
     mat = sp.csr_matrix(
         (packed["length"], (packed["ray"], packed["cell"])),
         shape=(int(header["n_rays"]), int(header["n_cells"])),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .diagnostics import (
 )
 from .gp_prior import GPConfig, Grid, build_covariance, sample_fields
 from .jgnn import JGNNModel, TrainConfig, g1_of_latent, g2_of_latent, load_model, save_model, train
-from .rng_linalg import RngStream, add_jitter, load_array, save_array
+from .rng_linalg import RngStream, add_jitter, load_array, read_csv_columns, save_array, write_csv
 from .sinkhorn import SinkhornConfig
 from .subsim import SubSimConfig, posterior_solutions, save_trace, subsim_run
 from .tomography import (
@@ -133,17 +133,7 @@ class PipelineConfig:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        doc = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, Grid):
-                value = {"n_rows": value.n_rows, "n_cols": value.n_cols, "cell_size": value.cell_size}
-            elif isinstance(value, GPConfig):
-                value = {"lengthscale": value.lengthscale, "variance": value.variance, "mean": value.mean}
-            elif isinstance(value, tuple):
-                value = list(value)
-            doc[name] = value
-        return doc
+        return {**asdict(self), "hidden": list(self.hidden)}
 
     def validate(self) -> None:
         try:
@@ -154,13 +144,7 @@ class PipelineConfig:
                 raise ValueError("noise_std must be nonnegative")
             if min(self.train_size, self.test_size, self.latent_dim) < 1:
                 raise ValueError("train_size, test_size, latent_dim must be positive")
-            SubSimConfig(
-                target_eps=self.eps_min,
-                n_particles=self.n_particles,
-                level_fraction=self.level_fraction,
-                max_levels=self.max_levels,
-                proposal_scale=self.proposal_scale,
-            )
+            self.subsim_config(self.eps_min)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -202,9 +186,7 @@ class PipelineConfig:
         raise ValueError(f"unknown eps_spacing {self.eps_spacing!r}")
 
     def diag_ot_config(self) -> SinkhornConfig:
-        return SinkhornConfig(
-            reg=self.diag_reg, max_iter=self.diag_max_iter, debiased=True, tol=self.diag_tol
-        )
+        return SinkhornConfig(reg=self.diag_reg, max_iter=self.diag_max_iter, tol=self.diag_tol)
 
     def provenance(self, command: str) -> dict:
         canon = json.dumps(self.to_dict(), sort_keys=True)
@@ -455,7 +437,9 @@ def _deep_level_solutions(model: JGNNModel, deep, eps_top: float, n_obs: int, m_
     return out
 
 
-def _check_inversion_inputs(model: JGNNModel, manifest: dict, y_obs, truth) -> None:
+def _check_inversion_inputs(
+    cfg: PipelineConfig, model: JGNNModel, manifest: dict, y_obs, truth, oracle: bool
+) -> None:
     """Refuse inputs that do not fit the model or the dataset, before any work."""
     if model.dim_x != manifest["n_cells"]:
         raise ConfigError(
@@ -468,6 +452,11 @@ def _check_inversion_inputs(model: JGNNModel, manifest: dict, y_obs, truth) -> N
         )
     if truth is not None and truth.size != model.dim_x:
         raise ConfigError(f"truth has {truth.size} cells, the model expects {model.dim_x}")
+    # the oracle prior is built on the config grid, its operator on the dataset's
+    if oracle and asdict(cfg.grid) != manifest["config"]["grid"]:
+        raise ConfigError(
+            f"config grid {asdict(cfg.grid)} differs from the dataset's {manifest['config']['grid']}"
+        )
 
 
 def invert_artifacts(
@@ -486,7 +475,7 @@ def invert_artifacts(
     data = _load_dataset(dataset_dir)
     y_obs = load_array(y_obs_path)
     truth = load_array(truth_path) if truth_path else None
-    _check_inversion_inputs(model, data["manifest"], y_obs, truth)
+    _check_inversion_inputs(cfg, model, data["manifest"], y_obs, truth, oracle)
     prov = cfg.provenance("invert")
     rng = RngStream(cfg.seed, stream_id=3)
 
@@ -518,10 +507,11 @@ def invert_artifacts(
     result.metrics.to_csv(os.path.join(out_dir, "metrics.csv"))
     if result.metrics.wasserstein_by_eps:
         names = sorted(result.metrics.wasserstein_by_eps[0][1])
-        with open(os.path.join(out_dir, "wasserstein.csv"), "w") as fh:
-            fh.write("eps_n," + ",".join(names) + "\n")
-            for eps_n, divs in result.metrics.wasserstein_by_eps:
-                fh.write(f"{float(eps_n)!r}," + ",".join(f"{float(divs[n])!r}" for n in names) + "\n")
+        write_csv(
+            os.path.join(out_dir, "wasserstein.csv"),
+            ["eps_n", *names],
+            ([eps_n, *(divs[n] for n in names)] for eps_n, divs in result.metrics.wasserstein_by_eps),
+        )
     doc = dict(result.summary)
     doc["provenance"] = prov
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -539,73 +529,36 @@ def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
         "ours": "rmse_solutions_truth",
         "prior": "rmse_prior_truth",
     }
+    header = ("inversion", "pairing", "count", "mean", "median", "p05", "p95")
+
+    def row(inversion: str, p: str, col: np.ndarray) -> dict:
+        stats = (np.mean(col), np.median(col), *np.quantile(col, [0.05, 0.95]))
+        return dict(zip(header, (inversion, p, int(col.size), *map(float, stats))))
+
     pooled = {p: [] for p in pairings}
     rows = []
     for run in run_dirs:
         path = os.path.join(run, "metrics.csv")
         _require([path])
-        table = _read_csv_columns(path)
+        table = read_csv_columns(path)
         for p in pairings:
             col = table.get(col_of[p])
             if col is None or col.size == 0:
                 continue
             pooled[p].append(col)
-            rows.append(
-                {
-                    "inversion": os.path.basename(os.path.normpath(run)),
-                    "pairing": p,
-                    "count": int(col.size),
-                    "mean": float(np.mean(col)),
-                    "median": float(np.median(col)),
-                    "p05": float(np.quantile(col, 0.05)),
-                    "p95": float(np.quantile(col, 0.95)),
-                }
-            )
-    for p in pairings:
-        if pooled[p]:
-            col = np.concatenate(pooled[p])
-            rows.append(
-                {
-                    "inversion": "pooled",
-                    "pairing": p,
-                    "count": int(col.size),
-                    "mean": float(np.mean(col)),
-                    "median": float(np.median(col)),
-                    "p05": float(np.quantile(col, 0.05)),
-                    "p95": float(np.quantile(col, 0.95)),
-                }
-            )
-    with open(out_path, "w") as fh:
-        fh.write("inversion,pairing,count,mean,median,p05,p95\n")
-        for r in rows:
-            fh.write(
-                f"{r['inversion']},{r['pairing']},{r['count']},{r['mean']!r},"
-                f"{r['median']!r},{r['p05']!r},{r['p95']!r}\n"
-            )
+            rows.append(row(os.path.basename(os.path.normpath(run)), p, col))
+    cols = {p: (np.concatenate(pooled[p]) if pooled[p] else np.empty(0)) for p in pairings}
+    rows += [row("pooled", p, cols[p]) for p in pairings if cols[p].size]
+    write_csv(out_path, header, (r.values() for r in rows))
     # pooled per-sample distributions, one labeled column per pairing
     dist_path = os.path.splitext(out_path)[0] + "_pooled.csv"
-    cols = {p: (np.concatenate(pooled[p]) if pooled[p] else np.empty(0)) for p in pairings}
-    n_rows = max((c.size for c in cols.values()), default=0)
-    with open(dist_path, "w") as fh:
-        fh.write(",".join(pairings) + "\n")
-        for i in range(n_rows):
-            fh.write(
-                ",".join(f"{float(cols[p][i])!r}" if i < cols[p].size else "" for p in pairings)
-                + "\n"
-            )
+    n_rows = max(c.size for c in cols.values())
+    write_csv(
+        dist_path,
+        pairings,
+        ([cols[p][i] if i < cols[p].size else None for p in pairings] for i in range(n_rows)),
+    )
     return {"rows": rows, "aggregate_csv": out_path, "pooled_csv": dist_path}
-
-
-def _read_csv_columns(path: str) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        cols = {h: [] for h in header}
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            for h, c in zip(header, cells):
-                if c != "":
-                    cols[h].append(float(c))
-    return {h: np.asarray(v) for h, v in cols.items() if h != "sample"}
 
 
 def compute_oracle_posterior(

@@ -251,12 +251,12 @@ class TestInvert:
 
 
 class TestInvertInputChecks:
-    def _invert(self, pipeline, yobs, data=None, truth=None):
-        root, cfg, own_data, model = pipeline
+    def _invert(self, pipeline, yobs, data=None, truth=None, cfg=None):
+        root, own_cfg, own_data, model = pipeline
         argv = [
             "invert",
             "--config",
-            cfg,
+            cfg or own_cfg,
             "--checkpoint",
             os.path.join(model, "model.ckpt"),
             "--yobs",
@@ -290,6 +290,18 @@ class TestInvertInputChecks:
         assert main(["gendata", "--config", str(taller), "--out", other]) == 0
         assert self._invert(pipeline, str(root / "yobs.f64"), data=other) == 2
         assert "35 cells" in capsys.readouterr().err
+
+    def test_oracle_config_grid_mismatch_exits_2(self, pipeline, tmp_path, capsys):
+        # checkpoint and dataset agree; only the invert config's grid differs
+        root = pipeline[0]
+        taller = tmp_path / "taller.json"
+        taller.write_text(json.dumps({**MICRO_CONFIG, "grid": {**MICRO_CONFIG["grid"], "n_rows": 7}}))
+        rc = self._invert(
+            pipeline, str(root / "yobs.f64"), truth=str(root / "truth.f64"), cfg=str(taller)
+        )
+        assert rc == 2
+        assert "config grid" in capsys.readouterr().err
+        assert not os.path.exists(root / "inv_refused" / "deep_trace.json")
 
 
 class TestEvaluateAndOracle:

@@ -15,7 +15,6 @@ from latent_abcss.diagnostics import (
     normalize_eps,
     probability_curve,
     resimulation_report,
-    rmse,
     rmse_batch,
     select_threshold,
     self_transport_costs,
@@ -194,19 +193,24 @@ class TestSelectThreshold:
         assert 0.0 < doc["p_hat_at_selected"] <= 1.0
 
 
+def rmse_one(v1, v2):
+    """RMSE of a single vector through the batch kernel."""
+    return rmse_batch(np.atleast_2d(v1), v2)[0]
+
+
 class TestRmse:
     def test_identical(self):
-        assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert rmse_one([1.0, 2.0], [1.0, 2.0]) == 0.0
 
     def test_constant_offset(self):
-        assert rmse(np.zeros(4), np.full(4, 2.0)) == pytest.approx(2.0)
+        assert rmse_one(np.zeros(4), np.full(4, 2.0)) == pytest.approx(2.0)
 
     def test_brute_force_formula(self):
         gen = np.random.default_rng(3)
         a = gen.standard_normal(33)
         b = gen.standard_normal(33)
         direct = np.sqrt(np.sum((a - b) ** 2) / 33)
-        assert rmse(a, b) == pytest.approx(direct, abs=1e-12)
+        assert rmse_one(a, b) == pytest.approx(direct, abs=1e-12)
 
     def test_batch(self):
         gen = np.random.default_rng(4)
@@ -214,11 +218,12 @@ class TestRmse:
         ref = gen.standard_normal(8)
         out = rmse_batch(s, ref)
         for i in range(5):
-            assert out[i] == pytest.approx(rmse(s[i], ref))
+            assert out[i] == pytest.approx(rmse_one(s[i], ref))
+            assert out[i] == pytest.approx(np.sqrt(np.mean((s[i] - ref) ** 2)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            rmse([1.0], [1.0, 2.0])
+            rmse_one([1.0], [1.0, 2.0])
 
 
 class TestWassersteinDiagnostics:

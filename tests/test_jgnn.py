@@ -17,7 +17,7 @@ from latent_abcss.jgnn import (
 )
 from latent_abcss.neural import refresh_spectral
 from latent_abcss.rng_linalg import RngStream
-from latent_abcss.sinkhorn import SinkhornConfig, sinkhorn_divergence
+from latent_abcss.sinkhorn import SinkhornConfig, entropic_ot
 
 DIM_X, DIM_Y, DIM_Z = 8, 20, 10
 
@@ -165,9 +165,9 @@ class TestTrain:
         gen_cloud = np.concatenate([gx, gy], axis=1)
         data_cloud = np.concatenate([xs[-400:], ys[-400:]], axis=1)
         fake = np.tile(data_cloud.mean(axis=0), (400, 1))
-        cfg = SinkhornConfig(reg=5.0, max_iter=200)
-        d_gen = sinkhorn_divergence(gen_cloud, data_cloud, cfg)
-        d_fake = sinkhorn_divergence(fake, data_cloud, cfg)
+        cfg = SinkhornConfig(reg=5.0, max_iter=200, debiased=True)
+        d_gen = entropic_ot(gen_cloud, data_cloud, cfg).cost
+        d_fake = entropic_ot(fake, data_cloud, cfg).cost
         assert d_gen < d_fake
 
     def test_roundtrip_reconstruction_quality(self, trained_toy):

@@ -1,4 +1,4 @@
-"""Seeded streams, Cholesky, SPD solves, MVN sampling, array artifacts."""
+"""Seeded streams, Cholesky, SPD solves, MVN sampling, array and CSV artifacts."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,11 @@ from latent_abcss.rng_linalg import (
     add_jitter,
     cholesky,
     load_array,
+    read_csv_columns,
     sample_mvn,
     save_array,
-    solve_spd,
+    solve_spd_factored,
+    write_csv,
 )
 
 
@@ -95,18 +97,24 @@ class TestCholesky:
             cholesky(np.ones((2, 3)))
 
 
+def solve_through_factor(m, rhs):
+    return solve_spd_factored(cholesky(m), rhs)
+
+
 class TestSolveSpd:
+    """Solves through the factor: ``solve_spd_factored(cholesky(m), rhs)``."""
+
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(solve_spd(np.eye(3), b), b)
+        np.testing.assert_allclose(solve_through_factor(np.eye(3), b), b)
 
     def test_scalar_division(self):
-        np.testing.assert_allclose(solve_spd([[2.0]], [6.0]), [3.0])
+        np.testing.assert_allclose(solve_through_factor([[2.0]], [6.0]), [3.0])
 
     def test_residual_small(self):
         m = np.array([[4.0, 2.0], [2.0, 5.0]])
         b = np.array([8.0, 9.0])
-        x = solve_spd(m, b)
+        x = solve_through_factor(m, b)
         assert np.linalg.norm(m @ x - b) < 1e-10
 
     def test_matrix_rhs(self):
@@ -114,12 +122,12 @@ class TestSolveSpd:
         b = rng.standard_normal((5, 5))
         m = b @ b.T + 5 * np.eye(5)
         rhs = rng.standard_normal((5, 3))
-        x = solve_spd(m, rhs)
+        x = solve_through_factor(m, rhs)
         assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) < 1e-8
 
     def test_propagates_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            solve_spd([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0])
+            solve_through_factor([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0])
 
 
 class TestSampleMvn:
@@ -176,3 +184,26 @@ class TestJitterAndArtifacts:
             fh.write(b"\0" * 8)
         with pytest.raises(ValueError, match="bytes"):
             load_array(path)
+
+
+class TestCsv:
+    def test_floats_roundtrip_exactly(self, tmp_path):
+        gen = np.random.default_rng(9)
+        a = gen.standard_normal(50) * 10.0 ** gen.integers(-300, 300, 50)
+        b = np.array([0.1, 1 / 3, 2.0**-1074, np.finfo(float).max, -0.0])
+        path = write_csv(
+            str(tmp_path / "t.csv"),
+            ["a", "b"],
+            ([x, b[i] if i < b.size else None] for i, x in enumerate(a)),
+        )
+        cols = read_csv_columns(path)
+        np.testing.assert_array_equal(cols["a"], a)
+        np.testing.assert_array_equal(cols["b"], b)
+        assert np.signbit(cols["b"][-1])
+
+    def test_cell_rules(self, tmp_path):
+        path = write_csv(
+            str(tmp_path / "t.csv"), ("s", "n", "x", "f", "none"), [("lbl", 3, np.float64(0.5), 2, None)]
+        )
+        with open(path) as fh:
+            assert fh.read() == "s,n,x,f,none\nlbl,3,0.5,2,\n"

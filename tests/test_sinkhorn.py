@@ -1,6 +1,7 @@
 """Entropic transport against brute-force and closed-form oracles."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from latent_abcss.sinkhorn import (
     cost_matrix,
     entropic_ot,
     ot_point_gradient,
-    sinkhorn_divergence,
 )
 
 
@@ -109,11 +109,17 @@ class TestEntropicOt:
             SinkhornConfig(p=3)
 
 
+def debiased_cost(xs, ys, cfg):
+    return entropic_ot(xs, ys, replace(cfg, debiased=True)).cost
+
+
 class TestSinkhornDivergence:
+    """The debiased cost S(a, b) = OT(a, b) - OT(a, a)/2 - OT(b, b)/2."""
+
     def test_identical_clouds(self):
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((20, 4))
-        assert sinkhorn_divergence(xs, xs, SinkhornConfig(reg=1.0, max_iter=200)) == pytest.approx(
+        assert debiased_cost(xs, xs, SinkhornConfig(reg=1.0, max_iter=200)) == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -122,8 +128,8 @@ class TestSinkhornDivergence:
         xs = rng.standard_normal((15, 2))
         ys = rng.standard_normal((12, 2)) + 0.5
         cfg = SinkhornConfig(reg=0.5, max_iter=500)
-        assert sinkhorn_divergence(xs, ys, cfg) == pytest.approx(
-            sinkhorn_divergence(ys, xs, cfg), abs=1e-9
+        assert debiased_cost(xs, ys, cfg) == pytest.approx(
+            debiased_cost(ys, xs, cfg), abs=1e-9
         )
 
     def test_gaussian_mean_shift_oracle(self):
@@ -132,7 +138,7 @@ class TestSinkhornDivergence:
         xs = rng.standard_normal((500, 1))
         ys = rng.standard_normal((500, 1)) + 3.0
         cfg = SinkhornConfig(reg=0.05, max_iter=500)
-        assert sinkhorn_divergence(xs, ys, cfg) == pytest.approx(9.0, rel=0.15)
+        assert debiased_cost(xs, ys, cfg) == pytest.approx(9.0, rel=0.15)
 
     def test_essentially_nonnegative(self):
         rng = np.random.default_rng(8)
@@ -140,7 +146,7 @@ class TestSinkhornDivergence:
         for _ in range(10):
             xs = rng.standard_normal((10, 2))
             ys = rng.standard_normal((10, 2))
-            assert sinkhorn_divergence(xs, ys, cfg) >= -1e-9
+            assert debiased_cost(xs, ys, cfg) >= -1e-9
 
     def test_p1_cost(self):
         xs = np.array([[0.0], [1.0]])

@@ -10,8 +10,7 @@ from latent_abcss.subsim import (
     LevelRecord,
     SubSimConfig,
     SubSimTrace,
-    conditional_chain,
-    dissimilarity,
+    _rejuvenate,
     dissimilarity_batch,
     estimate_p,
     load_trace,
@@ -34,22 +33,35 @@ def gauss_tail(level):
     return 0.5 * erfc(level / np.sqrt(2.0))
 
 
+def one_row(y_gen, y_obs):
+    """Dissimilarity of a single vector through the batch kernel."""
+    return dissimilarity_batch(np.atleast_2d(y_gen), y_obs)[0]
+
+
+def single_chain(z0, steps, t, g2, y_obs, scale, rng):
+    """One ``steps``-state chain of the sampler's rejuvenation, seeded at ``z0``."""
+    seeds = np.atleast_2d(np.asarray(z0, dtype=np.float64))
+    seed_d = dissimilarity_batch(g2(seeds), y_obs)
+    states, _, _ = _rejuvenate(seeds, seed_d, t, 1, scale, g2, y_obs, rng, steps)
+    return states
+
+
 class TestDissimilarity:
     def test_identical_vectors(self):
-        assert dissimilarity([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert one_row([1.0, 2.0], [1.0, 2.0]) == 0.0
 
     def test_uniform_offset(self):
         y = np.zeros(81)
-        assert dissimilarity(y + 0.7, y) == pytest.approx(81 * 0.49)
+        assert one_row(y + 0.7, y) == pytest.approx(81 * 0.49)
 
     def test_symmetry(self):
         a = np.array([1.0, -2.0, 0.5])
         b = np.array([0.0, 1.0, 2.0])
-        assert dissimilarity(a, b) == dissimilarity(b, a)
+        assert one_row(a, b) == one_row(b, a)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            dissimilarity([1.0], [1.0, 2.0])
+            one_row([1.0], [1.0, 2.0])
 
     def test_batch_matches_scalar(self):
         gen = np.random.default_rng(0)
@@ -57,39 +69,38 @@ class TestDissimilarity:
         y0 = gen.standard_normal(4)
         batch = dissimilarity_batch(ys, y0)
         for i in range(5):
-            assert batch[i] == pytest.approx(dissimilarity(ys[i], y0))
+            assert batch[i] == pytest.approx(one_row(ys[i], y0))
+            assert batch[i] == pytest.approx(float(np.sum((ys[i] - y0) ** 2)))
 
 
 class TestConditionalChain:
+    """The rejuvenation kernel run as a single chain from one seed."""
+
     def test_zero_scale_never_moves(self):
-        states = conditional_chain(
+        states = single_chain(
             np.array([3.5]), 50, 0.0, halfspace_map(3.0), np.zeros(1), 0.0, RngStream(1)
         )
         np.testing.assert_array_equal(states, np.full((50, 1), 3.5))
 
     def test_infinite_threshold_recovers_prior(self):
         # scale 1 makes proposals independent draws, all accepted
-        states = conditional_chain(
+        states = single_chain(
             np.array([0.0]), 10_000, np.inf, halfspace_map(-np.inf), np.zeros(1), 1.0, RngStream(2)
         )
         assert kstest(states[1:].ravel(), "norm").pvalue > 0.01
 
     def test_truncated_normal_mean(self):
         # long-run mean of the prior restricted to {z > 3}
-        states = conditional_chain(
+        states = single_chain(
             np.array([3.3]), 20_000, 0.0, halfspace_map(3.0), np.zeros(1), 0.5, RngStream(3)
         )
         target = 3.2831  # phi(3) / Phi(-3)
         assert states.mean() == pytest.approx(target, rel=0.02)
         assert states.min() >= 3.0
 
-    def test_seed_outside_region_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            conditional_chain(np.array([2.0]), 10, 0.0, halfspace_map(3.0), np.zeros(1), 0.5, RngStream(4))
-
     def test_every_state_satisfies_threshold(self):
         g2 = lambda z: z[:, :1]
-        states = conditional_chain(np.array([0.1]), 500, 1.0, g2, np.zeros(1), 0.7, RngStream(5))
+        states = single_chain(np.array([0.1]), 500, 1.0, g2, np.zeros(1), 0.7, RngStream(5))
         d = (states[:, 0]) ** 2
         assert np.all(d <= 1.0)
 

@@ -177,3 +177,17 @@ class TestRayMatrixArtifacts:
         b = load_ray_matrix(path)
         assert b.shape == a.shape
         np.testing.assert_array_equal(b.dense(), a.dense())
+
+    @pytest.mark.parametrize("trim", [-5, 5])
+    def test_file_size_checked_against_header(self, tmp_path, trim):
+        # 5 stray bytes are less than one 16-byte record, so counting
+        # whole records alone would accept the padded file
+        grid = Grid(6, 5, 0.1)
+        a = assemble_matrix(grid, build_geometry(grid, 3, 3, 0.1, 0.5, 0.4))
+        path = str(tmp_path / "rays.bin")
+        save_ray_matrix(path, a)
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:trim] if trim < 0 else blob + b"\0" * trim)
+        with pytest.raises(ValueError, match="rays.bin"):
+            load_ray_matrix(path)
