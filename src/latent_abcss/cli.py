@@ -85,11 +85,15 @@ def _load_config(args) -> "PipelineConfig":
             overrides[name] = getattr(args, name)
     if getattr(args, "eps_grid", None):
         parts = args.eps_grid.split(",")
+        usage = '--eps-grid expects "min,max,count[,log|lin]"'
         if len(parts) not in (3, 4):
-            raise ConfigError('--eps-grid expects "min,max,count[,log|lin]"')
-        overrides["eps_min"] = float(parts[0])
-        overrides["eps_max"] = float(parts[1])
-        overrides["eps_count"] = int(parts[2])
+            raise ConfigError(usage)
+        try:
+            overrides["eps_min"] = float(parts[0])
+            overrides["eps_max"] = float(parts[1])
+            overrides["eps_count"] = int(parts[2])
+        except ValueError as err:
+            raise ConfigError(f"{usage}: {err}") from err
         if len(parts) == 4:
             overrides["eps_spacing"] = parts[3]
     if overrides:
@@ -103,7 +107,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _set_threads(args.threads)
 
-    from .rng_linalg import NotPositiveDefiniteError
     from .jgnn import TrainingDiverged
     from .workflows import (
         ConfigError,
@@ -153,10 +156,8 @@ def main(argv=None) -> int:
     except DiagnosticFailure as err:
         print(f"diagnostic failure [{args.command}]: {err}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
-    except (NotPositiveDefiniteError, TrainingDiverged, FloatingPointError) as err:
-        print(f"numerical failure [{args.command}]: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as err:
+    except (ValueError, TrainingDiverged, FloatingPointError) as err:
+        # every ValueError past ConfigError, NotPositiveDefiniteError included
         print(f"numerical failure [{args.command}]: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -191,7 +191,7 @@ def rmse_batch(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _self_cost(cloud: np.ndarray, cfg: SinkhornConfig) -> float:
-    return _plain_entropic_ot(cost_matrix(cloud, cloud, cfg.p), cfg, False).cost
+    return _plain_entropic_ot(cost_matrix(cloud, cloud), cfg, False).cost
 
 
 def self_transport_costs(
@@ -238,7 +238,7 @@ def wasserstein_diagnostics(
     self_s = _self_cost(solutions, cfg)
     out = {}
     for name, ref in references.items():
-        cross = _plain_entropic_ot(cost_matrix(solutions, ref, cfg.p), cfg, False).cost
+        cross = _plain_entropic_ot(cost_matrix(solutions, ref), cfg, False).cost
         out[name] = cross - 0.5 * self_s - 0.5 * reference_self[name]
     return out
 

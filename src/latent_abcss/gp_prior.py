@@ -125,16 +125,15 @@ def sample_fields(
     cfg: GPConfig,
     n: int,
     rng: RngStream,
-    jitter_rel: float = 1e-10,
 ) -> list[Field]:
     """Draw ``n`` prior fields ``N(mean * 1, C)`` via Cholesky.
 
-    Fine grids make the exponential-kernel matrix numerically singular, so a
-    diagonal jitter of ``jitter_rel * variance`` is applied before factoring.
+    Fine grids make the exponential-kernel matrix numerically singular, so
+    :func:`add_jitter`'s relative diagonal jitter is applied before factoring.
     Deterministic for a given stream.
     """
     cov = build_covariance(grid, cfg)
-    low = cholesky(add_jitter(cov, rel=jitter_rel))
+    low = cholesky(add_jitter(cov))
     mean = np.full(grid.n_cells, cfg.mean)
     draws = sample_mvn(mean, low, n, rng)
     n_bad = int(np.sum(np.any(draws <= 0, axis=1)))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .rng_linalg import RngStream, write_csv
-from .neural import AdamState, MLPParams, adam_step, mlp_backward, mlp_forward, refresh_spectral
+from .rng_linalg import RngStream, write_csv, write_json
+from .neural import AdamState, Layer, MLPParams, adam_step, mlp_backward, mlp_forward, refresh_spectral
 from .sinkhorn import SinkhornConfig, cost_matrix, entropic_ot, ot_point_gradient
 
 __all__ = [
@@ -109,7 +109,6 @@ class JGNNModel:
         latent_dim: int,
         rng: RngStream,
         hidden: tuple[int, ...] = (512, 512),
-        activation: str = "leaky_relu",
     ) -> "JGNNModel":
         """Fresh model; output heads are exempt from spectral normalization.
 
@@ -118,7 +117,7 @@ class JGNNModel:
         of both networks keeps raw weights while every hidden layer is
         normalized.
         """
-        acts = [activation] * len(hidden) + ["linear"]
+        acts = ["leaky_relu"] * len(hidden) + ["linear"]
         sn = [True] * len(hidden) + [False]
         encoder = MLPParams.init(
             [dim_x + dim_y, *hidden, latent_dim], acts, rng.split(0), spectral=sn
@@ -155,8 +154,6 @@ class TrainConfig:
     lambda_halving_period: int = 500
     sinkhorn: SinkhornConfig = field(default_factory=_default_train_sinkhorn)
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
     val_fraction: float = 0.1
     seed: int = 0
 
@@ -281,8 +278,8 @@ def jgnn_loss(
         plan_zz = frozen_plans.plan_zz
         pp_cost = frozen_plans.pp_cost
         ot_cost = (
-            float(np.sum(plan_zp * cost_matrix(z, prior_draws, ot_cfg.p)))
-            - 0.5 * float(np.sum(plan_zz * cost_matrix(z, z, ot_cfg.p)))
+            float(np.sum(plan_zp * cost_matrix(z, prior_draws)))
+            - 0.5 * float(np.sum(plan_zz * cost_matrix(z, z)))
             - 0.5 * pp_cost
         )
     else:
@@ -301,12 +298,8 @@ def jgnn_loss(
     dec_grads, dz_rec = mlp_backward(model.decoder, dec_cache, g_out)
     # self-transport: z enters both sides, so the envelope gradient sums the
     # source-side terms of the plan and of its transpose
-    dz_zz = ot_point_gradient(z, z, plan_zz, ot_cfg.p) + ot_point_gradient(
-        z, z, plan_zz.T, ot_cfg.p
-    )
-    dz = dz_rec + lam * (
-        ot_point_gradient(z, prior_draws, plan_zp, ot_cfg.p) - 0.5 * dz_zz
-    )
+    dz_zz = ot_point_gradient(z, z, plan_zz) + ot_point_gradient(z, z, plan_zz.T)
+    dz = dz_rec + lam * (ot_point_gradient(z, prior_draws, plan_zp) - 0.5 * dz_zz)
     enc_grads, _ = mlp_backward(model.encoder, enc_cache, dz)
     return LossResult(
         loss, mse_x, mse_y, ot_cost, enc_grads, dec_grads, FrozenPlans(plan_zp, plan_zz, pp_cost)
@@ -343,8 +336,8 @@ def train(
     ys_s = model.standardizer.y_to_std(ys)
     x_val, y_val = xs_s[val_idx], ys_s[val_idx]
 
-    enc_state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
-    dec_state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    enc_state = AdamState(lr=cfg.lr)
+    dec_state = AdamState(lr=cfg.lr)
     history = TrainHistory()
     n_batches = train_idx.size // cfg.batch_size
     best_val = np.inf
@@ -468,14 +461,10 @@ def save_model(
     ).astype("<f4")
     with open(path, "wb") as fh:
         fh.write(blob.tobytes())
-    with open(path + ".json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path + ".json", manifest)
 
 
 def _rebuild_mlp(layout: dict, flat: np.ndarray, offset: int):
-    from .neural import Layer
-
     layers = []
     sizes = layout["sizes"]
     for k, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):

@@ -33,27 +33,22 @@ __all__ = [
 LEAKY_SLOPE = 0.2
 _SIGMA_FLOOR = 1e-12
 
-_ACTIVATIONS = ("relu", "leaky_relu", "linear", "tanh")
+_ACTIVATIONS = ("leaky_relu", "linear")
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _activate(s: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(s, 0.0)
     if kind == "leaky_relu":
         return np.where(s > 0.0, s, LEAKY_SLOPE * s)
-    if kind == "tanh":
-        return np.tanh(s)
     return s
 
 
 def _activate_grad(s: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (s > 0.0).astype(np.float64)
     if kind == "leaky_relu":
         return np.where(s > 0.0, 1.0, LEAKY_SLOPE)
-    if kind == "tanh":
-        t = np.tanh(s)
-        return 1.0 - t * t
     return np.ones_like(s)
 
 
@@ -224,9 +219,6 @@ class AdamState:
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(state: AdamState, params: MLPParams, grads, block_prefix: str = "layer"):
@@ -240,8 +232,8 @@ def adam_step(state: AdamState, params: MLPParams, grads, block_prefix: str = "l
             state.m.append([np.zeros_like(layer.weights), np.zeros_like(layer.bias)])
             state.v.append([np.zeros_like(layer.weights), np.zeros_like(layer.bias)])
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for k, (layer, (dw, db)) in enumerate(zip(params.layers, grads)):
         for name, target, grad, m, v in (
             ("weights", layer.weights, dw, state.m[k][0], state.v[k][0]),
@@ -251,9 +243,9 @@ def adam_step(state: AdamState, params: MLPParams, grads, block_prefix: str = "l
                 raise ValueError(f"non-finite gradient in {block_prefix} {k} {name}")
             if grad.shape != target.shape:
                 raise ValueError(f"gradient shape mismatch in {block_prefix} {k} {name}")
-            m *= state.beta1
-            m += (1.0 - state.beta1) * grad
-            v *= state.beta2
-            v += (1.0 - state.beta2) * grad * grad
-            target -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            target -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state

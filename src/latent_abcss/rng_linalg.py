@@ -9,7 +9,7 @@ The linear-algebra kernels are thin, strict wrappers around LAPACK: Cholesky
 with no pivoting and no silent jitter (SPD failure is an error carrying the
 failing pivot), SPD solves through the factor, and multivariate-normal
 sampling from a precomputed factor.  The artifact readers and writers for
-flat arrays and CSV tables live here too.
+flat arrays, JSON documents and CSV tables live here too.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "add_jitter",
     "save_array",
     "load_array",
+    "write_json",
     "write_csv",
     "read_csv_columns",
 ]
@@ -83,12 +84,11 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def cholesky(m, sym_tol: float = 1e-10) -> np.ndarray:
+def cholesky(m) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
 
     Args:
-        m: square matrix, symmetric to within ``sym_tol`` (relative).
-        sym_tol: relative symmetry tolerance.
+        m: square matrix, symmetric to within a relative ``1e-10``.
 
     Returns:
         Lower-triangular ``L`` with ``L @ L.T == m``.
@@ -99,7 +99,7 @@ def cholesky(m, sym_tol: float = 1e-10) -> np.ndarray:
     """
     a = _as_matrix(m)
     scale = max(float(np.max(np.abs(a))), 1.0)
-    if float(np.max(np.abs(a - a.T))) > sym_tol * scale:
+    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
     if info > 0:
@@ -161,9 +161,7 @@ def save_array(path: str, arr, provenance: dict | None = None) -> None:
     sidecar = {"shape": list(a.shape), "dtype": "f64", "order": "row-major"}
     if provenance is not None:
         sidecar["provenance"] = provenance
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path + ".json", sidecar)
 
 
 def load_array(path: str) -> np.ndarray:
@@ -182,7 +180,14 @@ def load_array(path: str) -> np.ndarray:
     return data.reshape(shape)
 
 
-# --- CSV tables: the one text format of every tabular artifact ---
+# --- JSON documents and CSV tables: the two text formats of every artifact ---
+
+
+def write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` with sorted keys, a one-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def write_csv(path: str, header, rows) -> str:

@@ -1,18 +1,18 @@
 """Entropic optimal transport between point clouds, in the log domain.
 
 Empirical measures with uniform weights are coupled by Sinkhorn fixed-point
-iterations on the cost ``C[i, j] = ||x_i - y_j||_p^p``.  Everything runs in
-the log domain so regularizations from 1e-3 up to 1e2 are handled by the same
-code path, and iteration counts are a fixed budget rather than a convergence
-guarantee (small budgets are a deliberate training-time setting).
+iterations on the squared-Euclidean cost ``C[i, j] = ||x_i - y_j||^2``.
+Everything runs in the log domain so regularizations from 1e-3 up to 1e2 are
+handled by the same code path, and iteration counts are a fixed budget rather
+than a convergence guarantee (small budgets are a deliberate training-time
+setting).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "SinkhornConfig",
@@ -41,7 +41,6 @@ class SinkhornConfig:
 
     reg: float = 100.0
     max_iter: int = 40
-    p: int = 2
     debiased: bool = False
     tol: float = 0.0
 
@@ -50,8 +49,6 @@ class SinkhornConfig:
             raise ValueError("reg must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.p not in (1, 2):
-            raise ValueError("cost exponent p must be 1 or 2")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
 
@@ -65,18 +62,16 @@ class TransportPlan:
     marginal_residuals: np.ndarray | None = None
 
 
-def cost_matrix(xs: np.ndarray, ys: np.ndarray, p: int = 2) -> np.ndarray:
-    """Pairwise ``||x - y||_p^p``; clouds are (n, d) and (m, d).
+def cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Pairwise ``||x - y||^2``; clouds are (n, d) and (m, d).
 
-    For p=2 the cost is one GEMM, ``||x||^2 + ||y||^2 - 2 x y^T``, on clouds
-    shifted to a common centre to limit cancellation, clamped at zero.
+    The cost is one GEMM, ``||x||^2 + ||y||^2 - 2 x y^T``, on clouds shifted
+    to a common centre to limit cancellation, clamped at zero.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"point dimensions differ: {xs.shape[1]} vs {ys.shape[1]}")
-    if p != 2:
-        return cdist(xs, ys, metric="cityblock")
     centre = 0.5 * (xs.mean(axis=0) + ys.mean(axis=0))
     with np.errstate(invalid="ignore"):  # inf - inf: non-finite either way
         xs = xs - centre
@@ -143,7 +138,7 @@ def entropic_ot(xs, ys, cfg: SinkhornConfig, track_residuals: bool = False) -> T
 
     Args:
         xs, ys: point clouds of shape (n, d) and (m, d).
-        cfg: regularization, iteration budget, cost exponent, debiasing.
+        cfg: regularization, iteration budget, debiasing.
         track_residuals: record the summed marginal-constraint violation
             after every iteration (diagnostics only).
 
@@ -155,19 +150,18 @@ def entropic_ot(xs, ys, cfg: SinkhornConfig, track_residuals: bool = False) -> T
     Raises:
         ValueError: on dimension mismatch or non-finite cost entries.
     """
-    c = cost_matrix(xs, ys, cfg.p)
+    c = cost_matrix(xs, ys)
     if not np.all(np.isfinite(c)):
         raise ValueError("non-finite cost entries")
     result = _plain_entropic_ot(c, cfg, track_residuals)
     if cfg.debiased:
-        plain = replace(cfg, debiased=False)
-        self_x = _plain_entropic_ot(cost_matrix(xs, xs, cfg.p), plain, False).cost
-        self_y = _plain_entropic_ot(cost_matrix(ys, ys, cfg.p), plain, False).cost
+        self_x = _plain_entropic_ot(cost_matrix(xs, xs), cfg, False).cost
+        self_y = _plain_entropic_ot(cost_matrix(ys, ys), cfg, False).cost
         result.cost = result.cost - 0.5 * self_x - 0.5 * self_y
     return result
 
 
-def ot_point_gradient(xs, ys, plan: np.ndarray, p: int = 2) -> np.ndarray:
+def ot_point_gradient(xs, ys, plan: np.ndarray) -> np.ndarray:
     """Gradient of the transport cost in the source points, plan held fixed.
 
     d/dx_i sum_j plan[i,j] c(x_i, y_j); treating the converged plan as a
@@ -176,10 +170,5 @@ def ot_point_gradient(xs, ys, plan: np.ndarray, p: int = 2) -> np.ndarray:
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    if p == 2:
-        row = plan.sum(axis=1)
-        return 2.0 * (row[:, None] * xs - plan @ ys)
-    grad = np.zeros_like(xs)
-    for j in range(ys.shape[0]):  # p=1: sign terms do not vectorize in memory
-        grad += plan[:, j : j + 1] * np.sign(xs - ys[j][None, :])
-    return grad
+    row = plan.sum(axis=1)
+    return 2.0 * (row[:, None] * xs - plan @ ys)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .rng_linalg import RngStream, save_array, load_array
+from .rng_linalg import RngStream, load_array, save_array, write_json
 
 __all__ = [
     "SubSimConfig",
@@ -195,37 +195,33 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
     for level in range(1, cfg.max_levels + 1):
         order = np.argsort(d, kind="stable")
         t_prop = float(d[order[k - 1]])
+        crossed = t_prop <= cfg.target_eps
 
-        if t_prop <= cfg.target_eps:
+        if crossed:
             t = cfg.target_eps
             surv = np.where(d <= t)[0]
-            n_surv = surv.size
-            z, d, rate = _rejuvenate(z[surv], d[surv], t, level, scale, g2, y_obs, rng, n)
-            trace.levels.append(LevelRecord(t, rate, n_surv))
-            trace.level_dissimilarities.append(d.copy())
-            trace.level_samples.append(z.copy())
-            break
-
-        if not t_prop < t_prev:
-            trace.stagnated = True  # cannot decrease strictly: flat dissimilarity mass
-            break
-        if np.isfinite(t_prev) and (t_prev - t_prop) / t_prev < cfg.stagnation_rel_tol:
-            stagnant_streak += 1
-            if stagnant_streak >= cfg.stagnation_patience:
-                trace.stagnated = True
         else:
-            stagnant_streak = 0
+            if not t_prop < t_prev:
+                trace.stagnated = True  # cannot decrease strictly: flat dissimilarity mass
+                break
+            if np.isfinite(t_prev) and (t_prev - t_prop) / t_prev < cfg.stagnation_rel_tol:
+                stagnant_streak += 1
+                if stagnant_streak >= cfg.stagnation_patience:
+                    trace.stagnated = True
+            else:
+                stagnant_streak = 0
+            # survivors: everything strictly below, tie slots filled in sample order
+            strictly = np.where(d < t_prop)[0]
+            tied = np.where(d == t_prop)[0]
+            t, surv = t_prop, np.concatenate([strictly, tied])[:k]
 
-        # survivors: everything strictly below, tie slots filled in sample order
-        strictly = np.where(d < t_prop)[0]
-        tied = np.where(d == t_prop)[0]
-        surv = np.concatenate([strictly, tied])[:k]
-
-        z, d, rate = _rejuvenate(z[surv], d[surv], t_prop, level, scale, g2, y_obs, rng, n)
-        trace.levels.append(LevelRecord(t_prop, rate, k))
+        z, d, rate = _rejuvenate(z[surv], d[surv], t, level, scale, g2, y_obs, rng, n)
+        trace.levels.append(LevelRecord(t, rate, surv.size))
         trace.level_dissimilarities.append(d.copy())
         trace.level_samples.append(z.copy())
-        t_prev = t_prop
+        if crossed:
+            break
+        t_prev = t
 
         zeta = 1.0 / np.sqrt(level)
         scale = float(np.clip(np.exp(np.log(max(scale, 1e-6)) + zeta * (rate - cfg.acceptance_target)), 1e-3, 1.0))
@@ -265,9 +261,7 @@ def save_trace(prefix: str, trace: SubSimTrace, provenance: dict | None = None) 
     }
     if provenance is not None:
         doc["provenance"] = provenance
-    with open(prefix + ".json", "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(prefix + ".json", doc)
     save_array(prefix + "_samples.f64", trace.final_samples, provenance)
     save_array(prefix + "_dissimilarities.f64", trace.final_dissimilarities, provenance)
     for j, pop in enumerate(trace.level_dissimilarities):

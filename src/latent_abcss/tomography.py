@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .rng_linalg import RngStream
+from .rng_linalg import RngStream, write_json
 from .gp_prior import Field, Grid
 
 __all__ = [
@@ -68,11 +68,8 @@ class NoiseModel:
     """I.i.d. Gaussian measurement noise with standard deviation ``std`` (ns)."""
 
     std: float
-    kind: str = "gaussian-iid"
 
     def __post_init__(self):
-        if self.kind != "gaussian-iid":
-            raise ValueError(f"unsupported noise kind: {self.kind}")
         if self.std < 0:
             raise ValueError("noise std must be nonnegative")
 
@@ -226,9 +223,7 @@ def save_ray_matrix(path: str, a: RayMatrix, provenance: dict | None = None) -> 
     header = {"n_rays": a.n_rays, "n_cells": a.n_cells, "nnz": int(coo.nnz)}
     if provenance is not None:
         header["provenance"] = provenance
-    with open(path + ".json", "w") as fh:
-        json.dump(header, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path + ".json", header)
     with open(path, "wb") as fh:
         fh.write(packed.tobytes())
 

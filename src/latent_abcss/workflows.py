@@ -33,7 +33,7 @@ from .diagnostics import (
 )
 from .gp_prior import GPConfig, Grid, build_covariance, sample_fields
 from .jgnn import JGNNModel, TrainConfig, g1_of_latent, g2_of_latent, load_model, save_model, train
-from .rng_linalg import RngStream, add_jitter, load_array, read_csv_columns, save_array, write_csv
+from .rng_linalg import RngStream, add_jitter, load_array, read_csv_columns, save_array, write_csv, write_json
 from .sinkhorn import SinkhornConfig
 from .subsim import SubSimConfig, posterior_solutions, save_trace, subsim_run
 from .tomography import (
@@ -204,6 +204,12 @@ def _require(paths: list[str]) -> None:
         raise ConfigError("missing artifacts: " + ", ".join(missing))
 
 
+def _load_input(path: str) -> np.ndarray:
+    """An input array artifact; a missing blob or sidecar is a config error."""
+    _require([path, path + ".json"])
+    return load_array(path)
+
+
 def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
     """Sample couples from the prior and the forward map; write artifacts.
 
@@ -245,9 +251,7 @@ def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
         "n_cells": a.n_cells,
         "provenance": prov,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 
@@ -258,17 +262,13 @@ def _load_dataset(dataset_dir: str):
         manifest = json.load(fh)
     files = manifest["files"]
     paths = {k: os.path.join(dataset_dir, v) for k, v in files.items()}
-    _require([paths["train_x"], paths["train_y"], paths["ray_matrix"] + ".json"])
-    data = {
-        "train_x": load_array(paths["train_x"]),
-        "train_y": load_array(paths["train_y"]),
+    _require([paths["ray_matrix"], paths["ray_matrix"] + ".json"])
+    return {
+        "train_x": _load_input(paths["train_x"]),
+        "train_y": _load_input(paths["train_y"]),
         "ray_matrix": load_ray_matrix(paths["ray_matrix"]),
         "manifest": manifest,
     }
-    for key in ("test_x", "test_y"):
-        if os.path.exists(paths[key]):
-            data[key] = load_array(paths[key])
-    return data
 
 
 def train_from_dataset(cfg: PipelineConfig, dataset_dir: str, out_dir: str) -> str:
@@ -452,8 +452,13 @@ def _check_inversion_inputs(
         )
     if truth is not None and truth.size != model.dim_x:
         raise ConfigError(f"truth has {truth.size} cells, the model expects {model.dim_x}")
-    # the oracle prior is built on the config grid, its operator on the dataset's
-    if oracle and asdict(cfg.grid) != manifest["config"]["grid"]:
+    if oracle:
+        _check_oracle_grid(cfg, manifest)
+
+
+def _check_oracle_grid(cfg: PipelineConfig, manifest: dict) -> None:
+    """The oracle prior is built on the config grid, its operator on the dataset's."""
+    if asdict(cfg.grid) != manifest["config"]["grid"]:
         raise ConfigError(
             f"config grid {asdict(cfg.grid)} differs from the dataset's {manifest['config']['grid']}"
         )
@@ -470,11 +475,11 @@ def invert_artifacts(
 ) -> InversionResult:
     """File-level wrapper around :func:`run_inversion`; writes all artifacts."""
     os.makedirs(out_dir, exist_ok=True)
-    _require([checkpoint, checkpoint + ".json", y_obs_path + ".json"])
+    _require([checkpoint, checkpoint + ".json"])
+    y_obs = _load_input(y_obs_path)
+    truth = _load_input(truth_path) if truth_path else None
     model = load_model(checkpoint)
     data = _load_dataset(dataset_dir)
-    y_obs = load_array(y_obs_path)
-    truth = load_array(truth_path) if truth_path else None
     _check_inversion_inputs(cfg, model, data["manifest"], y_obs, truth, oracle)
     prov = cfg.provenance("invert")
     rng = RngStream(cfg.seed, stream_id=3)
@@ -493,9 +498,7 @@ def invert_artifacts(
     except DiagnosticFailure as failure:
         save_trace(os.path.join(out_dir, "deep_trace"), failure.deep_trace, prov)
         curve_to_csv(failure.curve, os.path.join(out_dir, "curve.csv"))
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump({"error": str(failure), "provenance": prov}, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "summary.json"), {"error": str(failure), "provenance": prov})
         raise
 
     save_trace(os.path.join(out_dir, "deep_trace"), result.deep_trace, prov)
@@ -514,9 +517,7 @@ def invert_artifacts(
         )
     doc = dict(result.summary)
     doc["provenance"] = prov
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), doc)
     return result
 
 
@@ -566,8 +567,14 @@ def compute_oracle_posterior(
 ) -> GaussianDist:
     """Exact Gaussian posterior artifacts for a given observation."""
     os.makedirs(out_dir, exist_ok=True)
+    y_obs = _load_input(y_obs_path)
     data = _load_dataset(dataset_dir)
-    y_obs = load_array(y_obs_path)
+    manifest = data["manifest"]
+    if y_obs.size != manifest["n_rays"]:
+        raise ConfigError(
+            f"observation has {y_obs.size} travel times, the dataset has {manifest['n_rays']} rays"
+        )
+    _check_oracle_grid(cfg, manifest)
     prov = cfg.provenance("oracle-posterior")
     prior, noise_cov = _oracle_prior_noise(cfg, y_obs.size)
     post = linear_gaussian_posterior(prior, data["ray_matrix"], noise_cov, y_obs)

@@ -118,7 +118,7 @@ class TestCriterion3TransportFidelity:
         for _ in range(20):
             xs = gen.uniform(size=(8, 2))
             ys = gen.uniform(size=(8, 2))
-            c = cost_matrix(xs, ys, 2)
+            c = cost_matrix(xs, ys)
             exact = float(np.min(c[rows, perms].sum(axis=1))) / 8.0
             est = entropic_ot(xs, ys, cfg).cost
             worst = max(worst, abs(est - exact) / exact)

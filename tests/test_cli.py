@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -120,6 +121,14 @@ class TestTrain:
         rc = main(["train", "--config", cfg, "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path / "m")])
         assert rc == 2
 
+    def test_dataset_array_without_sidecar_exits_2(self, pipeline, tmp_path, capsys):
+        _, cfg, data, _ = pipeline
+        partial = str(tmp_path / "partial")
+        shutil.copytree(data, partial)
+        os.remove(os.path.join(partial, "train_x.f64.json"))
+        assert main(["train", "--config", cfg, "--dataset", partial, "--out", str(tmp_path / "m")]) == 2
+        assert "missing artifacts" in capsys.readouterr().err
+
 
 class TestInvert:
     def test_runs_and_writes_artifacts(self, pipeline):
@@ -228,26 +237,28 @@ class TestInvert:
         lines = open(os.path.join(out, "curve.csv")).read().strip().splitlines()
         assert len(lines) <= 31
 
-    def test_bad_eps_grid_exits_2(self, pipeline):
+    def test_bad_eps_grid_exits_2(self, pipeline, capsys):
         root, cfg, data, model = pipeline
-        rc = main(
-            [
-                "invert",
-                "--config",
-                cfg,
-                "--checkpoint",
-                os.path.join(model, "model.ckpt"),
-                "--yobs",
-                str(root / "yobs.f64"),
-                "--dataset",
-                data,
-                "--out",
-                str(root / "inv_bad"),
-                "--eps-grid",
-                "5,4",
-            ]
-        )
-        assert rc == 2
+        for grid in ("5,4", "a,b,c", "1e-4,50,2.5"):
+            rc = main(
+                [
+                    "invert",
+                    "--config",
+                    cfg,
+                    "--checkpoint",
+                    os.path.join(model, "model.ckpt"),
+                    "--yobs",
+                    str(root / "yobs.f64"),
+                    "--dataset",
+                    data,
+                    "--out",
+                    str(root / "inv_bad"),
+                    "--eps-grid",
+                    grid,
+                ]
+            )
+            assert rc == 2, grid
+            assert "--eps-grid expects" in capsys.readouterr().err
 
 
 class TestInvertInputChecks:
@@ -302,6 +313,45 @@ class TestInvertInputChecks:
         assert rc == 2
         assert "config grid" in capsys.readouterr().err
         assert not os.path.exists(root / "inv_refused" / "deep_trace.json")
+
+    def test_missing_truth_exits_2(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        missing = str(tmp_path / "missing.f64")
+        assert self._invert(pipeline, str(root / "yobs.f64"), truth=missing) == 2
+        assert "missing artifacts" in capsys.readouterr().err
+
+    def test_yobs_sidecar_without_blob_exits_2(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        yobs = str(tmp_path / "sidecar_only.f64")
+        shutil.copy(str(root / "yobs.f64.json"), yobs + ".json")
+        assert self._invert(pipeline, yobs) == 2
+        assert "missing artifacts" in capsys.readouterr().err
+
+
+class TestOraclePosteriorInputChecks:
+    def _oracle(self, pipeline, yobs, cfg=None):
+        root, own_cfg, data, _ = pipeline
+        out = str(root / "oracle_refused")
+        argv = ["oracle-posterior", "--config", cfg or own_cfg, "--dataset", data, "--yobs", yobs, "--out", out]
+        return main(argv)
+
+    def test_missing_yobs_exits_2(self, pipeline, tmp_path, capsys):
+        assert self._oracle(pipeline, str(tmp_path / "missing.f64")) == 2
+        assert "missing artifacts" in capsys.readouterr().err
+
+    def test_yobs_length_mismatch_exits_2(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        long = str(tmp_path / "long.f64")
+        save_array(long, np.append(load_array(str(root / "yobs.f64")), 1.0))
+        assert self._oracle(pipeline, long) == 2
+        assert "4 rays" in capsys.readouterr().err
+
+    def test_config_grid_mismatch_exits_2(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        taller = tmp_path / "taller.json"
+        taller.write_text(json.dumps({**MICRO_CONFIG, "grid": {**MICRO_CONFIG["grid"], "n_rows": 7}}))
+        assert self._oracle(pipeline, str(root / "yobs.f64"), cfg=str(taller)) == 2
+        assert "config grid" in capsys.readouterr().err
 
 
 class TestEvaluateAndOracle:

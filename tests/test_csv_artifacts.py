@@ -1,14 +1,16 @@
-"""Byte-exact format of every CSV artifact the pipeline writes.
+"""Byte-exact format of every CSV artifact and of the JSON sidecars.
 
 Each writer gets a hand-built input and its file is compared with a literal
-string: a header row, floats in shortest round-trip ``repr``, ints and
-labels as they are, and an empty cell where a value is absent.
+string.  CSV: a header row, floats in shortest round-trip ``repr``, ints and
+labels as they are, and an empty cell where a value is absent.  JSON: keys
+sorted, one-space indent, a trailing newline.
 """
 
 import numpy as np
 
 from latent_abcss.diagnostics import MetricsReport, ThresholdCurve, curve_to_csv
 from latent_abcss.jgnn import TrainHistory
+from latent_abcss.rng_linalg import save_array
 from latent_abcss.workflows import evaluate_runs
 
 
@@ -91,4 +93,23 @@ def test_evaluate_aggregate_and_pooled(tmp_path):
         ",,1.0,0.5\n"
         ",,3.0,\n"
         ",,2.0,\n"
+    )
+
+
+def test_array_sidecar_with_provenance(tmp_path):
+    path = str(tmp_path / "a.f64")
+    save_array(path, np.zeros((2, 3)), {"seed": 7, "command": "gendata"})
+    assert read(path + ".json") == (
+        "{\n"
+        ' "dtype": "f64",\n'
+        ' "order": "row-major",\n'
+        ' "provenance": {\n'
+        '  "command": "gendata",\n'
+        '  "seed": 7\n'
+        " },\n"
+        ' "shape": [\n'
+        "  2,\n"
+        "  3\n"
+        " ]\n"
+        "}\n"
     )

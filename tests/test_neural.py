@@ -48,11 +48,6 @@ class TestMlpForward:
         out, _ = mlp_forward(net, x)
         np.testing.assert_array_equal(out, x)
 
-    def test_relu_clamps_negatives(self):
-        net = MLPParams([Layer(np.eye(1), np.zeros(1), "relu", spectral=False)])
-        out, _ = mlp_forward(net, np.array([[-1.0]]))
-        np.testing.assert_array_equal(out, [[0.0]])
-
     def test_two_layer_hand_composition(self):
         w1 = np.array([[1.0, 2.0], [0.5, -1.0]])
         b1 = np.array([0.1, -0.2])
@@ -60,12 +55,13 @@ class TestMlpForward:
         b2 = np.array([0.3])
         net = MLPParams(
             [
-                Layer(w1, b1, "tanh", spectral=False),
+                Layer(w1, b1, "leaky_relu", spectral=False),
                 Layer(w2, b2, "linear", spectral=False),
             ]
         )
         x = np.array([[0.4, -0.3]])
-        hand = w2 @ np.tanh(w1 @ x[0] + b1) + b2
+        s = w1 @ x[0] + b1
+        hand = w2 @ np.where(s > 0.0, s, LEAKY_SLOPE * s) + b2
         out, _ = mlp_forward(net, x)
         np.testing.assert_allclose(out[0], hand, rtol=1e-12)
 
@@ -90,7 +86,7 @@ class TestMlpBackward:
         assert gx[0, 0] == pytest.approx(2.0)  # dL/dx = y w
 
     def test_zero_output_gradient(self):
-        net = MLPParams.init([3, 4, 2], ["tanh", "linear"], RngStream(0))
+        net = MLPParams.init([3, 4, 2], ["leaky_relu", "linear"], RngStream(0))
         out, cache = mlp_forward(net, np.ones((5, 3)))
         grads, gx = mlp_backward(net, cache, np.zeros_like(out))
         for dw, db in grads:
@@ -98,7 +94,7 @@ class TestMlpBackward:
             np.testing.assert_array_equal(db, 0.0)
         np.testing.assert_array_equal(gx, 0.0)
 
-    @pytest.mark.parametrize("act", ["relu", "leaky_relu", "tanh", "linear"])
+    @pytest.mark.parametrize("act", ["leaky_relu", "linear"])
     def test_finite_difference_all_activations(self, act):
         rng = RngStream(1)
         net = MLPParams.init([4, 6, 3], [act, "linear"], rng, spectral=[True, False])

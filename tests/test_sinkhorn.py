@@ -15,10 +15,10 @@ from latent_abcss.sinkhorn import (
 )
 
 
-def brute_force_assignment_cost(xs, ys, p=2):
+def brute_force_assignment_cost(xs, ys):
     """Oracle: optimal assignment cost by enumerating all permutations."""
     n = xs.shape[0]
-    c = cost_matrix(xs, ys, p)
+    c = cost_matrix(xs, ys)
     best = np.inf
     rows = np.arange(n)
     for perm in itertools.permutations(range(n)):
@@ -33,14 +33,9 @@ class TestCostMatrix:
         xs = 0.5 + 0.4 * gen.standard_normal((64, 320))
         ys = 0.5 + 0.4 * gen.standard_normal((48, 320))
         for a, b in ((xs, ys), (xs, xs), (xs, ys[:1])):
-            c = cost_matrix(a, b, 2)
+            c = cost_matrix(a, b)
             assert np.all(c >= 0.0)
             np.testing.assert_allclose(c, cdist(a, b, "sqeuclidean"), rtol=1e-12, atol=1e-12)
-
-    def test_p1_cost_is_cityblock(self):
-        gen = np.random.default_rng(11)
-        xs, ys = gen.standard_normal((7, 3)), gen.standard_normal((5, 3))
-        np.testing.assert_array_equal(cost_matrix(xs, ys, 1), cdist(xs, ys, "cityblock"))
 
 
 class TestEntropicOt:
@@ -105,8 +100,6 @@ class TestEntropicOt:
             SinkhornConfig(reg=0.0)
         with pytest.raises(ValueError):
             SinkhornConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            SinkhornConfig(p=3)
 
 
 def debiased_cost(xs, ys, cfg):
@@ -148,12 +141,6 @@ class TestSinkhornDivergence:
             ys = rng.standard_normal((10, 2))
             assert debiased_cost(xs, ys, cfg) >= -1e-9
 
-    def test_p1_cost(self):
-        xs = np.array([[0.0], [1.0]])
-        ys = np.array([[0.0], [1.0]])
-        cfg = SinkhornConfig(reg=1e-3, max_iter=5000, p=1, debiased=True)
-        assert entropic_ot(xs, ys, cfg).cost == pytest.approx(0.0, abs=1e-6)
-
 
 class TestOtPointGradient:
     def test_matches_finite_differences_with_frozen_plan(self):
@@ -161,10 +148,10 @@ class TestOtPointGradient:
         xs = rng.standard_normal((6, 3))
         ys = rng.standard_normal((5, 3))
         tp = entropic_ot(xs, ys, SinkhornConfig(reg=1.0, max_iter=300))
-        grad = ot_point_gradient(xs, ys, tp.plan, p=2)
+        grad = ot_point_gradient(xs, ys, tp.plan)
 
         def cost_of(x):
-            return float(np.sum(tp.plan * cost_matrix(x, ys, 2)))
+            return float(np.sum(tp.plan * cost_matrix(x, ys)))
 
         h = 1e-6
         for i in range(xs.shape[0]):
@@ -173,9 +160,3 @@ class TestOtPointGradient:
                 bump[i, j] += h
                 fd = (cost_of(bump) - cost_of(xs)) / h
                 assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-
-    def test_p1_sign_gradient(self):
-        xs = np.array([[1.0]])
-        ys = np.array([[0.0]])
-        plan = np.array([[1.0]])
-        np.testing.assert_allclose(ot_point_gradient(xs, ys, plan, p=1), [[1.0]])
