@@ -9,7 +9,6 @@ Runs in a few minutes on a laptop; shrink epochs for a quicker look.
 """
 
 import time
-import warnings
 
 import numpy as np
 
@@ -18,8 +17,6 @@ from latent_abcss.tomography import NoiseModel, add_noise, assemble_matrix, forw
 from latent_abcss.gp_prior import sample_fields
 from latent_abcss.jgnn import JGNNModel, train
 from latent_abcss.workflows import PipelineConfig, run_inversion
-
-warnings.simplefilter("ignore")
 
 cfg = PipelineConfig.from_dict({
     "seed": 11,
@@ -40,8 +37,8 @@ t0 = time.time()
 geom = cfg.geometry()
 a = assemble_matrix(cfg.grid, geom)
 rng = RngStream(cfg.seed, stream_id=1)
-train_x = np.stack([f.values for f in sample_fields(cfg.grid, cfg.gp, cfg.train_size, rng.split(0))])
-test_x = np.stack([f.values for f in sample_fields(cfg.grid, cfg.gp, cfg.test_size, rng.split(1))])
+train_x = sample_fields(cfg.grid, cfg.gp, cfg.train_size, rng.split(0))
+test_x = sample_fields(cfg.grid, cfg.gp, cfg.test_size, rng.split(1))
 train_y = forward(a, train_x)
 print(f"dataset: {train_x.shape[0]} couples, {a.n_rays} rays, {cfg.grid.n_cells} cells")
 

@@ -36,6 +36,6 @@ fields = sample_fields(grid, gp, n=3, rng=rng.split(0))
 for i, field in enumerate(fields):
     y = forward(a, field)
     y_noisy = add_noise(y, NoiseModel(std=0.5), rng.split(1, i))
-    print(f"field {i}: slowness {field.values.min():.2f}..{field.values.max():.2f} ns/m | "
+    print(f"field {i}: slowness {field.min():.2f}..{field.max():.2f} ns/m | "
           f"clean times {y.min():.2f}..{y.max():.2f} ns | "
           f"noise shifts by {np.abs(y_noisy - y).mean():.2f} ns on average")

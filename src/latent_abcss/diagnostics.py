@@ -43,8 +43,8 @@ __all__ = [
 
 def default_eps_grid(eps_min: float = 0.01, eps_max: float = 3000.0, count: int = 60) -> np.ndarray:
     """Log-spaced squared-tolerance grid (ns^2)."""
-    if not (0 < eps_min < eps_max) or count < 2:
-        raise ValueError("need 0 < eps_min < eps_max and at least two grid points")
+    if not (0 < eps_min < eps_max < np.inf) or count < 2:
+        raise ValueError("need 0 < eps_min < eps_max < inf and at least two grid points")
     return np.geomspace(eps_min, eps_max, count)
 
 
@@ -191,7 +191,7 @@ def rmse_batch(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _self_cost(cloud: np.ndarray, cfg: SinkhornConfig) -> float:
-    return _plain_entropic_ot(cost_matrix(cloud, cloud), cfg, False).cost
+    return _plain_entropic_ot(cost_matrix(cloud, cloud), cfg).cost
 
 
 def self_transport_costs(
@@ -238,7 +238,7 @@ def wasserstein_diagnostics(
     self_s = _self_cost(solutions, cfg)
     out = {}
     for name, ref in references.items():
-        cross = _plain_entropic_ot(cost_matrix(solutions, ref), cfg, False).cost
+        cross = _plain_entropic_ot(cost_matrix(solutions, ref), cfg).cost
         out[name] = cross - 0.5 * self_s - 0.5 * reference_self[name]
     return out
 

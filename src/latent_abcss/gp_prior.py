@@ -7,14 +7,13 @@ an isotropic exponential kernel evaluated between cell centers.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng_linalg import RngStream, add_jitter, cholesky, sample_mvn
 
-__all__ = ["Grid", "GPConfig", "Field", "exp_kernel", "build_covariance", "sample_fields"]
+__all__ = ["Grid", "GPConfig", "exp_kernel", "build_covariance", "sample_fields"]
 
 DEFAULT_CELL_CAP = 4000
 
@@ -70,29 +69,6 @@ class GPConfig:
             raise ValueError("variance must be positive")
 
 
-@dataclass
-class Field:
-    """A slowness image: grid plus per-cell values (ns/m), row-major."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        if self.values.shape[0] != self.grid.n_cells:
-            raise ValueError(
-                f"field has {self.values.shape[0]} values for {self.grid.n_cells} cells"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-        if np.any(self.values <= 0):
-            warnings.warn("field contains non-positive slowness values", stacklevel=2)
-
-    def image(self) -> np.ndarray:
-        """Values reshaped to (n_rows, n_cols)."""
-        return self.values.reshape(self.grid.n_rows, self.grid.n_cols)
-
-
 def exp_kernel(h, cfg: GPConfig):
     """Isotropic exponential covariance ``variance * exp(-h / lengthscale)``."""
     h = np.asarray(h, dtype=np.float64)
@@ -125,25 +101,16 @@ def sample_fields(
     cfg: GPConfig,
     n: int,
     rng: RngStream,
-) -> list[Field]:
-    """Draw ``n`` prior fields ``N(mean * 1, C)`` via Cholesky.
+) -> np.ndarray:
+    """Draw ``n`` prior fields ``N(mean * 1, C)`` via Cholesky, one per row.
 
-    Fine grids make the exponential-kernel matrix numerically singular, so
-    :func:`add_jitter`'s relative diagonal jitter is applied before factoring.
-    Deterministic for a given stream.
+    Returns an (n, n_cells) array.  Gaussian tails can dip below zero, so a
+    draw may hold non-positive slowness cells; ``generate_dataset`` counts
+    them in the dataset manifest.  Fine grids make the exponential-kernel
+    matrix numerically singular, so :func:`add_jitter`'s relative diagonal
+    jitter is applied before factoring.  Deterministic for a given stream.
     """
     cov = build_covariance(grid, cfg)
     low = cholesky(add_jitter(cov))
     mean = np.full(grid.n_cells, cfg.mean)
-    draws = sample_mvn(mean, low, n, rng)
-    n_bad = int(np.sum(np.any(draws <= 0, axis=1)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fields = [Field(grid, row) for row in draws]
-    if n_bad:
-        # Gaussian tails can dip below zero; aggregate to one warning per call
-        warnings.warn(
-            f"{n_bad} of {n} sampled fields contain non-positive slowness cells",
-            stacklevel=2,
-        )
-    return fields
+    return sample_mvn(mean, low, n, rng)

@@ -59,7 +59,6 @@ class TransportPlan:
 
     plan: np.ndarray
     cost: float
-    marginal_residuals: np.ndarray | None = None
 
 
 def cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -103,7 +102,7 @@ def _plan_into(buf, neg_c, f, g, reg, log_a, log_b) -> np.ndarray:
     return np.exp(buf, out=buf)
 
 
-def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, track: bool) -> TransportPlan:
+def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
     n, m = c.shape
     reg = cfg.reg
     log_a = -np.log(n)
@@ -112,7 +111,6 @@ def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, track: bool) -> Trans
     buf = np.empty_like(neg_c)
     f = np.zeros(n)
     g = np.zeros(m)
-    residuals = [] if track else None
     for _ in range(cfg.max_iter):
         f_new = -reg * _logsumexp(neg_c, g / reg + log_b, 1, buf)
         g_new = -reg * _logsumexp(neg_c, f_new / reg + log_a, 0, buf)
@@ -120,27 +118,19 @@ def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, track: bool) -> Trans
             float(np.max(np.abs(f_new - f))), float(np.max(np.abs(g_new - g)))
         )
         f, g = f_new, g_new
-        if track:
-            plan = _plan_into(buf, neg_c, f, g, reg, log_a, log_b)
-            residuals.append(
-                np.abs(plan.sum(axis=1) - 1.0 / n).sum()
-                + np.abs(plan.sum(axis=0) - 1.0 / m).sum()
-            )
         if cfg.tol > 0.0 and moved < cfg.tol:
             break
     plan = _plan_into(buf, neg_c, f, g, reg, log_a, log_b)
     cost = float(np.sum(plan * c))
-    return TransportPlan(plan, cost, np.asarray(residuals) if track else None)
+    return TransportPlan(plan, cost)
 
 
-def entropic_ot(xs, ys, cfg: SinkhornConfig, track_residuals: bool = False) -> TransportPlan:
+def entropic_ot(xs, ys, cfg: SinkhornConfig) -> TransportPlan:
     """Sinkhorn coupling of two uniform point clouds.
 
     Args:
         xs, ys: point clouds of shape (n, d) and (m, d).
         cfg: regularization, iteration budget, debiasing.
-        track_residuals: record the summed marginal-constraint violation
-            after every iteration (diagnostics only).
 
     Returns:
         :class:`TransportPlan` for the (xs, ys) pair; with ``cfg.debiased``
@@ -153,10 +143,10 @@ def entropic_ot(xs, ys, cfg: SinkhornConfig, track_residuals: bool = False) -> T
     c = cost_matrix(xs, ys)
     if not np.all(np.isfinite(c)):
         raise ValueError("non-finite cost entries")
-    result = _plain_entropic_ot(c, cfg, track_residuals)
+    result = _plain_entropic_ot(c, cfg)
     if cfg.debiased:
-        self_x = _plain_entropic_ot(cost_matrix(xs, xs), cfg, False).cost
-        self_y = _plain_entropic_ot(cost_matrix(ys, ys), cfg, False).cost
+        self_x = _plain_entropic_ot(cost_matrix(xs, xs), cfg).cost
+        self_y = _plain_entropic_ot(cost_matrix(ys, ys), cfg).cost
         result.cost = result.cost - 0.5 * self_x - 0.5 * self_y
     return result
 

@@ -26,7 +26,6 @@ __all__ = [
     "dissimilarity_batch",
     "subsim_run",
     "estimate_p",
-    "posterior_solutions",
     "save_trace",
     "load_trace",
 ]
@@ -241,13 +240,6 @@ def estimate_p(trace: SubSimTrace) -> float:
         raise ValueError("empty trace")
     cfg = trace.config
     return cfg.level_fraction ** (m - 1) * trace.levels[-1].survivor_count / cfg.n_particles
-
-
-def posterior_solutions(trace: SubSimTrace, g1) -> np.ndarray:
-    """Decode the final latent population into field-space solutions."""
-    if trace.final_samples is None or trace.final_samples.size == 0:
-        raise ValueError("trace has no final samples")
-    return g1(trace.final_samples)
 
 
 def save_trace(prefix: str, trace: SubSimTrace, provenance: dict | None = None) -> None:

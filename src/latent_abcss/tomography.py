@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .rng_linalg import RngStream, write_json
-from .gp_prior import Field, Grid
+from .gp_prior import Grid
 
 __all__ = [
     "AcquisitionGeometry",
@@ -190,11 +190,11 @@ def assemble_matrix(grid: Grid, geom: AcquisitionGeometry) -> RayMatrix:
 def forward(a: RayMatrix, x) -> np.ndarray:
     """Travel times ``A @ slowness`` in ns.
 
-    ``x`` may be a :class:`Field`, a flat slowness vector, or a batch of
-    vectors with shape (n, n_cells); the result matches (one row of travel
-    times per input row for batches).
+    ``x`` may be a flat slowness vector or a batch of vectors with shape
+    (n, n_cells); the result matches (one row of travel times per input row
+    for batches).
     """
-    values = x.values if isinstance(x, Field) else np.asarray(x, dtype=np.float64)
+    values = np.asarray(x, dtype=np.float64)
     if values.ndim == 1:
         if values.shape[0] != a.n_cells:
             raise ValueError(f"field has {values.shape[0]} cells, matrix expects {a.n_cells}")

@@ -32,10 +32,10 @@ from .diagnostics import (
     wasserstein_diagnostics,
 )
 from .gp_prior import GPConfig, Grid, build_covariance, sample_fields
-from .jgnn import JGNNModel, TrainConfig, g1_of_latent, g2_of_latent, load_model, save_model, train
+from .jgnn import JGNNModel, TrainConfig, g1_of_latent, g2_of_latent, generate, load_model, save_model, train
 from .rng_linalg import RngStream, add_jitter, load_array, read_csv_columns, save_array, write_csv, write_json
 from .sinkhorn import SinkhornConfig
-from .subsim import SubSimConfig, posterior_solutions, save_trace, subsim_run
+from .subsim import SubSimConfig, save_trace, subsim_run
 from .tomography import (
     assemble_matrix,
     build_geometry,
@@ -177,11 +177,11 @@ class PipelineConfig:
         )
 
     def eps_grid(self) -> np.ndarray:
+        # the log grid's bound and count checks hold for both spacings
+        log_grid = default_eps_grid(self.eps_min, self.eps_max, self.eps_count)
         if self.eps_spacing == "log":
-            return default_eps_grid(self.eps_min, self.eps_max, self.eps_count)
+            return log_grid
         if self.eps_spacing == "lin":
-            if not (0 < self.eps_min < self.eps_max) or self.eps_count < 2:
-                raise ValueError("bad linear eps grid")
             return np.linspace(self.eps_min, self.eps_max, self.eps_count)
         raise ValueError(f"unknown eps_spacing {self.eps_spacing!r}")
 
@@ -222,10 +222,8 @@ def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
     a = assemble_matrix(cfg.grid, geom)
     rng = RngStream(cfg.seed, stream_id=1)
 
-    train_fields = sample_fields(cfg.grid, cfg.gp, cfg.train_size, rng.split(0))
-    test_fields = sample_fields(cfg.grid, cfg.gp, cfg.test_size, rng.split(1))
-    train_x = np.stack([f.values for f in train_fields])
-    test_x = np.stack([f.values for f in test_fields])
+    train_x = sample_fields(cfg.grid, cfg.gp, cfg.train_size, rng.split(0))
+    test_x = sample_fields(cfg.grid, cfg.gp, cfg.test_size, rng.split(1))
     train_y = forward(a, train_x)
     test_y = forward(a, test_x)
 
@@ -249,6 +247,11 @@ def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
         "n_test": cfg.test_size,
         "n_rays": a.n_rays,
         "n_cells": a.n_cells,
+        # Gaussian draws with at least one slowness cell <= 0
+        "nonpositive_fields": {
+            "train": int(np.any(train_x <= 0, axis=1).sum()),
+            "test": int(np.any(test_x <= 0, axis=1).sum()),
+        },
         "provenance": prov,
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
@@ -328,7 +331,6 @@ def run_inversion(
         DiagnosticFailure: when the curve has no curvature peak; the deep
             trace and unsmoothed curve are attached to the exception.
     """
-    g1 = g1_of_latent(model)
     g2 = g2_of_latent(model)
     y_obs = np.asarray(y_obs, dtype=np.float64).ravel()
     n_obs = y_obs.size
@@ -347,8 +349,7 @@ def run_inversion(
     eps_star = float(n_obs * curve.selected_eps_n**2)
     final = subsim_run(g2, y_obs, model.latent_dim, cfg.subsim_config(eps_star), rng.split(1))
     z_final = final.final_samples
-    solutions_x = posterior_solutions(final, g1)
-    solutions_y = g2(z_final)
+    solutions_x, solutions_y = generate(model, z_final)
 
     metrics = MetricsReport()
     metrics.resim_rmse_model, metrics.resim_rmse_obs = resimulation_report(
@@ -421,7 +422,7 @@ def _oracle_prior_noise(cfg: PipelineConfig, n_obs: int) -> tuple[GaussianDist, 
 
 
 def _deep_level_solutions(model: JGNNModel, deep, eps_top: float, n_obs: int, m_sub: int):
-    """Field-space snapshots of each deep-run level population.
+    """Snapshots in field space of each deep-run level population.
 
     The level-0 population (pure prior draws) represents the top-of-grid
     tolerance, where essentially every latent would be accepted; each later

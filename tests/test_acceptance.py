@@ -9,7 +9,6 @@ import itertools
 import json
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +24,6 @@ from latent_abcss.sinkhorn import SinkhornConfig, cost_matrix, entropic_ot
 from latent_abcss.subsim import SubSimConfig, subsim_run
 from latent_abcss.tomography import NoiseModel, add_noise, assemble_matrix, build_geometry, forward
 from latent_abcss.workflows import PipelineConfig, run_inversion
-
-warnings.filterwarnings("ignore", message=".*non-positive slowness.*")
 
 
 def report(name, ok, detail=""):
@@ -240,12 +237,8 @@ def desk_experiment():
     geom = cfg.geometry()
     a = assemble_matrix(cfg.grid, geom)
     rng = RngStream(cfg.seed, stream_id=1)
-    train_x = np.stack(
-        [f.values for f in sample_fields(cfg.grid, cfg.gp, cfg.train_size, rng.split(0))]
-    )
-    test_x = np.stack(
-        [f.values for f in sample_fields(cfg.grid, cfg.gp, cfg.test_size, rng.split(1))]
-    )
+    train_x = sample_fields(cfg.grid, cfg.gp, cfg.train_size, rng.split(0))
+    test_x = sample_fields(cfg.grid, cfg.gp, cfg.test_size, rng.split(1))
     train_y = forward(a, train_x)
     test_y = forward(a, test_x)
 

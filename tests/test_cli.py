@@ -4,13 +4,19 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import latent_abcss
 from latent_abcss.cli import main
+from latent_abcss.jgnn import generate, load_model
 from latent_abcss.rng_linalg import RngStream, load_array, save_array
 from latent_abcss.tomography import NoiseModel, add_noise
+from latent_abcss.workflows import PipelineConfig, generate_dataset
 
 MICRO_CONFIG = {
     "seed": 7,
@@ -49,6 +55,15 @@ def tree_digest(root):
     return h.hexdigest()
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads must reach the BLAS pool, which is sized when numpy loads
+    src = os.path.dirname(os.path.dirname(latent_abcss.__file__))
+    code = "import sys, latent_abcss.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -81,6 +96,17 @@ class TestGendata:
         assert manifest["n_test"] == 3
         assert manifest["n_rays"] == 4
         assert "provenance" in manifest
+        # draws with at least one slowness cell <= 0, counted per split
+        counts = {
+            part: int(np.any(load_array(os.path.join(data, f"{part}_x.f64")) <= 0, axis=1).sum())
+            for part in ("train", "test")
+        }
+        assert manifest["nonpositive_fields"] == counts
+
+    def test_generate_dataset_does_not_warn(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generate_dataset(PipelineConfig.from_dict(MICRO_CONFIG), str(tmp_path / "data"))
 
     def test_rerun_byte_identical(self, pipeline):
         root, cfg, data, _ = pipeline
@@ -158,6 +184,11 @@ class TestInvert:
         assert 0 < summary["p_hat_at_selected"] <= 1.0
         for name in ("curve.csv", "metrics.csv", "wasserstein.csv", "solutions_x.f64"):
             assert os.path.exists(os.path.join(out, name)), name
+        # the reported solutions decode the final latent population, row for row
+        latent = load_array(os.path.join(out, "solutions_latent.f64"))
+        x, y = generate(load_model(os.path.join(model, "model.ckpt")), latent)
+        np.testing.assert_array_equal(load_array(os.path.join(out, "solutions_x.f64")), x)
+        np.testing.assert_array_equal(load_array(os.path.join(out, "solutions_y.f64")), y)
 
     def test_rerun_byte_identical(self, pipeline):
         root, cfg, data, model = pipeline
@@ -194,9 +225,9 @@ class TestInvert:
         plain = diagnostics._plain_entropic_ot
         solves = []
 
-        def counted(c, ot_cfg, track):
+        def counted(c, ot_cfg):
             solves.append(c.shape)
-            return plain(c, ot_cfg, track)
+            return plain(c, ot_cfg)
 
         monkeypatch.setattr(diagnostics, "_plain_entropic_ot", counted)
         result = invert_artifacts(
@@ -239,7 +270,15 @@ class TestInvert:
 
     def test_bad_eps_grid_exits_2(self, pipeline, capsys):
         root, cfg, data, model = pipeline
-        for grid in ("5,4", "a,b,c", "1e-4,50,2.5"):
+        usage = "--eps-grid expects"
+        bounds = "eps_max < inf"
+        for grid, message in (
+            ("5,4", usage),
+            ("a,b,c", usage),
+            ("1e-4,50,2.5", usage),
+            ("1e-4,inf,30", bounds),
+            ("1e-4,inf,30,lin", bounds),
+        ):
             rc = main(
                 [
                     "invert",
@@ -258,7 +297,8 @@ class TestInvert:
                 ]
             )
             assert rc == 2, grid
-            assert "--eps-grid expects" in capsys.readouterr().err
+            assert message in capsys.readouterr().err, grid
+            assert not os.path.exists(root / "inv_bad"), grid
 
 
 class TestInvertInputChecks:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latent_abcss.gp_prior import Field, GPConfig, Grid, build_covariance, exp_kernel, sample_fields
+from latent_abcss.gp_prior import GPConfig, Grid, build_covariance, exp_kernel, sample_fields
 from latent_abcss.rng_linalg import RngStream, add_jitter, cholesky
 
 
@@ -82,46 +82,24 @@ class TestBuildCovariance:
 
 class TestSampleFields:
     def test_degenerate_variance_returns_mean(self):
-        fields = sample_fields(Grid(3, 3, 0.1), GPConfig(variance=1e-30, mean=0.5), 5, RngStream(1))
-        for f in fields:
-            np.testing.assert_allclose(f.values, 0.5, atol=1e-10)
+        values = sample_fields(Grid(3, 3, 0.1), GPConfig(variance=1e-30, mean=0.5), 5, RngStream(1))
+        assert isinstance(values, np.ndarray) and values.shape == (5, 9)
+        np.testing.assert_allclose(values, 0.5, atol=1e-10)
 
     def test_empirical_variance_small_grid(self):
         grid = Grid(4, 4, 0.1)
-        fields = sample_fields(grid, GPConfig(), 4000, RngStream(2))
-        values = np.stack([f.values for f in fields])
+        values = sample_fields(grid, GPConfig(), 4000, RngStream(2))
         np.testing.assert_allclose(values.var(axis=0), 0.16, rtol=0.10)
 
     def test_empirical_covariance_converges(self):
         grid = Grid(3, 3, 0.2)
         cfg = GPConfig(lengthscale=0.5)
         cov = build_covariance(grid, cfg)
-        fields = sample_fields(grid, cfg, 100_000, RngStream(3))
-        values = np.stack([f.values for f in fields])
+        values = sample_fields(grid, cfg, 100_000, RngStream(3))
         np.testing.assert_allclose(np.cov(values.T), cov, rtol=0.05, atol=0.003)
 
     def test_same_seed_identical(self):
         a = sample_fields(Grid(3, 3, 0.1), GPConfig(), 4, RngStream(4))
         b = sample_fields(Grid(3, 3, 0.1), GPConfig(), 4, RngStream(4))
-        for fa, fb in zip(a, b):
-            np.testing.assert_array_equal(fa.values, fb.values)
+        np.testing.assert_array_equal(a, b)
 
-
-class TestField:
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            Field(Grid(2, 2, 0.1), np.ones(3))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            Field(Grid(1, 2, 0.1), [1.0, np.nan])
-
-    def test_non_positive_warns_not_raises(self):
-        with pytest.warns(UserWarning, match="non-positive"):
-            f = Field(Grid(1, 2, 0.1), [0.5, -0.1])
-        assert f.values[1] == -0.1
-
-    def test_image_shape(self):
-        f = Field(Grid(2, 3, 0.1), np.arange(1.0, 7.0))
-        assert f.image().shape == (2, 3)
-        assert f.image()[1, 0] == 4.0

@@ -14,7 +14,6 @@ from latent_abcss.subsim import (
     dissimilarity_batch,
     estimate_p,
     load_trace,
-    posterior_solutions,
     save_trace,
     subsim_run,
 )
@@ -174,14 +173,6 @@ class TestSubsimRun:
         assert trace.stagnated
         assert trace.smallest_threshold >= 5.0
         assert trace.p_hat <= 1.0
-
-    def test_posterior_solutions_order_and_shape(self):
-        g2 = lambda z: z[:, :2]
-        cfg = SubSimConfig(target_eps=10.0, n_particles=300)
-        trace = subsim_run(g2, np.zeros(2), 4, cfg, RngStream(9))
-        g1 = lambda z: z * 2.0
-        sols = posterior_solutions(trace, g1)
-        np.testing.assert_array_equal(sols, trace.final_samples * 2.0)
 
     def test_deterministic_given_stream(self):
         g2 = lambda z: z[:, :2]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latent_abcss.gp_prior import Field, Grid
+from latent_abcss.gp_prior import Grid
 from latent_abcss.rng_linalg import RngStream
 from latent_abcss.tomography import (
     NoiseModel,
@@ -130,9 +130,9 @@ class TestForward:
         np.testing.assert_allclose(forward(self.a, 3.0 * x1), 3.0 * forward(self.a, x1), rtol=1e-12)
 
     def test_field_object_and_batch(self):
-        f = Field(GRID, np.full(2000, 0.5))
-        y1 = forward(self.a, f)
-        batch = forward(self.a, np.tile(f.values, (3, 1)))
+        x = np.full(2000, 0.5)
+        y1 = forward(self.a, x)
+        batch = forward(self.a, np.tile(x, (3, 1)))
         assert batch.shape == (3, 81)
         np.testing.assert_array_equal(batch[1], y1)
 
