@@ -68,11 +68,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _set_threads(n: int | None) -> None:
-    n = n if n is not None else os.environ.get("LATENT_ABCSS_THREADS")
-    if n is None:
+    """Export the thread count to the BLAS/OpenMP pools.
+
+    Raises:
+        ValueError: if the count (``--threads`` first, else the environment
+            variable) is not a positive integer.
+    """
+    source, value = "--threads", n
+    if value is None:
+        source, value = "LATENT_ABCSS_THREADS", os.environ.get("LATENT_ABCSS_THREADS")
+    if value is None:
         return
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(int(n))
+        os.environ[var] = str(count)
 
 
 def _load_config(args) -> "PipelineConfig":
@@ -105,7 +119,11 @@ def _load_config(args) -> "PipelineConfig":
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _set_threads(args.threads)
+    try:
+        _set_threads(args.threads)
+    except ValueError as err:
+        print(f"config error [{args.command}]: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
     from .jgnn import TrainingDiverged
     from .workflows import (

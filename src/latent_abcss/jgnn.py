@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .rng_linalg import RngStream, write_csv, write_json
-from .neural import AdamState, Layer, MLPParams, adam_step, mlp_backward, mlp_forward, refresh_spectral
+from .neural import AdamState, Layer, MLPParams, _activate, adam_step, mlp_backward, mlp_forward, refresh_spectral
 from .sinkhorn import SinkhornConfig, cost_matrix, entropic_ot, ot_point_gradient
 
 __all__ = [
@@ -389,14 +389,69 @@ def _reconstruct(model: JGNNModel, x_std, y_std):
     return out[:, : model.dim_x], out[:, model.dim_x :]
 
 
-def generate(model: JGNNModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a latent batch into (fields, travel times), de-standardized."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.shape[1] != model.latent_dim:
-        raise ValueError(f"latent dim {z.shape[1]} does not match model {model.latent_dim}")
-    out, _ = mlp_forward(model.decoder, z)
-    x = model.standardizer.x_from_std(out[:, : model.dim_x])
-    y = model.standardizer.y_from_std(out[:, model.dim_x :])
+@dataclass(frozen=True)
+class _DecoderView:
+    """The decoder frozen for inference, built once per model.
+
+    ``trunk`` holds copies of every layer but the output layer, each with
+    the effective weights ``weights / sigma`` that :func:`mlp_forward` forms
+    on every training call computed once and the layer marked non-spectral,
+    so sigma is folded in; it is ``None`` when the decoder has no hidden
+    layer.  The output layer is split into a field head (rows ``[:dim_x]``)
+    and a travel-time head (rows ``[dim_x:]``), each ``(w_eff, bias,
+    activation)``.  A view made for one variable has the other head set to
+    ``None``, so its rows are never evaluated.
+    """
+
+    latent_dim: int
+    trunk: MLPParams | None
+    x_head: tuple | None
+    y_head: tuple | None
+    standardizer: Standardizer
+
+
+def _decoder_view(model: JGNNModel) -> _DecoderView:
+    *trunk, out = [
+        Layer(
+            l.weights / l.sigma() if l.spectral else l.weights.copy(),
+            l.bias.copy(),
+            l.activation,
+            spectral=False,
+        )
+        for l in model.decoder.layers
+    ]
+    d = model.dim_x
+    return _DecoderView(
+        model.latent_dim,
+        MLPParams(trunk) if trunk else None,
+        (out.weights[:d], out.bias[:d], out.activation),
+        (out.weights[d:], out.bias[d:], out.activation),
+        model.standardizer,
+    )
+
+
+def _apply(h: np.ndarray, head: tuple) -> np.ndarray:
+    w_eff, bias, activation = head
+    return _activate(h @ w_eff.T + bias, activation)
+
+
+def generate(model: JGNNModel | _DecoderView, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a latent batch into (fields, travel times), de-standardized.
+
+    The trunk runs once and each head is one GEMM over its own rows.
+    :func:`g1_of_latent` and :func:`g2_of_latent` pass their frozen one-head
+    decoder view as ``model``; the variable whose head it dropped comes back
+    as ``None``.
+    """
+    view = model if isinstance(model, _DecoderView) else _decoder_view(model)
+    h = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if h.shape[1] != view.latent_dim:
+        raise ValueError(f"latent dim {h.shape[1]} does not match model {view.latent_dim}")
+    if view.trunk is not None:
+        h, _ = mlp_forward(view.trunk, h)
+    std = view.standardizer
+    x = None if view.x_head is None else std.x_from_std(_apply(h, view.x_head))
+    y = None if view.y_head is None else std.y_from_std(_apply(h, view.y_head))
     return x, y
 
 
@@ -409,13 +464,23 @@ def encode(model: JGNNModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def g1_of_latent(model: JGNNModel):
-    """Latent -> field map as a plain callable."""
-    return lambda z: generate(model, z)[0]
+    """Latent -> field map as a plain callable; decodes only the field head.
+
+    The decoder is frozen when the callable is made: later changes to
+    ``model`` do not reach it.
+    """
+    view = replace(_decoder_view(model), y_head=None)
+    return lambda z: generate(view, z)[0]
 
 
 def g2_of_latent(model: JGNNModel):
-    """Latent -> travel-time map as a plain callable (drives the sampler)."""
-    return lambda z: generate(model, z)[1]
+    """Latent -> travel-time map as a plain callable (drives the sampler).
+
+    Decodes only the travel-time head, from a decoder frozen when the
+    callable is made.
+    """
+    view = replace(_decoder_view(model), x_head=None)
+    return lambda z: generate(view, z)[1]
 
 
 # --- checkpoints: JSON manifest + packed little-endian f32 blob ---

@@ -172,7 +172,8 @@ def mlp_forward(params: MLPParams, x: np.ndarray):
     for layer in params.layers:
         use_sn = layer.spectral
         sigma = layer.sigma() if use_sn else 1.0
-        w_eff = layer.weights / sigma
+        # dividing by exactly 1.0 would only copy the weights
+        w_eff = layer.weights / sigma if use_sn else layer.weights
         s = h @ w_eff.T + layer.bias
         cache.append({"x": h, "s": s, "sigma": sigma, "use_sn": use_sn})
         h = _activate(s, layer.activation)

@@ -59,9 +59,17 @@ class SubSimConfig:
 
 @dataclass
 class LevelRecord:
+    """One level: its threshold and survivors, and how its chains ran.
+
+    ``proposal_scale`` is the scale the level's chains proposed with, and
+    ``g2_calls`` counts the batched generator calls they made.
+    """
+
     threshold: float
     acceptance_rate: float
     survivor_count: int
+    proposal_scale: float
+    g2_calls: int
 
 
 @dataclass
@@ -114,6 +122,8 @@ def _rejuvenate(seeds, seed_d, t, level_index, scale, g2, y_obs, rng, n_particle
     generator map is always evaluated on a batch, and each chain draws its
     proposal noise from its own (level, chain) substream, which makes the
     merged population independent of scheduling.
+
+    Returns (population, dissimilarities, acceptance rate, g2 call count).
     """
     n_chains, dim = seeds.shape
     base, extra = divmod(n_particles, n_chains)
@@ -136,12 +146,14 @@ def _rejuvenate(seeds, seed_d, t, level_index, scale, g2, y_obs, rng, n_particle
     rho = np.sqrt(1.0 - scale * scale)
     accepted = 0
     proposed = 0
+    calls = 0
     for s in range(max_steps):
         active = np.where(lengths > s + 1)[0]
         if active.size == 0:
             break
         prop = rho * cur[active] + scale * noise[active, s]
         d_prop = dissimilarity_batch(g2(prop), y_obs)
+        calls += 1
         acc = d_prop <= t
         hit = active[acc]
         cur[hit] = prop[acc]
@@ -151,7 +163,7 @@ def _rejuvenate(seeds, seed_d, t, level_index, scale, g2, y_obs, rng, n_particle
         out_z[offsets[active] + s + 1] = cur[active]
         out_d[offsets[active] + s + 1] = cur_d[active]
     rate = accepted / proposed if proposed else float("nan")
-    return out_z, out_d, rate
+    return out_z, out_d, rate, calls
 
 
 def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) -> SubSimTrace:
@@ -214,8 +226,8 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
             tied = np.where(d == t_prop)[0]
             t, surv = t_prop, np.concatenate([strictly, tied])[:k]
 
-        z, d, rate = _rejuvenate(z[surv], d[surv], t, level, scale, g2, y_obs, rng, n)
-        trace.levels.append(LevelRecord(t, rate, surv.size))
+        z, d, rate, calls = _rejuvenate(z[surv], d[surv], t, level, scale, g2, y_obs, rng, n)
+        trace.levels.append(LevelRecord(t, rate, surv.size, scale, calls))
         trace.level_dissimilarities.append(d.copy())
         trace.level_samples.append(z.copy())
         if crossed:

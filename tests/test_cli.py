@@ -64,6 +64,25 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "flag, env",
+    [(None, "abc"), (None, "1.5"), (None, "0"), ("0", None), ("-2", None), ("0", "2")],
+)
+def test_bad_thread_count_exits_2_before_numpy(tmp_path, flag, env):
+    src = os.path.dirname(os.path.dirname(latent_abcss.__file__))
+    out = str(tmp_path / "data")
+    argv = (["--threads", flag] if flag else []) + ["gendata", "--out", out]
+    code = f"import sys; from latent_abcss.cli import main; rc = main({argv!r}); print(rc, 'numpy' in sys.modules)"
+    env_vars = {k: v for k, v in os.environ.items() if k != "LATENT_ABCSS_THREADS"}
+    env_vars["PYTHONPATH"] = src
+    if env is not None:
+        env_vars["LATENT_ABCSS_THREADS"] = env
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_vars)
+    assert res.stdout.split() == ["2", "False"], res.stderr
+    assert "config error [gendata]" in res.stderr and "positive integer" in res.stderr
+    assert not os.path.exists(out)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")

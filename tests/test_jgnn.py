@@ -6,7 +6,9 @@ import pytest
 from latent_abcss.jgnn import (
     JGNNModel,
     TrainConfig,
+    Standardizer,
     encode,
+    g1_of_latent,
     g2_of_latent,
     generate,
     jgnn_loss,
@@ -15,7 +17,7 @@ from latent_abcss.jgnn import (
     save_model,
     train,
 )
-from latent_abcss.neural import refresh_spectral
+from latent_abcss.neural import mlp_forward, refresh_spectral
 from latent_abcss.rng_linalg import RngStream
 from latent_abcss.sinkhorn import SinkhornConfig, entropic_ot
 
@@ -232,6 +234,55 @@ class TestGenerateEncode:
         z = RngStream(41).generator().standard_normal((4, DIM_Z))
         np.testing.assert_array_equal(g2_of_latent(best)(z), generate(best, z)[1])
 
+    def test_g1_callable_matches_generate(self, trained_toy):
+        _, _, _, best, _ = trained_toy
+        z = RngStream(41).generator().standard_normal((4, DIM_Z))
+        np.testing.assert_array_equal(g1_of_latent(best)(z), generate(best, z)[0])
+
+
+@pytest.fixture(scope="module")
+def full_scale_model():
+    """Untrained model at the pipeline's full-scale shapes (81 travel times)."""
+    model = JGNNModel.init(2000, 81, 20, RngStream(5))
+    for _ in range(3):
+        refresh_spectral(model.decoder)
+    gen = RngStream(6).generator()
+    for layer in model.decoder.layers:
+        layer.bias += 0.1 * gen.standard_normal(layer.bias.shape)
+    model.standardizer = Standardizer(
+        gen.standard_normal(2000),
+        gen.uniform(0.5, 2.0, 2000),
+        gen.standard_normal(81),
+        gen.uniform(0.5, 2.0, 81),
+    )
+    return model
+
+
+class TestHeadSplit:
+    """The head-split maps against a full decode through the training forward."""
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 1000])
+    @pytest.mark.parametrize("hidden", [None, (24, 16), ()])
+    def test_heads_match_full_decode(self, full_scale_model, n, hidden):
+        if hidden is None:
+            model = full_scale_model
+        else:
+            # 13 travel times, and with no hidden layer no trunk at all
+            model = JGNNModel.init(30, 13, 4, RngStream(7), hidden=hidden)
+            model.standardizer = Standardizer(np.full(30, 0.5), np.full(30, 0.2), np.ones(13), np.full(13, 3.0))
+        z = RngStream(43, n).generator().standard_normal((n, model.latent_dim))
+        out, _ = mlp_forward(model.decoder, z)
+        x_ref = model.standardizer.x_from_std(out[:, : model.dim_x])
+        y_ref = model.standardizer.y_from_std(out[:, model.dim_x :])
+        for got, ref in ((g1_of_latent(model)(z), x_ref), (g2_of_latent(model)(z), y_ref)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make", [g1_of_latent, g2_of_latent])
+    def test_latent_dim_checked(self, full_scale_model, make):
+        with pytest.raises(ValueError, match="latent"):
+            make(full_scale_model)(np.zeros((2, 21)))
+
 
 class TestCheckpointIO:
     def test_roundtrip_preserves_outputs_to_f32(self, trained_toy, tmp_path):
@@ -244,6 +295,15 @@ class TestCheckpointIO:
         x2, y2 = generate(loaded, z)
         np.testing.assert_allclose(x1, x2, rtol=1e-4, atol=1e-4)
         np.testing.assert_allclose(y1, y2, rtol=1e-4, atol=1e-4)
+
+    def test_roundtrip_drift_pinned(self, trained_toy, tmp_path):
+        # the f32 checkpoint moves outputs by ~1e-8 relative; 1e-6 pins that
+        _, _, _, best, _ = trained_toy
+        path = str(tmp_path / "model.ckpt")
+        save_model(path, best)
+        z = RngStream(44).generator().standard_normal((100, DIM_Z))
+        for mem, disk in zip(generate(best, z), generate(load_model(path), z)):
+            assert np.max(np.abs(mem - disk)) <= 1e-6 * np.max(np.abs(mem))
 
     def test_manifest_is_json(self, trained_toy, tmp_path):
         import json

@@ -41,7 +41,7 @@ def single_chain(z0, steps, t, g2, y_obs, scale, rng):
     """One ``steps``-state chain of the sampler's rejuvenation, seeded at ``z0``."""
     seeds = np.atleast_2d(np.asarray(z0, dtype=np.float64))
     seed_d = dissimilarity_batch(g2(seeds), y_obs)
-    states, _, _ = _rejuvenate(seeds, seed_d, t, 1, scale, g2, y_obs, rng, steps)
+    states, _, _, _ = _rejuvenate(seeds, seed_d, t, 1, scale, g2, y_obs, rng, steps)
     return states
 
 
@@ -125,7 +125,11 @@ class TestSubsimRun:
     def test_direct_product_formula(self):
         cfg = SubSimConfig(target_eps=1.0, n_particles=1000, level_fraction=0.1)
         trace = SubSimTrace(config=cfg)
-        trace.levels = [LevelRecord(9.0, 0.5, 100), LevelRecord(4.0, 0.5, 100), LevelRecord(1.0, 0.5, 250)]
+        trace.levels = [
+            LevelRecord(9.0, 0.5, 100, 0.5, 9),
+            LevelRecord(4.0, 0.5, 100, 0.5, 9),
+            LevelRecord(1.0, 0.5, 250, 0.5, 3),
+        ]
         assert estimate_p(trace) == pytest.approx(0.1**2 * 0.25)
 
     def test_thresholds_strictly_decreasing_and_survivors_valid(self):
@@ -182,6 +186,22 @@ class TestSubsimRun:
         np.testing.assert_array_equal(t1.final_samples, t2.final_samples)
         assert t1.p_hat == t2.p_hat
 
+    def test_level_telemetry_counts_every_g2_call(self):
+        calls = []
+
+        def g2(z):
+            calls.append(z.shape[0])
+            return z[:, :3]
+
+        cfg = SubSimConfig(target_eps=0.05, n_particles=400, max_levels=25)
+        trace = subsim_run(g2, np.zeros(3), 6, cfg, RngStream(7))
+        # one call scores the prior population, the rest are the levels' chain steps
+        assert len(calls) == 1 + sum(lvl.g2_calls for lvl in trace.levels)
+        # 40 survivors grow back to 400 states: 9 lockstep proposals per chain
+        assert all(lvl.g2_calls == 9 for lvl in trace.levels[:-1])
+        assert trace.levels[0].proposal_scale == cfg.proposal_scale
+        assert all(1e-3 <= lvl.proposal_scale <= 1.0 for lvl in trace.levels)
+
     def test_empty_trace_estimate_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             estimate_p(SubSimTrace(config=SubSimConfig(target_eps=1.0)))
@@ -205,6 +225,7 @@ class TestTraceIO:
         back = load_trace(prefix)
         assert back.p_hat == trace.p_hat
         assert back.n_levels == trace.n_levels
+        assert back.levels == trace.levels
         np.testing.assert_array_equal(back.final_samples, trace.final_samples)
         for a, b in zip(back.level_dissimilarities, trace.level_dissimilarities):
             np.testing.assert_array_equal(a, b)
