@@ -38,13 +38,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gendata", help="sample training/test couples and the ray matrix")
     add_common(p)
     p.add_argument("--train-size", type=int, default=None)
-    p.add_argument("--noise-std", type=float, default=None)
 
     p = sub.add_parser("train", help="train the joint generative model")
     add_common(p)
     p.add_argument("--dataset", required=True, help="gendata output directory")
     p.add_argument("--latent-dim", type=int, default=None)
-    p.add_argument("--train-size", type=int, default=None)
 
     p = sub.add_parser("invert", help="run a full inversion with tolerance selection")
     add_common(p)
@@ -53,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--truth", default=None, help="true field array artifact (for metrics)")
     p.add_argument("--oracle", action="store_true", help="compare against the exact posterior")
-    p.add_argument("--eps-grid", default=None, help='"min,max,count[,log|lin]"')
+    p.add_argument("--eps-grid", default=None, help='log-spaced tolerance grid "min,max,count"')
     p.add_argument("--noise-std", type=float, default=None)
 
     p = sub.add_parser("evaluate", help="aggregate RMSE pairings across inversions")
@@ -99,8 +97,8 @@ def _load_config(args) -> "PipelineConfig":
             overrides[name] = getattr(args, name)
     if getattr(args, "eps_grid", None):
         parts = args.eps_grid.split(",")
-        usage = '--eps-grid expects "min,max,count[,log|lin]"'
-        if len(parts) not in (3, 4):
+        usage = '--eps-grid expects "min,max,count"'
+        if len(parts) != 3:
             raise ConfigError(usage)
         try:
             overrides["eps_min"] = float(parts[0])
@@ -108,8 +106,6 @@ def _load_config(args) -> "PipelineConfig":
             overrides["eps_count"] = int(parts[2])
         except ValueError as err:
             raise ConfigError(f"{usage}: {err}") from err
-        if len(parts) == 4:
-            overrides["eps_spacing"] = parts[3]
     if overrides:
         doc = cfg.to_dict()
         doc.update(overrides)

@@ -63,10 +63,13 @@ class LevelRecord:
 
     ``proposal_scale`` is the scale the level's chains proposed with, and
     ``g2_calls`` counts the batched generator calls they made.
+    ``acceptance_rate`` is None when the chains proposed nothing: every
+    survivor slot was already filled, as when the whole population is
+    within the target tolerance.
     """
 
     threshold: float
-    acceptance_rate: float
+    acceptance_rate: float | None
     survivor_count: int
     proposal_scale: float
     g2_calls: int
@@ -123,7 +126,8 @@ def _rejuvenate(seeds, seed_d, t, level_index, scale, g2, y_obs, rng, n_particle
     proposal noise from its own (level, chain) substream, which makes the
     merged population independent of scheduling.
 
-    Returns (population, dissimilarities, acceptance rate, g2 call count).
+    Returns (population, dissimilarities, acceptance rate, g2 call count);
+    the rate is None when no chain proposed anything.
     """
     n_chains, dim = seeds.shape
     base, extra = divmod(n_particles, n_chains)
@@ -162,7 +166,7 @@ def _rejuvenate(seeds, seed_d, t, level_index, scale, g2, y_obs, rng, n_particle
         proposed += active.size
         out_z[offsets[active] + s + 1] = cur[active]
         out_d[offsets[active] + s + 1] = cur_d[active]
-    rate = accepted / proposed if proposed else float("nan")
+    rate = accepted / proposed if proposed else None
     return out_z, out_d, rate, calls
 
 
@@ -234,8 +238,9 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
             break
         t_prev = t
 
-        zeta = 1.0 / np.sqrt(level)
-        scale = float(np.clip(np.exp(np.log(max(scale, 1e-6)) + zeta * (rate - cfg.acceptance_target)), 1e-3, 1.0))
+        if rate is not None:  # chains that proposed nothing leave the scale as it is
+            zeta = 1.0 / np.sqrt(level)
+            scale = float(np.clip(np.exp(np.log(max(scale, 1e-6)) + zeta * (rate - cfg.acceptance_target)), 1e-3, 1.0))
     else:
         trace.stagnated = True  # level budget consumed before crossing
 

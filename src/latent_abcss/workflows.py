@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 
+# Sinkhorn settings of every oracle-audit divergence; training keeps its own
+ORACLE_OT = SinkhornConfig(reg=10.0, max_iter=300, tol=1e-7)
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent pipeline configuration."""
 
@@ -84,25 +88,14 @@ class PipelineConfig:
     hidden: tuple = (512, 512)
     epochs: int = 5000
     batch_size: int = 128
-    lambda0: float = 150.0
     lambda_halving_period: int = 500
-    lr: float = 0.001
-    val_fraction: float = 0.1
-    sinkhorn_reg: float = 10.0
-    sinkhorn_max_iter: int = 40
     sinkhorn_tol: float = 0.0
     n_particles: int = 1000
-    level_fraction: float = 0.1
     max_levels: int = 30
-    proposal_scale: float = 0.5
     eps_min: float = 0.01
     eps_max: float = 3000.0
     eps_count: int = 60
-    eps_spacing: str = "log"
     smoothing_window: int = 9
-    diag_reg: float = 10.0
-    diag_max_iter: int = 300
-    diag_tol: float = 1e-7
     diag_subsample: int = 400
 
     @classmethod
@@ -137,15 +130,16 @@ class PipelineConfig:
 
     def validate(self) -> None:
         try:
+            RngStream(self.seed)
             self.geometry()
             self.train_config()
-            self.eps_grid()
+            default_eps_grid(self.eps_min, self.eps_max, self.eps_count)
             if self.noise_std < 0:
                 raise ValueError("noise_std must be nonnegative")
             if min(self.train_size, self.test_size, self.latent_dim) < 1:
                 raise ValueError("train_size, test_size, latent_dim must be positive")
             self.subsim_config(self.eps_min)
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from err
 
     def geometry(self):
@@ -154,39 +148,16 @@ class PipelineConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
+        cfg = TrainConfig(
             epochs=self.epochs,
             batch_size=self.batch_size,
-            lambda0=self.lambda0,
             lambda_halving_period=self.lambda_halving_period,
-            sinkhorn=SinkhornConfig(
-                reg=self.sinkhorn_reg, max_iter=self.sinkhorn_max_iter, tol=self.sinkhorn_tol
-            ),
-            lr=self.lr,
-            val_fraction=self.val_fraction,
             seed=self.seed,
         )
+        return replace(cfg, sinkhorn=replace(cfg.sinkhorn, tol=self.sinkhorn_tol))
 
     def subsim_config(self, target_eps: float) -> SubSimConfig:
-        return SubSimConfig(
-            target_eps=target_eps,
-            n_particles=self.n_particles,
-            level_fraction=self.level_fraction,
-            max_levels=self.max_levels,
-            proposal_scale=self.proposal_scale,
-        )
-
-    def eps_grid(self) -> np.ndarray:
-        # the log grid's bound and count checks hold for both spacings
-        log_grid = default_eps_grid(self.eps_min, self.eps_max, self.eps_count)
-        if self.eps_spacing == "log":
-            return log_grid
-        if self.eps_spacing == "lin":
-            return np.linspace(self.eps_min, self.eps_max, self.eps_count)
-        raise ValueError(f"unknown eps_spacing {self.eps_spacing!r}")
-
-    def diag_ot_config(self) -> SinkhornConfig:
-        return SinkhornConfig(reg=self.diag_reg, max_iter=self.diag_max_iter, tol=self.diag_tol)
+        return SubSimConfig(target_eps=target_eps, n_particles=self.n_particles, max_levels=self.max_levels)
 
     def provenance(self, command: str) -> dict:
         canon = json.dumps(self.to_dict(), sort_keys=True)
@@ -334,7 +305,7 @@ def run_inversion(
     g2 = g2_of_latent(model)
     y_obs = np.asarray(y_obs, dtype=np.float64).ravel()
     n_obs = y_obs.size
-    grid_eps = cfg.eps_grid()
+    grid_eps = default_eps_grid(cfg.eps_min, cfg.eps_max, cfg.eps_count)
 
     deep = subsim_run(g2, y_obs, model.latent_dim, cfg.subsim_config(float(grid_eps[0])), rng.split(0))
     curve = probability_curve(deep, n_obs, grid_eps)
@@ -374,22 +345,21 @@ def run_inversion(
             metrics.rmse_posterior_truth = rmse_batch(post_samples, truth)
             metrics.rmse_prior_truth = rmse_batch(prior_samples, truth)
 
-        diag_cfg = cfg.diag_ot_config()
         m_sub = min(cfg.diag_subsample, cfg.n_particles)
         refs = {"posterior": post_samples[:m_sub], "prior": prior_samples[:m_sub]}
         if truth is not None:
             refs["truth"] = np.asarray(truth, dtype=np.float64).reshape(1, -1)
         # the references never change within an inversion: solve their
         # self-transport once for every divergence row below
-        refs_self = self_transport_costs(refs, diag_cfg)
+        refs_self = self_transport_costs(refs, ORACLE_OT)
         # one divergence row per tested tolerance: the deep run's level
         # populations stand in for the solution set at their own threshold
         rows = []
         for eps_n_level, sols in _deep_level_solutions(
             model, deep, float(grid_eps[-1]), n_obs, m_sub
         ):
-            rows.append((eps_n_level, wasserstein_diagnostics(sols, refs, diag_cfg, refs_self)))
-        sol_divs = wasserstein_diagnostics(solutions_x[:m_sub], refs, diag_cfg, refs_self)
+            rows.append((eps_n_level, wasserstein_diagnostics(sols, refs, ORACLE_OT, refs_self)))
+        sol_divs = wasserstein_diagnostics(solutions_x[:m_sub], refs, ORACLE_OT, refs_self)
         rows.append((float(curve.selected_eps_n), sol_divs))
         metrics.wasserstein_by_eps = sorted(rows, key=lambda r: r[0])
         summary["oracle"] = {
@@ -446,6 +416,11 @@ def _check_inversion_inputs(
         raise ConfigError(
             f"checkpoint field dimension {model.dim_x} differs from the dataset's "
             f"{manifest['n_cells']} cells"
+        )
+    if model.dim_y != manifest["n_rays"]:
+        raise ConfigError(
+            f"checkpoint travel-time dimension {model.dim_y} differs from the dataset's "
+            f"{manifest['n_rays']} rays"
         )
     if y_obs.size != model.dim_y:
         raise ConfigError(

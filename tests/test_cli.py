@@ -148,6 +148,39 @@ class TestGendata:
         bad.write_text(json.dumps({**MICRO_CONFIG, "separation": 99.0}))
         assert main(["gendata", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key, value", [("lr", 0.001), ("eps_spacing", "log")])
+    def test_removed_config_key_exits_2(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**MICRO_CONFIG, key: value}))
+        assert main(["gendata", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_non_numeric_setting_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**MICRO_CONFIG, "n_particles": "300"}))
+        assert main(["gendata", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "config error [gendata]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2(self, workdir, tmp_path, capsys, seed):
+        _, cfg = workdir
+        out = tmp_path / "o"
+        assert main(["gendata", "--config", cfg, "--out", str(out), "--seed", seed]) == 2
+        assert "config error [gendata]: seed must fit in 64 bits" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+def test_flags_without_effect_are_refused(tmp_path, capsys):
+    # datasets are noise free, and training uses the whole dataset
+    out = str(tmp_path / "o")
+    for argv in (["gendata", "--noise-std", "0.3"], ["train", "--dataset", out, "--train-size", "50"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", out])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert not os.path.exists(out)
+
 
 class TestTrain:
     def test_rerun_byte_identical(self, pipeline):
@@ -280,7 +313,7 @@ class TestInvert:
                 "--out",
                 out,
                 "--eps-grid",
-                "1e-4,60,30,log",
+                "1e-4,60,30",
             ]
         )
         assert rc == 0
@@ -296,7 +329,9 @@ class TestInvert:
             ("a,b,c", usage),
             ("1e-4,50,2.5", usage),
             ("1e-4,inf,30", bounds),
-            ("1e-4,inf,30,lin", bounds),
+            ("1e-4,inf,30,lin", usage),
+            ("1e-4,50,25,lin", usage),
+            ("1e-4,50,25,log", usage),
         ):
             rc = main(
                 [
@@ -360,6 +395,16 @@ class TestInvertInputChecks:
         assert main(["gendata", "--config", str(taller), "--out", other]) == 0
         assert self._invert(pipeline, str(root / "yobs.f64"), data=other) == 2
         assert "35 cells" in capsys.readouterr().err
+
+    def test_checkpoint_dataset_ray_mismatch_exits_2(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        wider = tmp_path / "wider.json"
+        wider.write_text(json.dumps({**MICRO_CONFIG, "n_rcv": 3}))
+        other = str(tmp_path / "data_6rays")
+        assert main(["gendata", "--config", str(wider), "--out", other]) == 0
+        assert self._invert(pipeline, str(root / "yobs.f64"), data=other) == 2
+        assert "6 rays" in capsys.readouterr().err
+        assert not os.path.exists(root / "inv_refused" / "deep_trace.json")
 
     def test_oracle_config_grid_mismatch_exits_2(self, pipeline, tmp_path, capsys):
         # checkpoint and dataset agree; only the invert config's grid differs
@@ -446,3 +491,21 @@ class TestEvaluateAndOracle:
         cov = load_array(os.path.join(out, "posterior_cov.f64"))
         assert mean.shape == (30,)
         assert cov.shape == (30, 30)
+
+
+def test_every_json_artifact_is_strict_json(pipeline):
+    """NaN and Infinity are not JSON; every artifact must parse without them."""
+    root, cfg, data, model = pipeline
+    out = str(root / "inv_strict")
+    argv = ["invert", "--config", cfg, "--checkpoint", os.path.join(model, "model.ckpt")]
+    argv += ["--yobs", str(root / "yobs.f64"), "--dataset", data, "--out", out]
+    assert main(argv + ["--oracle", "--truth", str(root / "truth.f64")]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    paths = [os.path.join(b, f) for b, _, fs in os.walk(root) for f in fs if f.endswith(".json")]
+    assert any(p.endswith("final_trace.json") for p in paths)
+    for path in paths:
+        with open(path) as fh:
+            json.loads(fh.read(), parse_constant=reject)

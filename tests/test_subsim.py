@@ -202,6 +202,13 @@ class TestSubsimRun:
         assert trace.levels[0].proposal_scale == cfg.proposal_scale
         assert all(1e-3 <= lvl.proposal_scale <= 1.0 for lvl in trace.levels)
 
+    def test_survivors_filling_every_slot_stagnate(self):
+        # ceil(0.96 * 20) = 20 survivors leave no chain anything to propose
+        cfg = SubSimConfig(target_eps=1e-6, n_particles=20, level_fraction=0.96)
+        trace = subsim_run(lambda z: z[:, :2], np.ones(2), 4, cfg, RngStream(11))
+        assert [lvl.acceptance_rate for lvl in trace.levels] == [None]
+        assert trace.stagnated
+
     def test_empty_trace_estimate_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             estimate_p(SubSimTrace(config=SubSimConfig(target_eps=1.0)))
@@ -229,3 +236,14 @@ class TestTraceIO:
         np.testing.assert_array_equal(back.final_samples, trace.final_samples)
         for a, b in zip(back.level_dissimilarities, trace.level_dissimilarities):
             np.testing.assert_array_equal(a, b)
+
+    def test_level_without_proposals_roundtrips_as_null(self, tmp_path):
+        # the whole prior population is within the target: no chain proposes
+        cfg = SubSimConfig(target_eps=1e6, n_particles=300)
+        trace = subsim_run(lambda z: z[:, :2], np.zeros(2), 4, cfg, RngStream(11))
+        assert [lvl.acceptance_rate for lvl in trace.levels] == [None]
+        assert trace.levels[0].g2_calls == 0
+        prefix = str(tmp_path / "trace")
+        save_trace(prefix, trace)
+        assert '"acceptance_rate": null' in open(prefix + ".json").read()
+        assert load_trace(prefix).levels == trace.levels
