@@ -37,8 +37,8 @@ t0 = time.time()
 geom = cfg.geometry()
 a = assemble_matrix(cfg.grid, geom)
 rng = RngStream(cfg.seed, stream_id=1)
-train_x = sample_fields(cfg.grid, cfg.gp, cfg.train_size, rng.split(0))
-test_x = sample_fields(cfg.grid, cfg.gp, cfg.test_size, rng.split(1))
+# both splits from one factor of the prior, as generate_dataset draws them
+train_x, test_x = sample_fields(cfg.grid, cfg.gp, (cfg.train_size, cfg.test_size), rng)
 train_y = forward(a, train_x)
 print(f"dataset: {train_x.shape[0]} couples, {a.n_rays} rays, {cfg.grid.n_cells} cells")
 

@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="true field array artifact (for metrics)")
     p.add_argument("--oracle", action="store_true", help="compare against the exact posterior")
     p.add_argument("--eps-grid", default=None, help='log-spaced tolerance grid "min,max,count"')
-    p.add_argument("--noise-std", type=float, default=None)
+    p.add_argument("--noise-std", type=float, default=None, help="oracle noise std (needs --oracle)")
 
     p = sub.add_parser("evaluate", help="aggregate RMSE pairings across inversions")
     p.add_argument("--runs", nargs="+", required=True, help="inversion output directories")
@@ -142,6 +142,9 @@ def main(argv=None) -> int:
             ckpt = train_from_dataset(cfg, args.dataset, args.out)
             print(f"train: checkpoint at {ckpt}")
         elif args.command == "invert":
+            if args.noise_std is not None and not args.oracle:
+                # only the exact posterior reads noise_std; the sampler never does
+                raise ConfigError("--noise-std sets the oracle's noise and needs --oracle")
             cfg = _load_config(args)
             result = invert_artifacts(
                 cfg,

@@ -46,11 +46,15 @@ class Grid:
         """Depth extent in meters."""
         return self.n_rows * self.cell_size
 
-    def cell_centers(self) -> np.ndarray:
-        """(n_cells, 2) array of (x, depth) centers, row-major cell order."""
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Center coordinates per axis: x of each column, depth of each row."""
         xs = (np.arange(self.n_cols) + 0.5) * self.cell_size
         zs = (np.arange(self.n_rows) + 0.5) * self.cell_size
-        gx, gz = np.meshgrid(xs, zs)
+        return xs, zs
+
+    def cell_centers(self) -> np.ndarray:
+        """(n_cells, 2) array of (x, depth) centers, row-major cell order."""
+        gx, gz = np.meshgrid(*self.axes())
         return np.column_stack([gx.ravel(), gz.ravel()])
 
 
@@ -74,43 +78,55 @@ def exp_kernel(h, cfg: GPConfig):
     h = np.asarray(h, dtype=np.float64)
     if np.any(h < 0):
         raise ValueError("distances must be nonnegative")
-    return cfg.variance * np.exp(-h / cfg.lengthscale)
+    # h / -l is exactly -h / l; ``out`` keeps a scalar ``h`` a 0-d array for the in-place steps
+    k = np.divide(h, -cfg.lengthscale, out=np.empty(h.shape))
+    np.exp(k, out=k)
+    k *= cfg.variance
+    return k
 
 
 def build_covariance(grid: Grid, cfg: GPConfig, cell_cap: int = DEFAULT_CELL_CAP) -> np.ndarray:
     """Dense prior covariance between all cell centers.
 
     Entry (i, j) is the kernel at the Euclidean distance between the centers
-    of cells i and j, so the matrix is symmetric with ``variance`` on the
-    diagonal.  Grids above ``cell_cap`` cells are refused: the matrix is
-    dense N x N.
+    of cells i and j, with ``variance`` on the diagonal.  The matrix is
+    exactly symmetric: ``(a - b)**2 == (b - a)**2`` in floating point.
+    Grids above ``cell_cap`` cells are refused: the matrix is dense N x N.
     """
     n = grid.n_cells
     if n > cell_cap:
         raise ValueError(f"grid has {n} cells, exceeding the cap of {cell_cap}")
-    pts = grid.cell_centers()
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    cov = exp_kernel(dist, cfg)
-    # force exact symmetry: dist rounding is symmetric already, but be strict
-    return (cov + cov.T) / 2.0
+    xs, zs = grid.axes()
+    dx = np.subtract.outer(xs, xs)
+    dx *= dx
+    dz = np.subtract.outer(zs, zs)
+    dz *= dz
+    # cell k sits in row k // n_cols and column k % n_cols, so each squared
+    # distance is one row pair's dz**2 plus one column pair's dx**2
+    dist = np.add(dz[:, None, :, None], dx[None, :, None, :]).reshape(n, n)
+    np.sqrt(dist, out=dist)
+    return exp_kernel(dist, cfg)
 
 
 def sample_fields(
     grid: Grid,
     cfg: GPConfig,
-    n: int,
+    n: int | tuple[int, ...],
     rng: RngStream,
-) -> np.ndarray:
-    """Draw ``n`` prior fields ``N(mean * 1, C)`` via Cholesky, one per row.
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Draw prior fields ``N(mean * 1, C)`` via one Cholesky factor of ``C``.
 
-    Returns an (n, n_cells) array.  Gaussian tails can dip below zero, so a
-    draw may hold non-positive slowness cells; ``generate_dataset`` counts
-    them in the dataset manifest.  Fine grids make the exponential-kernel
-    matrix numerically singular, so :func:`add_jitter`'s relative diagonal
-    jitter is applied before factoring.  Deterministic for a given stream.
+    With an integer ``n``, returns an (n, n_cells) array drawn from ``rng``.
+    With a tuple of counts, the covariance is built and factored once and
+    one array is returned per count, the i-th drawn from ``rng.split(i)``.
+    Gaussian tails can dip below zero, so a draw may hold non-positive
+    slowness cells; ``generate_dataset`` counts them in the dataset
+    manifest.  Fine grids make the exponential-kernel matrix numerically
+    singular, so :func:`add_jitter`'s relative diagonal jitter is applied
+    before factoring.  Deterministic for a given stream.
     """
-    cov = build_covariance(grid, cfg)
-    low = cholesky(add_jitter(cov))
+    low = cholesky(add_jitter(build_covariance(grid, cfg)))
     mean = np.full(grid.n_cells, cfg.mean)
+    if isinstance(n, tuple):
+        return tuple(sample_mvn(mean, low, k, rng.split(i)) for i, k in enumerate(n))
     return sample_mvn(mean, low, n, rng)

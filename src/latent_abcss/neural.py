@@ -42,7 +42,8 @@ ADAM_EPS = 1e-8
 
 def _activate(s: np.ndarray, kind: str) -> np.ndarray:
     if kind == "leaky_relu":
-        return np.where(s > 0.0, s, LEAKY_SLOPE * s)
+        # equals np.where(s > 0, s, LEAKY_SLOPE * s) bit for bit, as 0 < slope < 1
+        return np.maximum(s, LEAKY_SLOPE * s)
     return s
 
 

@@ -8,8 +8,10 @@ pipelines bit-reproducible.
 The linear-algebra kernels are thin, strict wrappers around LAPACK: Cholesky
 with no pivoting and no silent jitter (SPD failure is an error carrying the
 failing pivot), SPD solves through the factor, and multivariate-normal
-sampling from a precomputed factor.  The artifact readers and writers for
-flat arrays, JSON documents and CSV tables live here too.
+sampling from a precomputed factor.  Factoring goes through numpy's LAPACK,
+so it shares one OpenBLAS thread pool with the matrix products around it.
+The artifact readers and writers for flat arrays, JSON documents and CSV
+tables live here too.
 """
 
 from __future__ import annotations
@@ -101,12 +103,14 @@ def cholesky(m) -> np.ndarray:
     scale = max(float(np.max(np.abs(a))), 1.0)
     if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(info - 1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return c
+    try:
+        # Fortran order, as LAPACK stores a factor: solve_triangular and the
+        # products downstream then round exactly as they do on dpotrf's output
+        return np.asfortranarray(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        # numpy does not say which pivot failed; LAPACK's dpotrf does
+        _, info = dpotrf(a, lower=1)
+        raise NotPositiveDefiniteError(info - 1) from None
 
 
 def add_jitter(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:

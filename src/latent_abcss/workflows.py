@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class PipelineConfig:
             if "gp" in kwargs:
                 kwargs["gp"] = GPConfig(**kwargs["gp"])
             if "hidden" in kwargs:
-                kwargs["hidden"] = tuple(int(h) for h in kwargs["hidden"])
+                kwargs["hidden"] = tuple(kwargs["hidden"])
             cfg = cls(**kwargs)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad pipeline config: {err}") from err
@@ -130,6 +130,7 @@ class PipelineConfig:
 
     def validate(self) -> None:
         try:
+            _check_integers(self)
             RngStream(self.seed)
             self.geometry()
             self.train_config()
@@ -169,6 +170,16 @@ class PipelineConfig:
         }
 
 
+def _check_integers(cfg: PipelineConfig) -> None:
+    """Refuse a float or a bool where the config declares an integer."""
+    values = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.type == "int"]
+    values += [(f"grid.{f.name}", getattr(cfg.grid, f.name)) for f in fields(cfg.grid) if f.type == "int"]
+    values += [(f"hidden[{i}]", h) for i, h in enumerate(cfg.hidden)]
+    for name, value in values:
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _require(paths: list[str]) -> None:
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
@@ -184,6 +195,8 @@ def _load_input(path: str) -> np.ndarray:
 def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
     """Sample couples from the prior and the forward map; write artifacts.
 
+    Both splits are drawn from one factor of the prior covariance, train
+    from ``RngStream(seed, 1).split(0)`` and test from ``.split(1)``.
     Training and test travel times are noise free: observation noise is
     added only when an inversion target is assembled.
     """
@@ -191,10 +204,9 @@ def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
     prov = cfg.provenance("gendata")
     geom = cfg.geometry()
     a = assemble_matrix(cfg.grid, geom)
-    rng = RngStream(cfg.seed, stream_id=1)
-
-    train_x = sample_fields(cfg.grid, cfg.gp, cfg.train_size, rng.split(0))
-    test_x = sample_fields(cfg.grid, cfg.gp, cfg.test_size, rng.split(1))
+    train_x, test_x = sample_fields(
+        cfg.grid, cfg.gp, (cfg.train_size, cfg.test_size), RngStream(cfg.seed, stream_id=1)
+    )
     train_y = forward(a, train_x)
     test_y = forward(a, test_x)
 

@@ -236,9 +236,10 @@ def desk_experiment():
     cfg = PipelineConfig.from_dict(DESK)
     geom = cfg.geometry()
     a = assemble_matrix(cfg.grid, geom)
-    rng = RngStream(cfg.seed, stream_id=1)
-    train_x = sample_fields(cfg.grid, cfg.gp, cfg.train_size, rng.split(0))
-    test_x = sample_fields(cfg.grid, cfg.gp, cfg.test_size, rng.split(1))
+    # both splits from one factor of the prior, as generate_dataset draws them
+    train_x, test_x = sample_fields(
+        cfg.grid, cfg.gp, (cfg.train_size, cfg.test_size), RngStream(cfg.seed, stream_id=1)
+    )
     train_y = forward(a, train_x)
     test_y = forward(a, test_x)
 

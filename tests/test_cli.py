@@ -13,8 +13,9 @@ import pytest
 
 import latent_abcss
 from latent_abcss.cli import main
+from latent_abcss.gp_prior import build_covariance
 from latent_abcss.jgnn import generate, load_model
-from latent_abcss.rng_linalg import RngStream, load_array, save_array
+from latent_abcss.rng_linalg import RngStream, add_jitter, cholesky, load_array, sample_mvn, save_array
 from latent_abcss.tomography import NoiseModel, add_noise
 from latent_abcss.workflows import PipelineConfig, generate_dataset
 
@@ -122,6 +123,16 @@ class TestGendata:
         }
         assert manifest["nonpositive_fields"] == counts
 
+    def test_splits_drawn_from_one_factor(self, pipeline):
+        data = pipeline[2]
+        cfg = PipelineConfig.from_dict(MICRO_CONFIG)
+        low = cholesky(add_jitter(build_covariance(cfg.grid, cfg.gp)))
+        mean = np.full(cfg.grid.n_cells, cfg.gp.mean)
+        rng = RngStream(cfg.seed, 1)
+        for i, part in enumerate(("train", "test")):
+            drawn = load_array(os.path.join(data, f"{part}_x.f64"))
+            np.testing.assert_array_equal(drawn, sample_mvn(mean, low, drawn.shape[0], rng.split(i)))
+
     def test_generate_dataset_does_not_warn(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -162,6 +173,25 @@ class TestGendata:
         assert main(["gendata", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "config error [gendata]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            ({"seed": 1.5}, "seed"),
+            ({"epochs": 2.5}, "epochs"),
+            ({"n_particles": 100.0}, "n_particles"),
+            ({"seed": True}, "seed"),
+            ({"hidden": [12.5, 8]}, "hidden[0]"),
+            ({"grid": {**MICRO_CONFIG["grid"], "n_cols": 5.0}}, "grid.n_cols"),
+        ],
+    )
+    def test_non_integer_setting_exits_2(self, tmp_path, capsys, doc, name):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**MICRO_CONFIG, **doc}))
+        out = tmp_path / "o"
+        assert main(["gendata", "--config", str(bad), "--out", str(out)]) == 2
+        assert f"config error [gendata]: {name} must be an integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, workdir, tmp_path, capsys, seed):
         _, cfg = workdir
@@ -179,6 +209,15 @@ def test_flags_without_effect_are_refused(tmp_path, capsys):
             main(argv + ["--out", out])
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert not os.path.exists(out)
+
+
+def test_invert_noise_std_needs_oracle(tmp_path, capsys):
+    # only the exact posterior reads noise_std, so without --oracle the flag would change nothing
+    out = str(tmp_path / "o")
+    argv = ["invert", "--config", str(tmp_path / "none.json"), "--checkpoint", "m.ckpt", "--yobs", "y.f64"]
+    assert main(argv + ["--dataset", "d", "--noise-std", "0.3", "--out", out]) == 2
+    assert "config error [invert]: --noise-std sets the oracle's noise and needs --oracle" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -2,9 +2,26 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from latent_abcss.gp_prior import GPConfig, Grid, build_covariance, exp_kernel, sample_fields
-from latent_abcss.rng_linalg import RngStream, add_jitter, cholesky
+from latent_abcss.rng_linalg import RngStream, add_jitter, cholesky, sample_mvn
+
+# default, desk-scale, CLI micro and a non-square grid with its kernel settings
+PRIOR_GRIDS = [
+    (Grid(), GPConfig()),
+    (Grid(20, 16, 0.1), GPConfig(lengthscale=1.0)),
+    (Grid(6, 5, 0.1), GPConfig(lengthscale=0.4)),
+    (Grid(7, 13, 0.3), GPConfig(lengthscale=0.7, variance=2.0)),
+]
+
+
+def reference_covariance(grid, cfg):
+    """The (n, n, 2) difference-array formula, symmetrised."""
+    pts = grid.cell_centers()
+    diff = pts[:, None, :] - pts[None, :, :]
+    cov = cfg.variance * np.exp(-np.sqrt(np.sum(diff * diff, axis=-1)) / cfg.lengthscale)
+    return (cov + cov.T) / 2.0
 
 
 class TestGrid:
@@ -75,6 +92,21 @@ class TestBuildCovariance:
         assert cov.shape == (2000, 2000)
         cholesky(add_jitter(cov, rel=1e-10))  # must not raise
 
+    @pytest.mark.parametrize("grid, cfg", PRIOR_GRIDS)
+    def test_equals_difference_array_formula_bit_for_bit(self, grid, cfg):
+        cov = build_covariance(grid, cfg)
+        np.testing.assert_array_equal(cov.view(np.uint64), reference_covariance(grid, cfg).view(np.uint64))
+
+    @pytest.mark.parametrize("grid, cfg", PRIOR_GRIDS)
+    def test_factor_matches_lapack_dpotrf(self, grid, cfg):
+        cov = add_jitter(build_covariance(grid, cfg))
+        ref, info = dpotrf(cov, lower=1, clean=1)
+        assert info == 0
+        low = cholesky(cov)
+        assert np.max(np.abs(low - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # LAPACK's layout: triangular solves on the factor take dpotrf's path
+        assert low.flags.f_contiguous
+
     def test_cell_cap(self):
         with pytest.raises(ValueError, match="cap"):
             build_covariance(Grid(80, 80, 0.1), GPConfig())
@@ -97,6 +129,16 @@ class TestSampleFields:
         cov = build_covariance(grid, cfg)
         values = sample_fields(grid, cfg, 100_000, RngStream(3))
         np.testing.assert_allclose(np.cov(values.T), cov, rtol=0.05, atol=0.003)
+
+    def test_count_tuple_draws_each_split_from_one_factor(self):
+        grid, cfg = Grid(3, 4, 0.1), GPConfig()
+        rng = RngStream(5, 1)
+        low = cholesky(add_jitter(build_covariance(grid, cfg)))
+        mean = np.full(grid.n_cells, cfg.mean)
+        parts = sample_fields(grid, cfg, (6, 2), rng)
+        assert len(parts) == 2
+        for i, (part, n) in enumerate(zip(parts, (6, 2))):
+            np.testing.assert_array_equal(part, sample_mvn(mean, low, n, rng.split(i)))
 
     def test_same_seed_identical(self):
         a = sample_fields(Grid(3, 3, 0.1), GPConfig(), 4, RngStream(4))

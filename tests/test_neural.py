@@ -8,6 +8,7 @@ from latent_abcss.neural import (
     AdamState,
     Layer,
     MLPParams,
+    _activate,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -69,6 +70,16 @@ class TestMlpForward:
         net = MLPParams([Layer(np.eye(1), np.zeros(1), "leaky_relu", spectral=False)])
         out, _ = mlp_forward(net, np.array([[-2.0]]))
         np.testing.assert_allclose(out, [[-2.0 * LEAKY_SLOPE]])
+
+    def test_leaky_relu_matches_masked_form_bit_for_bit(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 3 * tiny, -3 * tiny,
+             1e-310, -1e-310, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+        )
+        s = np.concatenate([special, RngStream(11).generator().standard_normal(4096)])
+        masked = np.where(s > 0.0, s, LEAKY_SLOPE * s)
+        np.testing.assert_array_equal(_activate(s, "leaky_relu").view(np.uint64), masked.view(np.uint64))
 
     def test_input_dimension_checked(self):
         net = MLPParams([Layer(np.eye(3), np.zeros(3), "linear")])
