@@ -7,7 +7,8 @@ every approximate-inference accuracy claim is measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,11 +20,10 @@ __all__ = ["GaussianDist", "linear_gaussian_posterior", "posterior_sample"]
 
 @dataclass
 class GaussianDist:
-    """Mean, covariance, and a cached lower Cholesky factor."""
+    """Mean, covariance, and a lower Cholesky factor computed on first use."""
 
     mean: np.ndarray
     cov: np.ndarray
-    chol: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64).ravel()
@@ -32,8 +32,11 @@ class GaussianDist:
             raise ValueError(
                 f"covariance shape {self.cov.shape} does not match mean length {self.mean.size}"
             )
-        if self.chol is None:
-            self.chol = cholesky(self.cov)
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower factor of ``cov``; raises ``NotPositiveDefiniteError`` here, not at init."""
+        return cholesky(self.cov)
 
     @property
     def dim(self) -> int:

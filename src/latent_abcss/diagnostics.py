@@ -216,7 +216,7 @@ def wasserstein_diagnostics(
     """Debiased transport divergence of the solutions against each reference.
 
     S(s, r) = OT(s, r) - OT(s, s)/2 - OT(r, r)/2, each term a plain
-    log-domain Sinkhorn solve (``ot_cfg.debiased`` is not read).  References
+    Sinkhorn solve (``ot_cfg.debiased`` is not read).  References
     are point clouds in the flattened field space; a single vector is
     treated as a Dirac (one point).  OT(s, s) is solved once per call and
     shared by all references.  ``reference_self`` holds precomputed OT(r, r)

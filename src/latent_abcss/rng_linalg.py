@@ -117,11 +117,11 @@ def add_jitter(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:
     """Copy of ``m`` with ``rel * trace/n`` added to the diagonal.
 
     Near-singular covariance matrices (fine-grid exponential kernels) need
-    this before factoring; plain :func:`cholesky` never jitters on its own.
+    this before factoring; plain :func:`cholesky` never jitters on its own,
+    and it is what checks the result is a finite square matrix.
     """
-    a = _as_matrix(m)
-    out = a.copy()
-    out[np.diag_indices_from(out)] += rel * np.trace(a) / a.shape[0]
+    out = np.array(m, dtype=np.float64)
+    out[np.diag_indices_from(out)] += rel * np.trace(out) / out.shape[0]
     return out
 
 

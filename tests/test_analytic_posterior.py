@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latent_abcss.analytic_posterior import GaussianDist, linear_gaussian_posterior, posterior_sample
-from latent_abcss.rng_linalg import RngStream
+from latent_abcss.rng_linalg import NotPositiveDefiniteError, RngStream
 
 
 def condition_joint_gaussian(prior_mean, prior_cov, a, noise_cov, y):
@@ -98,6 +98,11 @@ class TestGaussianDist:
         d = GaussianDist(np.zeros(4), cov)
         err = np.linalg.norm(d.chol @ d.chol.T - cov) / np.linalg.norm(cov)
         assert err < 1e-8
+
+    def test_indefinite_covariance_raises_when_sampled(self):
+        d = GaussianDist(np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])  # factored lazily
+        with pytest.raises(NotPositiveDefiniteError):
+            posterior_sample(d, 4, RngStream(6))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

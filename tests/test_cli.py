@@ -531,6 +531,38 @@ class TestEvaluateAndOracle:
         assert mean.shape == (30,)
         assert cov.shape == (30, 30)
 
+    def test_oracle_posterior_factors_only_the_innovation(self, pipeline, monkeypatch):
+        # the command writes mean and covariance; only sampling needs a factor
+        from latent_abcss import analytic_posterior
+        from latent_abcss.workflows import compute_oracle_posterior
+
+        root, cfg, data, model = pipeline
+        plain = analytic_posterior.cholesky
+        factored = []
+
+        def counted(m):
+            factored.append(np.shape(m))
+            return plain(m)
+
+        monkeypatch.setattr(analytic_posterior, "cholesky", counted)
+        config = PipelineConfig.from_json(cfg)
+        lazy, eager = str(root / "oracle_lazy"), str(root / "oracle_eager")
+        compute_oracle_posterior(config, data, str(root / "yobs.f64"), lazy)
+        n_rays = load_array(str(root / "yobs.f64")).size
+        assert factored == [(n_rays, n_rays)]
+
+        # factoring every GaussianDist on construction writes the same bytes
+        init = analytic_posterior.GaussianDist.__post_init__
+
+        def eager_init(self):
+            init(self)
+            self.chol
+
+        monkeypatch.setattr(analytic_posterior.GaussianDist, "__post_init__", eager_init)
+        compute_oracle_posterior(config, data, str(root / "yobs.f64"), eager)
+        assert (30, 30) in factored
+        assert tree_digest(lazy) == tree_digest(eager)
+
 
 def test_every_json_artifact_is_strict_json(pipeline):
     """NaN and Infinity are not JSON; every artifact must parse without them."""

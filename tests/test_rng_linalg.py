@@ -163,6 +163,24 @@ class TestJitterAndArtifacts:
         np.testing.assert_allclose(np.diag(out), [1.02, 3.02])
         assert m[0, 0] == 1.0  # input untouched
 
+    @pytest.mark.parametrize(
+        "m, match",
+        [
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
+            (np.diag([1.0, np.inf]), "non-finite"),
+            (np.ones((2, 3)), "equal length"),
+            (np.ones(3), "at least 2-d"),
+        ],
+    )
+    def test_jittered_bad_matrix_rejected_before_lapack(self, m, match, monkeypatch):
+        # cholesky checks the jittered matrix; add_jitter does not check it twice
+        def lapack(a):
+            raise AssertionError("LAPACK reached")
+
+        monkeypatch.setattr(np.linalg, "cholesky", lapack)
+        with pytest.raises(ValueError, match=match):
+            cholesky(add_jitter(m))
+
     def test_array_roundtrip(self, tmp_path):
         arr = np.arange(12.0).reshape(3, 4)
         path = str(tmp_path / "m.f64")

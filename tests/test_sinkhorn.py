@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from latent_abcss import sinkhorn
+from latent_abcss.gp_prior import GPConfig, Grid, sample_fields
+from latent_abcss.rng_linalg import RngStream
 from latent_abcss.sinkhorn import (
     SinkhornConfig,
     cost_matrix,
@@ -163,3 +166,122 @@ class TestOtPointGradient:
                 bump[i, j] += h
                 fd = (cost_of(bump) - cost_of(xs)) / h
                 assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+def log_domain_reference(c, cfg):
+    """Oracle: the log-domain loop alone, written out without the kernel path."""
+    n, m = c.shape
+    reg = cfg.reg
+    log_a, log_b = -np.log(n), -np.log(m)
+    neg_c = c / -reg
+
+    def lse(shift, axis):
+        t = neg_c + (shift[None, :] if axis == 1 else shift[:, None])
+        mx = np.max(t, axis=axis, keepdims=True)
+        t -= mx
+        np.exp(t, out=t)
+        return np.log(np.sum(t, axis=axis)) + np.squeeze(mx, axis=axis)
+
+    f, g = np.zeros(n), np.zeros(m)
+    for _ in range(cfg.max_iter):
+        f_new = -reg * lse(g / reg + log_b, 1)
+        g_new = -reg * lse(f_new / reg + log_a, 0)
+        moved = max(float(np.max(np.abs(f_new - f))), float(np.max(np.abs(g_new - g))))
+        f, g = f_new, g_new
+        if cfg.tol > 0.0 and moved < cfg.tol:
+            break
+    t = neg_c + (f / reg + log_a)[:, None]
+    t += (g / reg + log_b)[None, :]
+    plan = np.exp(t)
+    return plan, float(np.sum(plan * c))
+
+
+@pytest.fixture
+def lse_calls(monkeypatch):
+    """Every ``_logsumexp`` call's kernel argument (None on the log path)."""
+    calls = []
+    plain = sinkhorn._logsumexp
+
+    def counted(neg_c, shift, axis, buf, kernel=None):
+        calls.append(kernel)
+        return plain(neg_c, shift, axis, buf, kernel)
+
+    monkeypatch.setattr(sinkhorn, "_logsumexp", counted)
+    return calls
+
+
+def kernel_path_problems():
+    """(cost, cfg, stops) of training, audit and near-bound size, all with tol > 0.
+
+    ``stops`` is False for the audit self solve, which runs out its budget.
+    """
+    gen = np.random.default_rng(61)
+    z, p = 1.3 * gen.standard_normal((128, 10)), gen.standard_normal((128, 10))
+    train = SinkhornConfig(reg=10.0, max_iter=200, tol=1e-9)
+    fields = sample_fields(Grid(20, 16, 0.1), GPConfig(lengthscale=1.0), (320, 320), RngStream(62, 1))
+    audit = SinkhornConfig(reg=10.0, max_iter=300, tol=1e-7)
+    wide = cost_matrix(gen.uniform(size=(40, 2)), gen.uniform(size=(30, 2)))
+    near_bound = SinkhornConfig(reg=float(wide.max()) / 299.0, max_iter=2000, tol=1e-12)
+    small = cost_matrix(gen.standard_normal((9, 3)), gen.standard_normal((7, 3)))
+    return [
+        pytest.param(cost_matrix(z, p), train, True, id="latent"),
+        pytest.param(cost_matrix(z, z), train, True, id="latent-self"),
+        pytest.param(cost_matrix(*fields), audit, True, id="desk-fields"),
+        pytest.param(cost_matrix(fields[0], fields[0]), audit, False, id="desk-self"),
+        pytest.param(small, SinkhornConfig(reg=0.5, max_iter=500, tol=1e-12), True, id="small-reg"),
+        pytest.param(wide, near_bound, True, id="near-bound"),
+    ]
+
+
+class TestKernelPath:
+    """Below the bound the Gibbs kernel runs the same map as the log domain."""
+
+    @pytest.mark.parametrize("c, cfg, stops", kernel_path_problems())
+    def test_matches_log_domain_and_stops_at_the_same_iteration(self, c, cfg, stops, monkeypatch, lse_calls):
+        assert np.max(c) / cfg.reg < sinkhorn._KERNEL_MAX_EXPONENT
+        for tol in (0.0, cfg.tol):
+            run = replace(cfg, tol=tol, max_iter=min(cfg.max_iter, 60) if tol == 0.0 else cfg.max_iter)
+            kern = sinkhorn._plain_entropic_ot(c, run)
+            kern_calls = list(lse_calls)
+            lse_calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(sinkhorn, "_KERNEL_MAX_EXPONENT", 0.0)
+                logd = sinkhorn._plain_entropic_ot(c, run)
+            assert all(k is not None for k in kern_calls)
+            assert all(k is None for k in lse_calls)
+            assert len(kern_calls) == len(lse_calls)
+            if tol > 0.0:
+                assert (len(kern_calls) < 2 * run.max_iter) == stops
+            lse_calls.clear()
+            assert kern.cost == pytest.approx(logd.cost, rel=1e-12, abs=0.0)
+            scale = np.max(logd.plan)
+            assert np.max(np.abs(kern.plan - logd.plan)) <= 1e-12 * scale
+
+    def test_criterion_three_problems_stay_in_the_log_domain(self, lse_calls):
+        # criterion 3's draws and settings, on a shorter budget: reg 1e-3
+        # puts max C/reg far above the bound
+        gen = np.random.default_rng(12345)
+        cfg = SinkhornConfig(reg=1e-3, max_iter=500, tol=1e-13)
+        for _ in range(20):
+            xs = gen.uniform(size=(8, 2))
+            ys = gen.uniform(size=(8, 2))
+            for c in (cost_matrix(xs, ys), cost_matrix(xs, xs), cost_matrix(ys, ys)):
+                lse_calls.clear()
+                tp = sinkhorn._plain_entropic_ot(c, cfg)
+                assert lse_calls and all(k is None for k in lse_calls)
+                plan, cost = log_domain_reference(c, cfg)
+                np.testing.assert_array_equal(tp.plan, plan)
+                assert tp.cost == cost
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_costs_stay_in_the_log_domain(self, bad, lse_calls):
+        gen = np.random.default_rng(63)
+        c = cost_matrix(gen.standard_normal((6, 2)), gen.standard_normal((5, 2)))
+        c[2, 3] = bad
+        cfg = SinkhornConfig(reg=1.0, max_iter=20)
+        with np.errstate(invalid="ignore"):
+            tp = sinkhorn._plain_entropic_ot(c, cfg)
+            plan, cost = log_domain_reference(c, cfg)
+        assert len(lse_calls) == 40 and all(k is None for k in lse_calls)
+        np.testing.assert_array_equal(tp.plan, plan)
+        np.testing.assert_array_equal(tp.cost, cost)
