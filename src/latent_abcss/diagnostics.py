@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng_linalg import write_csv
-from .sinkhorn import SinkhornConfig, cost_matrix, _plain_entropic_ot
+from .sinkhorn import SinkhornConfig, cost_matrix, _check_weights, _plain_entropic_ot
 from .subsim import SubSimTrace
 from .tomography import RayMatrix, forward
 
@@ -190,21 +190,31 @@ def rmse_batch(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean((samples - reference[None, :]) ** 2, axis=1))
 
 
-def _self_cost(cloud: np.ndarray, cfg: SinkhornConfig) -> float:
-    return _plain_entropic_ot(cost_matrix(cloud, cloud), cfg).cost
+def _solve(c: np.ndarray, cfg: SinkhornConfig, a, b, solves: list | None) -> float:
+    """One plain solve's cost; ``solves`` collects its (iterations, converged)."""
+    tp = _plain_entropic_ot(c, cfg, a, b)
+    if solves is not None:
+        solves.append((tp.iterations, tp.converged))
+    return tp.cost
 
 
 def self_transport_costs(
-    clouds: dict[str, np.ndarray], ot_cfg: SinkhornConfig | None = None
+    clouds: dict[str, np.ndarray],
+    ot_cfg: SinkhornConfig | None = None,
+    solves: list | None = None,
 ) -> dict[str, float]:
     """Entropic self-transport cost OT(r, r) of each cloud, keyed by name.
 
     A reference's self term does not depend on the solutions, so an
     inversion computes it once and hands it to every
     :func:`wasserstein_diagnostics` call against the same references.
+    ``solves``, if given, collects each solve's (iterations, converged).
     """
     cfg = ot_cfg or SinkhornConfig()
-    return {name: _self_cost(cloud, cfg) for name, cloud in clouds.items()}
+    return {
+        name: _solve(cost_matrix(cloud, cloud), cfg, None, None, solves)
+        for name, cloud in clouds.items()
+    }
 
 
 def wasserstein_diagnostics(
@@ -212,33 +222,44 @@ def wasserstein_diagnostics(
     references: dict[str, np.ndarray],
     ot_cfg: SinkhornConfig | None = None,
     reference_self: dict[str, float] | None = None,
+    weights: np.ndarray | None = None,
+    solves: list | None = None,
 ) -> dict[str, float]:
     """Debiased transport divergence of the solutions against each reference.
 
     S(s, r) = OT(s, r) - OT(s, s)/2 - OT(r, r)/2, each term a plain
     Sinkhorn solve (``ot_cfg.debiased`` is not read).  References
-    are point clouds in the flattened field space; a single vector is
-    treated as a Dirac (one point).  OT(s, s) is solved once per call and
+    are uniform point clouds in the flattened field space; a single vector
+    is treated as a Dirac (one point).  ``weights`` gives the solutions'
+    probability weights (uniform when None): a cloud with repeated rows may
+    be passed as its distinct rows weighted by multiplicity, which is the
+    same measure on fewer points.  OT(s, s) is solved once per call and
     shared by all references.  ``reference_self`` holds precomputed OT(r, r)
     by reference name (see :func:`self_transport_costs`); without it they
-    are solved here.
+    are solved here.  ``solves``, if given, collects each solve's
+    (iterations, converged).
 
     Raises:
-        ValueError: with no references, or when ``reference_self`` lacks a
-            reference's name.
+        ValueError: with no references, when ``reference_self`` lacks a
+            reference's name, or on weights of the wrong length, non-finite
+            or non-positive weights, or weights that do not sum to 1 within
+            1e-12; all before any solve.
     """
     cfg = ot_cfg or SinkhornConfig()
     if not references:
         raise ValueError("need at least one reference ensemble")
+    solutions = np.atleast_2d(np.asarray(solutions, dtype=np.float64))
+    if weights is not None:
+        weights = _check_weights(weights, solutions.shape[0], "of the solutions")
     if reference_self is None:
-        reference_self = self_transport_costs(references, cfg)
+        reference_self = self_transport_costs(references, cfg, solves)
     missing = sorted(set(references) - set(reference_self))
     if missing:
         raise ValueError(f"no precomputed self-transport cost for {', '.join(missing)}")
-    self_s = _self_cost(solutions, cfg)
+    self_s = _solve(cost_matrix(solutions, solutions), cfg, weights, weights, solves)
     out = {}
     for name, ref in references.items():
-        cross = _plain_entropic_ot(cost_matrix(solutions, ref), cfg).cost
+        cross = _solve(cost_matrix(solutions, ref), cfg, weights, None, solves)
         out[name] = cross - 0.5 * self_s - 0.5 * reference_self[name]
     return out
 

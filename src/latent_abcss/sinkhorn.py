@@ -1,10 +1,14 @@
 """Entropic optimal transport between point clouds.
 
-Empirical measures with uniform weights are coupled by Sinkhorn fixed-point
-iterations of log-domain dual potentials on the squared-Euclidean cost
-``C[i, j] = ||x_i - y_j||^2``.  Where the Gibbs kernel ``exp(-C/reg)`` stays
-far from underflow, each log-sum-exp is one product with that kernel; smaller
-regularizations (down to 1e-3) sum over the max-shifted full matrix instead.
+Discrete measures, uniform unless probability weights are given, are coupled
+by Sinkhorn fixed-point iterations of log-domain dual potentials on the
+squared-Euclidean cost ``C[i, j] = ||x_i - y_j||^2``.  A cloud with repeated
+points is the same measure as its distinct points weighted by multiplicity,
+and the iteration on the two is the same map (equal rows of ``C`` get equal
+potentials), so the transport diagnostics solve on the distinct points.
+Where the Gibbs kernel ``exp(-C/reg)`` stays far from underflow, each
+log-sum-exp is one product with that kernel; smaller regularizations (down
+to 1e-3) sum over the max-shifted full matrix instead.
 Iteration counts are a fixed budget rather than a convergence guarantee
 (small budgets are a deliberate training-time setting).
 """
@@ -56,10 +60,16 @@ class SinkhornConfig:
 
 @dataclass
 class TransportPlan:
-    """Converged coupling (n x m, nonnegative) and its transport cost."""
+    """Coupling (n x m, nonnegative), its transport cost and how the solve ended.
+
+    ``iterations`` counts the Sinkhorn iterations run; ``converged`` is True
+    when the ``tol`` stop ended the solve and False when the budget did.
+    """
 
     plan: np.ndarray
     cost: float
+    iterations: int
+    converged: bool
 
 
 def cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -111,8 +121,24 @@ def _plan_into(buf, neg_c, f, g, reg, log_a, log_b) -> np.ndarray:
     return np.exp(buf, out=buf)
 
 
-def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
-    """Uniform-weight Sinkhorn coupling for the cost matrix ``c``.
+def _check_weights(w, n: int, name: str) -> np.ndarray:
+    """``w`` as n finite positive probability weights summing to 1 within 1e-12."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"weights {name} have shape {w.shape}, expected ({n},)")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError(f"weights {name} must be finite and positive")
+    total = float(np.sum(w))
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"weights {name} sum to {total!r}, not 1")
+    return w
+
+
+def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, a=None, b=None) -> TransportPlan:
+    """Sinkhorn coupling for the cost matrix ``c`` between weighted points.
+
+    ``a`` (n) and ``b`` (m) are probability weights of the rows and columns;
+    ``None`` is uniform, ``1/n`` or ``1/m``.
 
     With every ``|c|/reg`` under 300, ``K = exp(-c/reg)`` is formed once and
     lies in [e^-300, e^300], normal floats; each kernel sum then has a term of
@@ -120,11 +146,15 @@ def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
     term below e^-408, far under eps of the sum.  Larger ratios, inf and NaN
     (which fails every comparison) keep the log-domain sum; the potentials,
     the ``tol`` stop and the plan are shared.
+
+    Raises:
+        ValueError: on weights of the wrong length, non-finite or
+            non-positive weights, or weights that do not sum to 1.
     """
     n, m = c.shape
     reg = cfg.reg
-    log_a = -np.log(n)
-    log_b = -np.log(m)
+    log_a = -np.log(n) if a is None else np.log(_check_weights(a, n, "a"))
+    log_b = -np.log(m) if b is None else np.log(_check_weights(b, m, "b"))
     neg_c = c / -reg
     buf = np.empty_like(neg_c)
     kernel = None  # held in buf, which _plan_into overwrites last
@@ -132,7 +162,8 @@ def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
         kernel = np.exp(neg_c, out=buf)
     f = np.zeros(n)
     g = np.zeros(m)
-    for _ in range(cfg.max_iter):
+    converged = False
+    for iterations in range(1, cfg.max_iter + 1):
         f_new = -reg * _logsumexp(neg_c, g / reg + log_b, 1, buf, kernel)
         g_new = -reg * _logsumexp(neg_c, f_new / reg + log_a, 0, buf, kernel)
         moved = max(
@@ -140,10 +171,11 @@ def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig) -> TransportPlan:
         )
         f, g = f_new, g_new
         if cfg.tol > 0.0 and moved < cfg.tol:
+            converged = True
             break
     plan = _plan_into(buf, neg_c, f, g, reg, log_a, log_b)
     cost = float(np.sum(plan * c))
-    return TransportPlan(plan, cost)
+    return TransportPlan(plan, cost, iterations, converged)
 
 
 def entropic_ot(xs, ys, cfg: SinkhornConfig) -> TransportPlan:

@@ -363,19 +363,24 @@ def run_inversion(
             refs["truth"] = np.asarray(truth, dtype=np.float64).reshape(1, -1)
         # the references never change within an inversion: solve their
         # self-transport once for every divergence row below
-        refs_self = self_transport_costs(refs, ORACLE_OT)
+        solves = []
+        refs_self = self_transport_costs(refs, ORACLE_OT, solves)
         # one divergence row per tested tolerance: the deep run's level
-        # populations stand in for the solution set at their own threshold
+        # populations stand in for the solution set at their own threshold;
+        # each cloud is solved on its distinct states (see _distinct_rows)
         rows = []
-        for eps_n_level, sols in _deep_level_solutions(
+        for eps_n_level, sols, weights in _deep_level_solutions(
             model, deep, float(grid_eps[-1]), n_obs, m_sub
         ):
-            rows.append((eps_n_level, wasserstein_diagnostics(sols, refs, ORACLE_OT, refs_self)))
-        sol_divs = wasserstein_diagnostics(solutions_x[:m_sub], refs, ORACLE_OT, refs_self)
+            divs = wasserstein_diagnostics(sols, refs, ORACLE_OT, refs_self, weights, solves)
+            rows.append((eps_n_level, divs))
+        first, weights = _distinct_rows(z_final[:m_sub])
+        sol_divs = wasserstein_diagnostics(solutions_x[first], refs, ORACLE_OT, refs_self, weights, solves)
         rows.append((float(curve.selected_eps_n), sol_divs))
         metrics.wasserstein_by_eps = sorted(rows, key=lambda r: r[0])
         summary["oracle"] = {
             "divergence_at_selected": sol_divs,
+            "budget_exhausted_solves": sum(not converged for _, converged in solves),
             "posterior_mean_rmse_to_truth": (
                 None if truth is None else float(rmse_batch(post.mean[None, :], truth)[0])
             ),
@@ -403,21 +408,37 @@ def _oracle_prior_noise(cfg: PipelineConfig, n_obs: int) -> tuple[GaussianDist, 
     return prior, max(cfg.noise_std, 1e-6) ** 2 * np.eye(n_obs)
 
 
+def _distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each distinct row's first occurrence, and its share of the rows.
+
+    MCMC populations repeat a state whenever a proposal is rejected, so a
+    level holds far fewer distinct latents than rows.  The indices are in
+    order of first occurrence.  Rows are compared in latent space: equal
+    latents decode to equal fields, and comparing the short latent rows is
+    much cheaper than comparing the decoded fields.
+    """
+    _, first, counts = np.unique(z, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order] / z.shape[0]
+
+
 def _deep_level_solutions(model: JGNNModel, deep, eps_top: float, n_obs: int, m_sub: int):
     """Snapshots in field space of each deep-run level population.
 
-    The level-0 population (pure prior draws) represents the top-of-grid
-    tolerance, where essentially every latent would be accepted; each later
-    population represents its own level threshold.
+    Yields ``(eps_n, fields, weights)`` per level: the decoded distinct
+    latents among the population's first ``m_sub`` rows, with their
+    multiplicities as probability weights.  The level-0 population (pure
+    prior draws) represents the top-of-grid tolerance, where essentially
+    every latent would be accepted; each later population represents its
+    own level threshold.
     """
     g1 = g1_of_latent(model)
     thresholds = [lvl.threshold for lvl in deep.levels]
-    out = []
     for j, z_pop in enumerate(deep.level_samples):
         eps_j = eps_top if j == 0 else min(thresholds[j - 1], eps_top)
         eps_n_j = float(normalize_eps(eps_j, n_obs))
-        out.append((eps_n_j, g1(z_pop[:m_sub])))
-    return out
+        first, weights = _distinct_rows(z_pop[:m_sub])
+        yield eps_n_j, g1(z_pop[first]), weights
 
 
 def _check_inversion_inputs(

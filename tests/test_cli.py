@@ -316,9 +316,10 @@ class TestInvert:
         plain = diagnostics._plain_entropic_ot
         solves = []
 
-        def counted(c, ot_cfg):
-            solves.append(c.shape)
-            return plain(c, ot_cfg)
+        def counted(c, ot_cfg, a=None, b=None):
+            tp = plain(c, ot_cfg, a, b)
+            solves.append(tp.converged)
+            return tp
 
         monkeypatch.setattr(diagnostics, "_plain_entropic_ot", counted)
         result = invert_artifacts(
@@ -334,6 +335,39 @@ class TestInvert:
         n_calls = len(result.metrics.wasserstein_by_eps)
         assert n_calls == len(result.deep_trace.level_samples) + 1
         assert len(solves) == n_refs + n_calls * (1 + n_refs)
+        assert result.summary["oracle"]["budget_exhausted_solves"] == solves.count(False)
+
+    def test_oracle_decodes_each_distinct_state_once(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from latent_abcss import workflows
+
+        gen = np.random.default_rng(3)
+        states = gen.standard_normal((6, 4))
+        # Metropolis-like populations: each row repeats an earlier state
+        pops = [states[gen.integers(0, k, size=9)] for k in (6, 3, 1)]
+        trace = SimpleNamespace(
+            levels=[SimpleNamespace(threshold=t) for t in (5.0, 2.0)], level_samples=pops
+        )
+        decoded = []
+
+        def g1(z):
+            decoded.append(z.copy())
+            return 2.0 * z
+
+        monkeypatch.setattr(workflows, "g1_of_latent", lambda model: g1)
+        m_sub = 7
+        out = list(workflows._deep_level_solutions(None, trace, 10.0, 4, m_sub))
+        assert len(out) == len(decoded) == len(pops)
+        for (_, fields, weights), z, pop in zip(out, decoded, pops):
+            distinct = np.unique(pop[:m_sub], axis=0)
+            assert z.shape == distinct.shape
+            assert np.unique(z, axis=0).shape == distinct.shape
+            np.testing.assert_array_equal(fields, 2.0 * z)
+            assert abs(weights.sum() - 1.0) <= 1e-12
+            # each decoded state carries the share of the rows that hold it
+            for row, w in zip(z, weights):
+                assert w * m_sub == pytest.approx(np.sum(np.all(pop[:m_sub] == row, axis=1)))
 
     def test_eps_grid_override(self, pipeline):
         root, cfg, data, model = pipeline

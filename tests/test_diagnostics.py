@@ -277,6 +277,57 @@ class TestWassersteinDiagnostics:
         with pytest.raises(ValueError, match="b"):
             wasserstein_diagnostics(gen.standard_normal((5, 2)), refs, SinkhornConfig(), partial)
 
+    def test_weighted_atoms_match_the_repeated_cloud(self):
+        gen = np.random.default_rng(9)
+        atoms = gen.standard_normal((15, 5))
+        idx = gen.permutation(np.repeat(np.arange(15), gen.integers(1, 6, size=15)))
+        _, first, counts = np.unique(idx, return_index=True, return_counts=True)
+        cfg = SinkhornConfig(reg=1.0, max_iter=300, tol=1e-10)
+        refs = {"cloud": gen.standard_normal((40, 5)) + 0.5, "dirac": gen.standard_normal(5)}
+        refs_self = self_transport_costs(refs, cfg)
+        full = wasserstein_diagnostics(atoms[idx], refs, cfg, refs_self)
+        # np.unique numbers the atoms in order, so atoms[idx][first] is atoms
+        weighted = wasserstein_diagnostics(atoms, refs, cfg, refs_self, weights=counts / idx.size)
+        for name in refs:
+            assert weighted[name] == pytest.approx(full[name], rel=1e-12, abs=0.0)
+        # uniform weights over the distinct atoms are a different measure
+        uniform = wasserstein_diagnostics(atoms, refs, cfg, refs_self)
+        assert uniform["cloud"] != pytest.approx(full["cloud"], rel=1e-6)
+
+    def test_solves_record_iterations_and_budget(self):
+        gen = np.random.default_rng(10)
+        sols = gen.standard_normal((12, 3))
+        refs = {"a": gen.standard_normal((9, 3)), "b": gen.standard_normal(3)}
+        solves = []
+        wasserstein_diagnostics(sols, refs, SinkhornConfig(reg=1.0, max_iter=4, tol=1e-12), solves=solves)
+        # self terms of a and of the Dirac b (exact at once), then the
+        # solutions' self term and the cross terms with a and with b
+        assert solves == [(4, False), (1, True), (4, False), (4, False), (2, True)]
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            pytest.param(np.full(4, 0.25), id="wrong-length"),
+            pytest.param(np.array([0.5, np.nan, 0.25, 0.25, 0.0]), id="nan"),
+            pytest.param(np.array([np.inf, 0.25, 0.25, 0.25, 0.25]), id="inf"),
+            pytest.param(np.array([0.4, 0.0, 0.2, 0.2, 0.2]), id="zero"),
+            pytest.param(np.array([0.6, -0.2, 0.2, 0.2, 0.2]), id="negative"),
+            pytest.param(np.full(5, 0.2) * (1 + 1e-9), id="sum"),
+        ],
+    )
+    def test_bad_weights_rejected_before_any_solve(self, weights, monkeypatch):
+        from latent_abcss import diagnostics
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the weights were checked")
+
+        monkeypatch.setattr(diagnostics, "_plain_entropic_ot", no_solve)
+        gen = np.random.default_rng(11)
+        with pytest.raises(ValueError, match="weights of the solutions"):
+            wasserstein_diagnostics(
+                gen.standard_normal((5, 2)), {"r": gen.standard_normal((4, 2))}, weights=weights
+            )
+
 
 class TestResimulationReport:
     def setup_method(self):

@@ -285,3 +285,81 @@ class TestKernelPath:
         assert len(lse_calls) == 40 and all(k is None for k in lse_calls)
         np.testing.assert_array_equal(tp.plan, plan)
         np.testing.assert_array_equal(tp.cost, cost)
+
+
+def repeated_cloud(atoms, gen):
+    """``atoms`` each repeated 1-6 times, shuffled, as a Metropolis chain repeats states.
+
+    Returns the cloud, the atom index of each of its rows, each atom's first
+    row and the atoms' multiplicity weights.
+    """
+    idx = gen.permutation(np.repeat(np.arange(atoms.shape[0]), gen.integers(1, 7, size=atoms.shape[0])))
+    _, first, counts = np.unique(idx, return_index=True, return_counts=True)
+    return atoms[idx], idx, first, counts / idx.size
+
+
+def weighted_problems():
+    """Costs of a repeated cloud, its atoms (see ``repeated_cloud``), cfg and the stop.
+
+    ``both`` marks a self problem, whose columns collapse as well as its
+    rows; ``converges`` is whether ``tol`` rather than the budget ends it.
+    """
+    gen = np.random.default_rng(64)
+    fields = sample_fields(Grid(20, 16, 0.1), GPConfig(lengthscale=1.0), (40, 60), RngStream(65, 1))
+    cloud, idx, first, w = repeated_cloud(fields[0], gen)
+    audit = SinkhornConfig(reg=10.0, max_iter=300, tol=1e-7)
+    cross = cost_matrix(cloud, fields[1])
+    full = cost_matrix(cloud, cloud)
+    return [
+        pytest.param(cross, idx, first, w, False, audit, True, id="cross-tol"),
+        pytest.param(cross, idx, first, w, False, replace(audit, max_iter=5), False, id="cross-budget"),
+        pytest.param(
+            cross, idx, first, w, False, replace(audit, tol=0.0, max_iter=40), False, id="cross-no-tol"
+        ),
+        pytest.param(full, idx, first, w, True, replace(audit, reg=30.0), True, id="self-tol"),
+        # at the audit settings the self solve runs out its 300 iterations
+        pytest.param(full, idx, first, w, True, audit, False, id="self-budget"),
+    ]
+
+
+class TestWeightedAtoms:
+    """Repeated points solved once, weighted by multiplicity, give the same solve."""
+
+    @pytest.mark.parametrize("log_domain", [False, True], ids=["kernel", "log"])
+    @pytest.mark.parametrize("c, idx, first, w, both, cfg, converges", weighted_problems())
+    def test_matches_the_repeated_cloud(
+        self, c, idx, first, w, both, cfg, converges, log_domain, monkeypatch, lse_calls
+    ):
+        if log_domain:
+            monkeypatch.setattr(sinkhorn, "_KERNEL_MAX_EXPONENT", 0.0)
+        atoms = c[np.ix_(first, first)] if both else c[first]
+        full = sinkhorn._plain_entropic_ot(c, cfg)
+        tp = sinkhorn._plain_entropic_ot(atoms, cfg, w, w if both else None)
+        assert all((k is None) == log_domain for k in lse_calls)
+        assert (tp.iterations, tp.converged) == (full.iterations, full.converged)
+        assert tp.converged == converges
+        assert (tp.iterations < cfg.max_iter) == converges
+        assert tp.cost == pytest.approx(full.cost, rel=1e-12, abs=0.0)
+        # the repeated cloud's plan, summed over the copies of each atom
+        group = (idx[None, :] == np.arange(first.size)[:, None]).astype(np.float64)
+        merged = group @ full.plan @ (group.T if both else np.eye(c.shape[1]))
+        assert np.max(np.abs(tp.plan - merged)) <= 1e-12 * np.max(merged)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(np.full(4, 0.25), id="wrong-length"),
+            pytest.param(np.array([0.5, np.nan, 0.25, 0.25, 0.0]), id="nan"),
+            pytest.param(np.array([np.inf, 0.25, 0.25, 0.25, 0.25]), id="inf"),
+            pytest.param(np.array([0.4, 0.0, 0.2, 0.2, 0.2]), id="zero"),
+            pytest.param(np.array([0.6, -0.2, 0.2, 0.2, 0.2]), id="negative"),
+            pytest.param(np.full(5, 0.2) * (1 + 1e-9), id="sum"),
+        ],
+    )
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_bad_weights_rejected_before_any_iteration(self, bad, side, lse_calls):
+        gen = np.random.default_rng(67)
+        c = cost_matrix(gen.standard_normal((5, 2)), gen.standard_normal((5, 2)))
+        with pytest.raises(ValueError, match=f"weights {side}"):
+            sinkhorn._plain_entropic_ot(c, SinkhornConfig(), **{side: bad})
+        assert lse_calls == []
