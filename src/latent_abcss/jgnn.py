@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .rng_linalg import RngStream, write_csv, write_json
-from .neural import AdamState, Layer, MLPParams, _activate, adam_step, mlp_backward, mlp_forward, refresh_spectral
+from .neural import AdamState, Layer, MLPParams, _activate, adam_step, flat_size
+from .neural import mlp_backward, mlp_forward, refresh_spectral
 from .sinkhorn import SinkhornConfig, cost_matrix, entropic_ot, ot_point_gradient
 
 __all__ = [
@@ -90,9 +91,9 @@ class JGNNModel:
         latent_dim: int,
         standardizer: Standardizer | None = None,
     ):
-        if encoder.in_dim != dim_x + dim_y or encoder.out_dim != latent_dim:
+        if (encoder.sizes[0], encoder.sizes[-1]) != (dim_x + dim_y, latent_dim):
             raise ValueError("encoder dimensions do not match (dim_x + dim_y) -> latent")
-        if decoder.in_dim != latent_dim or decoder.out_dim != dim_x + dim_y:
+        if (decoder.sizes[0], decoder.sizes[-1]) != (latent_dim, dim_x + dim_y):
             raise ValueError("decoder dimensions do not match latent -> (dim_x + dim_y)")
         self.encoder = encoder
         self.decoder = decoder
@@ -128,14 +129,8 @@ class JGNNModel:
         return cls(encoder, decoder, dim_x, dim_y, latent_dim)
 
     def copy(self) -> "JGNNModel":
-        return JGNNModel(
-            self.encoder.copy(),
-            self.decoder.copy(),
-            self.dim_x,
-            self.dim_y,
-            self.latent_dim,
-            replace(self.standardizer),
-        )
+        dims = (self.dim_x, self.dim_y, self.latent_dim)
+        return JGNNModel(self.encoder.copy(), self.decoder.copy(), *dims, replace(self.standardizer))
 
 
 def _default_train_sinkhorn() -> SinkhornConfig:
@@ -220,8 +215,8 @@ class LossResult:
     mse_x: float
     mse_y: float
     ot_cost: float
-    encoder_grads: list
-    decoder_grads: list
+    encoder_grad: np.ndarray
+    decoder_grad: np.ndarray
     plans: FrozenPlans
 
 
@@ -295,14 +290,14 @@ def jgnn_loss(
     g_out = np.concatenate(
         [2.0 * dx / dx.size, 2.0 * dy / dy.size], axis=1
     )
-    dec_grads, dz_rec = mlp_backward(model.decoder, dec_cache, g_out)
+    dec_grad, dz_rec = mlp_backward(model.decoder, dec_cache, g_out)
     # self-transport: z enters both sides, so the envelope gradient sums the
     # source-side terms of the plan and of its transpose
     dz_zz = ot_point_gradient(z, z, plan_zz) + ot_point_gradient(z, z, plan_zz.T)
     dz = dz_rec + lam * (ot_point_gradient(z, prior_draws, plan_zp) - 0.5 * dz_zz)
-    enc_grads, _ = mlp_backward(model.encoder, enc_cache, dz)
+    enc_grad, _ = mlp_backward(model.encoder, enc_cache, dz)
     return LossResult(
-        loss, mse_x, mse_y, ot_cost, enc_grads, dec_grads, FrozenPlans(plan_zp, plan_zz, pp_cost)
+        loss, mse_x, mse_y, ot_cost, enc_grad, dec_grad, FrozenPlans(plan_zp, plan_zz, pp_cost)
     )
 
 
@@ -360,8 +355,8 @@ def train(
                 res = jgnn_loss(xs_s[idx], ys_s[idx], model, lam, cfg.sinkhorn, draws)
             except ValueError as err:
                 raise TrainingDiverged(epoch, history) from err
-            adam_step(enc_state, model.encoder, res.encoder_grads, "encoder layer")
-            adam_step(dec_state, model.decoder, res.decoder_grads, "decoder layer")
+            adam_step(enc_state, model.encoder, res.encoder_grad, "encoder layer")
+            adam_step(dec_state, model.decoder, res.decoder_grad, "decoder layer")
             ep_mx += res.mse_x
             ep_my += res.mse_y
             ep_ot += res.ot_cost
@@ -488,23 +483,18 @@ def g2_of_latent(model: JGNNModel):
 
 def _mlp_manifest(params: MLPParams) -> dict:
     return {
-        "sizes": [params.in_dim] + [l.weights.shape[0] for l in params.layers],
+        "sizes": params.sizes,
         "activations": [l.activation for l in params.layers],
         "spectral": [bool(l.spectral) for l in params.layers],
     }
 
 
-def _mlp_blocks(params: MLPParams):
-    for layer in params.layers:
-        yield from (layer.weights, layer.bias, layer.u, layer.v)
+def save_model(path: str, model: JGNNModel, extra: dict | None = None) -> None:
+    """Write ``path`` (f32 weight blob) and ``path.json`` (manifest).
 
-
-def save_model(
-    path: str,
-    model: JGNNModel,
-    extra: dict | None = None,
-) -> None:
-    """Write ``path`` (f32 weight blob) and ``path.json`` (manifest)."""
+    The blob is the encoder's parameter vector, then the decoder's, as
+    little-endian f32: per layer W, b, u, v (see ``neural.MLPParams``).
+    """
     manifest = {
         "dim_x": model.dim_x,
         "dim_y": model.dim_y,
@@ -521,28 +511,10 @@ def save_model(
     }
     if extra:
         manifest.update(extra)
-    blob = np.concatenate(
-        [b.ravel() for p in (model.encoder, model.decoder) for b in _mlp_blocks(p)]
-    ).astype("<f4")
+    blob = np.concatenate([model.encoder.flat, model.decoder.flat]).astype("<f4")
     with open(path, "wb") as fh:
         fh.write(blob.tobytes())
     write_json(path + ".json", manifest)
-
-
-def _rebuild_mlp(layout: dict, flat: np.ndarray, offset: int):
-    layers = []
-    sizes = layout["sizes"]
-    for k, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-        pieces = []
-        for shape in ((n_out, n_in), (n_out,), (n_out,), (n_in,)):
-            size = int(np.prod(shape))
-            pieces.append(flat[offset : offset + size].reshape(shape))
-            offset += size
-        w, b, u, v = pieces
-        layers.append(
-            Layer(w, b, layout["activations"][k], spectral=layout["spectral"][k], u=u, v=v)
-        )
-    return MLPParams(layers), offset
 
 
 def load_model(path: str) -> JGNNModel:
@@ -550,30 +522,21 @@ def load_model(path: str) -> JGNNModel:
 
     Raises:
         ValueError: if the blob size differs from what the manifest implies.
+        KeyError: if the manifest lacks a key.
     """
     with open(path + ".json") as fh:
         manifest = json.load(fh)
-    layouts = [manifest[net]["sizes"] for net in ("encoder", "decoder")]
-    # per layer: weights, bias, u, v (the _mlp_blocks order), f32 each
-    expected = 4 * sum(o * i + 2 * o + i for s in layouts for i, o in zip(s, s[1:]))
+    nets = [manifest[net] for net in ("encoder", "decoder")]
+    n_enc, n_dec = (flat_size(net["sizes"]) for net in nets)
     size = os.path.getsize(path)
-    if size != expected:
-        raise ValueError(f"checkpoint {path} has {size} bytes, manifest implies {expected}")
+    if size != 4 * (n_enc + n_dec):
+        raise ValueError(f"checkpoint {path} has {size} bytes, manifest implies {4 * (n_enc + n_dec)}")
     flat = np.fromfile(path, dtype="<f4").astype(np.float64)
-    encoder, offset = _rebuild_mlp(manifest["encoder"], flat, 0)
-    decoder, offset = _rebuild_mlp(manifest["decoder"], flat, offset)
+    encoder, decoder = (
+        MLPParams.from_flat(part, net["sizes"], net["activations"], net["spectral"])
+        for part, net in zip((flat[:n_enc], flat[n_enc:]), nets)
+    )
     std = manifest["standardizer"]
-    standardizer = Standardizer(
-        np.asarray(std["mean_x"]),
-        np.asarray(std["std_x"]),
-        np.asarray(std["mean_y"]),
-        np.asarray(std["std_y"]),
-    )
-    return JGNNModel(
-        encoder,
-        decoder,
-        int(manifest["dim_x"]),
-        int(manifest["dim_y"]),
-        int(manifest["latent_dim"]),
-        standardizer,
-    )
+    standardizer = Standardizer(*(np.asarray(std[k]) for k in ("mean_x", "std_x", "mean_y", "std_y")))
+    dims = (int(manifest[k]) for k in ("dim_x", "dim_y", "latent_dim"))
+    return JGNNModel(encoder, decoder, *dims, standardizer)

@@ -13,7 +13,8 @@ are refreshed once per optimizer step via :func:`refresh_spectral`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "mlp_backward",
     "refresh_spectral",
     "adam_step",
+    "flat_size",
 ]
 
 LEAKY_SLOPE = 0.2
@@ -83,31 +85,64 @@ class Layer:
         return max(float(self.u @ self.weights @ self.v), _SIGMA_FLOOR)
 
 
+_BLOCKS = ("weights", "bias", "u", "v")
+
+
+def _layout(sizes: list[int]):
+    """Every block's (layer, name, slice, shape) in vector order, and the vector length.
+
+    The one statement of the parameter layout: per layer W (out x in,
+    row-major), b, u, v.  The checkpoint blob has the same order.
+    """
+    blocks, start = [], 0
+    for k, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        for name, shape in zip(_BLOCKS, ((n_out, n_in), (n_out,), (n_out,), (n_in,))):
+            blocks.append((k, name, slice(start, start + math.prod(shape)), shape))
+            start += math.prod(shape)
+    return blocks, start
+
+
+def flat_size(sizes: list[int]) -> int:
+    """Length of the parameter vector of a network with layer widths ``sizes``."""
+    return _layout(sizes)[1]
+
+
 class MLPParams:
-    """An ordered stack of :class:`Layer`."""
+    """An ordered stack of :class:`Layer` whose arrays are views of one f64 vector, ``flat``."""
 
     def __init__(self, layers: list[Layer]):
+        """Pack the layers' arrays into a fresh vector and rebind them as views of it."""
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.weights.shape[1] != prev.weights.shape[0]:
                 raise ValueError("consecutive layer dimensions do not chain")
+        self.sizes = [layers[0].weights.shape[1]] + [l.weights.shape[0] for l in layers]
+        self.flat = np.empty(flat_size(self.sizes))
         self.layers = layers
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weights.shape[0]
+        for layer, views in zip(layers, self.blocks(self.flat)):
+            for name, view in zip(_BLOCKS, views):
+                view[...] = getattr(layer, name)
+                setattr(layer, name, view)
 
     @classmethod
-    def init(
-        cls,
-        sizes: list[int],
-        activations: list[str],
-        rng: RngStream,
-        spectral: list[bool] | None = None,
-    ) -> "MLPParams":
+    def from_flat(cls, flat: np.ndarray, sizes, activations, spectral) -> "MLPParams":
+        """The network whose layer arrays are views of ``flat`` itself."""
+        if flat.shape != (flat_size(sizes),) or not len(activations) == len(spectral) == len(sizes) - 1:
+            raise ValueError("parameter vector does not match the layer sizes")
+        net = cls.__new__(cls)
+        net.sizes, net.flat = list(sizes), flat
+        net.layers = [
+            Layer(w, b, act, spectral=bool(sn), u=u, v=v)
+            for (w, b, u, v), act, sn in zip(net.blocks(flat), activations, spectral)
+        ]
+        return net
+
+    def blocks(self, vec: np.ndarray) -> list[tuple]:
+        """Per layer, the (W, b, u, v) views of ``vec``, a vector laid out like ``flat``."""
+        views = [vec[s].reshape(shape) for _, _, s, shape in _layout(self.sizes)[0]]
+        return [tuple(views[i : i + 4]) for i in range(0, len(views), 4)]
+
+    @classmethod
+    def init(cls, sizes: list[int], activations: list[str], rng: RngStream, spectral: list[bool] | None = None):
         """Uniform(-1, 1)/sqrt(fan_in) weights, zero biases, random unit u."""
         if len(activations) != len(sizes) - 1:
             raise ValueError("need one activation per layer")
@@ -119,25 +154,12 @@ class MLPParams:
             w = gen.uniform(-1.0, 1.0, size=(n_out, n_in)) / np.sqrt(n_in)
             u = gen.standard_normal(n_out)
             u /= max(float(np.linalg.norm(u)), _SIGMA_FLOOR)
-            layers.append(
-                Layer(w, np.zeros(n_out), activations[k], spectral=bool(spectral[k]), u=u)
-            )
+            layers.append(Layer(w, np.zeros(n_out), activations[k], spectral=bool(spectral[k]), u=u))
         return cls(layers)
 
     def copy(self) -> "MLPParams":
-        return MLPParams(
-            [
-                Layer(
-                    l.weights.copy(),
-                    l.bias.copy(),
-                    l.activation,
-                    spectral=l.spectral,
-                    u=l.u.copy(),
-                    v=l.v.copy(),
-                )
-                for l in self.layers
-            ]
-        )
+        acts, sn = [l.activation for l in self.layers], [l.spectral for l in self.layers]
+        return MLPParams.from_flat(self.flat.copy(), self.sizes, acts, sn)
 
 
 def refresh_spectral(params: MLPParams) -> None:
@@ -149,8 +171,8 @@ def refresh_spectral(params: MLPParams) -> None:
         v /= max(float(np.linalg.norm(v)), _SIGMA_FLOOR)
         u = layer.weights @ v
         u /= max(float(np.linalg.norm(u)), _SIGMA_FLOOR)
-        layer.v = v
-        layer.u = u
+        layer.v[...] = v
+        layer.u[...] = u
 
 
 def mlp_forward(params: MLPParams, x: np.ndarray):
@@ -167,8 +189,8 @@ def mlp_forward(params: MLPParams, x: np.ndarray):
         (output batch, cache) where the cache feeds :func:`mlp_backward`.
     """
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if h.shape[1] != params.in_dim:
-        raise ValueError(f"input dim {h.shape[1]} does not match first layer {params.in_dim}")
+    if h.shape[1] != params.sizes[0]:
+        raise ValueError(f"input dim {h.shape[1]} does not match first layer {params.sizes[0]}")
     cache = []
     for layer in params.layers:
         use_sn = layer.spectral
@@ -176,7 +198,7 @@ def mlp_forward(params: MLPParams, x: np.ndarray):
         # dividing by exactly 1.0 would only copy the weights
         w_eff = layer.weights / sigma if use_sn else layer.weights
         s = h @ w_eff.T + layer.bias
-        cache.append({"x": h, "s": s, "sigma": sigma, "use_sn": use_sn})
+        cache.append({"x": h, "s": s, "sigma": sigma, "use_sn": use_sn, "w_eff": w_eff})
         h = _activate(s, layer.activation)
     return h, cache
 
@@ -185,69 +207,68 @@ def mlp_backward(params: MLPParams, cache, output_gradient: np.ndarray):
     """Reverse-mode gradients of a cached forward pass.
 
     Returns:
-        (grads, input_gradient): ``grads`` is a list of (dW, db) matching
-        ``params.layers``; ``input_gradient`` has the input batch shape.
+        (grad, input_gradient): ``grad`` is one vector in the layout of
+        ``params.flat``, zero in the u and v slots; ``input_gradient`` has
+        the input batch shape.
     """
     g = np.atleast_2d(np.asarray(output_gradient, dtype=np.float64))
     if len(cache) != len(params.layers):
         raise ValueError("cache does not match network depth")
     if g.shape != cache[-1]["s"].shape:
         raise ValueError("output gradient shape does not match cached forward")
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    grad = np.zeros_like(params.flat)
+    blocks = params.blocks(grad)
     for k in range(len(params.layers) - 1, -1, -1):
         layer, ck = params.layers[k], cache[k]
+        dw, db = blocks[k][:2]
         ds = g * _activate_grad(ck["s"], layer.activation)
-        d_weff = ds.T @ ck["x"]
-        db = ds.sum(axis=0)
+        np.matmul(ds.T, ck["x"], out=dw)  # dW_eff, turned into dW below on spectral layers
+        np.sum(ds, axis=0, out=db)
         if ck["use_sn"]:
             sigma = ck["sigma"]
             # W_eff = W / (u'Wv) with u, v frozen:
             # dW = dW_eff/sigma - <dW_eff, W>/sigma^2 * u v'
-            inner = float(np.sum(d_weff * layer.weights))
-            dw = d_weff / sigma - (inner / sigma**2) * np.outer(layer.u, layer.v)
-            g = ds @ (layer.weights / sigma)
-        else:
-            dw = d_weff
-            g = ds @ layer.weights
-        grads[k] = (dw, db)
-    return grads, g
+            inner = float(np.sum(dw * layer.weights))
+            dw /= sigma
+            dw -= (inner / sigma**2) * np.outer(layer.u, layer.v)
+        g = ds @ ck["w_eff"]
+    return grad, g
 
 
 @dataclass
 class AdamState:
-    """First/second moment buffers, one pair per (dW, db) block."""
+    """Adam's step count and moment vectors, in the network's parameter layout."""
 
+    lr: float
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    lr: float = 0.001
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(state: AdamState, params: MLPParams, grads, block_prefix: str = "layer"):
-    """Standard bias-corrected Adam update, applied in place.
+def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefix: str = "layer"):
+    """Standard bias-corrected Adam update of ``params.flat``, applied in place.
+
+    ``grad`` is a vector in the layout of ``params.flat``; its zero u and v
+    entries leave zero moments and a zero step there.
 
     Raises:
         ValueError: naming the offending block if a gradient is non-finite.
     """
-    if not state.m:
-        for layer in params.layers:
-            state.m.append([np.zeros_like(layer.weights), np.zeros_like(layer.bias)])
-            state.v.append([np.zeros_like(layer.weights), np.zeros_like(layer.bias)])
+    if grad.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not fit {block_prefix} parameters {params.flat.shape}")
+    if not np.isfinite(grad).all():
+        first = np.flatnonzero(~np.isfinite(grad))[0]
+        k, name = next((k, name) for k, name, s, _ in _layout(params.sizes)[0] if first < s.stop)
+        raise ValueError(f"non-finite gradient in {block_prefix} {k} {name}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for k, (layer, (dw, db)) in enumerate(zip(params.layers, grads)):
-        for name, target, grad, m, v in (
-            ("weights", layer.weights, dw, state.m[k][0], state.v[k][0]),
-            ("bias", layer.bias, db, state.m[k][1], state.v[k][1]),
-        ):
-            if not np.all(np.isfinite(grad)):
-                raise ValueError(f"non-finite gradient in {block_prefix} {k} {name}")
-            if grad.shape != target.shape:
-                raise ValueError(f"gradient shape mismatch in {block_prefix} {k} {name}")
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * grad * grad
-            target -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    params.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state

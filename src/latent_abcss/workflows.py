@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -186,10 +187,22 @@ def _require(paths: list[str]) -> None:
         raise ConfigError("missing artifacts: " + ", ".join(missing))
 
 
-def _load_input(path: str) -> np.ndarray:
-    """An input array artifact; a missing blob or sidecar is a config error."""
+@contextmanager
+def _reading(path: str):
+    """A malformed input artifact is a config error, not a numerical failure."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, KeyError) as err:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"malformed artifact {path}: {err!r}") from err
+
+
+def _load_input(load, path: str):
+    """``load(path)`` of a blob + JSON artifact; a missing or malformed one is a config error."""
     _require([path, path + ".json"])
-    return load_array(path)
+    with _reading(path):
+        return load(path)
 
 
 def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
@@ -244,17 +257,16 @@ def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
 def _load_dataset(dataset_dir: str):
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     _require([manifest_path])
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    files = manifest["files"]
-    paths = {k: os.path.join(dataset_dir, v) for k, v in files.items()}
-    _require([paths["ray_matrix"], paths["ray_matrix"] + ".json"])
-    return {
-        "train_x": _load_input(paths["train_x"]),
-        "train_y": _load_input(paths["train_y"]),
-        "ray_matrix": load_ray_matrix(paths["ray_matrix"]),
-        "manifest": manifest,
-    }
+    with _reading(manifest_path):
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        paths = {k: os.path.join(dataset_dir, v) for k, v in manifest["files"].items()}
+        return {
+            "train_x": _load_input(load_array, paths["train_x"]),
+            "train_y": _load_input(load_array, paths["train_y"]),
+            "ray_matrix": _load_input(load_ray_matrix, paths["ray_matrix"]),
+            "manifest": manifest,
+        }
 
 
 def train_from_dataset(cfg: PipelineConfig, dataset_dir: str, out_dir: str) -> str:
@@ -484,10 +496,9 @@ def invert_artifacts(
 ) -> InversionResult:
     """File-level wrapper around :func:`run_inversion`; writes all artifacts."""
     os.makedirs(out_dir, exist_ok=True)
-    _require([checkpoint, checkpoint + ".json"])
-    y_obs = _load_input(y_obs_path)
-    truth = _load_input(truth_path) if truth_path else None
-    model = load_model(checkpoint)
+    y_obs = _load_input(load_array, y_obs_path)
+    truth = _load_input(load_array, truth_path) if truth_path else None
+    model = _load_input(load_model, checkpoint)
     data = _load_dataset(dataset_dir)
     _check_inversion_inputs(cfg, model, data["manifest"], y_obs, truth, oracle)
     prov = cfg.provenance("invert")
@@ -576,7 +587,7 @@ def compute_oracle_posterior(
 ) -> GaussianDist:
     """Exact Gaussian posterior artifacts for a given observation."""
     os.makedirs(out_dir, exist_ok=True)
-    y_obs = _load_input(y_obs_path)
+    y_obs = _load_input(load_array, y_obs_path)
     data = _load_dataset(dataset_dir)
     manifest = data["manifest"]
     if y_obs.size != manifest["n_rays"]:

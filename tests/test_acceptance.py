@@ -146,11 +146,11 @@ class TestCriterion4GradientIntegrity:
         h = 1e-5
         worst = 0.0
         for params, grads in (
-            (model.encoder, base.encoder_grads),
-            (model.decoder, base.decoder_grads),
+            (model.encoder, base.encoder_grad),
+            (model.decoder, base.decoder_grad),
         ):
-            for k, layer in enumerate(params.layers):
-                for arr, g in ((layer.weights, grads[k][0]), (layer.bias, grads[k][1])):
+            for layer, (dw, db, _, _) in zip(params.layers, params.blocks(grads)):
+                for arr, g in ((layer.weights, dw), (layer.bias, db)):
                     it = np.nditer(arr, flags=["multi_index"])
                     for _ in it:
                         idx = it.multi_index

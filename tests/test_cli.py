@@ -246,6 +246,15 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--dataset", partial, "--out", str(tmp_path / "m")]) == 2
         assert "missing artifacts" in capsys.readouterr().err
 
+    def test_truncated_dataset_array_exits_2(self, pipeline, tmp_path, capsys):
+        _, cfg, data, _ = pipeline
+        partial = str(tmp_path / "partial")
+        shutil.copytree(data, partial)
+        _truncate(os.path.join(partial, "train_x.f64"), 8)
+        assert main(["train", "--config", cfg, "--dataset", partial, "--out", str(tmp_path / "m")]) == 2
+        assert "malformed artifact" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m" / "model.ckpt")
+
 
 class TestInvert:
     def test_runs_and_writes_artifacts(self, pipeline):
@@ -429,14 +438,14 @@ class TestInvert:
 
 
 class TestInvertInputChecks:
-    def _invert(self, pipeline, yobs, data=None, truth=None, cfg=None):
+    def _invert(self, pipeline, yobs, data=None, truth=None, cfg=None, ckpt=None):
         root, own_cfg, own_data, model = pipeline
         argv = [
             "invert",
             "--config",
             cfg or own_cfg,
             "--checkpoint",
-            os.path.join(model, "model.ckpt"),
+            ckpt or os.path.join(model, "model.ckpt"),
             "--yobs",
             yobs,
             "--dataset",
@@ -503,6 +512,54 @@ class TestInvertInputChecks:
         shutil.copy(str(root / "yobs.f64.json"), yobs + ".json")
         assert self._invert(pipeline, yobs) == 2
         assert "missing artifacts" in capsys.readouterr().err
+
+
+    def _broken_checkpoint(self, pipeline, tmp_path, edit):
+        model = str(tmp_path / "model")
+        shutil.copytree(pipeline[3], model)
+        edit(os.path.join(model, "model.ckpt"))
+        return os.path.join(model, "model.ckpt")
+
+    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        ckpt = self._broken_checkpoint(pipeline, tmp_path, lambda p: _truncate(p, 4))
+        assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), ckpt=ckpt) == 2
+        assert "malformed artifact" in capsys.readouterr().err
+
+    def test_checkpoint_manifest_not_json_exits_2(self, pipeline, tmp_path, capsys):
+        ckpt = self._broken_checkpoint(pipeline, tmp_path, lambda p: open(p + ".json", "w").write("{not json"))
+        assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), ckpt=ckpt) == 2
+        assert "malformed artifact" in capsys.readouterr().err
+
+    def test_checkpoint_manifest_without_standardizer_exits_2(self, pipeline, tmp_path, capsys):
+        def drop_standardizer(path):
+            doc = json.load(open(path + ".json"))
+            del doc["standardizer"]
+            json.dump(doc, open(path + ".json", "w"))
+
+        ckpt = self._broken_checkpoint(pipeline, tmp_path, drop_standardizer)
+        assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), ckpt=ckpt) == 2
+        assert "standardizer" in capsys.readouterr().err
+
+    def test_truncated_yobs_exits_2(self, pipeline, tmp_path, capsys):
+        yobs = str(tmp_path / "yobs.f64")
+        for suffix in ("", ".json"):
+            shutil.copy(str(pipeline[0] / "yobs.f64") + suffix, yobs + suffix)
+        _truncate(yobs, 8)
+        assert self._invert(pipeline, yobs) == 2
+        assert "malformed artifact" in capsys.readouterr().err
+
+    def test_dataset_manifest_not_json_exits_2(self, pipeline, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        shutil.copytree(pipeline[2], data)
+        open(os.path.join(data, "manifest.json"), "w").write("not json")
+        assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), data=data) == 2
+        assert "malformed artifact" in capsys.readouterr().err
+        assert not os.path.exists(pipeline[0] / "inv_refused" / "deep_trace.json")
+
+
+def _truncate(path, n_bytes):
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob[:-n_bytes])
 
 
 class TestOraclePosteriorInputChecks:

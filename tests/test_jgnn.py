@@ -111,11 +111,11 @@ class TestJgnnLoss:
         h = 1e-5
         worst = 0.0
         for params, grads in (
-            (model.encoder, base.encoder_grads),
-            (model.decoder, base.decoder_grads),
+            (model.encoder, base.encoder_grad),
+            (model.decoder, base.decoder_grad),
         ):
-            for k, layer in enumerate(params.layers):
-                for arr, g in ((layer.weights, grads[k][0]), (layer.bias, grads[k][1])):
+            for layer, (dw, db, _, _) in zip(params.layers, params.blocks(grads)):
+                for arr, g in ((layer.weights, dw), (layer.bias, db)):
                     it = np.nditer(arr, flags=["multi_index"])
                     for _ in it:
                         idx = it.multi_index
@@ -304,6 +304,20 @@ class TestCheckpointIO:
         z = RngStream(44).generator().standard_normal((100, DIM_Z))
         for mem, disk in zip(generate(best, z), generate(load_model(path), z)):
             assert np.max(np.abs(mem - disk)) <= 1e-6 * np.max(np.abs(mem))
+
+    def test_blob_is_per_layer_w_b_u_v_in_f32(self, trained_toy, tmp_path):
+        # reference: the per-block packing the single vector cast replaced
+        _, _, _, best, _ = trained_toy
+        path = str(tmp_path / "model.ckpt")
+        save_model(path, best)
+        layers = [l for net in (best.encoder, best.decoder) for l in net.layers]
+        packed = np.concatenate([a.ravel() for l in layers for a in (l.weights, l.bias, l.u, l.v)])
+        assert open(path, "rb").read() == packed.astype("<f4").tobytes()
+        loaded = load_model(path)
+        for want, got in zip(layers, [l for net in (loaded.encoder, loaded.decoder) for l in net.layers]):
+            for name in ("weights", "bias", "u", "v"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name).astype(np.float32))
+            assert (got.activation, got.spectral) == (want.activation, want.spectral)
 
     def test_manifest_is_json(self, trained_toy, tmp_path):
         import json

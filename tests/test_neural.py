@@ -38,8 +38,8 @@ def jacobi_top_singular_value(w, sweeps=50):
 
 def _loss_and_grads(net, x):
     out, cache = mlp_forward(net, x)
-    grads, _ = mlp_backward(net, cache, out)  # loss = 0.5 * sum(out^2)
-    return 0.5 * float(np.sum(out * out)), grads
+    grad, _ = mlp_backward(net, cache, out)  # loss = 0.5 * sum(out^2)
+    return 0.5 * float(np.sum(out * out)), grad
 
 
 class TestMlpForward:
@@ -92,17 +92,16 @@ class TestMlpBackward:
         # loss = 0.5 y^2 with y = w x, w = 1, x = 2 -> dL/dw = y x = 4
         net = MLPParams([Layer(np.array([[1.0]]), np.zeros(1), "linear", spectral=False)])
         out, cache = mlp_forward(net, np.array([[2.0]]))
-        grads, gx = mlp_backward(net, cache, out)
-        assert grads[0][0][0, 0] == pytest.approx(4.0)
+        grad, gx = mlp_backward(net, cache, out)
+        assert net.blocks(grad)[0][0][0, 0] == pytest.approx(4.0)
         assert gx[0, 0] == pytest.approx(2.0)  # dL/dx = y w
 
     def test_zero_output_gradient(self):
         net = MLPParams.init([3, 4, 2], ["leaky_relu", "linear"], RngStream(0))
         out, cache = mlp_forward(net, np.ones((5, 3)))
-        grads, gx = mlp_backward(net, cache, np.zeros_like(out))
-        for dw, db in grads:
-            np.testing.assert_array_equal(dw, 0.0)
-            np.testing.assert_array_equal(db, 0.0)
+        grad, gx = mlp_backward(net, cache, np.zeros_like(out))
+        assert grad.shape == net.flat.shape
+        np.testing.assert_array_equal(grad, 0.0)
         np.testing.assert_array_equal(gx, 0.0)
 
     @pytest.mark.parametrize("act", ["leaky_relu", "linear"])
@@ -111,11 +110,11 @@ class TestMlpBackward:
         net = MLPParams.init([4, 6, 3], [act, "linear"], rng, spectral=[True, False])
         refresh_spectral(net)
         x = RngStream(2).generator().standard_normal((7, 4))
-        _, grads = _loss_and_grads(net, x)
+        _, grad = _loss_and_grads(net, x)
         h = 1e-5
         worst = 0.0
-        for k, layer in enumerate(net.layers):
-            for arr, g in ((layer.weights, grads[k][0]), (layer.bias, grads[k][1])):
+        for layer, (dw, db, _, _) in zip(net.layers, net.blocks(grad)):
+            for arr, g in ((layer.weights, dw), (layer.bias, db)):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     idx = it.multi_index
@@ -190,35 +189,131 @@ class TestAdamStep:
     def _one_layer(self, w0):
         return MLPParams([Layer(np.array([[w0]]), np.zeros(1), "linear", spectral=False)])
 
+    @staticmethod
+    def _weight_grad(net, dw):
+        # flat layout of a 1x1 layer: [w, b, u, v]
+        grad = np.zeros_like(net.flat)
+        grad[0] = dw
+        return grad
+
     def test_first_step_magnitude_is_lr(self):
         net = self._one_layer(5.0)
-        state = AdamState()
-        adam_step(state, net, [(np.array([[1.0]]), np.zeros(1))])
+        state = AdamState(lr=0.001)
+        adam_step(state, net, self._weight_grad(net, 1.0))
         assert net.layers[0].weights[0, 0] == pytest.approx(5.0 - 0.001, abs=1e-6)
 
     def test_zero_gradient_no_motion(self):
         net = self._one_layer(2.0)
-        state = AdamState()
+        state = AdamState(lr=0.001)
         for _ in range(10):
-            adam_step(state, net, [(np.zeros((1, 1)), np.zeros(1))])
+            adam_step(state, net, self._weight_grad(net, 0.0))
         assert net.layers[0].weights[0, 0] == pytest.approx(2.0)
 
     def test_converges_on_quadratic(self):
         # minimize (w - 3)^2 from w = 0; at lr = 0.001 the 1e-2 ball is
         # reached just before step 5800
         net = self._one_layer(0.0)
-        state = AdamState()
+        state = AdamState(lr=0.001)
         for _ in range(5000):
             w = net.layers[0].weights[0, 0]
-            adam_step(state, net, [(np.array([[2.0 * (w - 3.0)]]), np.zeros(1))])
+            adam_step(state, net, self._weight_grad(net, 2.0 * (w - 3.0)))
         assert abs(net.layers[0].weights[0, 0] - 3.0) < 0.1
         for _ in range(1000):
             w = net.layers[0].weights[0, 0]
-            adam_step(state, net, [(np.array([[2.0 * (w - 3.0)]]), np.zeros(1))])
+            adam_step(state, net, self._weight_grad(net, 2.0 * (w - 3.0)))
         assert abs(net.layers[0].weights[0, 0] - 3.0) < 1e-2
 
     def test_non_finite_gradient_names_block(self):
         net = MLPParams.init([2, 2], ["linear"], RngStream(6))
-        state = AdamState()
+        state = AdamState(lr=0.001)
+        grad = np.zeros_like(net.flat)
+        net.blocks(grad)[0][0][...] = np.nan
         with pytest.raises(ValueError, match="layer 0 weights"):
-            adam_step(state, net, [(np.full((2, 2), np.nan), np.zeros(2))])
+            adam_step(state, net, grad)
+
+    def test_non_finite_bias_of_later_layer_named(self):
+        net = MLPParams.init([2, 3, 2], ["leaky_relu", "linear"], RngStream(6))
+        grad = np.zeros_like(net.flat)
+        net.blocks(grad)[1][1][0] = np.inf
+        with pytest.raises(ValueError, match="encoder layer 1 bias"):
+            adam_step(AdamState(lr=0.001), net, grad, "encoder layer")
+
+    def test_matches_per_block_update(self):
+        """Reference: the per-(layer, W/b) Adam loop the flat step replaced."""
+
+        def per_block_step(state, blocks, grads, lr):
+            if not state["m"]:
+                state["m"] = [np.zeros_like(b) for b in blocks]
+                state["v"] = [np.zeros_like(b) for b in blocks]
+            state["t"] += 1
+            bc1 = 1.0 - 0.9 ** state["t"]
+            bc2 = 1.0 - 0.999 ** state["t"]
+            for target, grad, m, v in zip(blocks, grads, state["m"], state["v"]):
+                m *= 0.9
+                m += (1.0 - 0.9) * grad
+                v *= 0.999
+                v += (1.0 - 0.999) * grad * grad
+                target -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+        acts = ["leaky_relu", "leaky_relu", "linear"]
+        net = MLPParams.init([5, 7, 6, 3], acts, RngStream(8), spectral=[True, True, False])
+        refresh_spectral(net)
+        ref_blocks = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
+        ref_state = {"t": 0, "m": [], "v": []}
+        u_v = [(l.u.copy(), l.v.copy()) for l in net.layers]
+        gen = RngStream(9).generator()
+        x, target = gen.standard_normal((11, 5)), gen.standard_normal((11, 3))
+        state = AdamState(lr=0.01)
+        for _ in range(60):
+            out, cache = mlp_forward(net, x)
+            grad, _ = mlp_backward(net, cache, out - target)
+            per_block_step(ref_state, ref_blocks, [b for dw, db, _, _ in net.blocks(grad) for b in (dw, db)], 0.01)
+            adam_step(state, net, grad)
+        for k, (layer, (u, v)) in enumerate(zip(net.layers, u_v)):
+            np.testing.assert_array_equal(layer.weights, ref_blocks[2 * k])
+            np.testing.assert_array_equal(layer.bias, ref_blocks[2 * k + 1])
+            np.testing.assert_array_equal(layer.u, u)
+            np.testing.assert_array_equal(layer.v, v)
+            for flat_moment, ref_moment in ((state.m, ref_state["m"]), (state.v, ref_state["v"])):
+                dw, db, du, dv = net.blocks(flat_moment)[k]
+                np.testing.assert_array_equal(dw, ref_moment[2 * k])
+                np.testing.assert_array_equal(db, ref_moment[2 * k + 1])
+                np.testing.assert_array_equal(du, 0.0)
+                np.testing.assert_array_equal(dv, 0.0)
+        assert state.t == ref_state["t"] == 60
+
+
+class TestFlatParameters:
+    def test_layer_arrays_stay_views_of_the_vector(self):
+        net = MLPParams.init([4, 6, 5, 2], ["leaky_relu", "leaky_relu", "linear"], RngStream(10))
+
+        def assert_views(params):
+            for layer in params.layers:
+                for arr in (layer.weights, layer.bias, layer.u, layer.v):
+                    assert np.shares_memory(arr, params.flat)
+
+        assert_views(net)
+        refresh_spectral(net)
+        assert_views(net)
+        out, cache = mlp_forward(net, np.ones((3, 4)))
+        adam_step(AdamState(lr=0.001), net, mlp_backward(net, cache, out)[0])
+        assert_views(net)
+        twin = net.copy()
+        assert_views(twin)
+        assert not np.shares_memory(twin.flat, net.flat)
+        np.testing.assert_array_equal(twin.flat, net.flat)
+
+    def test_vector_is_layer_by_layer_w_b_u_v(self):
+        net = MLPParams.init([3, 4, 2], ["leaky_relu", "linear"], RngStream(12))
+        packed = np.concatenate([a.ravel() for l in net.layers for a in (l.weights, l.bias, l.u, l.v)])
+        np.testing.assert_array_equal(net.flat, packed)
+
+    def test_packing_copies_the_given_arrays(self):
+        w = np.eye(2)
+        net = MLPParams([Layer(w, np.zeros(2), "linear", spectral=False)])
+        net.flat[:] = 7.0
+        np.testing.assert_array_equal(w, np.eye(2))
+
+    def test_from_flat_checks_length(self):
+        with pytest.raises(ValueError, match="does not match"):
+            MLPParams.from_flat(np.zeros(5), [2, 2], ["linear"], [False])
