@@ -295,7 +295,8 @@ def jgnn_loss(
     # source-side terms of the plan and of its transpose
     dz_zz = ot_point_gradient(z, z, plan_zz) + ot_point_gradient(z, z, plan_zz.T)
     dz = dz_rec + lam * (ot_point_gradient(z, prior_draws, plan_zp) - 0.5 * dz_zz)
-    enc_grad, _ = mlp_backward(model.encoder, enc_cache, dz)
+    # the decoder's input gradient feeds dz; the encoder's would be discarded
+    enc_grad, _ = mlp_backward(model.encoder, enc_cache, dz, input_gradient=False)
     return LossResult(
         loss, mse_x, mse_y, ot_cost, enc_grad, dec_grad, FrozenPlans(plan_zp, plan_zz, pp_cost)
     )

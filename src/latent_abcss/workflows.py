@@ -194,7 +194,7 @@ def _reading(path: str):
         yield
     except ConfigError:
         raise
-    except (ValueError, KeyError) as err:  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
         raise ConfigError(f"malformed artifact {path}: {err!r}") from err
 
 
@@ -500,7 +500,8 @@ def invert_artifacts(
     truth = _load_input(load_array, truth_path) if truth_path else None
     model = _load_input(load_model, checkpoint)
     data = _load_dataset(dataset_dir)
-    _check_inversion_inputs(cfg, model, data["manifest"], y_obs, truth, oracle)
+    with _reading(os.path.join(dataset_dir, "manifest.json")):
+        _check_inversion_inputs(cfg, model, data["manifest"], y_obs, truth, oracle)
     prov = cfg.provenance("invert")
     rng = RngStream(cfg.seed, stream_id=3)
 
@@ -590,11 +591,12 @@ def compute_oracle_posterior(
     y_obs = _load_input(load_array, y_obs_path)
     data = _load_dataset(dataset_dir)
     manifest = data["manifest"]
-    if y_obs.size != manifest["n_rays"]:
-        raise ConfigError(
-            f"observation has {y_obs.size} travel times, the dataset has {manifest['n_rays']} rays"
-        )
-    _check_oracle_grid(cfg, manifest)
+    with _reading(os.path.join(dataset_dir, "manifest.json")):
+        if y_obs.size != manifest["n_rays"]:
+            raise ConfigError(
+                f"observation has {y_obs.size} travel times, the dataset has {manifest['n_rays']} rays"
+            )
+        _check_oracle_grid(cfg, manifest)
     prov = cfg.provenance("oracle-posterior")
     prior, noise_cov = _oracle_prior_noise(cfg, y_obs.size)
     post = linear_gaussian_posterior(prior, data["ray_matrix"], noise_cov, y_obs)

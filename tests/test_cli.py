@@ -540,6 +540,16 @@ class TestInvertInputChecks:
         assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), ckpt=ckpt) == 2
         assert "standardizer" in capsys.readouterr().err
 
+    def test_checkpoint_manifest_wrong_type_exits_2(self, pipeline, tmp_path, capsys):
+        def garble_sizes(path):
+            doc = json.load(open(path + ".json"))
+            doc["encoder"]["sizes"] = "abc"
+            json.dump(doc, open(path + ".json", "w"))
+
+        ckpt = self._broken_checkpoint(pipeline, tmp_path, garble_sizes)
+        assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), ckpt=ckpt) == 2
+        assert "malformed artifact" in capsys.readouterr().err
+
     def test_truncated_yobs_exits_2(self, pipeline, tmp_path, capsys):
         yobs = str(tmp_path / "yobs.f64")
         for suffix in ("", ".json"):
@@ -556,18 +566,42 @@ class TestInvertInputChecks:
         assert "malformed artifact" in capsys.readouterr().err
         assert not os.path.exists(pipeline[0] / "inv_refused" / "deep_trace.json")
 
+    @pytest.mark.parametrize("field", ["n_cells", "n_rays", "config.grid"])
+    def test_dataset_manifest_without_field_exits_2(self, pipeline, tmp_path, capsys, field):
+        data = _dataset_without(pipeline, tmp_path, field)
+        root = pipeline[0]
+        rc = self._invert(pipeline, str(root / "yobs.f64"), data=data, truth=str(root / "truth.f64"))
+        assert rc == 2
+        assert f"malformed artifact {data}" in capsys.readouterr().err
+        assert not os.path.exists(root / "inv_refused" / "deep_trace.json")
+
 
 def _truncate(path, n_bytes):
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-n_bytes])
 
 
+def _dataset_without(pipeline, tmp_path, field):
+    """A copy of the pipeline's dataset whose manifest lacks ``field``, a dotted key path."""
+    data = str(tmp_path / "data")
+    shutil.copytree(pipeline[2], data)
+    path = os.path.join(data, "manifest.json")
+    doc = json.load(open(path))
+    *parents, last = field.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    del node[last]
+    json.dump(doc, open(path, "w"))
+    return data
+
+
 class TestOraclePosteriorInputChecks:
-    def _oracle(self, pipeline, yobs, cfg=None):
-        root, own_cfg, data, _ = pipeline
+    def _oracle(self, pipeline, yobs, cfg=None, data=None):
+        root, own_cfg, own_data, _ = pipeline
         out = str(root / "oracle_refused")
-        argv = ["oracle-posterior", "--config", cfg or own_cfg, "--dataset", data, "--yobs", yobs, "--out", out]
-        return main(argv)
+        argv = ["oracle-posterior", "--config", cfg or own_cfg, "--dataset", data or own_data, "--yobs", yobs]
+        return main(argv + ["--out", out])
 
     def test_missing_yobs_exits_2(self, pipeline, tmp_path, capsys):
         assert self._oracle(pipeline, str(tmp_path / "missing.f64")) == 2
@@ -586,6 +620,13 @@ class TestOraclePosteriorInputChecks:
         taller.write_text(json.dumps({**MICRO_CONFIG, "grid": {**MICRO_CONFIG["grid"], "n_rows": 7}}))
         assert self._oracle(pipeline, str(root / "yobs.f64"), cfg=str(taller)) == 2
         assert "config grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["n_rays", "config.grid"])
+    def test_dataset_manifest_without_field_exits_2(self, pipeline, tmp_path, capsys, field):
+        data = _dataset_without(pipeline, tmp_path, field)
+        assert self._oracle(pipeline, str(pipeline[0] / "yobs.f64"), data=data) == 2
+        assert f"malformed artifact {data}" in capsys.readouterr().err
+        assert not os.path.exists(pipeline[0] / "oracle_refused" / "posterior_mean.f64")
 
 
 class TestEvaluateAndOracle:

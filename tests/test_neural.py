@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latent_abcss.neural import (
+    _BLOCK,
     LEAKY_SLOPE,
     AdamState,
     Layer,
@@ -134,6 +135,53 @@ class TestMlpBackward:
         with pytest.raises(ValueError, match="shape"):
             mlp_backward(net, cache, np.ones((5, 2)))
 
+    def test_skipping_input_gradient_keeps_parameter_gradient(self):
+        net = MLPParams.init([6, 5, 4], ["leaky_relu", "linear"], RngStream(4))
+        refresh_spectral(net)
+        x = RngStream(5).generator().standard_normal((9, 6))
+        out, cache = mlp_forward(net, x)
+        full, gx = mlp_backward(net, cache, out)
+        skipped, none = mlp_backward(net, cache, out, input_gradient=False)
+        assert gx.shape == x.shape and none is None
+        np.testing.assert_array_equal(skipped.view(np.uint64), full.view(np.uint64))
+        for _, _, du, dv in net.blocks(skipped):
+            np.testing.assert_array_equal(du, 0.0)
+            np.testing.assert_array_equal(dv, 0.0)
+
+    def test_spectral_correction_matches_full_matrix_form(self):
+        """Reference: dW = dW_eff/sigma - <dW_eff, W>/sigma^2 * outer(u, v), on whole matrices."""
+        n_out, n_in = 300, 200  # several row blocks, the last one partial
+        rows = _BLOCK // n_in
+        assert n_out > rows and n_out % rows
+        net = MLPParams.init([n_in, n_out], ["linear"], RngStream(13), spectral=[True])
+        refresh_spectral(net)
+        x = RngStream(14).generator().standard_normal((17, n_in))
+        g = RngStream(15).generator().standard_normal((17, n_out))
+        _, cache = mlp_forward(net, x)
+        grad, _ = mlp_backward(net, cache, g)
+        layer, sigma = net.layers[0], cache[0]["sigma"]
+        dw = np.empty((n_out, n_in))
+        np.matmul(g.T, x, out=dw)
+        inner = float(np.sum(dw * layer.weights))
+        dw /= sigma
+        dw -= (inner / sigma**2) * np.outer(layer.u, layer.v)
+        np.testing.assert_array_equal(net.blocks(grad)[0][0].view(np.uint64), dw.view(np.uint64))
+
+    def test_linear_layer_matches_unit_derivative_form(self):
+        """Reference: the linear layer's backward with its all-ones derivative multiplied in."""
+        net = MLPParams.init([7, 4], ["linear"], RngStream(16), spectral=[False])
+        x = RngStream(17).generator().standard_normal((10, 7))
+        g = RngStream(18).generator().standard_normal((10, 4))
+        _, cache = mlp_forward(net, x)
+        grad, gx = mlp_backward(net, cache, g)
+        ds = g * np.ones_like(cache[0]["s"])
+        dw = np.empty((4, 7))
+        np.matmul(ds.T, x, out=dw)
+        dw_got, db_got = net.blocks(grad)[0][:2]
+        np.testing.assert_array_equal(dw_got.view(np.uint64), dw.view(np.uint64))
+        np.testing.assert_array_equal(db_got.view(np.uint64), np.sum(ds, axis=0).view(np.uint64))
+        np.testing.assert_array_equal(gx.view(np.uint64), (ds @ net.layers[0].weights).view(np.uint64))
+
 
 def power_iterate(w, u, steps):
     """(normalized weights, sigma) of a one-layer spectral net after ``steps`` refreshes.
@@ -238,7 +286,12 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="encoder layer 1 bias"):
             adam_step(AdamState(lr=0.001), net, grad, "encoder layer")
 
-    def test_matches_per_block_update(self):
+    @pytest.mark.parametrize(
+        "sizes",
+        [[5, 7, 6, 3], [300, 200, 100, 3]],
+        ids=["one_adam_block", "several_adam_blocks"],
+    )
+    def test_matches_per_block_update(self, sizes):
         """Reference: the per-(layer, W/b) Adam loop the flat step replaced."""
 
         def per_block_step(state, blocks, grads, lr):
@@ -256,13 +309,15 @@ class TestAdamStep:
                 target -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
         acts = ["leaky_relu", "leaky_relu", "linear"]
-        net = MLPParams.init([5, 7, 6, 3], acts, RngStream(8), spectral=[True, True, False])
+        net = MLPParams.init(sizes, acts, RngStream(8), spectral=[True, True, False])
         refresh_spectral(net)
+        if sizes[0] > 5:  # flat spans full Adam blocks and ends in a partial one
+            assert net.flat.size > 2 * _BLOCK and net.flat.size % _BLOCK
         ref_blocks = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
         ref_state = {"t": 0, "m": [], "v": []}
         u_v = [(l.u.copy(), l.v.copy()) for l in net.layers]
         gen = RngStream(9).generator()
-        x, target = gen.standard_normal((11, 5)), gen.standard_normal((11, 3))
+        x, target = gen.standard_normal((11, sizes[0])), gen.standard_normal((11, 3))
         state = AdamState(lr=0.01)
         for _ in range(60):
             out, cache = mlp_forward(net, x)
@@ -281,6 +336,21 @@ class TestAdamStep:
                 np.testing.assert_array_equal(du, 0.0)
                 np.testing.assert_array_equal(dv, 0.0)
         assert state.t == ref_state["t"] == 60
+
+    def test_non_finite_in_last_block_writes_nothing(self):
+        net = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(19))
+        assert net.flat.size > _BLOCK
+        state = AdamState(lr=0.01)
+        grad = RngStream(20).generator().standard_normal(net.flat.size)
+        adam_step(state, net, grad)
+        before = [a.copy() for a in (net.flat, state.m, state.v)]
+        net.blocks(grad)[2][0][-1, -1] = np.nan
+        assert np.isnan(grad[(grad.size - 1) // _BLOCK * _BLOCK :]).any()  # in the last, partial block
+        with pytest.raises(ValueError, match="layer 2 weights"):
+            adam_step(state, net, grad)
+        for after, kept in zip((net.flat, state.m, state.v), before):
+            np.testing.assert_array_equal(after.view(np.uint64), kept.view(np.uint64))
+        assert state.t == 1
 
 
 class TestFlatParameters:
