@@ -389,12 +389,11 @@ def _reconstruct(model: JGNNModel, x_std, y_std):
 class _DecoderView:
     """The decoder frozen for inference, built once per model.
 
-    ``trunk`` holds copies of every layer but the output layer, each with
-    the effective weights ``weights / sigma`` that :func:`mlp_forward` forms
-    on every training call computed once and the layer marked non-spectral,
-    so sigma is folded in; it is ``None`` when the decoder has no hidden
-    layer.  The output layer is split into a field head (rows ``[:dim_x]``)
-    and a travel-time head (rows ``[dim_x:]``), each ``(w_eff, bias,
+    ``trunk`` holds non-spectral copies of every layer but the output layer,
+    sigma folded in as ``weights / sigma`` (a spectral :func:`mlp_forward` on
+    the identity batch, bit for bit), or is ``None`` with no hidden layer.
+    The output layer is split into a field head (rows ``[:dim_x]``) and a
+    travel-time head (rows ``[dim_x:]``), each ``(w_eff, bias,
     activation)``.  A view made for one variable has the other head set to
     ``None``, so its rows are never evaluated.
     """

@@ -41,11 +41,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Adam and the spectral correction stream their vectors in blocks of this
-# many f64 entries (256 KiB each), so that the six block-sized arrays an Adam
-# block touches (parameters, gradient, two moments, two scratch buffers; 1.5
-# MiB) stay in a 2 MiB L2 cache.  The work is element-wise, so results do
-# not depend on the block size.
+# Adam streams its vectors in blocks of this many f64 entries (256 KiB each),
+# so that the six block-sized arrays an Adam block touches (parameters,
+# gradient, two moments, two scratch buffers; 1.5 MiB) stay in a 2 MiB L2
+# cache.  The work is element-wise, so results do not depend on the block size.
 _BLOCK = 32768
 
 
@@ -184,27 +183,29 @@ def refresh_spectral(params: MLPParams) -> None:
 def mlp_forward(params: MLPParams, x: np.ndarray):
     """Batched forward pass.
 
-    Each layer flagged ``spectral`` divides its weights by its sigma
-    estimate before use.
+    A ``spectral`` layer divides ``x @ W.T`` by its sigma estimate in place,
+    forming no ``W / sigma``; on the identity batch with zero bias this is
+    exactly ``weights / sigma``, the fold of inference copies of the layer.
 
     Args:
         params: the network.
         x: input batch, shape (n, in_dim).
 
     Returns:
-        (output batch, cache) where the cache feeds :func:`mlp_backward`.
+        (output batch, cache) where the cache, per layer ``x``, ``s`` and
+        ``sigma`` (None if not spectral), feeds :func:`mlp_backward`.
     """
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if h.shape[1] != params.sizes[0]:
         raise ValueError(f"input dim {h.shape[1]} does not match first layer {params.sizes[0]}")
     cache = []
     for layer in params.layers:
-        use_sn = layer.spectral
-        sigma = layer.sigma() if use_sn else 1.0
-        # dividing by exactly 1.0 would only copy the weights
-        w_eff = layer.weights / sigma if use_sn else layer.weights
-        s = h @ w_eff.T + layer.bias
-        cache.append({"x": h, "s": s, "sigma": sigma, "use_sn": use_sn, "w_eff": w_eff})
+        sigma = layer.sigma() if layer.spectral else None
+        s = h @ layer.weights.T
+        if sigma is not None:
+            s /= sigma
+        s += layer.bias
+        cache.append({"x": h, "s": s, "sigma": sigma})
         h = _activate(s, layer.activation)
     return h, cache
 
@@ -235,24 +236,16 @@ def mlp_backward(params: MLPParams, cache, output_gradient: np.ndarray, input_gr
         du[...] = 0.0
         dv[...] = 0.0
         ds = g if layer.activation == "linear" else g * _activate_grad(ck["s"])
-        np.matmul(ds.T, ck["x"], out=dw)  # dW_eff, turned into dW below on spectral layers
         np.sum(ds, axis=0, out=db)
-        if ck["use_sn"]:
-            # W_eff = W / (u'Wv) with u, v frozen:
-            # dW = dW_eff/sigma - <dW_eff, W>/sigma^2 * u v', formed a block of
-            # rows at a time with the full-matrix expression's operations per entry
-            sigma = ck["sigma"]
-            scale = float(np.sum(dw * layer.weights)) / sigma**2
-            rows = max(1, _BLOCK // dw.shape[1])
-            buf = np.empty((min(rows, dw.shape[0]), dw.shape[1]))
-            for start in range(0, dw.shape[0], rows):
-                block = dw[start : start + rows]
-                outer = buf[: block.shape[0]]
-                np.multiply(layer.u[start : start + rows, None], layer.v, out=outer)
-                outer *= scale
-                block /= sigma
-                block -= outer
-        g = ds @ ck["w_eff"] if k > 0 or input_gradient else None
+        a, x = ds, ck["x"]
+        if ck["sigma"] is not None:
+            # W / (u'Wv), u and v frozen: dW = dW_eff/sigma - <dW_eff, W>/sigma^2 u v' with
+            # <dW_eff, W> = sigma <ds, s - b>, so dW = [ds; -<ds, s - b> u']' [x; v'] / sigma
+            a = np.vstack([ds, -float(np.vdot(ds, ck["s"] - layer.bias)) * layer.u])
+            a /= ck["sigma"]
+            x = np.vstack([x, layer.v])
+        np.matmul(a.T, x, out=dw)
+        g = a[: ds.shape[0]] @ layer.weights if k > 0 or input_gradient else None
     return grad, g
 
 

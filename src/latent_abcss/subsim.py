@@ -278,6 +278,7 @@ def save_trace(prefix: str, trace: SubSimTrace, provenance: dict | None = None) 
 
 
 def load_trace(prefix: str) -> SubSimTrace:
+    """Read a trace written by :func:`save_trace`; the one reader of that format."""
     with open(prefix + ".json") as fh:
         doc = json.load(fh)
     trace = SubSimTrace(config=SubSimConfig(**doc["config"]))

@@ -473,6 +473,9 @@ def _check_inversion_inputs(
         )
     if truth is not None and truth.size != model.dim_x:
         raise ConfigError(f"truth has {truth.size} cells, the model expects {model.dim_x}")
+    for name, arr in (("observation", y_obs), ("truth", truth)):
+        if arr is not None and not np.isfinite(arr).all():
+            raise ConfigError(f"{name} holds a NaN or infinite value")
     if oracle:
         _check_oracle_grid(cfg, manifest)
 
@@ -562,7 +565,8 @@ def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
     for run in run_dirs:
         path = os.path.join(run, "metrics.csv")
         _require([path])
-        table = read_csv_columns(path)
+        with _reading(path):
+            table = read_csv_columns(path)
         for p in pairings:
             col = table.get(col_of[p])
             if col is None or col.size == 0:
@@ -596,6 +600,8 @@ def compute_oracle_posterior(
             raise ConfigError(
                 f"observation has {y_obs.size} travel times, the dataset has {manifest['n_rays']} rays"
             )
+        if not np.isfinite(y_obs).all():
+            raise ConfigError("observation holds a NaN or infinite value")
         _check_oracle_grid(cfg, manifest)
     prov = cfg.provenance("oracle-posterior")
     prior, noise_cov = _oracle_prior_noise(cfg, y_obs.size)

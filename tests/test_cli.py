@@ -500,6 +500,27 @@ class TestInvertInputChecks:
         assert "config grid" in capsys.readouterr().err
         assert not os.path.exists(root / "inv_refused" / "deep_trace.json")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_yobs_exits_2(self, pipeline, tmp_path, capsys, bad):
+        root = pipeline[0]
+        yobs = str(tmp_path / "yobs_bad.f64")
+        y = load_array(str(root / "yobs.f64"))
+        y[1] = bad
+        save_array(yobs, y)
+        assert self._invert(pipeline, yobs) == 2
+        assert "observation holds a NaN or infinite value" in capsys.readouterr().err
+        assert not os.path.exists(root / "inv_refused" / "deep_trace.json")
+
+    def test_non_finite_truth_with_oracle_exits_2(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        truth = str(tmp_path / "truth_nan.f64")
+        x = load_array(str(root / "truth.f64"))
+        x[0] = np.nan
+        save_array(truth, x)
+        assert self._invert(pipeline, str(root / "yobs.f64"), truth=truth) == 2
+        assert "truth holds a NaN or infinite value" in capsys.readouterr().err
+        assert not os.path.exists(root / "inv_refused" / "summary.json")
+
     def test_missing_truth_exits_2(self, pipeline, tmp_path, capsys):
         root = pipeline[0]
         missing = str(tmp_path / "missing.f64")
@@ -621,6 +642,16 @@ class TestOraclePosteriorInputChecks:
         assert self._oracle(pipeline, str(root / "yobs.f64"), cfg=str(taller)) == 2
         assert "config grid" in capsys.readouterr().err
 
+    def test_non_finite_yobs_exits_2(self, pipeline, tmp_path, capsys):
+        root = pipeline[0]
+        yobs = str(tmp_path / "yobs_nan.f64")
+        y = load_array(str(root / "yobs.f64"))
+        y[0] = np.nan
+        save_array(yobs, y)
+        assert self._oracle(pipeline, yobs) == 2
+        assert "observation holds a NaN or infinite value" in capsys.readouterr().err
+        assert not os.path.exists(root / "oracle_refused" / "posterior_mean.f64")
+
     @pytest.mark.parametrize("field", ["n_rays", "config.grid"])
     def test_dataset_manifest_without_field_exits_2(self, pipeline, tmp_path, capsys, field):
         data = _dataset_without(pipeline, tmp_path, field)
@@ -652,6 +683,15 @@ class TestEvaluateAndOracle:
     def test_evaluate_missing_run_exits_2(self, tmp_path):
         rc = main(["evaluate", "--runs", str(tmp_path / "ghost"), "--out", str(tmp_path / "agg.csv")])
         assert rc == 2
+
+    def test_evaluate_non_numeric_cell_exits_2(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_text("rmse_solutions_truth,rmse_prior_truth\n0.25,oops\n")
+        rc = main(["evaluate", "--runs", str(run), "--out", str(tmp_path / "agg.csv")])
+        assert rc == 2
+        assert f"malformed artifact {run / 'metrics.csv'}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "agg.csv")
 
     def test_oracle_posterior_artifacts(self, pipeline):
         root, cfg, data, model = pipeline

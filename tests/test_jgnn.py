@@ -16,8 +16,9 @@ from latent_abcss.jgnn import (
     load_model,
     save_model,
     train,
+    _decoder_view,
 )
-from latent_abcss.neural import mlp_forward, refresh_spectral
+from latent_abcss.neural import Layer, MLPParams, mlp_forward, refresh_spectral
 from latent_abcss.rng_linalg import RngStream
 from latent_abcss.sinkhorn import SinkhornConfig, entropic_ot
 
@@ -277,6 +278,17 @@ class TestHeadSplit:
         for got, ref in ((g1_of_latent(model)(z), x_ref), (g2_of_latent(model)(z), y_ref)):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_trunk_fold_is_the_identity_forward(self, full_scale_model):
+        """A spectral layer's forward on the identity batch is weights / sigma, the trunk's fold, bit for bit."""
+        decoder, trunk = full_scale_model.decoder, _decoder_view(full_scale_model).trunk
+        for layer, folded in zip(decoder.layers, trunk.layers):
+            assert layer.spectral
+            alone = MLPParams([Layer(layer.weights, np.zeros_like(layer.bias), "linear", u=layer.u, v=layer.v)])
+            out, _ = mlp_forward(alone, np.eye(layer.weights.shape[1]))
+            want = (layer.weights / layer.sigma()).view(np.uint64)
+            np.testing.assert_array_equal(out.T.view(np.uint64), want)
+            np.testing.assert_array_equal(folded.weights.view(np.uint64), want)
 
     @pytest.mark.parametrize("make", [g1_of_latent, g2_of_latent])
     def test_latent_dim_checked(self, full_scale_model, make):
