@@ -172,9 +172,6 @@ class TrainHistory:
     val_mse_x: list = field(default_factory=list)
     val_mse_y: list = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.mse_x)
-
     def to_csv(self, path: str) -> None:
         cols = (self.mse_x, self.mse_y, self.ot_term, self.lam, self.val_mse_x, self.val_mse_y)
         write_csv(

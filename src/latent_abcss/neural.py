@@ -296,9 +296,8 @@ def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefi
         np.multiply(g, 1.0 - ADAM_BETA2, out=a)
         a *= g
         v += a
-        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(m, bc1, out=a)
-        a *= state.lr
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps); bc1 is exactly 1.0 from step 356
+        np.multiply(m if bc1 == 1.0 else np.divide(m, bc1, out=a), state.lr, out=a)
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
         b += ADAM_EPS

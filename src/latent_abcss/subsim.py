@@ -81,6 +81,10 @@ class SubSimTrace:
 
     ``level_dissimilarities[j]`` and ``level_samples[j]`` describe the full
     population after the j-th rejuvenation (j = 0 is the prior population).
+    ``stagnation`` is None unless the run stagnated, and then the first cause
+    that fired: ``"flat_threshold"`` (no strictly lower threshold),
+    ``"slow_improvement"`` (``stagnation_patience`` slow levels in a row) or
+    ``"level_budget"`` (``max_levels`` ran out before the target).
     """
 
     config: SubSimConfig
@@ -88,9 +92,13 @@ class SubSimTrace:
     final_samples: np.ndarray | None = None
     final_dissimilarities: np.ndarray | None = None
     p_hat: float = np.nan
-    stagnated: bool = False
+    stagnation: str | None = None
     level_dissimilarities: list[np.ndarray] = field(default_factory=list)
     level_samples: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def stagnated(self) -> bool:
+        return self.stagnation is not None
 
     @property
     def n_levels(self) -> int:
@@ -122,9 +130,10 @@ def _rejuvenate(seeds, seed_d, t, level_index, scale, g2, y_obs, rng, n_particle
     prior restricted to the region.
     One chain per survivor; chain lengths differ by at most one, with the
     remainder going to the first chains.  Chains advance in lockstep so the
-    generator map is always evaluated on a batch, and each chain draws its
-    proposal noise from its own (level, chain) substream, which makes the
-    merged population independent of scheduling.
+    generator map is always evaluated on a batch.  All proposal noise is one
+    ``(n_chains, max_steps, dim)`` block from ``rng.split(level_index)``,
+    drawn before any chain steps; chain c reads row c (a shorter chain leaves
+    its tail unread), so the merged population does not depend on scheduling.
 
     Returns (population, dissimilarities, acceptance rate, g2 call count);
     the rate is None when no chain proposed anything.
@@ -135,11 +144,7 @@ def _rejuvenate(seeds, seed_d, t, level_index, scale, g2, y_obs, rng, n_particle
     offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     max_steps = int(lengths.max()) - 1
 
-    noise = np.zeros((n_chains, max(max_steps, 1), dim))
-    for c in range(n_chains):
-        nc = int(lengths[c]) - 1
-        if nc > 0:
-            noise[c, :nc] = rng.split(level_index, c).generator().standard_normal((nc, dim))
+    noise = rng.split(level_index).generator().standard_normal((n_chains, max_steps, dim))
 
     out_z = np.empty((n_particles, dim))
     out_d = np.empty(n_particles)
@@ -149,25 +154,20 @@ def _rejuvenate(seeds, seed_d, t, level_index, scale, g2, y_obs, rng, n_particle
     cur_d = seed_d.copy()
     rho = np.sqrt(1.0 - scale * scale)
     accepted = 0
-    proposed = 0
-    calls = 0
     for s in range(max_steps):
         active = np.where(lengths > s + 1)[0]
-        if active.size == 0:
-            break
         prop = rho * cur[active] + scale * noise[active, s]
         d_prop = dissimilarity_batch(g2(prop), y_obs)
-        calls += 1
         acc = d_prop <= t
         hit = active[acc]
         cur[hit] = prop[acc]
         cur_d[hit] = d_prop[acc]
         accepted += int(acc.sum())
-        proposed += active.size
         out_z[offsets[active] + s + 1] = cur[active]
         out_d[offsets[active] + s + 1] = cur_d[active]
-    rate = accepted / proposed if proposed else None
-    return out_z, out_d, rate, calls
+    # every chain proposes once per state after its seed, in one g2 call per step
+    rate = accepted / (n_particles - n_chains) if max_steps else None
+    return out_z, out_d, rate, max_steps
 
 
 def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) -> SubSimTrace:
@@ -179,14 +179,13 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
         y_obs: observed travel times.
         latent_dim: dimension of the standard-normal latent prior.
         cfg: sampler settings.
-        rng: stream; level populations use substreams keyed by
-            (level, chain index).
+        rng: stream; level j draws from the substream ``rng.split(j)``:
+            the prior population at j = 0, and one proposal-noise block
+            for all of its chains at j >= 1.
 
     Returns:
-        :class:`SubSimTrace`.  ``stagnated`` flags runs that consumed the
-        whole level budget without crossing the target, or whose proposed
-        thresholds stopped improving (by less than ``stagnation_rel_tol``
-        relatively, ``stagnation_patience`` levels in a row).  A stagnated
+        :class:`SubSimTrace`; a threshold improves slowly when it falls by
+        less than ``stagnation_rel_tol`` relatively.  A stagnated
         run still burns its remaining budget: the repeated best-fraction
         selection at an almost-flat threshold is what squeezes the final
         population onto the closest-fitting set, and the diagnostics read
@@ -198,7 +197,7 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
     k = int(np.ceil(alpha * n))
     trace = SubSimTrace(config=cfg)
 
-    z = rng.split(0, 0).generator().standard_normal((n, latent_dim))
+    z = rng.split(0).generator().standard_normal((n, latent_dim))
     d = dissimilarity_batch(g2(z), y_obs)
     trace.level_dissimilarities.append(d.copy())
     trace.level_samples.append(z.copy())
@@ -217,12 +216,12 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
             surv = np.where(d <= t)[0]
         else:
             if not t_prop < t_prev:
-                trace.stagnated = True  # cannot decrease strictly: flat dissimilarity mass
+                trace.stagnation = trace.stagnation or "flat_threshold"  # flat dissimilarity mass
                 break
             if np.isfinite(t_prev) and (t_prev - t_prop) / t_prev < cfg.stagnation_rel_tol:
                 stagnant_streak += 1
                 if stagnant_streak >= cfg.stagnation_patience:
-                    trace.stagnated = True
+                    trace.stagnation = trace.stagnation or "slow_improvement"
             else:
                 stagnant_streak = 0
             # survivors: everything strictly below, tie slots filled in sample order
@@ -242,7 +241,7 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
             zeta = 1.0 / np.sqrt(level)
             scale = float(np.clip(np.exp(np.log(max(scale, 1e-6)) + zeta * (rate - cfg.acceptance_target)), 1e-3, 1.0))
     else:
-        trace.stagnated = True  # level budget consumed before crossing
+        trace.stagnation = trace.stagnation or "level_budget"  # consumed before crossing
 
     trace.final_samples = z
     trace.final_dissimilarities = d
@@ -265,7 +264,7 @@ def save_trace(prefix: str, trace: SubSimTrace, provenance: dict | None = None) 
         "config": asdict(trace.config),
         "levels": [asdict(lvl) for lvl in trace.levels],
         "p_hat": trace.p_hat,
-        "stagnated": trace.stagnated,
+        "stagnation": trace.stagnation,
         "n_level_populations": len(trace.level_dissimilarities),
     }
     if provenance is not None:
@@ -284,7 +283,9 @@ def load_trace(prefix: str) -> SubSimTrace:
     trace = SubSimTrace(config=SubSimConfig(**doc["config"]))
     trace.levels = [LevelRecord(**lvl) for lvl in doc["levels"]]
     trace.p_hat = doc["p_hat"]
-    trace.stagnated = doc["stagnated"]
+    trace.stagnation = doc["stagnation"]
+    if trace.stagnation not in (None, "flat_threshold", "slow_improvement", "level_budget"):
+        raise ValueError(f"unknown stagnation cause {trace.stagnation!r}")
     trace.final_samples = load_array(prefix + "_samples.f64")
     trace.final_dissimilarities = load_array(prefix + "_dissimilarities.f64")
     trace.level_dissimilarities = [

@@ -353,6 +353,7 @@ def run_inversion(
     summary = curve_summary(curve)
     summary["eps_star"] = eps_star
     summary["stagnated_deep_run"] = deep.stagnated
+    summary["stagnation_deep_run"] = deep.stagnation
     summary["p_hat_final"] = final.p_hat
 
     if truth is not None:

@@ -256,10 +256,13 @@ class TestTrain:
         assert not os.path.exists(tmp_path / "m" / "model.ckpt")
 
 
-class TestInvert:
-    def test_runs_and_writes_artifacts(self, pipeline):
-        root, cfg, data, model = pipeline
-        out = str(root / "inv")
+@pytest.fixture(scope="module")
+def oracle_runs(pipeline):
+    """Two identical oracle inversions, ``inv`` and ``inv_da``, of the test couple."""
+    root, cfg, data, model = pipeline
+    outs = []
+    for name in ("inv", "inv_da"):
+        out = str(root / name)
         rc = main(
             [
                 "invert",
@@ -279,9 +282,17 @@ class TestInvert:
             ]
         )
         assert rc == 0
+        outs.append(out)
+    return outs
+
+
+class TestInvert:
+    def test_runs_and_writes_artifacts(self, pipeline, oracle_runs):
+        model, out = pipeline[3], oracle_runs[0]
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["selected_eps_n"] > summary["stagnation_eps_n"]
         assert 0 < summary["p_hat_at_selected"] <= 1.0
+        assert summary["stagnated_deep_run"] == (summary["stagnation_deep_run"] is not None)
         for name in ("curve.csv", "metrics.csv", "wasserstein.csv", "solutions_x.f64"):
             assert os.path.exists(os.path.join(out, name)), name
         # the reported solutions decode the final latent population, row for row
@@ -290,32 +301,8 @@ class TestInvert:
         np.testing.assert_array_equal(load_array(os.path.join(out, "solutions_x.f64")), x)
         np.testing.assert_array_equal(load_array(os.path.join(out, "solutions_y.f64")), y)
 
-    def test_rerun_byte_identical(self, pipeline):
-        root, cfg, data, model = pipeline
-        outs = []
-        for tag in ("da", "db"):
-            out = str(root / f"inv_{tag}")
-            rc = main(
-                [
-                    "invert",
-                    "--config",
-                    cfg,
-                    "--checkpoint",
-                    os.path.join(model, "model.ckpt"),
-                    "--yobs",
-                    str(root / "yobs.f64"),
-                    "--dataset",
-                    data,
-                    "--out",
-                    out,
-                    "--oracle",
-                    "--truth",
-                    str(root / "truth.f64"),
-                ]
-            )
-            assert rc == 0
-            outs.append(out)
-        assert tree_digest(outs[0]) == tree_digest(outs[1])
+    def test_rerun_byte_identical(self, oracle_runs):
+        assert tree_digest(oracle_runs[0]) == tree_digest(oracle_runs[1])
 
     def test_oracle_solves_reference_self_transport_once(self, pipeline, monkeypatch):
         from latent_abcss import diagnostics
@@ -661,10 +648,10 @@ class TestOraclePosteriorInputChecks:
 
 
 class TestEvaluateAndOracle:
-    def test_evaluate_aggregates(self, pipeline):
-        root, cfg, data, model = pipeline
+    def test_evaluate_aggregates(self, pipeline, oracle_runs):
+        root = pipeline[0]
         agg = str(root / "agg.csv")
-        rc = main(["evaluate", "--runs", str(root / "inv"), str(root / "inv_da"), "--out", agg])
+        rc = main(["evaluate", "--runs", *oracle_runs, "--out", agg])
         assert rc == 0
         lines = open(agg).read().strip().splitlines()
         assert lines[0] == "inversion,pairing,count,mean,median,p05,p95"
@@ -673,11 +660,11 @@ class TestEvaluateAndOracle:
         dist = open(str(root / "agg_pooled.csv")).readline().strip()
         assert dist == "train,post,ours,prior"
 
-    def test_evaluate_rerun_identical(self, pipeline):
-        root, cfg, data, model = pipeline
+    def test_evaluate_rerun_identical(self, pipeline, oracle_runs):
+        root = pipeline[0]
         a, b = str(root / "agg_a.csv"), str(root / "agg_b.csv")
         for out in (a, b):
-            assert main(["evaluate", "--runs", str(root / "inv"), "--out", out]) == 0
+            assert main(["evaluate", "--runs", oracle_runs[0], "--out", out]) == 0
         assert open(a).read() == open(b).read()
 
     def test_evaluate_missing_run_exits_2(self, tmp_path):

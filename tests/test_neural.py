@@ -335,6 +335,24 @@ class TestAdamStep:
                 np.testing.assert_array_equal(dv, 0.0)
         assert state.t == ref_state["t"] == 60
 
+    @pytest.mark.parametrize("t0", [354, 355, 400])
+    def test_steps_past_unit_bias_correction_match_formula(self, t0):
+        # 1 - 0.9**t rounds to exactly 1.0 from t = 356 on
+        assert 1.0 - 0.9**355 != 1.0 and 1.0 - 0.9**356 == 1.0
+        net = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(21))
+        gen = RngStream(22).generator()
+        m, v = gen.standard_normal(net.flat.size), gen.random(net.flat.size)
+        grad = gen.standard_normal(net.flat.size)
+        state = AdamState(lr=0.01, t=t0, m=m.copy(), v=v.copy())
+        p = net.flat.copy()
+        adam_step(state, net, grad)
+        t = t0 + 1
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
+        p -= 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        for got, want in ((net.flat, p), (state.m, m), (state.v, v)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_non_finite_in_last_block_writes_nothing(self):
         net = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(19))
         assert net.flat.size > _BLOCK

@@ -97,6 +97,27 @@ class TestConditionalChain:
         assert states.mean() == pytest.approx(target, rel=0.02)
         assert states.min() >= 3.0
 
+    def test_level_noise_is_one_block_read_row_per_chain(self):
+        # rho = 0 at scale 1 and every proposal is accepted at t = inf, so
+        # each chain's states after its seed are its row of the level's block
+        dim, n_chains, level = 3, 4, 5
+        seeds = np.zeros((n_chains, dim))
+        g2 = lambda z: z[:, :1]
+        rng = RngStream(12, 4)
+        for n_particles, lengths in ((12, [3, 3, 3, 3]), (14, [4, 4, 3, 3]), (5, [2, 1, 1, 1])):
+            max_steps = max(lengths) - 1
+            block = rng.split(level).generator().standard_normal((n_chains, max_steps, dim))
+            states, _, _, calls = _rejuvenate(
+                seeds, np.zeros(n_chains), np.inf, level, 1.0, g2, np.zeros(1), rng, n_particles
+            )
+            assert calls == max_steps
+            start = 0
+            for c, length in enumerate(lengths):
+                np.testing.assert_array_equal(states[start], seeds[c])
+                np.testing.assert_array_equal(states[start + 1 : start + length], block[c, : length - 1])
+                start += length
+            assert start == n_particles
+
     def test_every_state_satisfies_threshold(self):
         g2 = lambda z: z[:, :1]
         states = single_chain(np.array([0.1]), 500, 1.0, g2, np.zeros(1), 0.7, RngStream(5))
@@ -112,6 +133,7 @@ class TestSubsimRun:
         assert trace.n_levels == 1
         assert trace.p_hat == 1.0
         assert not trace.stagnated
+        assert trace.stagnation is None
         assert trace.final_samples.shape == (500, 3)
 
     def test_gaussian_tail_oracle_z3(self):
@@ -178,6 +200,47 @@ class TestSubsimRun:
         assert trace.smallest_threshold >= 5.0
         assert trace.p_hat <= 1.0
 
+    def test_stagnation_cause_flat_threshold(self):
+        # every particle sits at the same dissimilarity: the second level
+        # cannot propose a strictly smaller threshold
+        cfg = SubSimConfig(target_eps=0.1, n_particles=200, max_levels=6)
+        trace = subsim_run(lambda z: np.ones((z.shape[0], 1)), np.zeros(1), 2, cfg, RngStream(13))
+        assert trace.stagnation == "flat_threshold"
+        assert trace.stagnated
+        assert trace.n_levels == 1
+
+    def test_stagnation_cause_slow_improvement(self):
+        # d = 1e5 + |z|^2 in 10-D: thresholds fall by ~1e-5 relatively per level
+        cfg = SubSimConfig(target_eps=0.1, n_particles=200, max_levels=6)
+        g2 = lambda z: np.sqrt(1e5 + np.sum(z * z, axis=1, keepdims=True))
+        trace = subsim_run(g2, np.zeros(1), 10, cfg, RngStream(14))
+        # the level budget runs out too, later: the first cause is kept
+        assert trace.stagnation == "slow_improvement"
+        assert trace.n_levels == cfg.max_levels
+
+    def test_stagnation_cause_level_budget(self):
+        # p(z_1 >= 3) = 1.3e-3 needs three levels at alpha = 0.1
+        cfg = SubSimConfig(target_eps=1e-12, max_levels=2)
+        trace = subsim_run(halfspace_map(3.0), np.zeros(1), 4, cfg, RngStream(15))
+        assert trace.stagnation == "level_budget"
+        assert trace.n_levels == 2
+        assert all(lvl.threshold > 0 for lvl in trace.levels)
+
+    def test_run_builds_one_generator_per_level(self, monkeypatch):
+        built = []
+        generator = RngStream.generator
+
+        def counted(self):
+            built.append(self.path)
+            return generator(self)
+
+        monkeypatch.setattr(RngStream, "generator", counted)
+        cfg = SubSimConfig(target_eps=0.05, n_particles=400, max_levels=25)
+        trace = subsim_run(lambda z: z[:, :3], np.zeros(3), 6, cfg, RngStream(7, 2, (1,)))
+        assert trace.n_levels > 2
+        assert len(built) <= trace.n_levels + 1
+        assert built == [(1, j) for j in range(trace.n_levels + 1)]
+
     def test_deterministic_given_stream(self):
         g2 = lambda z: z[:, :2]
         cfg = SubSimConfig(target_eps=0.5, n_particles=300)
@@ -207,7 +270,7 @@ class TestSubsimRun:
         cfg = SubSimConfig(target_eps=1e-6, n_particles=20, level_fraction=0.96)
         trace = subsim_run(lambda z: z[:, :2], np.ones(2), 4, cfg, RngStream(11))
         assert [lvl.acceptance_rate for lvl in trace.levels] == [None]
-        assert trace.stagnated
+        assert trace.stagnation == "flat_threshold"
 
     def test_empty_trace_estimate_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -233,9 +296,30 @@ class TestTraceIO:
         assert back.p_hat == trace.p_hat
         assert back.n_levels == trace.n_levels
         assert back.levels == trace.levels
+        assert back.stagnation is None
         np.testing.assert_array_equal(back.final_samples, trace.final_samples)
         for a, b in zip(back.level_dissimilarities, trace.level_dissimilarities):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("cause", ["flat_threshold", "slow_improvement", "level_budget"])
+    def test_stagnation_cause_roundtrips(self, tmp_path, cause):
+        cfg = SubSimConfig(target_eps=0.5, n_particles=300)
+        trace = subsim_run(lambda z: z[:, :2], np.zeros(2), 4, cfg, RngStream(11))
+        trace.stagnation = cause
+        prefix = str(tmp_path / "trace")
+        save_trace(prefix, trace)
+        assert f'"stagnation": "{cause}"' in open(prefix + ".json").read()
+        back = load_trace(prefix)
+        assert back.stagnation == cause and back.stagnated
+
+    def test_unknown_stagnation_cause_rejected(self, tmp_path):
+        cfg = SubSimConfig(target_eps=0.5, n_particles=300)
+        trace = subsim_run(lambda z: z[:, :2], np.zeros(2), 4, cfg, RngStream(11))
+        trace.stagnation = "bored"
+        prefix = str(tmp_path / "trace")
+        save_trace(prefix, trace)
+        with pytest.raises(ValueError, match="stagnation cause"):
+            load_trace(prefix)
 
     def test_level_without_proposals_roundtrips_as_null(self, tmp_path):
         # the whole prior population is within the target: no chain proposes
