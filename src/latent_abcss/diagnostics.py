@@ -200,7 +200,7 @@ def _solve(c: np.ndarray, cfg: SinkhornConfig, a, b, solves: list | None) -> flo
 
 def self_transport_costs(
     clouds: dict[str, np.ndarray],
-    ot_cfg: SinkhornConfig | None = None,
+    ot_cfg: SinkhornConfig,
     solves: list | None = None,
 ) -> dict[str, float]:
     """Entropic self-transport cost OT(r, r) of each cloud, keyed by name.
@@ -210,9 +210,8 @@ def self_transport_costs(
     :func:`wasserstein_diagnostics` call against the same references.
     ``solves``, if given, collects each solve's (iterations, converged).
     """
-    cfg = ot_cfg or SinkhornConfig()
     return {
-        name: _solve(cost_matrix(cloud, cloud), cfg, None, None, solves)
+        name: _solve(cost_matrix(cloud, cloud), ot_cfg, None, None, solves)
         for name, cloud in clouds.items()
     }
 
@@ -220,8 +219,8 @@ def self_transport_costs(
 def wasserstein_diagnostics(
     solutions: np.ndarray,
     references: dict[str, np.ndarray],
-    ot_cfg: SinkhornConfig | None = None,
-    reference_self: dict[str, float] | None = None,
+    ot_cfg: SinkhornConfig,
+    reference_self: dict[str, float],
     weights: np.ndarray | None = None,
     solves: list | None = None,
 ) -> dict[str, float]:
@@ -234,10 +233,9 @@ def wasserstein_diagnostics(
     probability weights (uniform when None): a cloud with repeated rows may
     be passed as its distinct rows weighted by multiplicity, which is the
     same measure on fewer points.  OT(s, s) is solved once per call and
-    shared by all references.  ``reference_self`` holds precomputed OT(r, r)
-    by reference name (see :func:`self_transport_costs`); without it they
-    are solved here.  ``solves``, if given, collects each solve's
-    (iterations, converged).
+    shared by all references.  ``reference_self`` holds OT(r, r) by
+    reference name, precomputed once by :func:`self_transport_costs`.
+    ``solves``, if given, collects each solve's (iterations, converged).
 
     Raises:
         ValueError: with no references, when ``reference_self`` lacks a
@@ -245,21 +243,18 @@ def wasserstein_diagnostics(
             or non-positive weights, or weights that do not sum to 1 within
             1e-12; all before any solve.
     """
-    cfg = ot_cfg or SinkhornConfig()
     if not references:
         raise ValueError("need at least one reference ensemble")
     solutions = np.atleast_2d(np.asarray(solutions, dtype=np.float64))
     if weights is not None:
         weights = _check_weights(weights, solutions.shape[0], "of the solutions")
-    if reference_self is None:
-        reference_self = self_transport_costs(references, cfg, solves)
     missing = sorted(set(references) - set(reference_self))
     if missing:
         raise ValueError(f"no precomputed self-transport cost for {', '.join(missing)}")
-    self_s = _solve(cost_matrix(solutions, solutions), cfg, weights, weights, solves)
+    self_s = _solve(cost_matrix(solutions, solutions), ot_cfg, weights, weights, solves)
     out = {}
     for name, ref in references.items():
-        cross = _solve(cost_matrix(solutions, ref), cfg, weights, None, solves)
+        cross = _solve(cost_matrix(solutions, ref), ot_cfg, weights, None, solves)
         out[name] = cross - 0.5 * self_s - 0.5 * reference_self[name]
     return out
 

@@ -21,7 +21,7 @@ import numpy as np
 from .rng_linalg import RngStream, write_csv, write_json
 from .neural import AdamState, Layer, MLPParams, _activate, adam_step, flat_size
 from .neural import mlp_backward, mlp_forward, refresh_spectral
-from .sinkhorn import SinkhornConfig, cost_matrix, entropic_ot, ot_point_gradient
+from .sinkhorn import SinkhornConfig, _plain_entropic_ot, cost_matrix, ot_point_gradient
 
 __all__ = [
     "Standardizer",
@@ -199,11 +199,14 @@ def lambda_schedule(epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class FrozenPlans:
-    """Converged transport plans held fixed for differentiation."""
+    """The cross plan (encodings to draws) and the encodings' self plan.
+
+    Held fixed for differentiation; the prior draws' self term carries no
+    gradient and is not part of the loss (see :func:`jgnn_loss`).
+    """
 
     plan_zp: np.ndarray
     plan_zz: np.ndarray
-    pp_cost: float
 
 
 @dataclass
@@ -228,24 +231,26 @@ def jgnn_loss(
 ) -> LossResult:
     """Loss and gradients for one standardized batch.
 
-    loss = MSE_x + MSE_y + lam * S(encodings, prior_draws)
+    loss = MSE_x + MSE_y + lam * (OT(z, p) - OT(z, z) / 2)
 
     where each MSE is normalized by its variable's dimension and the batch
-    size, and S is the debiased entropic transport cost at the configured
-    budget,
+    size, z are the batch encodings, p the prior draws, and each OT is a
+    plain entropic transport cost <P, C> at the configured budget.  The
+    latent term (``ot_cost``) is the debiased Sinkhorn divergence
 
-        S(z, p) = OT(z, p) - OT(z, z) / 2 - OT(p, p) / 2.
+        S(z, p) = OT(z, p) - OT(z, z) / 2 - OT(p, p) / 2
 
-    The plain cost at a large regularization degenerates toward the
-    independent-coupling energy, whose minimizer collapses the encodings
-    onto the prior mean; the debiasing terms cancel that pressure, so the
-    batch encodings spread to match the prior instead.
+    plus OT(p, p) / 2, which does not depend on the model, carries no
+    gradient and is not solved.  The plain cost at a large regularization
+    degenerates toward the independent-coupling energy, whose minimizer
+    collapses the encodings onto the prior mean; the self term cancels that
+    pressure, so the batch encodings spread to match the prior instead.
 
     Transport plans are treated as constants during differentiation
-    (envelope-style).  Passing ``frozen_plans`` skips the Sinkhorn solves
-    and evaluates the loss for those fixed plans, which is the exact
-    function the analytic gradient differentiates; the finite-difference
-    checks rely on this.
+    (envelope-style).  Each batch makes two Sinkhorn solves, for P_zp and
+    P_zz; passing ``frozen_plans`` skips them and evaluates the loss for
+    those fixed plans, which is the exact function the analytic gradient
+    differentiates; the finite-difference checks rely on this.
     """
     x_std = np.atleast_2d(x_std)
     y_std = np.atleast_2d(y_std)
@@ -264,22 +269,14 @@ def jgnn_loss(
     mse_x = float(np.mean(dx * dx))
     mse_y = float(np.mean(dy * dy))
 
-    ot_cfg = replace(sinkhorn_cfg, debiased=False)
-    if frozen_plans is not None:
-        plan_zp = frozen_plans.plan_zp
-        plan_zz = frozen_plans.plan_zz
-        pp_cost = frozen_plans.pp_cost
-        ot_cost = (
-            float(np.sum(plan_zp * cost_matrix(z, prior_draws)))
-            - 0.5 * float(np.sum(plan_zz * cost_matrix(z, z)))
-            - 0.5 * pp_cost
+    c_zp = cost_matrix(z, prior_draws)
+    c_zz = cost_matrix(z, z)
+    if frozen_plans is None:
+        frozen_plans = FrozenPlans(
+            _plain_entropic_ot(c_zp, sinkhorn_cfg).plan, _plain_entropic_ot(c_zz, sinkhorn_cfg).plan
         )
-    else:
-        ot_zp = entropic_ot(z, prior_draws, ot_cfg)
-        ot_zz = entropic_ot(z, z, ot_cfg)
-        pp_cost = entropic_ot(prior_draws, prior_draws, ot_cfg).cost
-        plan_zp, plan_zz = ot_zp.plan, ot_zz.plan
-        ot_cost = ot_zp.cost - 0.5 * ot_zz.cost - 0.5 * pp_cost
+    plan_zp, plan_zz = frozen_plans.plan_zp, frozen_plans.plan_zz
+    ot_cost = float(np.sum(plan_zp * c_zp)) - 0.5 * float(np.sum(plan_zz * c_zz))
     loss = mse_x + mse_y + lam * ot_cost
     if not np.isfinite(loss):
         raise ValueError("non-finite loss")
@@ -294,9 +291,7 @@ def jgnn_loss(
     dz = dz_rec + lam * (ot_point_gradient(z, prior_draws, plan_zp) - 0.5 * dz_zz)
     # the decoder's input gradient feeds dz; the encoder's would be discarded
     enc_grad, _ = mlp_backward(model.encoder, enc_cache, dz, input_gradient=False)
-    return LossResult(
-        loss, mse_x, mse_y, ot_cost, enc_grad, dec_grad, FrozenPlans(plan_zp, plan_zz, pp_cost)
-    )
+    return LossResult(loss, mse_x, mse_y, ot_cost, enc_grad, dec_grad, frozen_plans)
 
 
 def train(

@@ -261,12 +261,19 @@ def _load_dataset(dataset_dir: str):
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         paths = {k: os.path.join(dataset_dir, v) for k, v in manifest["files"].items()}
-        return {
+        data = {
             "train_x": _load_input(load_array, paths["train_x"]),
             "train_y": _load_input(load_array, paths["train_y"]),
             "ray_matrix": _load_input(load_ray_matrix, paths["ray_matrix"]),
             "manifest": manifest,
         }
+        for name, width in (("train_x", manifest["n_cells"]), ("train_y", manifest["n_rays"])):
+            shape = (manifest["n_train"], width)
+            if data[name].shape != shape:
+                raise ConfigError(f"{paths[name]} has shape {data[name].shape}, the manifest implies {shape}")
+            if not np.isfinite(data[name]).all():
+                raise ConfigError(f"{paths[name]} holds a NaN or infinite value")
+        return data
 
 
 def train_from_dataset(cfg: PipelineConfig, dataset_dir: str, out_dir: str) -> str:
@@ -454,10 +461,8 @@ def _deep_level_solutions(model: JGNNModel, deep, eps_top: float, n_obs: int, m_
         yield eps_n_j, g1(z_pop[first]), weights
 
 
-def _check_inversion_inputs(
-    cfg: PipelineConfig, model: JGNNModel, manifest: dict, y_obs, truth, oracle: bool
-) -> None:
-    """Refuse inputs that do not fit the model or the dataset, before any work."""
+def _check_model_fits(model: JGNNModel, manifest: dict) -> None:
+    """Refuse a checkpoint whose dimensions differ from the dataset's."""
     if model.dim_x != manifest["n_cells"]:
         raise ConfigError(
             f"checkpoint field dimension {model.dim_x} differs from the dataset's "
@@ -468,22 +473,24 @@ def _check_inversion_inputs(
             f"checkpoint travel-time dimension {model.dim_y} differs from the dataset's "
             f"{manifest['n_rays']} rays"
         )
-    if y_obs.size != model.dim_y:
+
+
+def _check_observation(cfg: PipelineConfig, manifest: dict, y_obs, truth=None, oracle: bool = True) -> None:
+    """Refuse an observation (and truth) that does not fit the dataset, before any work.
+
+    The oracle prior is built on the config grid and its operator on the
+    dataset's, so with ``oracle`` the two grids must agree.
+    """
+    if y_obs.size != manifest["n_rays"]:
         raise ConfigError(
-            f"observation has {y_obs.size} travel times, the model expects {model.dim_y}"
+            f"observation has {y_obs.size} travel times, the dataset has {manifest['n_rays']} rays"
         )
-    if truth is not None and truth.size != model.dim_x:
-        raise ConfigError(f"truth has {truth.size} cells, the model expects {model.dim_x}")
+    if truth is not None and truth.size != manifest["n_cells"]:
+        raise ConfigError(f"truth has {truth.size} cells, the dataset has {manifest['n_cells']}")
     for name, arr in (("observation", y_obs), ("truth", truth)):
         if arr is not None and not np.isfinite(arr).all():
             raise ConfigError(f"{name} holds a NaN or infinite value")
-    if oracle:
-        _check_oracle_grid(cfg, manifest)
-
-
-def _check_oracle_grid(cfg: PipelineConfig, manifest: dict) -> None:
-    """The oracle prior is built on the config grid, its operator on the dataset's."""
-    if asdict(cfg.grid) != manifest["config"]["grid"]:
+    if oracle and asdict(cfg.grid) != manifest["config"]["grid"]:
         raise ConfigError(
             f"config grid {asdict(cfg.grid)} differs from the dataset's {manifest['config']['grid']}"
         )
@@ -505,7 +512,8 @@ def invert_artifacts(
     model = _load_input(load_model, checkpoint)
     data = _load_dataset(dataset_dir)
     with _reading(os.path.join(dataset_dir, "manifest.json")):
-        _check_inversion_inputs(cfg, model, data["manifest"], y_obs, truth, oracle)
+        _check_model_fits(model, data["manifest"])
+        _check_observation(cfg, data["manifest"], y_obs, truth, oracle)
     prov = cfg.provenance("invert")
     rng = RngStream(cfg.seed, stream_id=3)
 
@@ -595,15 +603,8 @@ def compute_oracle_posterior(
     os.makedirs(out_dir, exist_ok=True)
     y_obs = _load_input(load_array, y_obs_path)
     data = _load_dataset(dataset_dir)
-    manifest = data["manifest"]
     with _reading(os.path.join(dataset_dir, "manifest.json")):
-        if y_obs.size != manifest["n_rays"]:
-            raise ConfigError(
-                f"observation has {y_obs.size} travel times, the dataset has {manifest['n_rays']} rays"
-            )
-        if not np.isfinite(y_obs).all():
-            raise ConfigError("observation holds a NaN or infinite value")
-        _check_oracle_grid(cfg, manifest)
+        _check_observation(cfg, data["manifest"], y_obs)
     prov = cfg.provenance("oracle-posterior")
     prior, noise_cov = _oracle_prior_noise(cfg, y_obs.size)
     post = linear_gaussian_posterior(prior, data["ray_matrix"], noise_cov, y_obs)

@@ -255,6 +255,33 @@ class TestTrain:
         assert "malformed artifact" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "m" / "model.ckpt")
 
+    def test_non_finite_dataset_cell_exits_2(self, pipeline, tmp_path, capsys):
+        bad = _dataset_edited(pipeline, tmp_path, "train_x", _with_nan)
+        assert main(["train", "--config", pipeline[1], "--dataset", bad, "--out", str(tmp_path / "m")]) == 2
+        assert "train_x.f64 holds a NaN or infinite value" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m" / "model.ckpt")
+
+    def test_dataset_rows_short_of_the_manifest_exit_2(self, pipeline, tmp_path, capsys):
+        bad = _dataset_edited(pipeline, tmp_path, "train_y", lambda a: a[:100])
+        assert main(["train", "--config", pipeline[1], "--dataset", bad, "--out", str(tmp_path / "m")]) == 2
+        assert "train_y.f64 has shape (100, 4), the manifest implies (120, 4)" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m" / "model.ckpt")
+
+
+def _with_nan(arr):
+    arr = arr.copy()
+    arr[5, 2] = np.nan
+    return arr
+
+
+def _dataset_edited(pipeline, tmp_path, name, edit):
+    """A copy of the pipeline's dataset with ``name``'s array replaced by ``edit(array)``."""
+    data = str(tmp_path / "data")
+    shutil.copytree(pipeline[2], data)
+    path = os.path.join(data, name + ".f64")
+    save_array(path, edit(load_array(path)))
+    return data
+
 
 @pytest.fixture(scope="module")
 def oracle_runs(pipeline):
@@ -506,6 +533,14 @@ class TestInvertInputChecks:
         save_array(truth, x)
         assert self._invert(pipeline, str(root / "yobs.f64"), truth=truth) == 2
         assert "truth holds a NaN or infinite value" in capsys.readouterr().err
+        assert not os.path.exists(root / "inv_refused" / "summary.json")
+
+    def test_non_finite_dataset_cell_exits_2(self, pipeline, tmp_path, capsys):
+        # a NaN training field would reach summary.json's train-to-truth RMSE
+        root = pipeline[0]
+        bad = _dataset_edited(pipeline, tmp_path, "train_x", _with_nan)
+        assert self._invert(pipeline, str(root / "yobs.f64"), data=bad, truth=str(root / "truth.f64")) == 2
+        assert "train_x.f64 holds a NaN or infinite value" in capsys.readouterr().err
         assert not os.path.exists(root / "inv_refused" / "summary.json")
 
     def test_missing_truth_exits_2(self, pipeline, tmp_path, capsys):

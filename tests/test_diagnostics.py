@@ -230,13 +230,17 @@ class TestWassersteinDiagnostics:
     def test_solutions_equal_reference(self):
         gen = np.random.default_rng(5)
         sols = gen.standard_normal((30, 4))
-        out = wasserstein_diagnostics(sols, {"self": sols.copy()}, SinkhornConfig(reg=1.0, max_iter=200))
+        cfg = SinkhornConfig(reg=1.0, max_iter=200)
+        refs = {"self": sols.copy()}
+        out = wasserstein_diagnostics(sols, refs, cfg, self_transport_costs(refs, cfg))
         assert out["self"] == pytest.approx(0.0, abs=1e-9)
 
     def test_dirac_at_truth(self):
         truth = np.array([1.0, 2.0, 3.0])
         sols = np.tile(truth, (10, 1))
-        out = wasserstein_diagnostics(sols, {"truth": truth}, SinkhornConfig(reg=1.0, max_iter=100))
+        cfg = SinkhornConfig(reg=1.0, max_iter=100)
+        refs = {"truth": truth}
+        out = wasserstein_diagnostics(sols, refs, cfg, self_transport_costs(refs, cfg))
         assert out["truth"] == pytest.approx(0.0, abs=1e-12)
 
     def test_shifted_cloud_ranks_farther(self):
@@ -244,31 +248,14 @@ class TestWassersteinDiagnostics:
         sols = gen.standard_normal((50, 3))
         near = gen.standard_normal((50, 3))
         far = gen.standard_normal((50, 3)) + 4.0
-        out = wasserstein_diagnostics(
-            sols, {"near": near, "far": far}, SinkhornConfig(reg=1.0, max_iter=200)
-        )
+        cfg = SinkhornConfig(reg=1.0, max_iter=200)
+        refs = {"near": near, "far": far}
+        out = wasserstein_diagnostics(sols, refs, cfg, self_transport_costs(refs, cfg))
         assert out["near"] < out["far"]
 
     def test_empty_references_rejected(self):
         with pytest.raises(ValueError):
-            wasserstein_diagnostics(np.ones((3, 2)), {}, SinkhornConfig())
-
-    def test_precomputed_reference_self_costs_change_nothing(self):
-        gen = np.random.default_rng(7)
-        cfg = SinkhornConfig(reg=1.0, max_iter=300, tol=1e-10)
-        refs = {
-            "cloud": gen.standard_normal((40, 5)) + 0.5,
-            "dirac": gen.standard_normal(5),
-        }
-        refs_self = self_transport_costs(refs, cfg)
-        assert set(refs_self) == set(refs)
-        for shift in (0.0, 1.0, 3.0):
-            sols = gen.standard_normal((30, 5)) + shift
-            fresh = wasserstein_diagnostics(sols, refs, cfg)
-            cached = wasserstein_diagnostics(sols, refs, cfg, refs_self)
-            assert cached.keys() == fresh.keys()
-            for name in refs:
-                assert cached[name] == pytest.approx(fresh[name], rel=1e-12, abs=1e-300)
+            wasserstein_diagnostics(np.ones((3, 2)), {}, SinkhornConfig(), {})
 
     def test_missing_precomputed_self_cost_rejected(self):
         gen = np.random.default_rng(8)
@@ -298,8 +285,10 @@ class TestWassersteinDiagnostics:
         gen = np.random.default_rng(10)
         sols = gen.standard_normal((12, 3))
         refs = {"a": gen.standard_normal((9, 3)), "b": gen.standard_normal(3)}
+        cfg = SinkhornConfig(reg=1.0, max_iter=4, tol=1e-12)
         solves = []
-        wasserstein_diagnostics(sols, refs, SinkhornConfig(reg=1.0, max_iter=4, tol=1e-12), solves=solves)
+        refs_self = self_transport_costs(refs, cfg, solves)
+        wasserstein_diagnostics(sols, refs, cfg, refs_self, solves=solves)
         # self terms of a and of the Dirac b (exact at once), then the
         # solutions' self term and the cross terms with a and with b
         assert solves == [(4, False), (1, True), (4, False), (4, False), (2, True)]
@@ -325,7 +314,11 @@ class TestWassersteinDiagnostics:
         gen = np.random.default_rng(11)
         with pytest.raises(ValueError, match="weights of the solutions"):
             wasserstein_diagnostics(
-                gen.standard_normal((5, 2)), {"r": gen.standard_normal((4, 2))}, weights=weights
+                gen.standard_normal((5, 2)),
+                {"r": gen.standard_normal((4, 2))},
+                SinkhornConfig(),
+                {"r": 0.0},
+                weights=weights,
             )
 
 

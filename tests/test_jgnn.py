@@ -6,6 +6,7 @@ import pytest
 from latent_abcss.jgnn import (
     JGNNModel,
     TrainConfig,
+    TrainingDiverged,
     Standardizer,
     encode,
     g1_of_latent,
@@ -20,7 +21,7 @@ from latent_abcss.jgnn import (
 )
 from latent_abcss.neural import Layer, MLPParams, mlp_forward, refresh_spectral
 from latent_abcss.rng_linalg import RngStream
-from latent_abcss.sinkhorn import SinkhornConfig, entropic_ot
+from latent_abcss.sinkhorn import SinkhornConfig, _plain_entropic_ot, cost_matrix, entropic_ot
 
 DIM_X, DIM_Y, DIM_Z = 8, 20, 10
 
@@ -94,9 +95,41 @@ class TestJgnnLoss:
         xb = gen.standard_normal((5, 4))
         yb = gen.standard_normal((5, 3))
         z = encode(model, xb, yb)
-        # debiased latent term vanishes when draws coincide with encodings
-        res = jgnn_loss(xb, yb, model, 1.0, SinkhornConfig(reg=100.0, max_iter=40), z.copy())
-        assert res.ot_cost == pytest.approx(0.0, abs=1e-9)
+        cfg = SinkhornConfig(reg=100.0, max_iter=40)
+        # ot_cost leaves out OT(p, p) / 2; with it, the debiased divergence
+        # vanishes when the draws coincide with the encodings
+        res = jgnn_loss(xb, yb, model, 1.0, cfg, z.copy())
+        pp_cost = _plain_entropic_ot(cost_matrix(z, z), cfg).cost
+        assert res.ot_cost - 0.5 * pp_cost == pytest.approx(0.0, abs=1e-9)
+
+    def test_two_solves_per_batch_and_none_for_frozen_plans(self, monkeypatch):
+        from latent_abcss import jgnn
+
+        costs = []
+
+        def counted(c, cfg, *args):
+            costs.append(c)
+            return _plain_entropic_ot(c, cfg, *args)
+
+        monkeypatch.setattr(jgnn, "_plain_entropic_ot", counted)
+        model = self._tiny_model()
+        gen = RngStream(15).generator()
+        xb, yb, draws = gen.standard_normal((6, 4)), gen.standard_normal((6, 3)), gen.standard_normal((6, 2))
+        fresh = jgnn_loss(xb, yb, model, 0.7, SinkhornConfig(), draws)
+        z = encode(model, xb, yb)
+        # the cross solve, then the encodings' self solve; none over the draws
+        assert [c.tolist() for c in costs] == [cost_matrix(z, draws).tolist(), cost_matrix(z, z).tolist()]
+        frozen = jgnn_loss(xb, yb, model, 0.7, SinkhornConfig(), draws, frozen_plans=fresh.plans)
+        assert len(costs) == 2
+        assert frozen.loss == fresh.loss
+
+    def test_non_finite_batch_rejected(self):
+        model = self._tiny_model()
+        gen = RngStream(16).generator()
+        xb = gen.standard_normal((6, 4))
+        xb[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite loss"):
+            jgnn_loss(xb, gen.standard_normal((6, 3)), model, 1.0, SinkhornConfig(), gen.standard_normal((6, 2)))
 
     def test_gradient_matches_finite_differences(self):
         model = self._tiny_model()
@@ -201,6 +234,16 @@ class TestTrain:
         np.testing.assert_array_equal(h1.mse_x, h2.mse_x)
         np.testing.assert_array_equal(h1.val_mse_y, h2.val_mse_y)
         np.testing.assert_array_equal(h1.ot_term, h2.ot_term)
+
+    def test_non_finite_couple_diverges_at_epoch_zero(self):
+        xs, ys, _ = linear_toy_dataset(300, seed=6)
+        xs[18, 3] = np.nan  # a training couple (seed 4), so the standardizer sees it
+        cfg = TrainConfig(epochs=3, batch_size=64, seed=4)
+        model = JGNNModel.init(DIM_X, DIM_Y, 4, RngStream(5), hidden=(8,))
+        with pytest.raises(TrainingDiverged, match="epoch 0") as info:
+            train(xs, ys, model, cfg)
+        assert info.value.epoch == 0
+        assert info.value.history.mse_x == [] and info.value.history.ot_term == []
 
     def test_dataset_smaller_than_batch_rejected(self):
         xs, ys, _ = linear_toy_dataset(50)

@@ -189,8 +189,9 @@ class TestSubsimRun:
         ]
         assert np.mean(phats) == pytest.approx(1e-3, rel=0.3)
 
-    def test_stagnation_flag_and_budget_burn(self):
-        # dissimilarity floored at 5: target below the floor is unreachable
+    def test_unreachable_target_stagnates_at_the_floor(self):
+        # dissimilarity floored at 5: a target below the floor is unreachable,
+        # and the run stagnates without a threshold under the floor
         def g2(z):
             return np.sqrt(np.maximum(z[:, :1] ** 2, 5.0))
 
