@@ -182,7 +182,7 @@ class TrainHistory:
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the history up to the failure."""
+    """A training or validation loss became non-finite; carries the history up to the failure."""
 
     def __init__(self, epoch: int, history: TrainHistory):
         self.epoch = epoch
@@ -305,6 +305,7 @@ def train(
     A seeded fraction of the couples is held out; after every epoch the
     validation reconstruction MSE (standardized space) is recorded and the
     parameters with the lowest total are kept.  Deterministic per seed.
+    A non-finite batch loss or validation MSE raises :class:`TrainingDiverged`.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
@@ -363,6 +364,8 @@ def train(
         history.lam.append(lam)
         history.val_mse_x.append(vmx)
         history.val_mse_y.append(vmy)
+        if not np.isfinite(vmx + vmy):  # a NaN would never beat best_val, leaving the initial weights
+            raise TrainingDiverged(epoch, history)
         if vmx + vmy < best_val:
             best_val = vmx + vmy
             best_model = model.copy()

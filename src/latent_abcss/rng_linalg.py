@@ -175,8 +175,7 @@ def load_array(path: str) -> np.ndarray:
     if sidecar.get("dtype") != "f64" or sidecar.get("order") != "row-major":
         raise ValueError(f"unsupported array artifact header: {sidecar}")
     shape = tuple(int(s) for s in sidecar["shape"])
-    n = int(np.prod(shape)) if shape else 1
-    expected = n * 8
+    expected = int(np.prod(shape)) * 8
     size = os.path.getsize(path)
     if size != expected:
         raise ValueError(f"array file {path} has {size} bytes, header implies {expected}")
@@ -188,10 +187,10 @@ def load_array(path: str) -> np.ndarray:
 
 
 def write_json(path: str, doc: dict) -> None:
-    """Write ``doc`` with sorted keys, a one-space indent and a final newline."""
+    """Write ``doc`` with sorted keys, a one-space indent and a final newline; NaN or inf raises ValueError."""
+    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)  # refused before the file is opened
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path: str, header, rows) -> str:

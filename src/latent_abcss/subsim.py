@@ -90,7 +90,6 @@ class SubSimTrace:
     config: SubSimConfig
     levels: list[LevelRecord] = field(default_factory=list)
     final_samples: np.ndarray | None = None
-    final_dissimilarities: np.ndarray | None = None
     p_hat: float = np.nan
     stagnation: str | None = None
     level_dissimilarities: list[np.ndarray] = field(default_factory=list)
@@ -105,10 +104,8 @@ class SubSimTrace:
         return len(self.levels)
 
     @property
-    def smallest_threshold(self) -> float:
-        if not self.levels:
-            raise ValueError("empty trace")
-        return self.levels[-1].threshold
+    def final_dissimilarities(self) -> np.ndarray:
+        return self.level_dissimilarities[-1]
 
 
 def dissimilarity_batch(y_gen: np.ndarray, y_obs: np.ndarray) -> np.ndarray:
@@ -199,8 +196,8 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
 
     z = rng.split(0).generator().standard_normal((n, latent_dim))
     d = dissimilarity_batch(g2(z), y_obs)
-    trace.level_dissimilarities.append(d.copy())
-    trace.level_samples.append(z.copy())
+    trace.level_dissimilarities.append(d)
+    trace.level_samples.append(z)
 
     scale = cfg.proposal_scale
     stagnant_streak = 0
@@ -231,8 +228,8 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
 
         z, d, rate, calls = _rejuvenate(z[surv], d[surv], t, level, scale, g2, y_obs, rng, n)
         trace.levels.append(LevelRecord(t, rate, surv.size, scale, calls))
-        trace.level_dissimilarities.append(d.copy())
-        trace.level_samples.append(z.copy())
+        trace.level_dissimilarities.append(d)
+        trace.level_samples.append(z)
         if crossed:
             break
         t_prev = t
@@ -244,7 +241,6 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
         trace.stagnation = trace.stagnation or "level_budget"  # consumed before crossing
 
     trace.final_samples = z
-    trace.final_dissimilarities = d
     trace.p_hat = estimate_p(trace) if trace.levels else float("nan")
     return trace
 
@@ -259,21 +255,21 @@ def estimate_p(trace: SubSimTrace) -> float:
 
 
 def save_trace(prefix: str, trace: SubSimTrace, provenance: dict | None = None) -> None:
-    """JSON at ``prefix.json`` plus array artifacts for the final population."""
+    """JSON at ``prefix.json``, the final samples, and one array of every population's dissimilarities.
+
+    Row 0 of ``prefix_dissimilarities.f64`` is the prior population and row j the one after level j.
+    """
     doc = {
         "config": asdict(trace.config),
         "levels": [asdict(lvl) for lvl in trace.levels],
-        "p_hat": trace.p_hat,
+        "p_hat": None if np.isnan(trace.p_hat) else trace.p_hat,  # no level, no estimate
         "stagnation": trace.stagnation,
-        "n_level_populations": len(trace.level_dissimilarities),
     }
     if provenance is not None:
         doc["provenance"] = provenance
     write_json(prefix + ".json", doc)
     save_array(prefix + "_samples.f64", trace.final_samples, provenance)
-    save_array(prefix + "_dissimilarities.f64", trace.final_dissimilarities, provenance)
-    for j, pop in enumerate(trace.level_dissimilarities):
-        save_array(f"{prefix}_level{j:02d}_dissimilarities.f64", pop, provenance)
+    save_array(prefix + "_dissimilarities.f64", np.stack(trace.level_dissimilarities), provenance)
 
 
 def load_trace(prefix: str) -> SubSimTrace:
@@ -282,14 +278,13 @@ def load_trace(prefix: str) -> SubSimTrace:
         doc = json.load(fh)
     trace = SubSimTrace(config=SubSimConfig(**doc["config"]))
     trace.levels = [LevelRecord(**lvl) for lvl in doc["levels"]]
-    trace.p_hat = doc["p_hat"]
+    trace.p_hat = float("nan") if doc["p_hat"] is None else doc["p_hat"]
     trace.stagnation = doc["stagnation"]
     if trace.stagnation not in (None, "flat_threshold", "slow_improvement", "level_budget"):
         raise ValueError(f"unknown stagnation cause {trace.stagnation!r}")
     trace.final_samples = load_array(prefix + "_samples.f64")
-    trace.final_dissimilarities = load_array(prefix + "_dissimilarities.f64")
-    trace.level_dissimilarities = [
-        load_array(f"{prefix}_level{j:02d}_dissimilarities.f64")
-        for j in range(int(doc["n_level_populations"]))
-    ]
+    pops = load_array(prefix + "_dissimilarities.f64")
+    if pops.shape != (trace.n_levels + 1, trace.config.n_particles):
+        raise ValueError(f"{prefix}_dissimilarities.f64 has shape {pops.shape}, not one row per population")
+    trace.level_dissimilarities = list(pops)
     return trace

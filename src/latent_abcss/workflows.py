@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -131,11 +132,13 @@ class PipelineConfig:
 
     def validate(self) -> None:
         try:
-            _check_integers(self)
+            _check_field_types(self)
             RngStream(self.seed)
             self.geometry()
             self.train_config()
             default_eps_grid(self.eps_min, self.eps_max, self.eps_count)
+            if self.smoothing_window % 2 == 0 or not 3 <= self.smoothing_window <= self.eps_count:
+                raise ValueError(f"smoothing_window must be odd and in [3, eps_count = {self.eps_count}]")
             if self.noise_std < 0:
                 raise ValueError("noise_std must be nonnegative")
             if min(self.train_size, self.test_size, self.latent_dim) < 1:
@@ -171,14 +174,17 @@ class PipelineConfig:
         }
 
 
-def _check_integers(cfg: PipelineConfig) -> None:
-    """Refuse a float or a bool where the config declares an integer."""
-    values = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.type == "int"]
-    values += [(f"grid.{f.name}", getattr(cfg.grid, f.name)) for f in fields(cfg.grid) if f.type == "int"]
-    values += [(f"hidden[{i}]", h) for i, h in enumerate(cfg.hidden)]
-    for name, value in values:
-        if type(value) is not int:
+def _check_field_types(cfg: PipelineConfig) -> None:
+    """Refuse a non-int in an ``int`` field, and a non-finite number in a ``float`` field."""
+    parts = (("", cfg), ("grid.", cfg.grid), ("gp.", cfg.gp))
+    values = [(pre + f.name, f.type, getattr(obj, f.name)) for pre, obj in parts for f in fields(obj)]
+    values += [(f"hidden[{i}]", "int", h) for i, h in enumerate(cfg.hidden)]
+    for name, kind, value in values:
+        if kind == "int" and type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        # NaN fails the comparison, as does an int too large for a float
+        if kind == "float" and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _require(paths: list[str]) -> None:
@@ -463,16 +469,10 @@ def _deep_level_solutions(model: JGNNModel, deep, eps_top: float, n_obs: int, m_
 
 def _check_model_fits(model: JGNNModel, manifest: dict) -> None:
     """Refuse a checkpoint whose dimensions differ from the dataset's."""
-    if model.dim_x != manifest["n_cells"]:
-        raise ConfigError(
-            f"checkpoint field dimension {model.dim_x} differs from the dataset's "
-            f"{manifest['n_cells']} cells"
-        )
-    if model.dim_y != manifest["n_rays"]:
-        raise ConfigError(
-            f"checkpoint travel-time dimension {model.dim_y} differs from the dataset's "
-            f"{manifest['n_rays']} rays"
-        )
+    checks = (("field", model.dim_x, "n_cells", "cells"), ("travel-time", model.dim_y, "n_rays", "rays"))
+    for what, dim, key, unit in checks:
+        if dim != manifest[key]:
+            raise ConfigError(f"checkpoint {what} dimension {dim} differs from the dataset's {manifest[key]} {unit}")
 
 
 def _check_observation(cfg: PipelineConfig, manifest: dict, y_obs, truth=None, oracle: bool = True) -> None:
@@ -584,6 +584,7 @@ def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
             rows.append(row(os.path.basename(os.path.normpath(run)), p, col))
     cols = {p: (np.concatenate(pooled[p]) if pooled[p] else np.empty(0)) for p in pairings}
     rows += [row("pooled", p, cols[p]) for p in pairings if cols[p].size]
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     write_csv(out_path, header, (r.values() for r in rows))
     # pooled per-sample distributions, one labeled column per pairing
     dist_path = os.path.splitext(out_path)[0] + "_pooled.csv"

@@ -45,6 +45,8 @@ MICRO_CONFIG = {
     "diag_subsample": 80,
 }
 
+NAN, INF = float("nan"), float("inf")
+
 
 def tree_digest(root):
     h = hashlib.sha256()
@@ -192,6 +194,40 @@ class TestGendata:
         assert f"config error [gendata]: {name} must be an integer" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("gendata", {"separation": NAN}, "separation must be a finite number, got nan"),
+            ("gendata", {"noise_std": NAN}, "noise_std must be a finite number, got nan"),
+            ("gendata", {"noise_std": INF}, "noise_std must be a finite number, got inf"),
+            ("gendata", {"sinkhorn_tol": NAN}, "sinkhorn_tol must be a finite number, got nan"),
+            ("gendata", {"sinkhorn_tol": INF}, "sinkhorn_tol must be a finite number, got inf"),
+            ("gendata", {"grid": {**MICRO_CONFIG["grid"], "cell_size": INF}}, "grid.cell_size must be a finite"),
+            ("gendata", {"gp": {**MICRO_CONFIG["gp"], "lengthscale": INF}}, "gp.lengthscale must be a finite"),
+            ("gendata", {"gp": {**MICRO_CONFIG["gp"], "variance": INF}}, "gp.variance must be a finite"),
+            ("gendata", {"gp": {**MICRO_CONFIG["gp"], "mean": NAN}}, "gp.mean must be a finite number, got nan"),
+            ("gendata", {"gp": {**MICRO_CONFIG["gp"], "mean": INF}}, "gp.mean must be a finite number, got inf"),
+            ("gendata", {"gp": {**MICRO_CONFIG["gp"], "mean": -INF}}, "gp.mean must be a finite number, got -inf"),
+            ("gendata", {"eps_count": 3}, "smoothing_window must be odd and in [3, eps_count = 3]"),
+            ("gendata", {"smoothing_window": 4}, "smoothing_window must be odd and in [3, eps_count = 25]"),
+            ("invert --oracle --noise-std nan", {}, "noise_std must be a finite number, got nan"),
+        ],
+    )
+    def test_non_finite_or_inconsistent_setting_exits_2(self, pipeline, tmp_path, capsys, command, doc, message):
+        # refused at config load, before any sampling or training
+        root, _, data, model = pipeline
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**MICRO_CONFIG, **doc}))
+        out = tmp_path / "o"
+        name, *flags = command.split()
+        argv = [name, *flags, "--config", str(bad), "--out", str(out)]
+        if name == "invert":
+            argv += ["--checkpoint", os.path.join(model, "model.ckpt"), "--yobs", str(root / "yobs.f64")]
+            argv += ["--dataset", data]
+        assert main(argv) == 2
+        assert f"config error [{name}]: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, workdir, tmp_path, capsys, seed):
         _, cfg = workdir
@@ -331,6 +367,20 @@ class TestInvert:
     def test_rerun_byte_identical(self, oracle_runs):
         assert tree_digest(oracle_runs[0]) == tree_digest(oracle_runs[1])
 
+    def test_artifact_file_list(self, oracle_runs):
+        # each trace is its JSON, the final samples and one (n_levels + 1, n_particles) dissimilarity array
+        arrays = [f"solutions_{s}.f64" for s in ("latent", "x", "y")]
+        arrays += [f"{t}_{part}.f64" for t in ("deep_trace", "final_trace") for part in ("dissimilarities", "samples")]
+        traces = ["deep_trace.json", "final_trace.json"]
+        expected = ["curve.csv", "metrics.csv", "summary.json", "wasserstein.csv", *traces]
+        expected += [name + ext for name in arrays for ext in ("", ".json")]
+        assert len(expected) == 20
+        assert sorted(os.listdir(oracle_runs[0])) == sorted(expected)
+        for trace in ("deep_trace", "final_trace"):
+            levels = json.load(open(os.path.join(oracle_runs[0], trace + ".json")))["levels"]
+            pops = load_array(os.path.join(oracle_runs[0], trace + "_dissimilarities.f64"))
+            assert pops.shape == (len(levels) + 1, MICRO_CONFIG["n_particles"])
+
     def test_oracle_solves_reference_self_transport_once(self, pipeline, monkeypatch):
         from latent_abcss import diagnostics
         from latent_abcss.workflows import PipelineConfig, invert_artifacts
@@ -419,7 +469,7 @@ class TestInvert:
     def test_bad_eps_grid_exits_2(self, pipeline, capsys):
         root, cfg, data, model = pipeline
         usage = "--eps-grid expects"
-        bounds = "eps_max < inf"
+        bounds = "eps_max must be a finite number"
         for grid, message in (
             ("5,4", usage),
             ("a,b,c", usage),
@@ -705,6 +755,14 @@ class TestEvaluateAndOracle:
     def test_evaluate_missing_run_exits_2(self, tmp_path):
         rc = main(["evaluate", "--runs", str(tmp_path / "ghost"), "--out", str(tmp_path / "agg.csv")])
         assert rc == 2
+
+    def test_evaluate_creates_the_output_directory(self, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_text("rmse_solutions_truth,rmse_prior_truth\n0.25,0.5\n")
+        out = tmp_path / "new" / "agg.csv"
+        assert main(["evaluate", "--runs", str(run), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out.parent)) == ["agg.csv", "agg_pooled.csv"]
 
     def test_evaluate_non_numeric_cell_exits_2(self, tmp_path, capsys):
         run = tmp_path / "run"

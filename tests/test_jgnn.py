@@ -245,6 +245,19 @@ class TestTrain:
         assert info.value.epoch == 0
         assert info.value.history.mse_x == [] and info.value.history.ot_term == []
 
+    def test_non_finite_validation_couple_diverges(self):
+        # a held-out couple (seed 4): training losses stay finite, validation does not;
+        # without the check, train would return the initial weights
+        xs, ys, _ = linear_toy_dataset(300, seed=6)
+        xs[17, 3] = np.nan
+        cfg = TrainConfig(epochs=3, batch_size=64, seed=4)
+        model = JGNNModel.init(DIM_X, DIM_Y, 4, RngStream(5), hidden=(8,))
+        with pytest.raises(TrainingDiverged, match="epoch 0") as info:
+            train(xs, ys, model, cfg)
+        history = info.value.history
+        assert np.isfinite(history.mse_x).all() and np.isnan(history.val_mse_x).all()
+        assert len(history.val_mse_x) == 1
+
     def test_dataset_smaller_than_batch_rejected(self):
         xs, ys, _ = linear_toy_dataset(50)
         with pytest.raises(ValueError, match="batch"):

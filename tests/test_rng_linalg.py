@@ -14,6 +14,7 @@ from latent_abcss.rng_linalg import (
     save_array,
     solve_spd_factored,
     write_csv,
+    write_json,
 )
 
 
@@ -194,6 +195,13 @@ class TestJitterAndArtifacts:
         path = str(tmp_path / "v.f64")
         save_array(path, vec)
         np.testing.assert_array_equal(load_array(path), vec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_json_refuses_non_finite_and_writes_nothing(self, tmp_path, bad):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            write_json(str(path), {"ok": 1.0, "nested": {"bad": [bad]}})
+        assert not path.exists()
 
     def test_truncated_file_rejected(self, tmp_path):
         path = str(tmp_path / "bad.f64")

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import chi2, kstest
 
-from latent_abcss.rng_linalg import RngStream
+from latent_abcss.rng_linalg import RngStream, load_array, save_array
 from latent_abcss.subsim import (
     LevelRecord,
     SubSimConfig,
@@ -198,7 +198,7 @@ class TestSubsimRun:
         cfg = SubSimConfig(target_eps=0.1, n_particles=200, max_levels=6)
         trace = subsim_run(g2, np.zeros(1), 2, cfg, RngStream(8))
         assert trace.stagnated
-        assert trace.smallest_threshold >= 5.0
+        assert trace.levels[-1].threshold >= 5.0
         assert trace.p_hat <= 1.0
 
     def test_stagnation_cause_flat_threshold(self):
@@ -299,8 +299,41 @@ class TestTraceIO:
         assert back.levels == trace.levels
         assert back.stagnation is None
         np.testing.assert_array_equal(back.final_samples, trace.final_samples)
-        for a, b in zip(back.level_dissimilarities, trace.level_dissimilarities):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(back.level_dissimilarities, trace.level_dissimilarities)
+        np.testing.assert_array_equal(back.final_dissimilarities, trace.final_dissimilarities)
+        # one array per trace: row 0 the prior population, the last row the final one
+        pops = load_array(prefix + "_dissimilarities.f64")
+        assert pops.shape == (trace.n_levels + 1, cfg.n_particles)
+        np.testing.assert_array_equal(pops[-1], trace.final_dissimilarities)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "trace.json",
+            "trace_dissimilarities.f64",
+            "trace_dissimilarities.f64.json",
+            "trace_samples.f64",
+            "trace_samples.f64.json",
+        ]
+
+    def test_wrong_population_count_rejected(self, tmp_path):
+        cfg = SubSimConfig(target_eps=0.5, n_particles=300)
+        trace = subsim_run(lambda z: z[:, :2], np.zeros(2), 4, cfg, RngStream(11))
+        prefix = str(tmp_path / "trace")
+        save_trace(prefix, trace)
+        pops = load_array(prefix + "_dissimilarities.f64")
+        save_array(prefix + "_dissimilarities.f64", pops[:-1])
+        with pytest.raises(ValueError, match="not one row per population"):
+            load_trace(prefix)
+
+    def test_trace_without_levels_roundtrips_p_hat_as_null(self, tmp_path):
+        # an infinite dissimilarity everywhere: no threshold below the first, so no level
+        cfg = SubSimConfig(target_eps=0.5, n_particles=300)
+        trace = subsim_run(lambda z: np.full((z.shape[0], 1), np.inf), np.zeros(1), 4, cfg, RngStream(11))
+        assert trace.n_levels == 0 and np.isnan(trace.p_hat)
+        prefix = str(tmp_path / "trace")
+        save_trace(prefix, trace)
+        assert '"p_hat": null' in open(prefix + ".json").read()
+        back = load_trace(prefix)
+        assert np.isnan(back.p_hat) and back.stagnation == "flat_threshold"
+        assert len(back.level_dissimilarities) == 1
 
     @pytest.mark.parametrize("cause", ["flat_threshold", "slow_improvement", "level_budget"])
     def test_stagnation_cause_roundtrips(self, tmp_path, cause):
