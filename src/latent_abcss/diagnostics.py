@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng_linalg import write_csv
-from .sinkhorn import SinkhornConfig, cost_matrix, _check_weights, _plain_entropic_ot
+from .sinkhorn import (
+    SinkhornConfig,
+    TransportPlan,
+    _check_weights,
+    _gemm_cost,
+    _plain_entropic_ot,
+    _squared_norms,
+    self_transport,
+)
 from .subsim import SubSimTrace
 from .tomography import RayMatrix, forward
 
@@ -33,7 +41,8 @@ __all__ = [
     "select_threshold",
     "analyze_curve",
     "rmse_batch",
-    "self_transport_costs",
+    "ReferenceSet",
+    "prepare_references",
     "wasserstein_diagnostics",
     "resimulation_report",
     "curve_to_csv",
@@ -190,72 +199,121 @@ def rmse_batch(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean((samples - reference[None, :]) ** 2, axis=1))
 
 
-def _solve(c: np.ndarray, cfg: SinkhornConfig, a, b, solves: list | None) -> float:
-    """One plain solve's cost; ``solves`` collects its (iterations, converged)."""
-    tp = _plain_entropic_ot(c, cfg, a, b)
+def _cost(tp: TransportPlan, kind: str, reference: str | None, solves: list | None) -> float:
+    """``tp.cost``; ``solves``, if given, gets the solve's record (see :func:`wasserstein_diagnostics`)."""
     if solves is not None:
-        solves.append((tp.iterations, tp.converged))
+        solves.append(
+            {"kind": kind, "reference": reference, "iterations": tp.iterations, "converged": tp.converged}
+        )
     return tp.cost
 
 
-def self_transport_costs(
-    clouds: dict[str, np.ndarray],
-    ot_cfg: SinkhornConfig,
-    solves: list | None = None,
-) -> dict[str, float]:
-    """Entropic self-transport cost OT(r, r) of each cloud, keyed by name.
+@dataclass(frozen=True)
+class ReferenceSet:
+    """Reference clouds prepared once for every divergence against them.
 
-    A reference's self term does not depend on the solutions, so an
-    inversion computes it once and hands it to every
-    :func:`wasserstein_diagnostics` call against the same references.
-    ``solves``, if given, collects each solve's (iterations, converged).
+    ``rows`` stacks every reference's points, shifted by ``centre`` (the
+    mean of all of them), and ``squared_norms`` holds each row's
+    ``||r||^2``; ``slices`` gives each reference's rows by name, and
+    ``self_costs`` its self-transport cost OT(r, r).
     """
-    return {
-        name: _solve(cost_matrix(cloud, cloud), ot_cfg, None, None, solves)
-        for name, cloud in clouds.items()
-    }
+
+    centre: np.ndarray
+    rows: np.ndarray
+    squared_norms: np.ndarray
+    slices: dict[str, slice]
+    self_costs: dict[str, float]
+
+
+def prepare_references(
+    clouds: dict[str, np.ndarray], ot_cfg: SinkhornConfig, solves: list | None = None
+) -> ReferenceSet:
+    """Centre, stack and self-solve the reference clouds, once per inversion.
+
+    Each cloud is a uniform point cloud in the flattened field space; a
+    single vector is a Dirac (one point).  The references do not depend on
+    the solutions, so their self terms are solved here (by
+    :func:`~latent_abcss.sinkhorn.self_transport`) and every
+    :func:`wasserstein_diagnostics` call against them reuses them.
+    ``solves``, if given, collects each self solve's record (see
+    :func:`wasserstein_diagnostics`).
+
+    Raises:
+        ValueError: with no clouds, or clouds of different point dimensions.
+    """
+    if not clouds:
+        raise ValueError("need at least one reference ensemble")
+    parts = [np.atleast_2d(np.asarray(c, dtype=np.float64)) for c in clouds.values()]
+    dims = sorted({p.shape[1] for p in parts})
+    if len(dims) > 1:
+        raise ValueError(f"reference point dimensions differ: {dims}")
+    rows = np.concatenate(parts)
+    centre = rows.mean(axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf: non-finite either way
+        rows -= centre
+    squared_norms = _squared_norms(rows)
+    ends = np.cumsum([p.shape[0] for p in parts])
+    slices = {name: slice(end - p.shape[0], end) for name, p, end in zip(clouds, parts, ends)}
+    self_costs = {}
+    for name, s in slices.items():
+        c = _gemm_cost(rows[s], rows[s], squared_norms[s], squared_norms[s])
+        self_costs[name] = _cost(self_transport(c, ot_cfg), "self", name, solves)
+    return ReferenceSet(centre, rows, squared_norms, slices, self_costs)
 
 
 def wasserstein_diagnostics(
     solutions: np.ndarray,
-    references: dict[str, np.ndarray],
+    references: ReferenceSet,
     ot_cfg: SinkhornConfig,
-    reference_self: dict[str, float],
     weights: np.ndarray | None = None,
     solves: list | None = None,
 ) -> dict[str, float]:
     """Debiased transport divergence of the solutions against each reference.
 
-    S(s, r) = OT(s, r) - OT(s, s)/2 - OT(r, r)/2, each term a plain
-    Sinkhorn solve (``ot_cfg.debiased`` is not read).  References
-    are uniform point clouds in the flattened field space; a single vector
-    is treated as a Dirac (one point).  ``weights`` gives the solutions'
-    probability weights (uniform when None): a cloud with repeated rows may
-    be passed as its distinct rows weighted by multiplicity, which is the
-    same measure on fewer points.  OT(s, s) is solved once per call and
-    shared by all references.  ``reference_self`` holds OT(r, r) by
-    reference name, precomputed once by :func:`self_transport_costs`.
-    ``solves``, if given, collects each solve's (iterations, converged).
+    S(s, r) = OT(s, r) - OT(s, s)/2 - OT(r, r)/2, keyed by reference name
+    (``ot_cfg.debiased`` is not read).  OT(r, r) comes prepared with
+    ``references``; OT(s, s) is one
+    :func:`~latent_abcss.sinkhorn.self_transport` solve per call and each
+    OT(s, r) one alternating Sinkhorn solve.  ``weights`` gives the
+    solutions' probability weights (uniform when None): a cloud with
+    repeated rows may be passed as its distinct rows weighted by
+    multiplicity, which is the same measure on fewer points.
+
+    The solutions are shifted to the references' centre and normed once;
+    their costs are two GEMMs, one against all reference rows (a column
+    slice per reference) and one with themselves.  The cost is
+    shift-invariant, so these agree with
+    :func:`~latent_abcss.sinkhorn.cost_matrix` to rounding.
+
+    ``solves``, if given, collects one record per solve, the self term
+    first: ``kind`` ("self" or "cross"), ``reference`` (None for the
+    solutions' self term), ``iterations`` and ``converged`` (False when
+    the budget ended it).
 
     Raises:
-        ValueError: with no references, when ``reference_self`` lacks a
-            reference's name, or on weights of the wrong length, non-finite
-            or non-positive weights, or weights that do not sum to 1 within
-            1e-12; all before any solve.
+        ValueError: on weights of the wrong length, non-finite or
+            non-positive weights, or weights that do not sum to 1 within
+            1e-12, or on solutions of another point dimension than the
+            references; all before any solve.
     """
-    if not references:
-        raise ValueError("need at least one reference ensemble")
     solutions = np.atleast_2d(np.asarray(solutions, dtype=np.float64))
     if weights is not None:
         weights = _check_weights(weights, solutions.shape[0], "of the solutions")
-    missing = sorted(set(references) - set(reference_self))
-    if missing:
-        raise ValueError(f"no precomputed self-transport cost for {', '.join(missing)}")
-    self_s = _solve(cost_matrix(solutions, solutions), ot_cfg, weights, weights, solves)
+    if solutions.shape[1] != references.rows.shape[1]:
+        raise ValueError(
+            f"point dimensions differ: {solutions.shape[1]} vs {references.rows.shape[1]}"
+        )
+    with np.errstate(invalid="ignore"):
+        solutions = solutions - references.centre
+    sq = _squared_norms(solutions)
+    self_s = _cost(
+        self_transport(_gemm_cost(solutions, solutions, sq, sq), ot_cfg, weights), "self", None, solves
+    )
+    cross = _gemm_cost(solutions, references.rows, sq, references.squared_norms)
     out = {}
-    for name, ref in references.items():
-        cross = _solve(cost_matrix(solutions, ref), ot_cfg, weights, None, solves)
-        out[name] = cross - 0.5 * self_s - 0.5 * reference_self[name]
+    for name, cols in references.slices.items():
+        ot = _cost(_plain_entropic_ot(cross[:, cols], ot_cfg, weights), "cross", name, solves)
+        out[name] = ot - 0.5 * self_s - 0.5 * references.self_costs[name]
     return out
 
 

@@ -159,7 +159,7 @@ def sample_mvn(mean, chol_lower, n: int, rng: RngStream) -> np.ndarray:
 
 def save_array(path: str, arr, provenance: dict | None = None) -> None:
     """Write ``arr`` as raw little-endian float64 plus a ``.json`` sidecar."""
-    a = np.ascontiguousarray(np.asarray(arr), dtype="<f8")
+    a = np.asarray(arr, dtype="<f8", order="C")  # keeps a 0-d shape, which ascontiguousarray makes (1,)
     with open(path, "wb") as fh:
         fh.write(a.tobytes(order="C"))
     sidecar = {"shape": list(a.shape), "dtype": "f64", "order": "row-major"}

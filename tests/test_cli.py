@@ -386,15 +386,18 @@ class TestInvert:
         from latent_abcss.workflows import PipelineConfig, invert_artifacts
 
         root, cfg, data, model = pipeline
-        plain = diagnostics._plain_entropic_ot
-        solves = []
+        solves = {"self": [], "cross": []}
 
-        def counted(c, ot_cfg, a=None, b=None):
-            tp = plain(c, ot_cfg, a, b)
-            solves.append(tp.converged)
-            return tp
+        def counted(kind, solve):
+            def run(c, *args):
+                tp = solve(c, *args)
+                solves[kind].append(tp.converged)
+                return tp
 
-        monkeypatch.setattr(diagnostics, "_plain_entropic_ot", counted)
+            return run
+
+        monkeypatch.setattr(diagnostics, "self_transport", counted("self", diagnostics.self_transport))
+        monkeypatch.setattr(diagnostics, "_plain_entropic_ot", counted("cross", diagnostics._plain_entropic_ot))
         result = invert_artifacts(
             PipelineConfig.from_json(cfg),
             os.path.join(model, "model.ckpt"),
@@ -407,8 +410,46 @@ class TestInvert:
         n_refs = 3  # posterior, prior, truth
         n_calls = len(result.metrics.wasserstein_by_eps)
         assert n_calls == len(result.deep_trace.level_samples) + 1
-        assert len(solves) == n_refs + n_calls * (1 + n_refs)
-        assert result.summary["oracle"]["budget_exhausted_solves"] == solves.count(False)
+        # each reference's self term once, each row's self term once
+        assert len(solves["self"]) == n_refs + n_calls
+        assert len(solves["cross"]) == n_calls * n_refs
+        oracle = result.summary["oracle"]
+        exhausted = solves["self"].count(False) + solves["cross"].count(False)
+        assert oracle["budget_exhausted_solves"] == exhausted == len(oracle["budget_exhausted"])
+
+    def test_budget_exhausted_solves_are_named(self, pipeline, monkeypatch):
+        from dataclasses import replace
+
+        from latent_abcss import workflows
+        from latent_abcss.workflows import PipelineConfig, invert_artifacts
+
+        root, cfg, data, model = pipeline
+        # two iterations end every diagnostic solve but the Dirac's
+        monkeypatch.setattr(workflows, "ORACLE_OT", replace(workflows.ORACLE_OT, max_iter=2))
+        out = root / "inv_exhausted"
+        result = invert_artifacts(
+            PipelineConfig.from_json(cfg),
+            os.path.join(model, "model.ckpt"),
+            str(root / "yobs.f64"),
+            data,
+            str(out),
+            truth_path=str(root / "truth.f64"),
+            oracle=True,
+        )
+        oracle = json.load(open(out / "summary.json"))["oracle"]
+        assert oracle == json.loads(json.dumps(result.summary["oracle"]))
+        listed = oracle["budget_exhausted"]
+        assert oracle["budget_exhausted_solves"] == len(listed) > 0
+        assert all(set(s) == {"kind", "reference", "eps_n"} for s in listed)
+        # reference self terms carry no row; the solutions' self term no reference
+        refs_self = [s["reference"] for s in listed if s["eps_n"] is None]
+        assert refs_self and set(refs_self) <= {"posterior", "prior"}
+        assert all(s["kind"] == "self" for s in listed if s["eps_n"] is None)
+        row_eps = {eps_n for eps_n, _ in result.metrics.wasserstein_by_eps}
+        for s in listed:
+            if s["eps_n"] is not None:
+                assert s["eps_n"] in row_eps
+                assert (s["kind"] == "self") == (s["reference"] is None)
 
     def test_oracle_decodes_each_distinct_state_once(self, monkeypatch):
         from types import SimpleNamespace

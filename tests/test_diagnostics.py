@@ -16,14 +16,14 @@ from latent_abcss.diagnostics import (
     probability_curve,
     resimulation_report,
     rmse_batch,
+    prepare_references,
     select_threshold,
-    self_transport_costs,
     smooth_log_curve,
     wasserstein_diagnostics,
 )
 from latent_abcss.gp_prior import Grid
 from latent_abcss.rng_linalg import RngStream
-from latent_abcss.sinkhorn import SinkhornConfig
+from latent_abcss.sinkhorn import SinkhornConfig, _plain_entropic_ot, cost_matrix, self_transport
 from latent_abcss.subsim import SubSimConfig, subsim_run
 from latent_abcss.tomography import assemble_matrix, build_geometry
 
@@ -226,21 +226,26 @@ class TestRmse:
             rmse_one([1.0], [1.0, 2.0])
 
 
+def alternating_self(c, cfg, a=None):
+    """A self term by the alternating two-potential loop, as a ``self_transport`` stand-in."""
+    return _plain_entropic_ot(c, cfg, a, a)
+
+
 class TestWassersteinDiagnostics:
     def test_solutions_equal_reference(self):
         gen = np.random.default_rng(5)
         sols = gen.standard_normal((30, 4))
-        cfg = SinkhornConfig(reg=1.0, max_iter=200)
-        refs = {"self": sols.copy()}
-        out = wasserstein_diagnostics(sols, refs, cfg, self_transport_costs(refs, cfg))
+        # converged, since the self and the cross terms run different loops
+        cfg = SinkhornConfig(reg=1.0, max_iter=5000, tol=1e-12)
+        refs = prepare_references({"self": sols.copy()}, cfg)
+        out = wasserstein_diagnostics(sols, refs, cfg)
         assert out["self"] == pytest.approx(0.0, abs=1e-9)
 
     def test_dirac_at_truth(self):
         truth = np.array([1.0, 2.0, 3.0])
         sols = np.tile(truth, (10, 1))
         cfg = SinkhornConfig(reg=1.0, max_iter=100)
-        refs = {"truth": truth}
-        out = wasserstein_diagnostics(sols, refs, cfg, self_transport_costs(refs, cfg))
+        out = wasserstein_diagnostics(sols, prepare_references({"truth": truth}, cfg), cfg)
         assert out["truth"] == pytest.approx(0.0, abs=1e-12)
 
     def test_shifted_cloud_ranks_farther(self):
@@ -249,20 +254,61 @@ class TestWassersteinDiagnostics:
         near = gen.standard_normal((50, 3))
         far = gen.standard_normal((50, 3)) + 4.0
         cfg = SinkhornConfig(reg=1.0, max_iter=200)
-        refs = {"near": near, "far": far}
-        out = wasserstein_diagnostics(sols, refs, cfg, self_transport_costs(refs, cfg))
+        out = wasserstein_diagnostics(sols, prepare_references({"near": near, "far": far}, cfg), cfg)
         assert out["near"] < out["far"]
 
     def test_empty_references_rejected(self):
-        with pytest.raises(ValueError):
-            wasserstein_diagnostics(np.ones((3, 2)), {}, SinkhornConfig(), {})
+        with pytest.raises(ValueError, match="at least one reference"):
+            prepare_references({}, SinkhornConfig())
 
-    def test_missing_precomputed_self_cost_rejected(self):
+    def test_point_dimensions_must_agree(self):
         gen = np.random.default_rng(8)
-        refs = {"a": gen.standard_normal((6, 2)), "b": gen.standard_normal((6, 2))}
-        partial = self_transport_costs({"a": refs["a"]}, SinkhornConfig())
-        with pytest.raises(ValueError, match="b"):
-            wasserstein_diagnostics(gen.standard_normal((5, 2)), refs, SinkhornConfig(), partial)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            prepare_references({"a": gen.standard_normal((6, 2)), "b": np.ones(3)}, SinkhornConfig())
+        refs = prepare_references({"a": gen.standard_normal((6, 2))}, SinkhornConfig())
+        with pytest.raises(ValueError, match="dimensions differ"):
+            wasserstein_diagnostics(gen.standard_normal((5, 3)), refs, SinkhornConfig())
+
+    def test_references_are_centred_stacked_and_self_solved_once(self):
+        gen = np.random.default_rng(12)
+        clouds = {"post": gen.standard_normal((7, 4)) + 3.0, "prior": gen.standard_normal((9, 4))}
+        clouds["truth"] = np.ones(4)
+        cfg = SinkhornConfig(reg=1.0, max_iter=300, tol=1e-10)
+        solves = []
+        refs = prepare_references(clouds, cfg, solves)
+        stacked = np.concatenate([np.atleast_2d(c) for c in clouds.values()])
+        np.testing.assert_allclose(refs.centre, stacked.mean(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(refs.rows + refs.centre, stacked, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(refs.squared_norms, np.sum(refs.rows**2, axis=1), rtol=1e-14)
+        assert refs.slices == {"post": slice(0, 7), "prior": slice(7, 16), "truth": slice(16, 17)}
+        assert [(s["kind"], s["reference"]) for s in solves] == [("self", n) for n in clouds]
+        for name, cloud in clouds.items():
+            c = cost_matrix(cloud, cloud)
+            assert refs.self_costs[name] == pytest.approx(self_transport(c, cfg).cost, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    def test_matches_the_per_reference_cost_matrix_path(self, weighted, monkeypatch):
+        # with the self terms on the alternating loop, the prepared costs are
+        # the only difference from solving cost_matrix per reference
+        from latent_abcss import diagnostics
+        from latent_abcss.gp_prior import GPConfig, sample_fields
+
+        monkeypatch.setattr(diagnostics, "self_transport", alternating_self)
+        fields = sample_fields(Grid(20, 16, 0.1), GPConfig(lengthscale=1.0), (48, 64, 40), RngStream(13, 1))
+        sols, post, prior = fields[0], fields[1] + 0.05, fields[2]
+        truth = fields[1][0]
+        weights = None
+        if weighted:
+            weights = np.random.default_rng(14).integers(1, 6, size=48).astype(np.float64)
+            weights /= weights.sum()
+        cfg = SinkhornConfig(reg=10.0, max_iter=2000, tol=1e-12)
+        clouds = {"posterior": post, "prior": prior, "truth": truth}
+        out = wasserstein_diagnostics(sols, prepare_references(clouds, cfg), cfg, weights)
+        self_s = _plain_entropic_ot(cost_matrix(sols, sols), cfg, weights, weights).cost
+        for name, ref in clouds.items():
+            cross = _plain_entropic_ot(cost_matrix(sols, ref), cfg, weights).cost
+            self_r = _plain_entropic_ot(cost_matrix(ref, ref), cfg).cost
+            assert out[name] == pytest.approx(cross - 0.5 * self_s - 0.5 * self_r, rel=1e-12, abs=0.0)
 
     def test_weighted_atoms_match_the_repeated_cloud(self):
         gen = np.random.default_rng(9)
@@ -270,28 +316,34 @@ class TestWassersteinDiagnostics:
         idx = gen.permutation(np.repeat(np.arange(15), gen.integers(1, 6, size=15)))
         _, first, counts = np.unique(idx, return_index=True, return_counts=True)
         cfg = SinkhornConfig(reg=1.0, max_iter=300, tol=1e-10)
-        refs = {"cloud": gen.standard_normal((40, 5)) + 0.5, "dirac": gen.standard_normal(5)}
-        refs_self = self_transport_costs(refs, cfg)
-        full = wasserstein_diagnostics(atoms[idx], refs, cfg, refs_self)
+        clouds = {"cloud": gen.standard_normal((40, 5)) + 0.5, "dirac": gen.standard_normal(5)}
+        refs = prepare_references(clouds, cfg)
+        full = wasserstein_diagnostics(atoms[idx], refs, cfg)
         # np.unique numbers the atoms in order, so atoms[idx][first] is atoms
-        weighted = wasserstein_diagnostics(atoms, refs, cfg, refs_self, weights=counts / idx.size)
-        for name in refs:
+        weighted = wasserstein_diagnostics(atoms, refs, cfg, weights=counts / idx.size)
+        for name in refs.slices:
             assert weighted[name] == pytest.approx(full[name], rel=1e-12, abs=0.0)
         # uniform weights over the distinct atoms are a different measure
-        uniform = wasserstein_diagnostics(atoms, refs, cfg, refs_self)
+        uniform = wasserstein_diagnostics(atoms, refs, cfg)
         assert uniform["cloud"] != pytest.approx(full["cloud"], rel=1e-6)
 
     def test_solves_record_iterations_and_budget(self):
         gen = np.random.default_rng(10)
         sols = gen.standard_normal((12, 3))
-        refs = {"a": gen.standard_normal((9, 3)), "b": gen.standard_normal(3)}
         cfg = SinkhornConfig(reg=1.0, max_iter=4, tol=1e-12)
         solves = []
-        refs_self = self_transport_costs(refs, cfg, solves)
-        wasserstein_diagnostics(sols, refs, cfg, refs_self, solves=solves)
+        clouds = {"a": gen.standard_normal((9, 3)), "b": gen.standard_normal(3)}
+        refs = prepare_references(clouds, cfg, solves)
+        wasserstein_diagnostics(sols, refs, cfg, solves=solves)
         # self terms of a and of the Dirac b (exact at once), then the
         # solutions' self term and the cross terms with a and with b
-        assert solves == [(4, False), (1, True), (4, False), (4, False), (2, True)]
+        assert solves == [
+            {"kind": "self", "reference": "a", "iterations": 4, "converged": False},
+            {"kind": "self", "reference": "b", "iterations": 1, "converged": True},
+            {"kind": "self", "reference": None, "iterations": 4, "converged": False},
+            {"kind": "cross", "reference": "a", "iterations": 4, "converged": False},
+            {"kind": "cross", "reference": "b", "iterations": 2, "converged": True},
+        ]
 
     @pytest.mark.parametrize(
         "weights",
@@ -310,16 +362,12 @@ class TestWassersteinDiagnostics:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the weights were checked")
 
-        monkeypatch.setattr(diagnostics, "_plain_entropic_ot", no_solve)
         gen = np.random.default_rng(11)
+        refs = prepare_references({"r": gen.standard_normal((4, 2))}, SinkhornConfig())
+        monkeypatch.setattr(diagnostics, "_plain_entropic_ot", no_solve)
+        monkeypatch.setattr(diagnostics, "self_transport", no_solve)
         with pytest.raises(ValueError, match="weights of the solutions"):
-            wasserstein_diagnostics(
-                gen.standard_normal((5, 2)),
-                {"r": gen.standard_normal((4, 2))},
-                SinkhornConfig(),
-                {"r": 0.0},
-                weights=weights,
-            )
+            wasserstein_diagnostics(gen.standard_normal((5, 2)), refs, SinkhornConfig(), weights=weights)
 
 
 class TestResimulationReport:

@@ -1,5 +1,7 @@
 """Seeded streams, Cholesky, SPD solves, MVN sampling, array and CSV artifacts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,20 @@ class TestJitterAndArtifacts:
         path = str(tmp_path / "v.f64")
         save_array(path, vec)
         np.testing.assert_array_equal(load_array(path), vec)
+
+    def test_scalar_roundtrip_keeps_its_shape(self, tmp_path):
+        path = str(tmp_path / "s.f64")
+        save_array(path, np.float64(2.5))
+        back = load_array(path)
+        assert back.shape == ()
+        assert back == 2.5
+        assert json.loads((tmp_path / "s.f64.json").read_text())["shape"] == []
+
+    def test_transposed_array_roundtrip(self, tmp_path):
+        arr = np.arange(12.0).reshape(3, 4).T
+        path = str(tmp_path / "t.f64")
+        save_array(path, arr)
+        np.testing.assert_array_equal(load_array(path), arr)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_json_refuses_non_finite_and_writes_nothing(self, tmp_path, bad):

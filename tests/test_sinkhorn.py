@@ -107,6 +107,12 @@ class TestEntropicOt:
         with pytest.raises(ValueError):
             SinkhornConfig(max_iter=0)
 
+    @pytest.mark.parametrize("tol", [-1e-9, np.nan])
+    def test_tol_must_be_a_nonnegative_number(self, tol):
+        # a NaN tol fails every comparison, so its stop would never fire
+        with pytest.raises(ValueError, match="tol"):
+            SinkhornConfig(tol=tol)
+
 
 def debiased_cost(xs, ys, cfg):
     return entropic_ot(xs, ys, replace(cfg, debiased=True)).cost
@@ -362,4 +368,79 @@ class TestWeightedAtoms:
         c = cost_matrix(gen.standard_normal((5, 2)), gen.standard_normal((5, 2)))
         with pytest.raises(ValueError, match=f"weights {side}"):
             sinkhorn._plain_entropic_ot(c, SinkhornConfig(), **{side: bad})
+        assert lse_calls == []
+
+
+def desk_self_cost(seed):
+    """Self cost of 320 GP fields on the desk grid, as the audit's prior reference."""
+    fields = sample_fields(Grid(20, 16, 0.1), GPConfig(lengthscale=1.0), (320,), RngStream(seed, 1))
+    return cost_matrix(fields[0], fields[0])
+
+
+class TestSelfTransport:
+    """The symmetric averaged update reaches the alternating loop's fixed point."""
+
+    AUDIT = SinkhornConfig(reg=10.0, max_iter=300, tol=1e-7)
+
+    @pytest.mark.parametrize("log_domain", [False, True], ids=["kernel", "log"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    def test_matches_a_tight_alternating_solve(self, weighted, log_domain, monkeypatch, lse_calls):
+        if log_domain:
+            monkeypatch.setattr(sinkhorn, "_KERNEL_MAX_EXPONENT", 0.0)
+        gen = np.random.default_rng(71)
+        fields = sample_fields(Grid(20, 16, 0.1), GPConfig(lengthscale=1.0), (60,), RngStream(72, 1))
+        c = cost_matrix(fields[0], fields[0])
+        w = None
+        if weighted:
+            w = gen.integers(1, 7, size=60).astype(np.float64)
+            w /= w.sum()
+        tight = sinkhorn._plain_entropic_ot(c, replace(self.AUDIT, max_iter=20_000, tol=1e-13), w, w)
+        assert tight.converged
+        lse_calls.clear()
+        tp = sinkhorn.self_transport(c, self.AUDIT, w)
+        assert lse_calls and all((k is None) == log_domain for k in lse_calls)
+        assert len(lse_calls) == tp.iterations  # one half step per iteration
+        assert tp.converged and tp.iterations < self.AUDIT.max_iter
+        assert tp.cost == pytest.approx(tight.cost, rel=1e-9, abs=0.0)
+        np.testing.assert_allclose(tp.plan, tp.plan.T, rtol=1e-12)  # the GEMM cost is symmetric to rounding
+        marginal = np.full(60, 1 / 60) if w is None else w
+        np.testing.assert_allclose(tp.plan.sum(axis=1), marginal, rtol=1e-6)
+
+    def test_converges_where_the_alternating_loop_runs_out(self):
+        c = desk_self_cost(62)
+        alternating = sinkhorn._plain_entropic_ot(c, self.AUDIT)
+        assert (alternating.iterations, alternating.converged) == (300, False)
+        tp = sinkhorn.self_transport(c, self.AUDIT)
+        assert tp.converged and tp.iterations < 300
+        tight = sinkhorn.self_transport(c, replace(self.AUDIT, max_iter=5000, tol=1e-13))
+        assert tp.cost == pytest.approx(tight.cost, rel=1e-9, abs=0.0)
+        # the alternating loop's budget-ended value is the farther one
+        assert abs(alternating.cost - tight.cost) > abs(tp.cost - tight.cost)
+
+    def test_no_tol_spends_the_budget(self):
+        tp = sinkhorn.self_transport(desk_self_cost(62), replace(self.AUDIT, tol=0.0, max_iter=7))
+        assert (tp.iterations, tp.converged) == (7, False)
+
+    def test_single_point_is_exact_at_once(self):
+        tp = sinkhorn.self_transport(np.zeros((1, 1)), self.AUDIT)
+        assert (tp.iterations, tp.converged, tp.cost) == (1, True, 0.0)
+        np.testing.assert_array_equal(tp.plan, [[1.0]])
+
+    def test_non_square_cost_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            sinkhorn.self_transport(np.zeros((3, 2)), self.AUDIT)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(np.full(4, 0.25), id="wrong-length"),
+            pytest.param(np.array([0.5, np.nan, 0.25, 0.25, 0.0]), id="nan"),
+            pytest.param(np.array([0.4, 0.0, 0.2, 0.2, 0.2]), id="zero"),
+            pytest.param(np.full(5, 0.2) * (1 + 1e-9), id="sum"),
+        ],
+    )
+    def test_bad_weights_rejected_before_any_iteration(self, bad, lse_calls):
+        xs = np.random.default_rng(73).standard_normal((5, 2))
+        with pytest.raises(ValueError, match="weights a"):
+            sinkhorn.self_transport(cost_matrix(xs, xs), SinkhornConfig(), bad)
         assert lse_calls == []
