@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng_linalg import RngStream, cholesky, sample_mvn, solve_spd_factored
+from .rng_linalg import RngStream, cholesky, sample_mvn
 from .tomography import RayMatrix
 
 __all__ = ["GaussianDist", "linear_gaussian_posterior", "posterior_sample"]
@@ -59,9 +59,10 @@ def linear_gaussian_posterior(
         mean = m + C A' S^-1 (y - A m)
         cov  = C - C A' S^-1 A C,      S = A C A' + Cn
 
-    The innovation system ``S`` is solved through its Cholesky factor rather
-    than inverted, and the posterior covariance is symmetrized to absorb
-    rounding drift.
+    The transposed gain ``S^-1 A C`` comes from one LU solve of the
+    innovation system, not an inverse; factoring ``S`` by Cholesky is kept
+    only as the check that it is positive definite.  The posterior
+    covariance is symmetrized to absorb rounding drift.
 
     Raises:
         NotPositiveDefiniteError: if the innovation matrix is singular.
@@ -78,10 +79,10 @@ def linear_gaussian_posterior(
     cat = prior.cov @ amat.T                      # C A', shape (n_dim, n_obs)
     innovation = amat @ cat + cn
     innovation = (innovation + innovation.T) / 2.0
-    s_low = cholesky(innovation)
-    resid = y - amat @ prior.mean
-    mean = prior.mean + cat @ solve_spd_factored(s_low, resid)
-    cov = prior.cov - cat @ solve_spd_factored(s_low, cat.T)
+    cholesky(innovation)                          # SPD check only
+    gain_t = np.linalg.solve(innovation, cat.T)   # S^-1 A C, shape (n_obs, n_dim)
+    mean = prior.mean + (y - amat @ prior.mean) @ gain_t
+    cov = prior.cov - cat @ gain_t
     cov = (cov + cov.T) / 2.0
     return GaussianDist(mean, cov)
 

@@ -7,9 +7,11 @@ pipelines bit-reproducible.
 
 The linear-algebra kernels are thin, strict wrappers around LAPACK: Cholesky
 with no pivoting and no silent jitter (SPD failure is an error carrying the
-failing pivot), SPD solves through the factor, and multivariate-normal
-sampling from a precomputed factor.  Factoring goes through numpy's LAPACK,
-so it shares one OpenBLAS thread pool with the matrix products around it.
+failing pivot) and multivariate-normal sampling from a precomputed factor.
+Every BLAS/LAPACK call of a successful run goes through numpy, so the whole
+package shares numpy's one OpenBLAS thread pool; scipy's ``dpotrf``, which
+links a second pool, runs only to name the failing pivot of a matrix that is
+not positive definite.
 The artifact readers and writers for flat arrays, JSON documents and CSV
 tables live here too.
 """
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 __all__ = [
@@ -104,8 +105,8 @@ def cholesky(m) -> np.ndarray:
     if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     try:
-        # Fortran order, as LAPACK stores a factor: solve_triangular and the
-        # products downstream then round exactly as they do on dpotrf's output
+        # Fortran order, as LAPACK stores a factor: the products downstream
+        # then round exactly as they do on dpotrf's output
         return np.asfortranarray(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
         # numpy does not say which pivot failed; LAPACK's dpotrf does
@@ -123,20 +124,6 @@ def add_jitter(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:
     out = np.array(m, dtype=np.float64)
     out[np.diag_indices_from(out)] += rel * np.trace(out) / out.shape[0]
     return out
-
-
-def solve_spd_factored(chol_lower: np.ndarray, rhs) -> np.ndarray:
-    """Solve ``m @ x = rhs`` given the lower Cholesky factor of SPD ``m``.
-
-    ``rhs`` may be a vector or a matrix of stacked right-hand sides.
-    """
-    b = np.asarray(rhs, dtype=np.float64)
-    if b.shape[0] != chol_lower.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: factor is {chol_lower.shape[0]}, rhs has {b.shape[0]} rows"
-        )
-    y = solve_triangular(chol_lower, b, lower=True)
-    return solve_triangular(chol_lower, y, lower=True, trans="T")
 
 
 def sample_mvn(mean, chol_lower, n: int, rng: RngStream) -> np.ndarray:

@@ -65,6 +65,28 @@ class TestLinearGaussianPosterior:
         post = linear_gaussian_posterior(GaussianDist(prior_mean, prior_cov), a, 0.5 * np.eye(3), y)
         assert np.linalg.norm(a @ post.mean - y) <= np.linalg.norm(a @ prior_mean - y)
 
+    def test_singular_innovation_raises(self):
+        # zero noise and a repeated ray: S = A C A' has a zero pivot at the repeat
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        prior = GaussianDist(np.zeros(3), np.eye(3))
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            linear_gaussian_posterior(prior, a, np.zeros((3, 3)), [1.0, 2.0, 1.0])
+        assert err.value.pivot == 2
+
+    def test_random_rays_match_joint_conditioning_oracle(self):
+        # 30 cells, 8 rays: the mean solves one right-hand side, the covariance 30
+        rng = np.random.default_rng(13)
+        b = rng.standard_normal((30, 30))
+        prior_cov = b @ b.T / 30 + 0.1 * np.eye(30)
+        prior_mean = rng.standard_normal(30)
+        a = rng.uniform(0.0, 0.2, size=(8, 30))
+        noise_cov = 0.01 * np.eye(8)
+        y = a @ rng.standard_normal(30)
+        post = linear_gaussian_posterior(GaussianDist(prior_mean, prior_cov), a, noise_cov, y)
+        mean_o, cov_o = condition_joint_gaussian(prior_mean, prior_cov, a, noise_cov, y)
+        assert np.linalg.norm(post.mean - mean_o) <= 1e-10 * np.linalg.norm(mean_o)
+        assert np.linalg.norm(post.cov - cov_o) <= 1e-10 * np.linalg.norm(cov_o)
+
     def test_inconsistent_dimensions(self):
         prior = GaussianDist(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from latent_abcss.cli import main
 from latent_abcss.gp_prior import build_covariance
 from latent_abcss.jgnn import generate, load_model
 from latent_abcss.rng_linalg import RngStream, add_jitter, cholesky, load_array, sample_mvn, save_array
-from latent_abcss.tomography import NoiseModel, add_noise
+from latent_abcss.tomography import NoiseModel, add_noise, load_ray_matrix
 from latent_abcss.workflows import PipelineConfig, generate_dataset
 
 MICRO_CONFIG = {
@@ -416,6 +416,31 @@ class TestInvert:
         oracle = result.summary["oracle"]
         exhausted = solves["self"].count(False) + solves["cross"].count(False)
         assert oracle["budget_exhausted_solves"] == exhausted == len(oracle["budget_exhausted"])
+
+    def test_oracle_inversion_never_reaches_scipy_lapack(self, pipeline, monkeypatch):
+        # scipy's LAPACK runs its own OpenBLAS pool (tests/test_rng_linalg.py
+        # scans the imports); a successful run must not need it
+        from latent_abcss import rng_linalg
+        from latent_abcss.workflows import PipelineConfig, run_inversion
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy's dpotrf ran on a positive-definite matrix")
+
+        monkeypatch.setattr(rng_linalg, "dpotrf", refuse)
+        root, cfg, data, model = pipeline
+        files = json.load(open(os.path.join(data, "manifest.json")))["files"]
+        result = run_inversion(
+            load_model(os.path.join(model, "model.ckpt")),
+            load_ray_matrix(os.path.join(data, files["ray_matrix"])),
+            load_array(str(root / "yobs.f64")),
+            PipelineConfig.from_json(cfg),
+            RngStream(7, 3),
+            truth=load_array(str(root / "truth.f64")),
+            oracle=True,
+            train_x=load_array(os.path.join(data, files["train_x"])),
+        )
+        assert result.metrics.wasserstein_by_eps
+        assert all(np.isfinite(v) for _, divs in result.metrics.wasserstein_by_eps for v in divs.values())
 
     def test_budget_exhausted_solves_are_named(self, pipeline, monkeypatch):
         from dataclasses import replace

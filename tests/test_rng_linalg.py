@@ -1,10 +1,14 @@
-"""Seeded streams, Cholesky, SPD solves, MVN sampling, array and CSV artifacts."""
+"""Seeded streams, Cholesky, MVN sampling, array and CSV artifacts."""
 
+import ast
+import glob
 import json
+import os
 
 import numpy as np
 import pytest
 
+import latent_abcss
 from latent_abcss.rng_linalg import (
     NotPositiveDefiniteError,
     RngStream,
@@ -14,7 +18,6 @@ from latent_abcss.rng_linalg import (
     read_csv_columns,
     sample_mvn,
     save_array,
-    solve_spd_factored,
     write_csv,
     write_json,
 )
@@ -100,37 +103,39 @@ class TestCholesky:
             cholesky(np.ones((2, 3)))
 
 
-def solve_through_factor(m, rhs):
-    return solve_spd_factored(cholesky(m), rhs)
+def scipy_linalg_uses(path):
+    """Each scipy LAPACK/BLAS import, and each ``.linalg`` not on numpy, in a module."""
+    def is_scipy_linalg(name):
+        parts = name.split(".")
+        return parts[0] == "scipy" and "linalg" in parts
+
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if is_scipy_linalg(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [n for n in (f"{node.module}.{a.name}" for a in node.names) if is_scipy_linalg(n)]
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            base = node.value
+            if not (isinstance(base, ast.Name) and base.id in ("np", "numpy")):
+                found.append(f"{ast.unparse(base)}.linalg")
+    return found
 
 
-class TestSolveSpd:
-    """Solves through the factor: ``solve_spd_factored(cholesky(m), rhs)``."""
-
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(solve_through_factor(np.eye(3), b), b)
-
-    def test_scalar_division(self):
-        np.testing.assert_allclose(solve_through_factor([[2.0]], [6.0]), [3.0])
-
-    def test_residual_small(self):
-        m = np.array([[4.0, 2.0], [2.0, 5.0]])
-        b = np.array([8.0, 9.0])
-        x = solve_through_factor(m, b)
-        assert np.linalg.norm(m @ x - b) < 1e-10
-
-    def test_matrix_rhs(self):
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal((5, 5))
-        m = b @ b.T + 5 * np.eye(5)
-        rhs = rng.standard_normal((5, 3))
-        x = solve_through_factor(m, rhs)
-        assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) < 1e-8
-
-    def test_propagates_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            solve_through_factor([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0])
+def test_scipy_lapack_only_names_the_failed_pivot():
+    # scipy links its own OpenBLAS, a second thread pool beside numpy's; once
+    # a call wakes it, its idle workers spin while numpy's GEMMs need the same
+    # cores. So every BLAS/LAPACK call of a successful run goes through numpy,
+    # and scipy's dpotrf runs only in cholesky's failure branch.
+    src = os.path.dirname(latent_abcss.__file__)
+    found = {
+        (os.path.basename(path), name)
+        for path in sorted(glob.glob(os.path.join(src, "*.py")))
+        for name in scipy_linalg_uses(path)
+    }
+    assert found == {("rng_linalg.py", "scipy.linalg.lapack.dpotrf")}
 
 
 class TestSampleMvn:
