@@ -53,7 +53,13 @@ class Grid:
         return xs, zs
 
     def cell_centers(self) -> np.ndarray:
-        """(n_cells, 2) array of (x, depth) centers, row-major cell order."""
+        """(n_cells, 2) array of (x, depth) centers, row-major cell order.
+
+        No pipeline code calls this: ``build_covariance`` works from the
+        per-axis offsets of :meth:`axes`.  It stays as the independent
+        reference the prior tests build the covariance from (the
+        difference-array formula of ``tests/test_gp_prior.py``).
+        """
         gx, gz = np.meshgrid(*self.axes())
         return np.column_stack([gx.ravel(), gz.ravel()])
 

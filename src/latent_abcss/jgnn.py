@@ -304,7 +304,9 @@ def train(
 
     A seeded fraction of the couples is held out; after every epoch the
     validation reconstruction MSE (standardized space) is recorded and the
-    parameters with the lowest total are kept.  Deterministic per seed.
+    parameters with the lowest total are kept, each rounded to the f32
+    value :func:`save_model` stores, so the returned model is its own
+    checkpoint bit for bit.  Deterministic per seed.
     A non-finite batch loss or validation MSE raises :class:`TrainingDiverged`.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
@@ -371,6 +373,8 @@ def train(
             best_model = model.copy()
 
     best_model.standardizer = model.standardizer
+    for net in (best_model.encoder, best_model.decoder):
+        net.flat[:] = net.flat.astype(np.float32)
     return best_model, history
 
 
@@ -516,7 +520,10 @@ def load_model(path: str) -> JGNNModel:
     """Read a checkpoint written by :func:`save_model`.
 
     Raises:
-        ValueError: if the blob size differs from what the manifest implies.
+        ValueError: if the blob size differs from what the manifest implies,
+            a weight is not finite, or a standardizer vector does not have
+            its dimension's length, holds a non-finite mean or a std that is
+            not positive.
         KeyError: if the manifest lacks a key.
     """
     with open(path + ".json") as fh:
@@ -527,11 +534,20 @@ def load_model(path: str) -> JGNNModel:
     if size != 4 * (n_enc + n_dec):
         raise ValueError(f"checkpoint {path} has {size} bytes, manifest implies {4 * (n_enc + n_dec)}")
     flat = np.fromfile(path, dtype="<f4").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"checkpoint {path} holds a NaN or infinite weight")
     encoder, decoder = (
         MLPParams.from_flat(part, net["sizes"], net["activations"], net["spectral"])
         for part, net in zip((flat[:n_enc], flat[n_enc:]), nets)
     )
-    std = manifest["standardizer"]
-    standardizer = Standardizer(*(np.asarray(std[k]) for k in ("mean_x", "std_x", "mean_y", "std_y")))
-    dims = (int(manifest[k]) for k in ("dim_x", "dim_y", "latent_dim"))
-    return JGNNModel(encoder, decoder, *dims, standardizer)
+    dim_x, dim_y, latent_dim = (int(manifest[k]) for k in ("dim_x", "dim_y", "latent_dim"))
+    doc, std = manifest["standardizer"], {}
+    for key, dim in (("mean_x", dim_x), ("std_x", dim_x), ("mean_y", dim_y), ("std_y", dim_y)):
+        std[key] = v = np.asarray(doc[key], dtype=np.float64)
+        if v.shape != (dim,):
+            raise ValueError(f"checkpoint standardizer {key} has shape {v.shape}, the model implies ({dim},)")
+        kind = "finite and positive" if key.startswith("std") else "finite"
+        if not (np.isfinite(v).all() and (kind == "finite" or (v > 0).all())):
+            raise ValueError(f"checkpoint standardizer {key} has an entry that is not {kind}")
+    standardizer = Standardizer(**std)
+    return JGNNModel(encoder, decoder, dim_x, dim_y, latent_dim, standardizer)

@@ -89,7 +89,13 @@ class RayMatrix:
         return (self.n_rays, self.n_cells)
 
     def ray_lengths(self) -> np.ndarray:
-        """Per-ray total path length in meters."""
+        """Per-ray total path length in meters.
+
+        No pipeline code calls this.  It stays as the row-sum side of the
+        geometry check: each ray's lengths must add up to its straight-line
+        length, which acceptance criterion 5 and ``demo_prior_and_forward``
+        verify through it.
+        """
         return np.asarray(self.paths.sum(axis=1)).ravel()
 
     def dense(self) -> np.ndarray:

@@ -273,11 +273,16 @@ def _load_dataset(dataset_dir: str):
             "ray_matrix": _load_input(load_ray_matrix, paths["ray_matrix"]),
             "manifest": manifest,
         }
-        for name, width in (("train_x", manifest["n_cells"]), ("train_y", manifest["n_rays"])):
-            shape = (manifest["n_train"], width)
+        n_train, n_cells, n_rays = manifest["n_train"], manifest["n_cells"], manifest["n_rays"]
+        checks = (
+            ("train_x", (n_train, n_cells), data["train_x"]),
+            ("train_y", (n_train, n_rays), data["train_y"]),
+            ("ray_matrix", (n_rays, n_cells), data["ray_matrix"].paths.data),  # the stored path lengths
+        )
+        for name, shape, values in checks:
             if data[name].shape != shape:
                 raise ConfigError(f"{paths[name]} has shape {data[name].shape}, the manifest implies {shape}")
-            if not np.isfinite(data[name]).all():
+            if not np.isfinite(values).all():
                 raise ConfigError(f"{paths[name]} holds a NaN or infinite value")
         return data
 
@@ -598,6 +603,8 @@ def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
         _require([path])
         with _reading(path):
             table = read_csv_columns(path)
+            if not all(np.isfinite(col).all() for col in table.values()):
+                raise ValueError("a cell holds a NaN or infinite value")
         for p in pairings:
             col = table.get(col_of[p])
             if col is None or col.size == 0:

@@ -1,22 +1,28 @@
 """Pipeline commands: artifacts, determinism, exit codes."""
 
+import argparse
+import functools
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 import latent_abcss
-from latent_abcss.cli import main
+from latent_abcss import workflows
+from latent_abcss.cli import _build_parser, main
 from latent_abcss.gp_prior import build_covariance
 from latent_abcss.jgnn import generate, load_model
+from latent_abcss.neural import flat_size
 from latent_abcss.rng_linalg import RngStream, add_jitter, cholesky, load_array, sample_mvn, save_array
-from latent_abcss.tomography import NoiseModel, add_noise, load_ray_matrix
+from latent_abcss.tomography import NoiseModel, add_noise, load_ray_matrix, save_ray_matrix
 from latent_abcss.workflows import PipelineConfig, generate_dataset
 
 MICRO_CONFIG = {
@@ -46,6 +52,22 @@ MICRO_CONFIG = {
 }
 
 NAN, INF = float("nan"), float("inf")
+
+# the inputs each command reads besides --out; --oracle adds --truth
+OPTIONS = {
+    "gendata": ["--config"],
+    "train": ["--config", "--dataset"],
+    "invert": ["--config", "--checkpoint", "--yobs", "--dataset"],
+    "oracle-posterior": ["--config", "--dataset", "--yobs"],
+    "evaluate": ["--runs"],
+}
+
+
+def _argv(command, inputs, out):
+    """``command`` (its name, then its flags) given ``inputs[option]`` for each input it reads."""
+    name, *flags = command.split()
+    options = OPTIONS[name] + ["--truth"] * ("--oracle" in flags)
+    return [name, *flags, *(arg for opt in options for arg in (opt, inputs[opt])), "--out", out]
 
 
 def tree_digest(root):
@@ -110,6 +132,13 @@ def pipeline(workdir):
     return root, cfg, data, model
 
 
+def _inputs(pipeline):
+    """The pipeline's valid input for each option."""
+    root, cfg, data, model = pipeline
+    paths = (cfg, data, os.path.join(model, "model.ckpt"), str(root / "yobs.f64"), str(root / "truth.f64"))
+    return dict(zip(("--config", "--dataset", "--checkpoint", "--yobs", "--truth"), paths))
+
+
 class TestGendata:
     def test_manifest_counts(self, pipeline):
         root, cfg, data, _ = pipeline
@@ -153,109 +182,6 @@ class TestGendata:
         x = load_array(os.path.join(out, "train_x.f64"))
         assert x.shape[0] == 1
 
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["gendata", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
-
-    def test_invalid_config_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**MICRO_CONFIG, "separation": 99.0}))
-        assert main(["gendata", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-
-    @pytest.mark.parametrize("key, value", [("lr", 0.001), ("eps_spacing", "log")])
-    def test_removed_config_key_exits_2(self, tmp_path, capsys, key, value):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**MICRO_CONFIG, key: value}))
-        assert main(["gendata", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert repr(key) in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "o")
-
-    def test_non_numeric_setting_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**MICRO_CONFIG, "n_particles": "300"}))
-        assert main(["gendata", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert "config error [gendata]" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "doc, name",
-        [
-            ({"seed": 1.5}, "seed"),
-            ({"epochs": 2.5}, "epochs"),
-            ({"n_particles": 100.0}, "n_particles"),
-            ({"seed": True}, "seed"),
-            ({"hidden": [12.5, 8]}, "hidden[0]"),
-            ({"grid": {**MICRO_CONFIG["grid"], "n_cols": 5.0}}, "grid.n_cols"),
-        ],
-    )
-    def test_non_integer_setting_exits_2(self, tmp_path, capsys, doc, name):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**MICRO_CONFIG, **doc}))
-        out = tmp_path / "o"
-        assert main(["gendata", "--config", str(bad), "--out", str(out)]) == 2
-        assert f"config error [gendata]: {name} must be an integer" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
-    @pytest.mark.parametrize(
-        "command, doc, message",
-        [
-            ("gendata", {"separation": NAN}, "separation must be a finite number, got nan"),
-            ("gendata", {"noise_std": NAN}, "noise_std must be a finite number, got nan"),
-            ("gendata", {"noise_std": INF}, "noise_std must be a finite number, got inf"),
-            ("gendata", {"sinkhorn_tol": NAN}, "sinkhorn_tol must be a finite number, got nan"),
-            ("gendata", {"sinkhorn_tol": INF}, "sinkhorn_tol must be a finite number, got inf"),
-            ("gendata", {"grid": {**MICRO_CONFIG["grid"], "cell_size": INF}}, "grid.cell_size must be a finite"),
-            ("gendata", {"gp": {**MICRO_CONFIG["gp"], "lengthscale": INF}}, "gp.lengthscale must be a finite"),
-            ("gendata", {"gp": {**MICRO_CONFIG["gp"], "variance": INF}}, "gp.variance must be a finite"),
-            ("gendata", {"gp": {**MICRO_CONFIG["gp"], "mean": NAN}}, "gp.mean must be a finite number, got nan"),
-            ("gendata", {"gp": {**MICRO_CONFIG["gp"], "mean": INF}}, "gp.mean must be a finite number, got inf"),
-            ("gendata", {"gp": {**MICRO_CONFIG["gp"], "mean": -INF}}, "gp.mean must be a finite number, got -inf"),
-            ("gendata", {"eps_count": 3}, "smoothing_window must be odd and in [3, eps_count = 3]"),
-            ("gendata", {"smoothing_window": 4}, "smoothing_window must be odd and in [3, eps_count = 25]"),
-            ("invert --oracle --noise-std nan", {}, "noise_std must be a finite number, got nan"),
-        ],
-    )
-    def test_non_finite_or_inconsistent_setting_exits_2(self, pipeline, tmp_path, capsys, command, doc, message):
-        # refused at config load, before any sampling or training
-        root, _, data, model = pipeline
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**MICRO_CONFIG, **doc}))
-        out = tmp_path / "o"
-        name, *flags = command.split()
-        argv = [name, *flags, "--config", str(bad), "--out", str(out)]
-        if name == "invert":
-            argv += ["--checkpoint", os.path.join(model, "model.ckpt"), "--yobs", str(root / "yobs.f64")]
-            argv += ["--dataset", data]
-        assert main(argv) == 2
-        assert f"config error [{name}]: {message}" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
-    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_seed_out_of_range_exits_2(self, workdir, tmp_path, capsys, seed):
-        _, cfg = workdir
-        out = tmp_path / "o"
-        assert main(["gendata", "--config", cfg, "--out", str(out), "--seed", seed]) == 2
-        assert "config error [gendata]: seed must fit in 64 bits" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
-
-def test_flags_without_effect_are_refused(tmp_path, capsys):
-    # datasets are noise free, and training uses the whole dataset
-    out = str(tmp_path / "o")
-    for argv in (["gendata", "--noise-std", "0.3"], ["train", "--dataset", out, "--train-size", "50"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", out])
-        assert exc.value.code == 2, argv
-        assert "unrecognized arguments" in capsys.readouterr().err, argv
-    assert not os.path.exists(out)
-
-
-def test_invert_noise_std_needs_oracle(tmp_path, capsys):
-    # only the exact posterior reads noise_std, so without --oracle the flag would change nothing
-    out = str(tmp_path / "o")
-    argv = ["invert", "--config", str(tmp_path / "none.json"), "--checkpoint", "m.ckpt", "--yobs", "y.f64"]
-    assert main(argv + ["--dataset", "d", "--noise-std", "0.3", "--out", out]) == 2
-    assert "config error [invert]: --noise-std sets the oracle's noise and needs --oracle" in capsys.readouterr().err
-    assert not os.path.exists(out)
-
 
 class TestTrain:
     def test_rerun_byte_identical(self, pipeline):
@@ -269,83 +195,31 @@ class TestTrain:
         header = open(os.path.join(model, "history.csv")).readline().strip()
         assert header == "epoch,mse_x,mse_y,ot_term,lambda,val_mse_x,val_mse_y"
 
-    def test_missing_dataset_exits_2(self, workdir, tmp_path):
-        _, cfg = workdir
-        rc = main(["train", "--config", cfg, "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path / "m")])
-        assert rc == 2
-
-    def test_dataset_array_without_sidecar_exits_2(self, pipeline, tmp_path, capsys):
-        _, cfg, data, _ = pipeline
-        partial = str(tmp_path / "partial")
-        shutil.copytree(data, partial)
-        os.remove(os.path.join(partial, "train_x.f64.json"))
-        assert main(["train", "--config", cfg, "--dataset", partial, "--out", str(tmp_path / "m")]) == 2
-        assert "missing artifacts" in capsys.readouterr().err
-
-    def test_truncated_dataset_array_exits_2(self, pipeline, tmp_path, capsys):
-        _, cfg, data, _ = pipeline
-        partial = str(tmp_path / "partial")
-        shutil.copytree(data, partial)
-        _truncate(os.path.join(partial, "train_x.f64"), 8)
-        assert main(["train", "--config", cfg, "--dataset", partial, "--out", str(tmp_path / "m")]) == 2
-        assert "malformed artifact" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "m" / "model.ckpt")
-
-    def test_non_finite_dataset_cell_exits_2(self, pipeline, tmp_path, capsys):
-        bad = _dataset_edited(pipeline, tmp_path, "train_x", _with_nan)
-        assert main(["train", "--config", pipeline[1], "--dataset", bad, "--out", str(tmp_path / "m")]) == 2
-        assert "train_x.f64 holds a NaN or infinite value" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "m" / "model.ckpt")
-
-    def test_dataset_rows_short_of_the_manifest_exit_2(self, pipeline, tmp_path, capsys):
-        bad = _dataset_edited(pipeline, tmp_path, "train_y", lambda a: a[:100])
-        assert main(["train", "--config", pipeline[1], "--dataset", bad, "--out", str(tmp_path / "m")]) == 2
-        assert "train_y.f64 has shape (100, 4), the manifest implies (120, 4)" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "m" / "model.ckpt")
-
-
-def _with_nan(arr):
-    arr = arr.copy()
-    arr[5, 2] = np.nan
-    return arr
-
-
-def _dataset_edited(pipeline, tmp_path, name, edit):
-    """A copy of the pipeline's dataset with ``name``'s array replaced by ``edit(array)``."""
-    data = str(tmp_path / "data")
-    shutil.copytree(pipeline[2], data)
-    path = os.path.join(data, name + ".f64")
-    save_array(path, edit(load_array(path)))
-    return data
+    def test_library_and_checkpoint_paths_agree(self, pipeline, tmp_path, monkeypatch):
+        # train returns the f32 values its checkpoint stores, so an inversion of the
+        # returned model and `invert` from the checkpoint are the same computation
+        root, cfg, data, _ = pipeline
+        config, train, returned = PipelineConfig.from_json(cfg), workflows.train, []
+        monkeypatch.setattr(workflows, "train", lambda *args: returned.append(train(*args)) or returned[0])
+        ckpt = workflows.train_from_dataset(config, data, str(tmp_path / "model"))
+        model, loaded = returned[0][0], load_model(ckpt)
+        for net in ("encoder", "decoder"):
+            np.testing.assert_array_equal(getattr(model, net).flat, getattr(loaded, net).flat)
+        yobs = str(root / "yobs.f64")
+        cli = workflows.invert_artifacts(config, ckpt, yobs, data, str(tmp_path / "inv"))
+        a = workflows._load_dataset(data)["ray_matrix"]
+        lib = workflows.run_inversion(model, a, load_array(yobs), config, RngStream(config.seed, 3))
+        np.testing.assert_array_equal(lib.solutions_x, cli.solutions_x)
+        np.testing.assert_array_equal(lib.solutions_latent, cli.solutions_latent)
+        assert lib.summary == cli.summary
 
 
 @pytest.fixture(scope="module")
 def oracle_runs(pipeline):
     """Two identical oracle inversions, ``inv`` and ``inv_da``, of the test couple."""
-    root, cfg, data, model = pipeline
-    outs = []
-    for name in ("inv", "inv_da"):
-        out = str(root / name)
-        rc = main(
-            [
-                "invert",
-                "--config",
-                cfg,
-                "--checkpoint",
-                os.path.join(model, "model.ckpt"),
-                "--yobs",
-                str(root / "yobs.f64"),
-                "--dataset",
-                data,
-                "--out",
-                out,
-                "--oracle",
-                "--truth",
-                str(root / "truth.f64"),
-            ]
-        )
-        assert rc == 0
-        outs.append(out)
+    outs = [str(pipeline[0] / name) for name in ("inv", "inv_da")]
+    for out in outs:
+        assert main(_argv("invert --oracle", _inputs(pipeline), out)) == 0
     return outs
 
 
@@ -509,293 +383,10 @@ class TestInvert:
                 assert w * m_sub == pytest.approx(np.sum(np.all(pop[:m_sub] == row, axis=1)))
 
     def test_eps_grid_override(self, pipeline):
-        root, cfg, data, model = pipeline
-        out = str(root / "inv_grid")
-        rc = main(
-            [
-                "invert",
-                "--config",
-                cfg,
-                "--checkpoint",
-                os.path.join(model, "model.ckpt"),
-                "--yobs",
-                str(root / "yobs.f64"),
-                "--dataset",
-                data,
-                "--out",
-                out,
-                "--eps-grid",
-                "1e-4,60,30",
-            ]
-        )
-        assert rc == 0
+        out = str(pipeline[0] / "inv_grid")
+        assert main(_argv("invert", _inputs(pipeline), out) + ["--eps-grid", "1e-4,60,30"]) == 0
         lines = open(os.path.join(out, "curve.csv")).read().strip().splitlines()
         assert len(lines) <= 31
-
-    def test_bad_eps_grid_exits_2(self, pipeline, capsys):
-        root, cfg, data, model = pipeline
-        usage = "--eps-grid expects"
-        bounds = "eps_max must be a finite number"
-        for grid, message in (
-            ("5,4", usage),
-            ("a,b,c", usage),
-            ("1e-4,50,2.5", usage),
-            ("1e-4,inf,30", bounds),
-            ("1e-4,inf,30,lin", usage),
-            ("1e-4,50,25,lin", usage),
-            ("1e-4,50,25,log", usage),
-        ):
-            rc = main(
-                [
-                    "invert",
-                    "--config",
-                    cfg,
-                    "--checkpoint",
-                    os.path.join(model, "model.ckpt"),
-                    "--yobs",
-                    str(root / "yobs.f64"),
-                    "--dataset",
-                    data,
-                    "--out",
-                    str(root / "inv_bad"),
-                    "--eps-grid",
-                    grid,
-                ]
-            )
-            assert rc == 2, grid
-            assert message in capsys.readouterr().err, grid
-            assert not os.path.exists(root / "inv_bad"), grid
-
-
-class TestInvertInputChecks:
-    def _invert(self, pipeline, yobs, data=None, truth=None, cfg=None, ckpt=None):
-        root, own_cfg, own_data, model = pipeline
-        argv = [
-            "invert",
-            "--config",
-            cfg or own_cfg,
-            "--checkpoint",
-            ckpt or os.path.join(model, "model.ckpt"),
-            "--yobs",
-            yobs,
-            "--dataset",
-            data or own_data,
-            "--out",
-            str(root / "inv_refused"),
-        ]
-        return main(argv + (["--oracle", "--truth", truth] if truth else []))
-
-    def test_yobs_length_mismatch_exits_2(self, pipeline, tmp_path, capsys):
-        root = pipeline[0]
-        short = str(tmp_path / "short.f64")
-        save_array(short, load_array(str(root / "yobs.f64"))[:-1])
-        assert self._invert(pipeline, short) == 2
-        assert "travel times" in capsys.readouterr().err
-
-    def test_truth_length_mismatch_exits_2(self, pipeline, tmp_path, capsys):
-        root = pipeline[0]
-        truth = str(tmp_path / "truth_long.f64")
-        save_array(truth, np.append(load_array(str(root / "truth.f64")), 0.5))
-        assert self._invert(pipeline, str(root / "yobs.f64"), truth=truth) == 2
-        assert "truth has 31 cells" in capsys.readouterr().err
-
-    def test_checkpoint_dataset_cell_mismatch_exits_2(self, pipeline, tmp_path, capsys):
-        root, cfg, _, _ = pipeline
-        taller = tmp_path / "taller.json"
-        taller.write_text(json.dumps({**MICRO_CONFIG, "grid": {"n_rows": 7, "n_cols": 5, "cell_size": 0.1}}))
-        other = str(tmp_path / "data7x5")
-        assert main(["gendata", "--config", str(taller), "--out", other]) == 0
-        assert self._invert(pipeline, str(root / "yobs.f64"), data=other) == 2
-        assert "35 cells" in capsys.readouterr().err
-
-    def test_checkpoint_dataset_ray_mismatch_exits_2(self, pipeline, tmp_path, capsys):
-        root = pipeline[0]
-        wider = tmp_path / "wider.json"
-        wider.write_text(json.dumps({**MICRO_CONFIG, "n_rcv": 3}))
-        other = str(tmp_path / "data_6rays")
-        assert main(["gendata", "--config", str(wider), "--out", other]) == 0
-        assert self._invert(pipeline, str(root / "yobs.f64"), data=other) == 2
-        assert "6 rays" in capsys.readouterr().err
-        assert not os.path.exists(root / "inv_refused" / "deep_trace.json")
-
-    def test_oracle_config_grid_mismatch_exits_2(self, pipeline, tmp_path, capsys):
-        # checkpoint and dataset agree; only the invert config's grid differs
-        root = pipeline[0]
-        taller = tmp_path / "taller.json"
-        taller.write_text(json.dumps({**MICRO_CONFIG, "grid": {**MICRO_CONFIG["grid"], "n_rows": 7}}))
-        rc = self._invert(
-            pipeline, str(root / "yobs.f64"), truth=str(root / "truth.f64"), cfg=str(taller)
-        )
-        assert rc == 2
-        assert "config grid" in capsys.readouterr().err
-        assert not os.path.exists(root / "inv_refused" / "deep_trace.json")
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_yobs_exits_2(self, pipeline, tmp_path, capsys, bad):
-        root = pipeline[0]
-        yobs = str(tmp_path / "yobs_bad.f64")
-        y = load_array(str(root / "yobs.f64"))
-        y[1] = bad
-        save_array(yobs, y)
-        assert self._invert(pipeline, yobs) == 2
-        assert "observation holds a NaN or infinite value" in capsys.readouterr().err
-        assert not os.path.exists(root / "inv_refused" / "deep_trace.json")
-
-    def test_non_finite_truth_with_oracle_exits_2(self, pipeline, tmp_path, capsys):
-        root = pipeline[0]
-        truth = str(tmp_path / "truth_nan.f64")
-        x = load_array(str(root / "truth.f64"))
-        x[0] = np.nan
-        save_array(truth, x)
-        assert self._invert(pipeline, str(root / "yobs.f64"), truth=truth) == 2
-        assert "truth holds a NaN or infinite value" in capsys.readouterr().err
-        assert not os.path.exists(root / "inv_refused" / "summary.json")
-
-    def test_non_finite_dataset_cell_exits_2(self, pipeline, tmp_path, capsys):
-        # a NaN training field would reach summary.json's train-to-truth RMSE
-        root = pipeline[0]
-        bad = _dataset_edited(pipeline, tmp_path, "train_x", _with_nan)
-        assert self._invert(pipeline, str(root / "yobs.f64"), data=bad, truth=str(root / "truth.f64")) == 2
-        assert "train_x.f64 holds a NaN or infinite value" in capsys.readouterr().err
-        assert not os.path.exists(root / "inv_refused" / "summary.json")
-
-    def test_missing_truth_exits_2(self, pipeline, tmp_path, capsys):
-        root = pipeline[0]
-        missing = str(tmp_path / "missing.f64")
-        assert self._invert(pipeline, str(root / "yobs.f64"), truth=missing) == 2
-        assert "missing artifacts" in capsys.readouterr().err
-
-    def test_yobs_sidecar_without_blob_exits_2(self, pipeline, tmp_path, capsys):
-        root = pipeline[0]
-        yobs = str(tmp_path / "sidecar_only.f64")
-        shutil.copy(str(root / "yobs.f64.json"), yobs + ".json")
-        assert self._invert(pipeline, yobs) == 2
-        assert "missing artifacts" in capsys.readouterr().err
-
-
-    def _broken_checkpoint(self, pipeline, tmp_path, edit):
-        model = str(tmp_path / "model")
-        shutil.copytree(pipeline[3], model)
-        edit(os.path.join(model, "model.ckpt"))
-        return os.path.join(model, "model.ckpt")
-
-    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
-        ckpt = self._broken_checkpoint(pipeline, tmp_path, lambda p: _truncate(p, 4))
-        assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), ckpt=ckpt) == 2
-        assert "malformed artifact" in capsys.readouterr().err
-
-    def test_checkpoint_manifest_not_json_exits_2(self, pipeline, tmp_path, capsys):
-        ckpt = self._broken_checkpoint(pipeline, tmp_path, lambda p: open(p + ".json", "w").write("{not json"))
-        assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), ckpt=ckpt) == 2
-        assert "malformed artifact" in capsys.readouterr().err
-
-    def test_checkpoint_manifest_without_standardizer_exits_2(self, pipeline, tmp_path, capsys):
-        def drop_standardizer(path):
-            doc = json.load(open(path + ".json"))
-            del doc["standardizer"]
-            json.dump(doc, open(path + ".json", "w"))
-
-        ckpt = self._broken_checkpoint(pipeline, tmp_path, drop_standardizer)
-        assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), ckpt=ckpt) == 2
-        assert "standardizer" in capsys.readouterr().err
-
-    def test_checkpoint_manifest_wrong_type_exits_2(self, pipeline, tmp_path, capsys):
-        def garble_sizes(path):
-            doc = json.load(open(path + ".json"))
-            doc["encoder"]["sizes"] = "abc"
-            json.dump(doc, open(path + ".json", "w"))
-
-        ckpt = self._broken_checkpoint(pipeline, tmp_path, garble_sizes)
-        assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), ckpt=ckpt) == 2
-        assert "malformed artifact" in capsys.readouterr().err
-
-    def test_truncated_yobs_exits_2(self, pipeline, tmp_path, capsys):
-        yobs = str(tmp_path / "yobs.f64")
-        for suffix in ("", ".json"):
-            shutil.copy(str(pipeline[0] / "yobs.f64") + suffix, yobs + suffix)
-        _truncate(yobs, 8)
-        assert self._invert(pipeline, yobs) == 2
-        assert "malformed artifact" in capsys.readouterr().err
-
-    def test_dataset_manifest_not_json_exits_2(self, pipeline, tmp_path, capsys):
-        data = str(tmp_path / "data")
-        shutil.copytree(pipeline[2], data)
-        open(os.path.join(data, "manifest.json"), "w").write("not json")
-        assert self._invert(pipeline, str(pipeline[0] / "yobs.f64"), data=data) == 2
-        assert "malformed artifact" in capsys.readouterr().err
-        assert not os.path.exists(pipeline[0] / "inv_refused" / "deep_trace.json")
-
-    @pytest.mark.parametrize("field", ["n_cells", "n_rays", "config.grid"])
-    def test_dataset_manifest_without_field_exits_2(self, pipeline, tmp_path, capsys, field):
-        data = _dataset_without(pipeline, tmp_path, field)
-        root = pipeline[0]
-        rc = self._invert(pipeline, str(root / "yobs.f64"), data=data, truth=str(root / "truth.f64"))
-        assert rc == 2
-        assert f"malformed artifact {data}" in capsys.readouterr().err
-        assert not os.path.exists(root / "inv_refused" / "deep_trace.json")
-
-
-def _truncate(path, n_bytes):
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-n_bytes])
-
-
-def _dataset_without(pipeline, tmp_path, field):
-    """A copy of the pipeline's dataset whose manifest lacks ``field``, a dotted key path."""
-    data = str(tmp_path / "data")
-    shutil.copytree(pipeline[2], data)
-    path = os.path.join(data, "manifest.json")
-    doc = json.load(open(path))
-    *parents, last = field.split(".")
-    node = doc
-    for key in parents:
-        node = node[key]
-    del node[last]
-    json.dump(doc, open(path, "w"))
-    return data
-
-
-class TestOraclePosteriorInputChecks:
-    def _oracle(self, pipeline, yobs, cfg=None, data=None):
-        root, own_cfg, own_data, _ = pipeline
-        out = str(root / "oracle_refused")
-        argv = ["oracle-posterior", "--config", cfg or own_cfg, "--dataset", data or own_data, "--yobs", yobs]
-        return main(argv + ["--out", out])
-
-    def test_missing_yobs_exits_2(self, pipeline, tmp_path, capsys):
-        assert self._oracle(pipeline, str(tmp_path / "missing.f64")) == 2
-        assert "missing artifacts" in capsys.readouterr().err
-
-    def test_yobs_length_mismatch_exits_2(self, pipeline, tmp_path, capsys):
-        root = pipeline[0]
-        long = str(tmp_path / "long.f64")
-        save_array(long, np.append(load_array(str(root / "yobs.f64")), 1.0))
-        assert self._oracle(pipeline, long) == 2
-        assert "4 rays" in capsys.readouterr().err
-
-    def test_config_grid_mismatch_exits_2(self, pipeline, tmp_path, capsys):
-        root = pipeline[0]
-        taller = tmp_path / "taller.json"
-        taller.write_text(json.dumps({**MICRO_CONFIG, "grid": {**MICRO_CONFIG["grid"], "n_rows": 7}}))
-        assert self._oracle(pipeline, str(root / "yobs.f64"), cfg=str(taller)) == 2
-        assert "config grid" in capsys.readouterr().err
-
-    def test_non_finite_yobs_exits_2(self, pipeline, tmp_path, capsys):
-        root = pipeline[0]
-        yobs = str(tmp_path / "yobs_nan.f64")
-        y = load_array(str(root / "yobs.f64"))
-        y[0] = np.nan
-        save_array(yobs, y)
-        assert self._oracle(pipeline, yobs) == 2
-        assert "observation holds a NaN or infinite value" in capsys.readouterr().err
-        assert not os.path.exists(root / "oracle_refused" / "posterior_mean.f64")
-
-    @pytest.mark.parametrize("field", ["n_rays", "config.grid"])
-    def test_dataset_manifest_without_field_exits_2(self, pipeline, tmp_path, capsys, field):
-        data = _dataset_without(pipeline, tmp_path, field)
-        assert self._oracle(pipeline, str(pipeline[0] / "yobs.f64"), data=data) == 2
-        assert f"malformed artifact {data}" in capsys.readouterr().err
-        assert not os.path.exists(pipeline[0] / "oracle_refused" / "posterior_mean.f64")
 
 
 class TestEvaluateAndOracle:
@@ -817,10 +408,6 @@ class TestEvaluateAndOracle:
         for out in (a, b):
             assert main(["evaluate", "--runs", oracle_runs[0], "--out", out]) == 0
         assert open(a).read() == open(b).read()
-
-    def test_evaluate_missing_run_exits_2(self, tmp_path):
-        rc = main(["evaluate", "--runs", str(tmp_path / "ghost"), "--out", str(tmp_path / "agg.csv")])
-        assert rc == 2
 
     def test_evaluate_creates_the_output_directory(self, tmp_path):
         run = tmp_path / "run"
@@ -884,11 +471,8 @@ class TestEvaluateAndOracle:
 
 def test_every_json_artifact_is_strict_json(pipeline):
     """NaN and Infinity are not JSON; every artifact must parse without them."""
-    root, cfg, data, model = pipeline
-    out = str(root / "inv_strict")
-    argv = ["invert", "--config", cfg, "--checkpoint", os.path.join(model, "model.ckpt")]
-    argv += ["--yobs", str(root / "yobs.f64"), "--dataset", data, "--out", out]
-    assert main(argv + ["--oracle", "--truth", str(root / "truth.f64")]) == 0
+    root = pipeline[0]
+    assert main(_argv("invert --oracle", _inputs(pipeline), str(root / "inv_strict"))) == 0
 
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")
@@ -898,3 +482,339 @@ def test_every_json_artifact_is_strict_json(pipeline):
     for path in paths:
         with open(path) as fh:
             json.loads(fh.read(), parse_constant=reject)
+
+
+# --- refused inputs: one table row per command x input x corruption ---------------------
+#
+# A row's ``args`` are a command, its flags and last the option it corrupts.
+# The runner copies that option's valid input, applies the row's edit to the
+# copy (for a flag, the edit is the flag's value), forbids every expensive stage,
+# runs the command and checks the exit code, the stderr fragment ("{path}"
+# stands for the edited input) and that --out holds nothing.  A row runs as
+# the test its ``test`` field names: the one-off test it replaced, whose id it
+# keeps, or a case of ``test_refused_input``.
+
+Row = namedtuple("Row", "test args corruption edit fragment code", defaults=(2,))
+
+MALFORMED = {"truncated", "not JSON", "missing key", "wrong type", "wrong shape", "non-finite"}
+CORRUPTIONS = MALFORMED | {"missing", "unknown key", "out of range", "mismatched", "unused flag"}
+GUARDED = ("subsim_run", "train", "sample_fields", "linear_gaussian_posterior")
+METRICS = "rmse_solutions_truth,rmse_prior_truth\n0.25,{}\n"
+
+
+@pytest.fixture
+def refused(pipeline, tmp_path, monkeypatch, capsys):
+    """Check that a row is refused with its code and fragment before any sampler, training or posterior work."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "metrics.csv").write_text(METRICS.format(0.5))
+    valid = {**_inputs(pipeline), "--runs": str(run)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an expensive stage started before the input was refused")
+
+    def check(row):
+        base, inputs, flag = tempfile.mkdtemp(dir=tmp_path), dict(valid), []
+        *command, option = row.args.split()
+        if option in inputs:
+            source = inputs[option]
+            copy = os.path.join(base, os.path.basename(source))
+            if os.path.isdir(source):
+                shutil.copytree(source, copy)
+            for suffix in ("", ".json"):
+                if os.path.isfile(source + suffix):
+                    shutil.copy(source + suffix, copy + suffix)
+            inputs[option] = row.edit(copy) or copy
+        else:
+            flag = [option, row.edit]
+        out = os.path.join(base, "out")
+        argv = _argv(" ".join(command), inputs, os.path.join(out, "agg.csv") if command == ["evaluate"] else out)
+        with monkeypatch.context() as guard:
+            for name in GUARDED:
+                guard.setattr(workflows, name, forbidden)
+            try:
+                code = main(argv + flag)
+            except SystemExit as exc:  # argparse refuses an unknown flag itself
+                code = exc.code
+        err = capsys.readouterr().err
+        assert code == row.code, err
+        assert row.fragment.format(path=inputs.get(option)) in err, err
+        assert not os.path.exists(out) or not os.listdir(out)
+
+    return check
+
+
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _with(value, index):
+    def edit(arr):
+        arr = arr.copy()
+        arr[index] = value
+        return arr
+
+    return edit
+
+
+# edits of a copied input, each at the copy's path + ``name``; a returned path replaces the copy
+def _missing(path):
+    return path + "_missing"
+
+
+def _truncated(name="", n_bytes=8):
+    return lambda path: os.truncate(path + name, os.path.getsize(path + name) - n_bytes)
+
+
+def _text(name, text):
+    return lambda path: _write(path + name, text)
+
+
+def _removed(name):
+    return lambda path: os.remove(path + name)
+
+
+def _array(name, edit):
+    return lambda path: save_array(path + name, edit(load_array(path + name)))
+
+
+def _json(name, edit):
+    def rewrite(path):
+        doc = json.load(open(path + name))
+        edit(doc)
+        _write(path + name, json.dumps(doc))
+
+    return rewrite
+
+
+def _without(field):
+    """Drop ``field``, a dotted key path, from a dataset's manifest."""
+    *parents, last = field.split(".")
+    return _json("/manifest.json", lambda doc: functools.reduce(dict.get, parents, doc).pop(last))
+
+
+def _config(**doc):
+    return lambda path: _write(path, json.dumps({**MICRO_CONFIG, **doc}))
+
+
+def _other_dataset(**doc):
+    """The dataset of MICRO_CONFIG changed by ``doc``, generated beside the copy."""
+
+    def generate(path):
+        _config(**doc)(path + ".json")
+        assert main(["gendata", "--config", path + ".json", "--out", path + "_other"]) == 0
+        return path + "_other"
+
+    return generate
+
+
+def _ray_matrix_of(**doc):
+    def swap(path):
+        other = _other_dataset(**doc)(path)
+        for suffix in ("", ".json"):
+            shutil.copy(os.path.join(other, "ray_matrix.bin" + suffix), path + "/ray_matrix.bin" + suffix)
+
+    return swap
+
+
+def _nan_path_length(path):
+    a = load_ray_matrix(path + "/ray_matrix.bin")
+    a.paths.data[0] = np.nan
+    save_ray_matrix(path + "/ray_matrix.bin", a)
+
+
+def _nan_decoder_weight(path):
+    blob = np.fromfile(path, dtype="<f4")
+    blob[flat_size(json.load(open(path + ".json"))["encoder"]["sizes"])] = np.nan  # the decoder's first weight
+    blob.tofile(path)
+
+
+GENDATA, TRAIN, INVERT = "TestGendata::", "TestTrain::", "TestInvertInputChecks::"
+ORACLE, EVALUATE, NEW = "TestOraclePosteriorInputChecks::", "TestEvaluateAndOracle::", "test_refused_input"
+SETTING = GENDATA + "test_non_finite_or_inconsistent_setting_exits_2"
+EPS_GRID = "TestInvert::test_bad_eps_grid_exits_2"
+GRID, GP = MICRO_CONFIG["grid"], MICRO_CONFIG["gp"]
+TALLER = _config(grid={**GRID, "n_rows": 7})
+USAGE = '--eps-grid expects "min,max,count"'
+AT = "malformed artifact {path}"
+
+REFUSALS = [
+    Row(GENDATA + "test_missing_config_exits_2", "gendata --config", "missing", _missing, "missing config file"),
+    Row(GENDATA + "test_invalid_config_exits_2",
+        "gendata --config", "out of range", _config(separation=99.0), "separation 99.0 exceeds grid width 0.5"),
+    Row(GENDATA + "test_removed_config_key_exits_2[lr-0.001]",
+        "gendata --config", "unknown key", _config(lr=0.001), "'lr'"),
+    Row(GENDATA + "test_removed_config_key_exits_2[eps_spacing-log]",
+        "gendata --config", "unknown key", _config(eps_spacing="log"), "'eps_spacing'"),
+    Row(GENDATA + "test_non_numeric_setting_exits_2",
+        "gendata --config", "wrong type", _config(n_particles="300"), "n_particles must be an integer, got '300'"),
+    *(
+        Row(GENDATA + f"test_non_integer_setting_exits_2[doc{i}-{name}]",
+            "gendata --config", "wrong type", _config(**doc), f"config error [gendata]: {name} must be an integer")
+        for i, (doc, name) in enumerate([
+            ({"seed": 1.5}, "seed"),
+            ({"epochs": 2.5}, "epochs"),
+            ({"n_particles": 100.0}, "n_particles"),
+            ({"seed": True}, "seed"),
+            ({"hidden": [12.5, 8]}, "hidden[0]"),
+            ({"grid": {**GRID, "n_cols": 5.0}}, "grid.n_cols"),
+        ])
+    ),
+    *(
+        Row(f"{SETTING}[gendata-doc{i}-{message}]",
+            "gendata --config", kind, _config(**doc), f"config error [gendata]: {message}")
+        for i, (doc, kind, message) in enumerate([
+            ({"separation": NAN}, "non-finite", "separation must be a finite number, got nan"),
+            ({"noise_std": NAN}, "non-finite", "noise_std must be a finite number, got nan"),
+            ({"noise_std": INF}, "non-finite", "noise_std must be a finite number, got inf"),
+            ({"sinkhorn_tol": NAN}, "non-finite", "sinkhorn_tol must be a finite number, got nan"),
+            ({"sinkhorn_tol": INF}, "non-finite", "sinkhorn_tol must be a finite number, got inf"),
+            ({"grid": {**GRID, "cell_size": INF}}, "non-finite", "grid.cell_size must be a finite"),
+            ({"gp": {**GP, "lengthscale": INF}}, "non-finite", "gp.lengthscale must be a finite"),
+            ({"gp": {**GP, "variance": INF}}, "non-finite", "gp.variance must be a finite"),
+            ({"gp": {**GP, "mean": NAN}}, "non-finite", "gp.mean must be a finite number, got nan"),
+            ({"gp": {**GP, "mean": INF}}, "non-finite", "gp.mean must be a finite number, got inf"),
+            ({"gp": {**GP, "mean": -INF}}, "non-finite", "gp.mean must be a finite number, got -inf"),
+            ({"eps_count": 3}, "out of range", "smoothing_window must be odd and in [3, eps_count = 3]"),
+            ({"smoothing_window": 4}, "out of range", "smoothing_window must be odd and in [3, eps_count = 25]"),
+        ])
+    ),
+    Row(f"{SETTING}[invert --oracle --noise-std nan-doc13-noise_std must be a finite number, got nan]",
+        "invert --oracle --noise-std", "non-finite", "nan", "config error [invert]: noise_std must be a finite"),
+    *(
+        Row(GENDATA + f"test_seed_out_of_range_exits_2[{seed}]",
+            "gendata --seed", "out of range", seed, "config error [gendata]: seed must fit in 64 bits")
+        for seed in ("-1", str(2**64))
+    ),
+    # datasets are noise free, training uses the whole dataset, and only the oracle reads noise_std
+    Row("test_flags_without_effect_are_refused", "gendata --noise-std", "unused flag", "0.3", "unrecognized arguments"),
+    Row("test_flags_without_effect_are_refused", "train --train-size", "unused flag", "50", "unrecognized arguments"),
+    Row("test_invert_noise_std_needs_oracle",
+        "invert --noise-std", "unused flag", "0.3", "config error [invert]: --noise-std sets the oracle's noise"),
+    Row(TRAIN + "test_missing_dataset_exits_2", "train --dataset", "missing", _missing, "missing artifacts"),
+    Row(TRAIN + "test_dataset_array_without_sidecar_exits_2",
+        "train --dataset", "missing", _removed("/train_x.f64.json"), "missing artifacts"),
+    Row(TRAIN + "test_truncated_dataset_array_exits_2",
+        "train --dataset", "truncated", _truncated("/train_x.f64"), AT + "/train_x.f64"),
+    Row(TRAIN + "test_non_finite_dataset_cell_exits_2", "train --dataset", "non-finite",
+        _array("/train_x.f64", _with(NAN, (5, 2))), "train_x.f64 holds a NaN or infinite value"),
+    Row(TRAIN + "test_dataset_rows_short_of_the_manifest_exit_2", "train --dataset", "wrong shape",
+        _array("/train_y.f64", lambda a: a[:100]), "train_y.f64 has shape (100, 4), the manifest implies (120, 4)"),
+    Row(EPS_GRID, "invert --eps-grid", "wrong shape", "5,4", USAGE),
+    Row(EPS_GRID, "invert --eps-grid", "wrong type", "a,b,c", USAGE),
+    Row(EPS_GRID, "invert --eps-grid", "wrong type", "1e-4,50,2.5", USAGE),
+    Row(EPS_GRID, "invert --eps-grid", "non-finite", "1e-4,inf,30", "eps_max must be a finite number"),
+    Row(EPS_GRID, "invert --eps-grid", "wrong shape", "1e-4,inf,30,lin", USAGE),
+    Row(EPS_GRID, "invert --eps-grid", "wrong shape", "1e-4,50,25,lin", USAGE),
+    Row(EPS_GRID, "invert --eps-grid", "wrong shape", "1e-4,50,25,log", USAGE),
+    Row(INVERT + "test_yobs_length_mismatch_exits_2", "invert --yobs", "mismatched",
+        _array("", lambda y: y[:-1]), "observation has 3 travel times, the dataset has 4 rays"),
+    Row(INVERT + "test_truth_length_mismatch_exits_2", "invert --oracle --truth", "mismatched",
+        _array("", lambda x: np.append(x, 0.5)), "truth has 31 cells, the dataset has 30"),
+    Row(INVERT + "test_checkpoint_dataset_cell_mismatch_exits_2", "invert --dataset", "mismatched",
+        _other_dataset(grid={**GRID, "n_rows": 7}), "dimension 30 differs from the dataset's 35 cells"),
+    Row(INVERT + "test_checkpoint_dataset_ray_mismatch_exits_2",
+        "invert --dataset", "mismatched", _other_dataset(n_rcv=3), "dimension 4 differs from the dataset's 6 rays"),
+    Row(INVERT + "test_oracle_config_grid_mismatch_exits_2", "invert --oracle --config", "mismatched", TALLER, "config grid"),
+    *(
+        Row(INVERT + f"test_non_finite_yobs_exits_2[{bad}]", "invert --yobs", "non-finite",
+            _array("", _with(bad, 1)), "observation holds a NaN or infinite value")
+        for bad in (NAN, INF)
+    ),
+    Row(INVERT + "test_non_finite_truth_with_oracle_exits_2", "invert --oracle --truth", "non-finite",
+        _array("", _with(NAN, 0)), "truth holds a NaN or infinite value"),
+    Row(INVERT + "test_non_finite_dataset_cell_exits_2", "invert --oracle --dataset", "non-finite",
+        _array("/train_x.f64", _with(NAN, (5, 2))), "train_x.f64 holds a NaN or infinite value"),
+    Row(INVERT + "test_missing_truth_exits_2", "invert --oracle --truth", "missing", _missing, "missing artifacts"),
+    Row(INVERT + "test_yobs_sidecar_without_blob_exits_2", "invert --yobs", "missing", _removed(""), "missing artifacts"),
+    Row(INVERT + "test_truncated_checkpoint_exits_2", "invert --checkpoint", "truncated", _truncated(n_bytes=4), AT),
+    Row(INVERT + "test_checkpoint_manifest_not_json_exits_2",
+        "invert --checkpoint", "not JSON", _text(".json", "{not json"), AT),
+    Row(INVERT + "test_checkpoint_manifest_without_standardizer_exits_2", "invert --checkpoint", "missing key",
+        _json(".json", lambda doc: doc.pop("standardizer")), AT + ": KeyError('standardizer')"),
+    Row(INVERT + "test_checkpoint_manifest_wrong_type_exits_2", "invert --checkpoint", "wrong type",
+        _json(".json", lambda doc: doc["encoder"].update(sizes="abc")), AT),
+    Row(INVERT + "test_truncated_yobs_exits_2", "invert --yobs", "truncated", _truncated(), AT),
+    Row(INVERT + "test_dataset_manifest_not_json_exits_2",
+        "invert --dataset", "not JSON", _text("/manifest.json", "not json"), AT + "/manifest.json"),
+    *(
+        Row(f"{test}test_dataset_manifest_without_field_exits_2[{field}]",
+            f"{command} --dataset", "missing key", _without(field), AT + "/manifest.json")
+        for test, command, fields in [
+            (INVERT, "invert --oracle", ("n_cells", "n_rays", "config.grid")),
+            (ORACLE, "oracle-posterior", ("n_rays", "config.grid")),
+        ]
+        for field in fields
+    ),
+    Row(ORACLE + "test_missing_yobs_exits_2", "oracle-posterior --yobs", "missing", _missing, "missing artifacts"),
+    Row(ORACLE + "test_yobs_length_mismatch_exits_2", "oracle-posterior --yobs", "mismatched",
+        _array("", lambda y: np.append(y, 1.0)), "observation has 5 travel times, the dataset has 4 rays"),
+    Row(ORACLE + "test_config_grid_mismatch_exits_2", "oracle-posterior --config", "mismatched", TALLER, "config grid"),
+    Row(ORACLE + "test_non_finite_yobs_exits_2", "oracle-posterior --yobs", "non-finite",
+        _array("", _with(NAN, 0)), "observation holds a NaN or infinite value"),
+    Row(EVALUATE + "test_evaluate_missing_run_exits_2", "evaluate --runs", "missing", _missing, "missing artifacts"),
+    Row(EVALUATE + "test_evaluate_non_numeric_cell_exits_2",
+        "evaluate --runs", "wrong type", _text("/metrics.csv", METRICS.format("oops")), AT + "/metrics.csv"),
+    # cases without a one-off test of their own
+    Row(f"{NEW}[gendata-config-not-json]", "gendata --config", "not JSON", _text("", "{not"), "is not valid JSON"),
+    Row(f"{NEW}[invert-checkpoint-missing]", "invert --checkpoint", "missing", _missing, "missing artifacts"),
+    Row(f"{NEW}[invert-checkpoint-nan-weight]",
+        "invert --checkpoint", "non-finite", _nan_decoder_weight, AT + ": ValueError('checkpoint {path} holds a NaN"),
+    Row(f"{NEW}[invert-checkpoint-short-std_y]", "invert --checkpoint", "wrong shape",
+        _json(".json", lambda doc: doc["standardizer"]["std_y"].pop()), "std_y has shape (3,), the model implies (4,)"),
+    Row(f"{NEW}[invert-checkpoint-zero-std_x]", "invert --checkpoint", "out of range",
+        _json(".json", lambda doc: doc["standardizer"]["std_x"].__setitem__(0, 0.0)), "std_x has an entry that is not"),
+    Row(f"{NEW}[invert-truth-truncated]", "invert --oracle --truth", "truncated", _truncated(), AT),
+    Row(f"{NEW}[invert-ray-matrix-nan]", "invert --oracle --dataset", "non-finite",
+        _nan_path_length, "{path}/ray_matrix.bin holds a NaN or infinite value"),
+    Row(f"{NEW}[invert-ray-matrix-6-rays]", "invert --dataset", "wrong shape",
+        _ray_matrix_of(n_rcv=3), "{path}/ray_matrix.bin has shape (6, 30), the manifest implies (4, 30)"),
+    Row(f"{NEW}[evaluate-nan-cell]",
+        "evaluate --runs", "non-finite", _text("/metrics.csv", METRICS.format("nan")), AT + "/metrics.csv"),
+]
+
+
+def _bind(rows, namespace):
+    """Make each row run as the test its ``test`` field names.
+
+    The rows of ``name[id]`` are the cases of a parametrized ``name``; rows
+    that share a name without brackets run in turn, in one test.
+    """
+    groups = {}
+    for row in rows:
+        name, _, case = row.test.partition("[")
+        groups.setdefault(name, []).append(pytest.param(row, id=case[:-1]) if case else row)
+    for name, cases in groups.items():
+        if isinstance(cases[0], Row):
+
+            def test(refused, rows=tuple(cases)):
+                for row in rows:
+                    refused(row)
+
+        else:
+
+            @pytest.mark.parametrize("row", cases)
+            def test(refused, row):
+                refused(row)
+
+        owner, _, func = name.rpartition("::")
+        if owner:
+            setattr(namespace.setdefault(owner, type(owner, (), {})), func, staticmethod(test))
+        else:
+            namespace[func] = test
+
+
+_bind(REFUSALS, globals())
+
+
+def test_every_path_option_has_missing_and_malformed_rows():
+    # a path-valued option added later fails here until the table refuses its bad inputs
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for p in sub.choices.values() for a in p._actions if a.type is None and a.nargs != 0]
+    paths = {o for a in actions for o in a.option_strings} - {"--out", "--eps-grid"}  # an output, a number triple
+    assert paths >= {"--config", "--dataset", "--checkpoint", "--yobs", "--truth", "--runs"}
+    for option in paths:
+        kinds = {row.corruption for row in REFUSALS if row.args.split()[-1] == option}
+        assert "missing" in kinds and kinds & MALFORMED, option
+    assert {row.corruption for row in REFUSALS} <= CORRUPTIONS
