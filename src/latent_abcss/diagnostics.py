@@ -14,6 +14,7 @@ true forward operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -234,9 +235,10 @@ def prepare_references(
     single vector is a Dirac (one point).  The references do not depend on
     the solutions, so their self terms are solved here (by
     :func:`~latent_abcss.sinkhorn.self_transport`) and every
-    :func:`wasserstein_diagnostics` call against them reuses them.
-    ``solves``, if given, collects each self solve's record (see
-    :func:`wasserstein_diagnostics`).
+    :func:`wasserstein_diagnostics` call against them reuses them.  A
+    Dirac's self term is 0, with no solve: its only coupling with itself
+    moves nothing.  ``solves``, if given, collects each self solve's record
+    (see :func:`wasserstein_diagnostics`).
 
     Raises:
         ValueError: with no clouds, or clouds of different point dimensions.
@@ -256,6 +258,9 @@ def prepare_references(
     slices = {name: slice(end - p.shape[0], end) for name, p, end in zip(clouds, parts, ends)}
     self_costs = {}
     for name, s in slices.items():
+        if s.stop - s.start == 1:
+            self_costs[name] = 0.0
+            continue
         c = _gemm_cost(rows[s], rows[s], squared_norms[s], squared_norms[s])
         self_costs[name] = _cost(self_transport(c, ot_cfg), "self", name, solves)
     return ReferenceSet(centre, rows, squared_norms, slices, self_costs)
@@ -274,10 +279,13 @@ def wasserstein_diagnostics(
     (``ot_cfg.debiased`` is not read).  OT(r, r) comes prepared with
     ``references``; OT(s, s) is one
     :func:`~latent_abcss.sinkhorn.self_transport` solve per call and each
-    OT(s, r) one alternating Sinkhorn solve.  ``weights`` gives the
-    solutions' probability weights (uniform when None): a cloud with
-    repeated rows may be passed as its distinct rows weighted by
-    multiplicity, which is the same measure on fewer points.
+    OT(s, r) one alternating Sinkhorn solve, of which only the cost is
+    read.  Against a one-point reference (a Dirac, such as the truth) the
+    only coupling gives each solution its own weight, so OT(s, r) is the
+    weighted mean of the solutions' costs to that point, with no solve.
+    ``weights`` gives the solutions' probability weights (uniform when
+    None): a cloud with repeated rows may be passed as its distinct rows
+    weighted by multiplicity, which is the same measure on fewer points.
 
     The solutions are shifted to the references' centre and normed once;
     their costs are two GEMMs, one against all reference rows (a column
@@ -286,9 +294,9 @@ def wasserstein_diagnostics(
     :func:`~latent_abcss.sinkhorn.cost_matrix` to rounding.
 
     ``solves``, if given, collects one record per solve, the self term
-    first: ``kind`` ("self" or "cross"), ``reference`` (None for the
-    solutions' self term), ``iterations`` and ``converged`` (False when
-    the budget ended it).
+    first (a Dirac makes none): ``kind`` ("self" or "cross"), ``reference``
+    (None for the solutions' self term), ``iterations`` and ``converged``
+    (False when the budget ended it).
 
     Raises:
         ValueError: on weights of the wrong length, non-finite or
@@ -312,7 +320,11 @@ def wasserstein_diagnostics(
     cross = _gemm_cost(solutions, references.rows, sq, references.squared_norms)
     out = {}
     for name, cols in references.slices.items():
-        ot = _cost(_plain_entropic_ot(cross[:, cols], ot_cfg, weights), "cross", name, solves)
+        if cols.stop - cols.start == 1:
+            to_dirac = cross[:, cols.start]
+            ot = float(to_dirac.mean() if weights is None else weights @ to_dirac)
+        else:
+            ot = _cost(_plain_entropic_ot(cross[:, cols], ot_cfg, weights), "cross", name, solves)
         out[name] = ot - 0.5 * self_s - 0.5 * references.self_costs[name]
     return out
 
@@ -369,16 +381,12 @@ class MetricsReport:
         return out
 
     def to_csv(self, path: str) -> None:
-        cols = [(name, getattr(self, name)) for name in self._FIELDS]
-        present = [(n, np.asarray(v)) for n, v in cols if v is not None]
+        present = [name for name in self._FIELDS if getattr(self, name) is not None]
         if not present:
             raise ValueError("metrics report is empty")
-        n_rows = max(v.size for _, v in present)
-        write_csv(
-            path,
-            ["sample", *(n for n, _ in present)],
-            ([i, *(v[i] if i < v.size else None for _, v in present)] for i in range(n_rows)),
-        )
+        cols = [np.asarray(getattr(self, name), dtype=np.float64).tolist() for name in present]
+        n_rows = max(len(col) for col in cols)
+        write_csv(path, ["sample", *present], zip_longest(range(n_rows), *cols))
 
 
 def curve_to_csv(curve: ThresholdCurve, path: str) -> None:
@@ -388,7 +396,7 @@ def curve_to_csv(curve: ThresholdCurve, path: str) -> None:
     write_csv(
         path,
         ["eps", "eps_n", "log10_p", "smoothed", "curvature"],
-        zip(*(absent if c is None else c for c in cols)),
+        zip(*(absent if c is None else np.asarray(c, dtype=np.float64).tolist() for c in cols)),
     )
 
 

@@ -185,10 +185,14 @@ def write_csv(path: str, header, rows) -> str:
 
     ``None`` is an empty cell, ``str`` and ``int`` are written as they are,
     and every other value as ``repr(float(v))``, the shortest string that
-    reads back to the same double.
+    reads back to the same double.  A Python float is the fast case: build
+    numeric rows from ``ndarray.tolist()`` columns rather than indexing
+    numpy scalars cell by cell.
     """
 
     def cell(v) -> str:
+        if type(v) is float:
+            return repr(v)
         if v is None:
             return ""
         if isinstance(v, (str, int)):

@@ -10,14 +10,18 @@ Where the Gibbs kernel ``exp(-C/reg)`` stays far from underflow, each
 log-sum-exp is one product with that kernel; smaller regularizations (down
 to 1e-3) sum over the max-shifted full matrix instead.  A cloud against
 itself has one potential, which :func:`self_transport` iterates with the
-symmetric averaged update.
+symmetric averaged update.  On the kernel path a solve's transport cost
+comes from the potentials and ``K * c`` alone, and the coupling is formed
+only when a caller reads it (training does; the transport diagnostics read
+only the cost).
 Iteration counts are a fixed budget rather than a convergence guarantee
 (small budgets are a deliberate training-time setting).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,16 +67,27 @@ class SinkhornConfig:
 
 @dataclass
 class TransportPlan:
-    """Coupling (n x m, nonnegative), its transport cost and how the solve ended.
+    """Transport cost of a Sinkhorn coupling, how the solve ended, and the coupling.
 
     ``iterations`` counts the Sinkhorn iterations run; ``converged`` is True
     when the ``tol`` stop ended the solve and False when the budget did.
+
+    ``plan``, the n x m nonnegative coupling, is formed the first time it
+    is read, so a caller that needs only ``cost`` skips its n x m
+    exponential.  On the kernel path it is formed from the solve's cost
+    matrix, which must not change before then.
     """
 
-    plan: np.ndarray
     cost: float
     iterations: int
     converged: bool
+    _plan: object = field(repr=False, compare=False)  # the coupling, or the function that forms it
+
+    @property
+    def plan(self) -> np.ndarray:
+        if callable(self._plan):
+            self._plan = self._plan()
+        return self._plan
 
 
 def cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -121,21 +136,50 @@ def _logsumexp(neg_c, shift, axis, buf, kernel=None) -> np.ndarray:
     otherwise ``buf`` (same shape as ``neg_c``) is overwritten.
     """
     if kernel is not None:
-        mx = np.max(shift)
+        mx = shift.max()
         w = np.exp(shift - mx)
         return np.log(kernel @ w if axis == 1 else w @ kernel) + mx
     np.add(neg_c, shift[None, :] if axis == 1 else shift[:, None], out=buf)
-    mx = np.max(buf, axis=axis, keepdims=True)
-    buf -= mx
+    mx = buf.max(axis=axis)
+    buf -= mx[:, None] if axis == 1 else mx[None, :]
     np.exp(buf, out=buf)
-    return np.log(np.sum(buf, axis=axis)) + np.squeeze(mx, axis=axis)
+    return np.log(buf.sum(axis=axis)) + mx
 
 
 def _plan_into(buf, neg_c, f, g, reg, log_a, log_b) -> np.ndarray:
-    """The coupling ``exp((f_i + g_j - c_ij) / reg) a_i b_j``, written into ``buf``."""
+    """The coupling ``exp((f_i + g_j - c_ij) / reg) a_i b_j``, written into ``buf`` (which may be ``neg_c``)."""
     np.add(neg_c, (f / reg + log_a)[:, None], out=buf)
     buf += (g / reg + log_b)[None, :]
     return np.exp(buf, out=buf)
+
+
+def _cost_and_plan(c, reg, gibbs, f, g, log_a, log_b):
+    """Transport cost of the coupling of the potentials ``f``, ``g``, and the coupling.
+
+    ``gibbs`` is the solve's :func:`_gibbs` triple.  On the log path the
+    coupling is formed into the scratch buffer and the cost is
+    ``sum(plan * c)``.  On the kernel path the cost is ``u @ (K * c) @ v``,
+    with ``u = exp(f/reg + log a)`` and ``v = exp(g/reg + log b)`` each
+    scaled by its largest entry and the scales multiplied back after: one
+    pass over ``K``, which it overwrites with ``K * c``, and two products.
+    The coupling is then returned as the function that forms it, exactly
+    as the log path does, from ``c``.
+    """
+    kernel, neg_c, buf = gibbs
+    if kernel is None:
+        plan = _plan_into(buf, neg_c, f, g, reg, log_a, log_b)
+        return float(np.sum(plan * c)), plan
+    alpha = f / reg + log_a
+    beta = g / reg + log_b
+    top_a, top_b = alpha.max(), beta.max()
+    kc = np.multiply(kernel, c, out=kernel)
+    cost = float(np.exp(alpha - top_a) @ kc @ np.exp(beta - top_b)) * math.exp(top_a + top_b)
+
+    def plan():
+        neg_c = c / -reg
+        return _plan_into(neg_c, neg_c, f, g, reg, log_a, log_b)
+
+    return cost, plan
 
 
 def _check_weights(w, n: int, name: str) -> np.ndarray:
@@ -152,19 +196,19 @@ def _check_weights(w, n: int, name: str) -> np.ndarray:
 
 
 def _gibbs(c: np.ndarray, reg: float):
-    """``-c/reg``, a scratch buffer of its shape, and the kernel or None.
+    """``(kernel, neg_c, buf)`` of a solve on the cost matrix ``c``.
 
-    The kernel ``exp(-c/reg)`` is formed, in the buffer, only when every
-    ``|c|/reg`` is under the bound (see :func:`_plain_entropic_ot`); None
-    keeps the log-domain sum.  The buffer is the solve's scratch, which
-    :func:`_plan_into` overwrites last.
+    When every ``|c|/reg`` is under the bound (see :func:`_plain_entropic_ot`)
+    this is the Gibbs kernel ``exp(-c/reg)`` and two Nones; otherwise None,
+    ``-c/reg`` and a scratch buffer of its shape for the log-domain sums.
+    ``c.max() / -reg`` is the smallest entry of ``-c/reg`` exactly, since
+    rounding keeps order, and NaN fails both comparisons.
     """
+    if -_KERNEL_MAX_EXPONENT < c.max() / -reg and c.min() / -reg < _KERNEL_MAX_EXPONENT:
+        kernel = np.divide(c, -reg)
+        return np.exp(kernel, out=kernel), None, None
     neg_c = c / -reg
-    buf = np.empty_like(neg_c)
-    kernel = None
-    if -_KERNEL_MAX_EXPONENT < neg_c.min() and neg_c.max() < _KERNEL_MAX_EXPONENT:
-        kernel = np.exp(neg_c, out=buf)
-    return neg_c, buf, kernel
+    return None, neg_c, np.empty_like(neg_c)
 
 
 def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, a=None, b=None) -> TransportPlan:
@@ -178,7 +222,8 @@ def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, a=None, b=None) -> Tr
     at least e^-300, and a weight ``exp(s - max s)`` that underflows drops a
     term below e^-408, far under eps of the sum.  Larger ratios, inf and NaN
     (which fails every comparison) keep the log-domain sum; the potentials,
-    the ``tol`` stop and the plan are shared.
+    the ``tol`` stop and the plan are shared, and the cost is computed on
+    each path as :func:`_cost_and_plan` says.
 
     Raises:
         ValueError: on weights of the wrong length, non-finite or
@@ -188,23 +233,20 @@ def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, a=None, b=None) -> Tr
     reg = cfg.reg
     log_a = -np.log(n) if a is None else np.log(_check_weights(a, n, "a"))
     log_b = -np.log(m) if b is None else np.log(_check_weights(b, m, "b"))
-    neg_c, buf, kernel = _gibbs(c, reg)
+    gibbs = _gibbs(c, reg)
+    kernel, neg_c, buf = gibbs
+    tol = cfg.tol
     f = np.zeros(n)
     g = np.zeros(m)
-    converged = False
     for iterations in range(1, cfg.max_iter + 1):
         f_new = -reg * _logsumexp(neg_c, g / reg + log_b, 1, buf, kernel)
         g_new = -reg * _logsumexp(neg_c, f_new / reg + log_a, 0, buf, kernel)
-        moved = max(
-            float(np.max(np.abs(f_new - f))), float(np.max(np.abs(g_new - g)))
-        )
+        converged = bool(tol > 0.0 and abs(f_new - f).max() < tol and abs(g_new - g).max() < tol)
         f, g = f_new, g_new
-        if cfg.tol > 0.0 and moved < cfg.tol:
-            converged = True
+        if converged:
             break
-    plan = _plan_into(buf, neg_c, f, g, reg, log_a, log_b)
-    cost = float(np.sum(plan * c))
-    return TransportPlan(plan, cost, iterations, converged)
+    cost, plan = _cost_and_plan(c, reg, gibbs, f, g, log_a, log_b)
+    return TransportPlan(cost, iterations, converged, plan)
 
 
 def self_transport(c: np.ndarray, cfg: SinkhornConfig, a=None) -> TransportPlan:
@@ -232,18 +274,18 @@ def self_transport(c: np.ndarray, cfg: SinkhornConfig, a=None) -> TransportPlan:
         raise ValueError(f"a self-transport cost is square, not {n} x {m}")
     reg = cfg.reg
     log_a = -np.log(n) if a is None else np.log(_check_weights(a, n, "a"))
-    neg_c, buf, kernel = _gibbs(c, reg)
+    gibbs = _gibbs(c, reg)
+    kernel, neg_c, buf = gibbs
+    tol = cfg.tol
     f = np.zeros(n)
-    converged = False
     for iterations in range(1, cfg.max_iter + 1):
         f_new = 0.5 * (f - reg * _logsumexp(neg_c, f / reg + log_a, 1, buf, kernel))
-        moved = float(np.max(np.abs(f_new - f)))
+        converged = bool(tol > 0.0 and abs(f_new - f).max() < tol)
         f = f_new
-        if cfg.tol > 0.0 and moved < cfg.tol:
-            converged = True
+        if converged:
             break
-    plan = _plan_into(buf, neg_c, f, f, reg, log_a, log_a)
-    return TransportPlan(plan, float(np.sum(plan * c)), iterations, converged)
+    cost, plan = _cost_and_plan(c, reg, gibbs, f, f, log_a, log_a)
+    return TransportPlan(cost, iterations, converged, plan)
 
 
 def entropic_ot(xs, ys, cfg: SinkhornConfig) -> TransportPlan:

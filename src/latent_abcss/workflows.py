@@ -14,6 +14,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -289,8 +290,8 @@ def _load_dataset(dataset_dir: str):
 
 def train_from_dataset(cfg: PipelineConfig, dataset_dir: str, out_dir: str) -> str:
     """Train the joint model on a generated dataset; write checkpoint + history."""
-    os.makedirs(out_dir, exist_ok=True)
     data = _load_dataset(dataset_dir)
+    os.makedirs(out_dir, exist_ok=True)
     xs, ys = data["train_x"], data["train_y"]
     model = JGNNModel.init(
         xs.shape[1], ys.shape[1], cfg.latent_dim, RngStream(cfg.seed, stream_id=2), hidden=cfg.hidden
@@ -532,8 +533,11 @@ def invert_artifacts(
     truth_path: str | None = None,
     oracle: bool = False,
 ) -> InversionResult:
-    """File-level wrapper around :func:`run_inversion`; writes all artifacts."""
-    os.makedirs(out_dir, exist_ok=True)
+    """File-level wrapper around :func:`run_inversion`; writes all artifacts.
+
+    ``out_dir`` is created once every input has passed its checks, before
+    the inversion, whose diagnostic failure still writes its artifacts.
+    """
     y_obs = _load_input(load_array, y_obs_path)
     truth = _load_input(load_array, truth_path) if truth_path else None
     model = _load_input(load_model, checkpoint)
@@ -541,6 +545,7 @@ def invert_artifacts(
     with _reading(os.path.join(dataset_dir, "manifest.json")):
         _check_model_fits(model, data["manifest"])
         _check_observation(cfg, data["manifest"], y_obs, truth, oracle)
+    os.makedirs(out_dir, exist_ok=True)
     prov = cfg.provenance("invert")
     rng = RngStream(cfg.seed, stream_id=3)
 
@@ -582,7 +587,12 @@ def invert_artifacts(
 
 
 def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
-    """Aggregate per-inversion RMSE pairings; write per-run and pooled rows."""
+    """Aggregate per-inversion RMSE pairings; write per-run and pooled rows.
+
+    Raises:
+        ConfigError: on a missing or malformed ``metrics.csv``, or when no
+            run has a truth column to aggregate; before anything is written.
+    """
     pairings = ("train", "post", "ours", "prior")
     col_of = {
         "train": "rmse_train_truth",
@@ -611,18 +621,15 @@ def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
                 continue
             pooled[p].append(col)
             rows.append(row(os.path.basename(os.path.normpath(run)), p, col))
+    if not rows:
+        raise ConfigError(f"no run has a truth column ({', '.join(col_of.values())}): invert with --truth")
     cols = {p: (np.concatenate(pooled[p]) if pooled[p] else np.empty(0)) for p in pairings}
     rows += [row("pooled", p, cols[p]) for p in pairings if cols[p].size]
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     write_csv(out_path, header, (r.values() for r in rows))
     # pooled per-sample distributions, one labeled column per pairing
     dist_path = os.path.splitext(out_path)[0] + "_pooled.csv"
-    n_rows = max(c.size for c in cols.values())
-    write_csv(
-        dist_path,
-        pairings,
-        ([cols[p][i] if i < cols[p].size else None for p in pairings] for i in range(n_rows)),
-    )
+    write_csv(dist_path, pairings, zip_longest(*(cols[p].tolist() for p in pairings)))
     return {"rows": rows, "aggregate_csv": out_path, "pooled_csv": dist_path}
 
 
@@ -630,11 +637,11 @@ def compute_oracle_posterior(
     cfg: PipelineConfig, dataset_dir: str, y_obs_path: str, out_dir: str
 ) -> GaussianDist:
     """Exact Gaussian posterior artifacts for a given observation."""
-    os.makedirs(out_dir, exist_ok=True)
     y_obs = _load_input(load_array, y_obs_path)
     data = _load_dataset(dataset_dir)
     with _reading(os.path.join(dataset_dir, "manifest.json")):
         _check_observation(cfg, data["manifest"], y_obs)
+    os.makedirs(out_dir, exist_ok=True)
     prov = cfg.provenance("oracle-posterior")
     prior, noise_cov = _oracle_prior_noise(cfg, y_obs.size)
     post = linear_gaussian_posterior(prior, data["ray_matrix"], noise_cov, y_obs)

@@ -281,10 +281,11 @@ class TestInvert:
             truth_path=str(root / "truth.f64"),
             oracle=True,
         )
-        n_refs = 3  # posterior, prior, truth
+        n_refs = 2  # posterior and prior; the Dirac truth has closed forms and no solve
         n_calls = len(result.metrics.wasserstein_by_eps)
         assert n_calls == len(result.deep_trace.level_samples) + 1
-        # each reference's self term once, each row's self term once
+        assert set(result.metrics.wasserstein_by_eps[0][1]) == {"posterior", "prior", "truth"}
+        # each cloud reference's self term once, each row's self term once
         assert len(solves["self"]) == n_refs + n_calls
         assert len(solves["cross"]) == n_calls * n_refs
         oracle = result.summary["oracle"]
@@ -490,7 +491,7 @@ def test_every_json_artifact_is_strict_json(pipeline):
 # The runner copies that option's valid input, applies the row's edit to the
 # copy (for a flag, the edit is the flag's value), forbids every expensive stage,
 # runs the command and checks the exit code, the stderr fragment ("{path}"
-# stands for the edited input) and that --out holds nothing.  A row runs as
+# stands for the edited input) and that --out was never created.  A row runs as
 # the test its ``test`` field names: the one-off test it replaced, whose id it
 # keeps, or a case of ``test_refused_input``.
 
@@ -539,7 +540,7 @@ def refused(pipeline, tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert code == row.code, err
         assert row.fragment.format(path=inputs.get(option)) in err, err
-        assert not os.path.exists(out) or not os.listdir(out)
+        assert not os.path.exists(out)
 
     return check
 
@@ -772,6 +773,8 @@ REFUSALS = [
         _ray_matrix_of(n_rcv=3), "{path}/ray_matrix.bin has shape (6, 30), the manifest implies (4, 30)"),
     Row(f"{NEW}[evaluate-nan-cell]",
         "evaluate --runs", "non-finite", _text("/metrics.csv", METRICS.format("nan")), AT + "/metrics.csv"),
+    Row(f"{NEW}[evaluate-no-truth-column]", "evaluate --runs", "missing key",
+        _text("/metrics.csv", "sample,resim_rmse_model,resim_rmse_obs\n0,0.5,0.25\n"), "no run has a truth column"),
 ]
 
 

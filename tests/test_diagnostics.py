@@ -281,7 +281,9 @@ class TestWassersteinDiagnostics:
         np.testing.assert_allclose(refs.rows + refs.centre, stacked, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(refs.squared_norms, np.sum(refs.rows**2, axis=1), rtol=1e-14)
         assert refs.slices == {"post": slice(0, 7), "prior": slice(7, 16), "truth": slice(16, 17)}
-        assert [(s["kind"], s["reference"]) for s in solves] == [("self", n) for n in clouds]
+        # the Dirac truth's self term is 0 with no solve
+        assert [(s["kind"], s["reference"]) for s in solves] == [("self", "post"), ("self", "prior")]
+        assert refs.self_costs["truth"] == 0.0
         for name, cloud in clouds.items():
             c = cost_matrix(cloud, cloud)
             assert refs.self_costs[name] == pytest.approx(self_transport(c, cfg).cost, rel=1e-12, abs=1e-15)
@@ -335,15 +337,39 @@ class TestWassersteinDiagnostics:
         clouds = {"a": gen.standard_normal((9, 3)), "b": gen.standard_normal(3)}
         refs = prepare_references(clouds, cfg, solves)
         wasserstein_diagnostics(sols, refs, cfg, solves=solves)
-        # self terms of a and of the Dirac b (exact at once), then the
-        # solutions' self term and the cross terms with a and with b
+        # the self term of a, then the solutions' self term and the cross
+        # term with a; the Dirac b has closed forms and no solve
         assert solves == [
             {"kind": "self", "reference": "a", "iterations": 4, "converged": False},
-            {"kind": "self", "reference": "b", "iterations": 1, "converged": True},
             {"kind": "self", "reference": None, "iterations": 4, "converged": False},
             {"kind": "cross", "reference": "a", "iterations": 4, "converged": False},
-            {"kind": "cross", "reference": "b", "iterations": 2, "converged": True},
         ]
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    def test_dirac_reference_is_the_sinkhorn_value_without_a_solve(self, weighted):
+        from latent_abcss.gp_prior import GPConfig, sample_fields
+        from latent_abcss.sinkhorn import _gemm_cost, _squared_norms
+
+        fields = sample_fields(Grid(20, 16, 0.1), GPConfig(lengthscale=1.0), (48, 40, 1), RngStream(15, 1))
+        sols = fields[0]
+        weights = None
+        if weighted:
+            weights = np.random.default_rng(16).integers(1, 6, size=48).astype(np.float64)
+            weights /= weights.sum()
+        cfg = SinkhornConfig(reg=10.0, max_iter=300, tol=1e-7)
+        solves = []
+        refs = prepare_references({"prior": fields[1], "truth": fields[2][0]}, cfg, solves)
+        out = wasserstein_diagnostics(sols, refs, cfg, weights, solves)
+        assert [(s["kind"], s["reference"]) for s in solves] == [("self", "prior"), ("self", None), ("cross", "prior")]
+        # the Sinkhorn solves the Dirac used to make, on the same prepared costs
+        shifted = sols - refs.centre
+        sq = _squared_norms(shifted)
+        t = refs.slices["truth"]
+        rows, norms = refs.rows[t], refs.squared_norms[t]
+        self_s = self_transport(_gemm_cost(shifted, shifted, sq, sq), cfg, weights).cost
+        cross = _plain_entropic_ot(_gemm_cost(shifted, rows, sq, norms), cfg, weights).cost
+        self_t = self_transport(_gemm_cost(rows, rows, norms, norms), cfg).cost
+        assert out["truth"] == pytest.approx(cross - 0.5 * self_s - 0.5 * self_t, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "weights",

@@ -263,6 +263,33 @@ class TestKernelPath:
             scale = np.max(logd.plan)
             assert np.max(np.abs(kern.plan - logd.plan)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("log_domain", [False, True], ids=["kernel", "log"])
+    @pytest.mark.parametrize("c, cfg, stops", kernel_path_problems())
+    def test_plan_on_demand_is_the_eager_plan(self, c, cfg, stops, log_domain, monkeypatch):
+        # the potentials each solve ends with, to form its plan eagerly beside it
+        if log_domain:
+            monkeypatch.setattr(sinkhorn, "_KERNEL_MAX_EXPONENT", 0.0)
+        ends = []
+        finish = sinkhorn._cost_and_plan
+
+        def spy(c, reg, gibbs, *potentials):
+            ends.append(potentials)
+            return finish(c, reg, gibbs, *potentials)
+
+        monkeypatch.setattr(sinkhorn, "_cost_and_plan", spy)
+        solves = [sinkhorn._plain_entropic_ot(c, cfg)]
+        if c.shape[0] == c.shape[1]:
+            solves.append(sinkhorn.self_transport(c, cfg))
+        assert len(ends) == len(solves)
+        for tp, (f, g, log_a, log_b) in zip(solves, ends):
+            eager = sinkhorn._plan_into(np.empty_like(c), c / -cfg.reg, f, g, cfg.reg, log_a, log_b)
+            cost = tp.cost  # read before the plan: the kernel path never forms it for the cost
+            np.testing.assert_array_equal(tp.plan, eager)
+            if log_domain:
+                assert cost == float(np.sum(eager * c))
+            else:
+                assert cost == pytest.approx(float(np.sum(eager * c)), rel=1e-13, abs=0.0)
+
     def test_criterion_three_problems_stay_in_the_log_domain(self, lse_calls):
         # criterion 3's draws and settings, on a shorter budget: reg 1e-3
         # puts max C/reg far above the bound
