@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-def default_eps_grid(eps_min: float = 0.01, eps_max: float = 3000.0, count: int = 60) -> np.ndarray:
+def default_eps_grid(eps_min: float, eps_max: float, count: int) -> np.ndarray:
     """Log-spaced squared-tolerance grid (ns^2)."""
     if not (0 < eps_min < eps_max < np.inf) or count < 2:
         raise ValueError("need 0 < eps_min < eps_max < inf and at least two grid points")
@@ -80,9 +80,7 @@ class ThresholdCurve:
     selected_index: int | None = None
 
 
-def probability_curve(
-    trace: SubSimTrace, n_obs: int, eps_grid: np.ndarray | None = None
-) -> ThresholdCurve:
+def probability_curve(trace: SubSimTrace, n_obs: int, eps_grid: np.ndarray) -> ThresholdCurve:
     """Piecewise probability estimate over a whole tolerance grid.
 
     For a tolerance t between two consecutive level thresholds, the level
@@ -92,7 +90,7 @@ def probability_curve(
     """
     if not trace.level_dissimilarities:
         raise ValueError("empty trace")
-    grid = default_eps_grid() if eps_grid is None else np.asarray(eps_grid, dtype=np.float64)
+    grid = np.asarray(eps_grid, dtype=np.float64)
     alpha = trace.config.level_fraction
     n = trace.config.n_particles
     thresholds = np.array([lvl.threshold for lvl in trace.levels])
@@ -135,7 +133,7 @@ def _local_quadratic(x: np.ndarray, y: np.ndarray, window: int):
     return val, d1, d2
 
 
-def smooth_log_curve(curve: ThresholdCurve, window: int = 9) -> np.ndarray:
+def smooth_log_curve(curve: ThresholdCurve, window: int) -> np.ndarray:
     """Local-quadratic smoothing of log10 p over the normalized-tolerance axis.
 
     Endpoints fall back to shrunken one-sided windows, so a curve that is
@@ -145,7 +143,7 @@ def smooth_log_curve(curve: ThresholdCurve, window: int = 9) -> np.ndarray:
     return val
 
 
-def curvature(curve: ThresholdCurve, window: int = 9) -> np.ndarray:
+def curvature(curve: ThresholdCurve, window: int) -> np.ndarray:
     """|f''| / (1 + f'^2)^(3/2) of the smoothed curve against eps_n."""
     if curve.smoothed is None:
         raise ValueError("smooth the curve before computing curvature")
@@ -183,7 +181,7 @@ def select_threshold(curve: ThresholdCurve) -> tuple[float, float]:
     return curve.selected_eps_n, stagnation
 
 
-def analyze_curve(curve: ThresholdCurve, window: int = 9) -> ThresholdCurve:
+def analyze_curve(curve: ThresholdCurve, window: int) -> ThresholdCurve:
     """Smooth, differentiate and select in one pass (mutates and returns)."""
     curve.smoothed = smooth_log_curve(curve, window)
     curve.curvature = curvature(curve, window)

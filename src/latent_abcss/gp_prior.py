@@ -15,7 +15,7 @@ from .rng_linalg import RngStream, add_jitter, cholesky, sample_mvn
 
 __all__ = ["Grid", "GPConfig", "exp_kernel", "build_covariance", "sample_fields"]
 
-DEFAULT_CELL_CAP = 4000
+CELL_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -91,17 +91,17 @@ def exp_kernel(h, cfg: GPConfig):
     return k
 
 
-def build_covariance(grid: Grid, cfg: GPConfig, cell_cap: int = DEFAULT_CELL_CAP) -> np.ndarray:
+def build_covariance(grid: Grid, cfg: GPConfig) -> np.ndarray:
     """Dense prior covariance between all cell centers.
 
     Entry (i, j) is the kernel at the Euclidean distance between the centers
     of cells i and j, with ``variance`` on the diagonal.  The matrix is
     exactly symmetric: ``(a - b)**2 == (b - a)**2`` in floating point.
-    Grids above ``cell_cap`` cells are refused: the matrix is dense N x N.
+    Grids above ``CELL_CAP`` cells are refused: the matrix is dense N x N.
     """
     n = grid.n_cells
-    if n > cell_cap:
-        raise ValueError(f"grid has {n} cells, exceeding the cap of {cell_cap}")
+    if n > CELL_CAP:
+        raise ValueError(f"grid has {n} cells, exceeding the cap of {CELL_CAP}")
     xs, zs = grid.axes()
     dx = np.subtract.outer(xs, xs)
     dx *= dx

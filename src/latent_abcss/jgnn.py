@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _STD_FLOOR = 1e-12
+# Adam's step size for both networks, and the share of couples held out for validation
+_LEARNING_RATE = 0.001
+_VAL_FRACTION = 0.1
 
 
 @dataclass
@@ -148,17 +151,13 @@ class TrainConfig:
     lambda0: float = 150.0
     lambda_halving_period: int = 500
     sinkhorn: SinkhornConfig = field(default_factory=_default_train_sinkhorn)
-    lr: float = 0.001
-    val_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.lambda_halving_period) < 1:
             raise ValueError("epochs, batch_size and lambda_halving_period must be positive")
-        if self.lambda0 <= 0 or self.lr <= 0:
-            raise ValueError("lambda0 and lr must be positive")
-        if not (0.0 < self.val_fraction < 1.0):
-            raise ValueError("val_fraction must be in (0, 1)")
+        if self.lambda0 <= 0:
+            raise ValueError("lambda0 must be positive")
 
 
 @dataclass
@@ -314,7 +313,7 @@ def train(
     n = xs.shape[0]
     rng = RngStream(cfg.seed, stream_id=17)
 
-    n_val = max(1, int(round(cfg.val_fraction * n)))
+    n_val = max(1, int(round(_VAL_FRACTION * n)))
     perm = rng.split(0).generator().permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if train_idx.size < cfg.batch_size:
@@ -327,8 +326,8 @@ def train(
     ys_s = model.standardizer.y_to_std(ys)
     x_val, y_val = xs_s[val_idx], ys_s[val_idx]
 
-    enc_state = AdamState(lr=cfg.lr)
-    dec_state = AdamState(lr=cfg.lr)
+    enc_state = AdamState(lr=_LEARNING_RATE)
+    dec_state = AdamState(lr=_LEARNING_RATE)
     history = TrainHistory()
     n_batches = train_idx.size // cfg.batch_size
     best_val = np.inf

@@ -30,6 +30,15 @@ __all__ = [
     "load_trace",
 ]
 
+# fixed parts of adaptive conditional sampling (Papaioannou et al. 2015): the
+# first level's proposal scale and the acceptance rate the scale is steered to
+_PROPOSAL_SCALE = 0.5
+_ACCEPTANCE_TARGET = 0.44
+# a threshold that falls by less than this, relatively, improves slowly, and
+# this many slow levels in a row mark the run as stagnated
+_STAGNATION_REL_TOL = 1e-3
+_STAGNATION_PATIENCE = 3
+
 
 @dataclass(frozen=True)
 class SubSimConfig:
@@ -39,10 +48,6 @@ class SubSimConfig:
     n_particles: int = 1000
     level_fraction: float = 0.1
     max_levels: int = 30
-    proposal_scale: float = 0.5
-    acceptance_target: float = 0.44
-    stagnation_rel_tol: float = 1e-3
-    stagnation_patience: int = 3
 
     def __post_init__(self):
         if not self.target_eps > 0:
@@ -53,8 +58,6 @@ class SubSimConfig:
             raise ValueError("need n_particles * level_fraction >= 10")
         if self.max_levels < 1:
             raise ValueError("max_levels must be at least 1")
-        if not (0.0 <= self.proposal_scale <= 1.0):
-            raise ValueError("proposal_scale must be in [0, 1]")
 
 
 @dataclass
@@ -83,7 +86,7 @@ class SubSimTrace:
     population after the j-th rejuvenation (j = 0 is the prior population).
     ``stagnation`` is None unless the run stagnated, and then the first cause
     that fired: ``"flat_threshold"`` (no strictly lower threshold),
-    ``"slow_improvement"`` (``stagnation_patience`` slow levels in a row) or
+    ``"slow_improvement"`` (three slow levels in a row) or
     ``"level_budget"`` (``max_levels`` ran out before the target).
     """
 
@@ -102,10 +105,6 @@ class SubSimTrace:
     @property
     def n_levels(self) -> int:
         return len(self.levels)
-
-    @property
-    def final_dissimilarities(self) -> np.ndarray:
-        return self.level_dissimilarities[-1]
 
 
 def dissimilarity_batch(y_gen: np.ndarray, y_obs: np.ndarray) -> np.ndarray:
@@ -182,7 +181,7 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
 
     Returns:
         :class:`SubSimTrace`; a threshold improves slowly when it falls by
-        less than ``stagnation_rel_tol`` relatively.  A stagnated
+        less than 0.1% relatively.  A stagnated
         run still burns its remaining budget: the repeated best-fraction
         selection at an almost-flat threshold is what squeezes the final
         population onto the closest-fitting set, and the diagnostics read
@@ -199,7 +198,7 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
     trace.level_dissimilarities.append(d)
     trace.level_samples.append(z)
 
-    scale = cfg.proposal_scale
+    scale = _PROPOSAL_SCALE
     stagnant_streak = 0
     t_prev = np.inf
 
@@ -215,9 +214,9 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
             if not t_prop < t_prev:
                 trace.stagnation = trace.stagnation or "flat_threshold"  # flat dissimilarity mass
                 break
-            if np.isfinite(t_prev) and (t_prev - t_prop) / t_prev < cfg.stagnation_rel_tol:
+            if np.isfinite(t_prev) and (t_prev - t_prop) / t_prev < _STAGNATION_REL_TOL:
                 stagnant_streak += 1
-                if stagnant_streak >= cfg.stagnation_patience:
+                if stagnant_streak >= _STAGNATION_PATIENCE:
                     trace.stagnation = trace.stagnation or "slow_improvement"
             else:
                 stagnant_streak = 0
@@ -236,7 +235,7 @@ def subsim_run(g2, y_obs, latent_dim: int, cfg: SubSimConfig, rng: RngStream) ->
 
         if rate is not None:  # chains that proposed nothing leave the scale as it is
             zeta = 1.0 / np.sqrt(level)
-            scale = float(np.clip(np.exp(np.log(max(scale, 1e-6)) + zeta * (rate - cfg.acceptance_target)), 1e-3, 1.0))
+            scale = float(np.clip(np.exp(np.log(max(scale, 1e-6)) + zeta * (rate - _ACCEPTANCE_TARGET)), 1e-3, 1.0))
     else:
         trace.stagnation = trace.stagnation or "level_budget"  # consumed before crossing
 

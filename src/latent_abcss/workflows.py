@@ -313,7 +313,6 @@ class InversionResult:
     selected_eps_n: float
     stagnation_eps_n: float
     final_trace: object
-    solutions_latent: np.ndarray
     solutions_x: np.ndarray
     solutions_y: np.ndarray
     metrics: MetricsReport
@@ -434,7 +433,6 @@ def run_inversion(
         selected_eps_n=curve.selected_eps_n,
         stagnation_eps_n=curve.stagnation_eps_n,
         final_trace=final,
-        solutions_latent=z_final,
         solutions_x=solutions_x,
         solutions_y=solutions_y,
         metrics=metrics,
@@ -571,7 +569,6 @@ def invert_artifacts(
     curve_to_csv(result.curve, os.path.join(out_dir, "curve.csv"))
     save_array(os.path.join(out_dir, "solutions_x.f64"), result.solutions_x, prov)
     save_array(os.path.join(out_dir, "solutions_y.f64"), result.solutions_y, prov)
-    save_array(os.path.join(out_dir, "solutions_latent.f64"), result.solutions_latent, prov)
     result.metrics.to_csv(os.path.join(out_dir, "metrics.csv"))
     if result.metrics.wasserstein_by_eps:
         names = sorted(result.metrics.wasserstein_by_eps[0][1])

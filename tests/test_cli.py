@@ -52,6 +52,7 @@ MICRO_CONFIG = {
 }
 
 NAN, INF = float("nan"), float("inf")
+GRID, GP = MICRO_CONFIG["grid"], MICRO_CONFIG["gp"]
 
 # the inputs each command reads besides --out; --oracle adds --truth
 OPTIONS = {
@@ -182,6 +183,51 @@ class TestGendata:
         x = load_array(os.path.join(out, "train_x.f64"))
         assert x.shape[0] == 1
 
+    # bad setting values, refused at config load like the rows of REFUSALS below
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            ({"seed": 1.5}, "seed"),
+            ({"epochs": 2.5}, "epochs"),
+            ({"n_particles": 100.0}, "n_particles"),
+            ({"seed": True}, "seed"),
+            ({"hidden": [12.5, 8]}, "hidden[0]"),
+            ({"grid": {**GRID, "n_cols": 5.0}}, "grid.n_cols"),
+        ],
+    )
+    def test_non_integer_setting_exits_2(self, refused, doc, name):
+        message = f"config error [gendata]: {name} must be an integer"
+        refused(Row(name, "gendata --config", "wrong type", _config(**doc), message))
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("gendata", {"separation": NAN}, "separation must be a finite number, got nan"),
+            ("gendata", {"noise_std": NAN}, "noise_std must be a finite number, got nan"),
+            ("gendata", {"noise_std": INF}, "noise_std must be a finite number, got inf"),
+            ("gendata", {"sinkhorn_tol": NAN}, "sinkhorn_tol must be a finite number, got nan"),
+            ("gendata", {"sinkhorn_tol": INF}, "sinkhorn_tol must be a finite number, got inf"),
+            ("gendata", {"grid": {**GRID, "cell_size": INF}}, "grid.cell_size must be a finite"),
+            ("gendata", {"gp": {**GP, "lengthscale": INF}}, "gp.lengthscale must be a finite"),
+            ("gendata", {"gp": {**GP, "variance": INF}}, "gp.variance must be a finite"),
+            ("gendata", {"gp": {**GP, "mean": NAN}}, "gp.mean must be a finite number, got nan"),
+            ("gendata", {"gp": {**GP, "mean": INF}}, "gp.mean must be a finite number, got inf"),
+            ("gendata", {"gp": {**GP, "mean": -INF}}, "gp.mean must be a finite number, got -inf"),
+            ("gendata", {"eps_count": 3}, "smoothing_window must be odd and in [3, eps_count = 3]"),
+            ("gendata", {"smoothing_window": 4}, "smoothing_window must be odd and in [3, eps_count = 25]"),
+            ("invert --oracle --noise-std nan", {}, "noise_std must be a finite number, got nan"),
+        ],
+    )
+    def test_non_finite_or_inconsistent_setting_exits_2(self, refused, command, doc, message):
+        name, *flags = command.split()
+        if flags:  # the value of the last flag is the bad setting
+            *flags, value = flags
+            row = Row(message, " ".join([name, *flags]), "non-finite", value, f"config error [{name}]: {message}")
+        else:
+            kind = "out of range" if "smoothing_window" in message else "non-finite"
+            row = Row(message, f"{name} --config", kind, _config(**doc), f"config error [{name}]: {message}")
+        refused(row)
+
 
 class TestTrain:
     def test_rerun_byte_identical(self, pipeline):
@@ -210,7 +256,7 @@ class TestTrain:
         a = workflows._load_dataset(data)["ray_matrix"]
         lib = workflows.run_inversion(model, a, load_array(yobs), config, RngStream(config.seed, 3))
         np.testing.assert_array_equal(lib.solutions_x, cli.solutions_x)
-        np.testing.assert_array_equal(lib.solutions_latent, cli.solutions_latent)
+        np.testing.assert_array_equal(lib.final_trace.final_samples, cli.final_trace.final_samples)
         assert lib.summary == cli.summary
 
 
@@ -233,7 +279,7 @@ class TestInvert:
         for name in ("curve.csv", "metrics.csv", "wasserstein.csv", "solutions_x.f64"):
             assert os.path.exists(os.path.join(out, name)), name
         # the reported solutions decode the final latent population, row for row
-        latent = load_array(os.path.join(out, "solutions_latent.f64"))
+        latent = load_array(os.path.join(out, "final_trace_samples.f64"))
         x, y = generate(load_model(os.path.join(model, "model.ckpt")), latent)
         np.testing.assert_array_equal(load_array(os.path.join(out, "solutions_x.f64")), x)
         np.testing.assert_array_equal(load_array(os.path.join(out, "solutions_y.f64")), y)
@@ -243,12 +289,12 @@ class TestInvert:
 
     def test_artifact_file_list(self, oracle_runs):
         # each trace is its JSON, the final samples and one (n_levels + 1, n_particles) dissimilarity array
-        arrays = [f"solutions_{s}.f64" for s in ("latent", "x", "y")]
+        arrays = [f"solutions_{s}.f64" for s in ("x", "y")]
         arrays += [f"{t}_{part}.f64" for t in ("deep_trace", "final_trace") for part in ("dissimilarities", "samples")]
         traces = ["deep_trace.json", "final_trace.json"]
         expected = ["curve.csv", "metrics.csv", "summary.json", "wasserstein.csv", *traces]
         expected += [name + ext for name in arrays for ext in ("", ".json")]
-        assert len(expected) == 20
+        assert len(expected) == 18
         assert sorted(os.listdir(oracle_runs[0])) == sorted(expected)
         for trace in ("deep_trace", "final_trace"):
             levels = json.load(open(os.path.join(oracle_runs[0], trace + ".json")))["levels"]
@@ -418,15 +464,6 @@ class TestEvaluateAndOracle:
         assert main(["evaluate", "--runs", str(run), "--out", str(out)]) == 0
         assert sorted(os.listdir(out.parent)) == ["agg.csv", "agg_pooled.csv"]
 
-    def test_evaluate_non_numeric_cell_exits_2(self, tmp_path, capsys):
-        run = tmp_path / "run"
-        run.mkdir()
-        (run / "metrics.csv").write_text("rmse_solutions_truth,rmse_prior_truth\n0.25,oops\n")
-        rc = main(["evaluate", "--runs", str(run), "--out", str(tmp_path / "agg.csv")])
-        assert rc == 2
-        assert f"malformed artifact {run / 'metrics.csv'}" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "agg.csv")
-
     def test_oracle_posterior_artifacts(self, pipeline):
         root, cfg, data, model = pipeline
         out = str(root / "oracle")
@@ -491,11 +528,11 @@ def test_every_json_artifact_is_strict_json(pipeline):
 # The runner copies that option's valid input, applies the row's edit to the
 # copy (for a flag, the edit is the flag's value), forbids every expensive stage,
 # runs the command and checks the exit code, the stderr fragment ("{path}"
-# stands for the edited input) and that --out was never created.  A row runs as
-# the test its ``test`` field names: the one-off test it replaced, whose id it
-# keeps, or a case of ``test_refused_input``.
+# stands for the edited input) and that --out was never created.  Each row is
+# the case ``test_refused_input[id]``; ``TestGendata``'s two bad-setting tests
+# build their rows from their own parameters.
 
-Row = namedtuple("Row", "test args corruption edit fragment code", defaults=(2,))
+Row = namedtuple("Row", "id args corruption edit fragment code", defaults=(2,))
 
 MALFORMED = {"truncated", "not JSON", "missing key", "wrong type", "wrong shape", "non-finite"}
 CORRUPTIONS = MALFORMED | {"missing", "unknown key", "out of range", "mismatched", "unused flag"}
@@ -631,184 +668,114 @@ def _nan_decoder_weight(path):
     blob.tofile(path)
 
 
-GENDATA, TRAIN, INVERT = "TestGendata::", "TestTrain::", "TestInvertInputChecks::"
-ORACLE, EVALUATE, NEW = "TestOraclePosteriorInputChecks::", "TestEvaluateAndOracle::", "test_refused_input"
-SETTING = GENDATA + "test_non_finite_or_inconsistent_setting_exits_2"
-EPS_GRID = "TestInvert::test_bad_eps_grid_exits_2"
-GRID, GP = MICRO_CONFIG["grid"], MICRO_CONFIG["gp"]
 TALLER = _config(grid={**GRID, "n_rows": 7})
 USAGE = '--eps-grid expects "min,max,count"'
 AT = "malformed artifact {path}"
 
 REFUSALS = [
-    Row(GENDATA + "test_missing_config_exits_2", "gendata --config", "missing", _missing, "missing config file"),
-    Row(GENDATA + "test_invalid_config_exits_2",
+    Row("gendata-config-missing", "gendata --config", "missing", _missing, "missing config file"),
+    Row("gendata-config-separation-too-wide",
         "gendata --config", "out of range", _config(separation=99.0), "separation 99.0 exceeds grid width 0.5"),
-    Row(GENDATA + "test_removed_config_key_exits_2[lr-0.001]",
-        "gendata --config", "unknown key", _config(lr=0.001), "'lr'"),
-    Row(GENDATA + "test_removed_config_key_exits_2[eps_spacing-log]",
-        "gendata --config", "unknown key", _config(eps_spacing="log"), "'eps_spacing'"),
-    Row(GENDATA + "test_non_numeric_setting_exits_2",
+    *(
+        Row(f"gendata-config-removed-key-{key}", "gendata --config", "unknown key", _config(**{key: value}), f"'{key}'")
+        for key, value in (("lr", 0.001), ("eps_spacing", "log"))
+    ),
+    Row("gendata-config-string-n_particles",
         "gendata --config", "wrong type", _config(n_particles="300"), "n_particles must be an integer, got '300'"),
     *(
-        Row(GENDATA + f"test_non_integer_setting_exits_2[doc{i}-{name}]",
-            "gendata --config", "wrong type", _config(**doc), f"config error [gendata]: {name} must be an integer")
-        for i, (doc, name) in enumerate([
-            ({"seed": 1.5}, "seed"),
-            ({"epochs": 2.5}, "epochs"),
-            ({"n_particles": 100.0}, "n_particles"),
-            ({"seed": True}, "seed"),
-            ({"hidden": [12.5, 8]}, "hidden[0]"),
-            ({"grid": {**GRID, "n_cols": 5.0}}, "grid.n_cols"),
-        ])
-    ),
-    *(
-        Row(f"{SETTING}[gendata-doc{i}-{message}]",
-            "gendata --config", kind, _config(**doc), f"config error [gendata]: {message}")
-        for i, (doc, kind, message) in enumerate([
-            ({"separation": NAN}, "non-finite", "separation must be a finite number, got nan"),
-            ({"noise_std": NAN}, "non-finite", "noise_std must be a finite number, got nan"),
-            ({"noise_std": INF}, "non-finite", "noise_std must be a finite number, got inf"),
-            ({"sinkhorn_tol": NAN}, "non-finite", "sinkhorn_tol must be a finite number, got nan"),
-            ({"sinkhorn_tol": INF}, "non-finite", "sinkhorn_tol must be a finite number, got inf"),
-            ({"grid": {**GRID, "cell_size": INF}}, "non-finite", "grid.cell_size must be a finite"),
-            ({"gp": {**GP, "lengthscale": INF}}, "non-finite", "gp.lengthscale must be a finite"),
-            ({"gp": {**GP, "variance": INF}}, "non-finite", "gp.variance must be a finite"),
-            ({"gp": {**GP, "mean": NAN}}, "non-finite", "gp.mean must be a finite number, got nan"),
-            ({"gp": {**GP, "mean": INF}}, "non-finite", "gp.mean must be a finite number, got inf"),
-            ({"gp": {**GP, "mean": -INF}}, "non-finite", "gp.mean must be a finite number, got -inf"),
-            ({"eps_count": 3}, "out of range", "smoothing_window must be odd and in [3, eps_count = 3]"),
-            ({"smoothing_window": 4}, "out of range", "smoothing_window must be odd and in [3, eps_count = 25]"),
-        ])
-    ),
-    Row(f"{SETTING}[invert --oracle --noise-std nan-doc13-noise_std must be a finite number, got nan]",
-        "invert --oracle --noise-std", "non-finite", "nan", "config error [invert]: noise_std must be a finite"),
-    *(
-        Row(GENDATA + f"test_seed_out_of_range_exits_2[{seed}]",
-            "gendata --seed", "out of range", seed, "config error [gendata]: seed must fit in 64 bits")
-        for seed in ("-1", str(2**64))
+        Row(f"gendata-seed-{case}", "gendata --seed", "out of range", seed, "config error [gendata]: seed must fit in 64 bits")
+        for case, seed in (("negative", "-1"), ("2^64", str(2**64)))
     ),
     # datasets are noise free, training uses the whole dataset, and only the oracle reads noise_std
-    Row("test_flags_without_effect_are_refused", "gendata --noise-std", "unused flag", "0.3", "unrecognized arguments"),
-    Row("test_flags_without_effect_are_refused", "train --train-size", "unused flag", "50", "unrecognized arguments"),
-    Row("test_invert_noise_std_needs_oracle",
+    Row("gendata-noise-std-unused", "gendata --noise-std", "unused flag", "0.3", "unrecognized arguments"),
+    Row("train-train-size-unused", "train --train-size", "unused flag", "50", "unrecognized arguments"),
+    Row("invert-noise-std-without-oracle",
         "invert --noise-std", "unused flag", "0.3", "config error [invert]: --noise-std sets the oracle's noise"),
-    Row(TRAIN + "test_missing_dataset_exits_2", "train --dataset", "missing", _missing, "missing artifacts"),
-    Row(TRAIN + "test_dataset_array_without_sidecar_exits_2",
+    Row("train-dataset-missing", "train --dataset", "missing", _missing, "missing artifacts"),
+    Row("train-dataset-array-without-sidecar",
         "train --dataset", "missing", _removed("/train_x.f64.json"), "missing artifacts"),
-    Row(TRAIN + "test_truncated_dataset_array_exits_2",
-        "train --dataset", "truncated", _truncated("/train_x.f64"), AT + "/train_x.f64"),
-    Row(TRAIN + "test_non_finite_dataset_cell_exits_2", "train --dataset", "non-finite",
+    Row("train-dataset-array-truncated", "train --dataset", "truncated", _truncated("/train_x.f64"), AT + "/train_x.f64"),
+    Row("train-dataset-nan-cell", "train --dataset", "non-finite",
         _array("/train_x.f64", _with(NAN, (5, 2))), "train_x.f64 holds a NaN or infinite value"),
-    Row(TRAIN + "test_dataset_rows_short_of_the_manifest_exit_2", "train --dataset", "wrong shape",
+    Row("train-dataset-rows-short-of-manifest", "train --dataset", "wrong shape",
         _array("/train_y.f64", lambda a: a[:100]), "train_y.f64 has shape (100, 4), the manifest implies (120, 4)"),
-    Row(EPS_GRID, "invert --eps-grid", "wrong shape", "5,4", USAGE),
-    Row(EPS_GRID, "invert --eps-grid", "wrong type", "a,b,c", USAGE),
-    Row(EPS_GRID, "invert --eps-grid", "wrong type", "1e-4,50,2.5", USAGE),
-    Row(EPS_GRID, "invert --eps-grid", "non-finite", "1e-4,inf,30", "eps_max must be a finite number"),
-    Row(EPS_GRID, "invert --eps-grid", "wrong shape", "1e-4,inf,30,lin", USAGE),
-    Row(EPS_GRID, "invert --eps-grid", "wrong shape", "1e-4,50,25,lin", USAGE),
-    Row(EPS_GRID, "invert --eps-grid", "wrong shape", "1e-4,50,25,log", USAGE),
-    Row(INVERT + "test_yobs_length_mismatch_exits_2", "invert --yobs", "mismatched",
+    Row("invert-eps-grid-two-parts", "invert --eps-grid", "wrong shape", "5,4", USAGE),
+    Row("invert-eps-grid-letters", "invert --eps-grid", "wrong type", "a,b,c", USAGE),
+    Row("invert-eps-grid-fractional-count", "invert --eps-grid", "wrong type", "1e-4,50,2.5", USAGE),
+    Row("invert-eps-grid-inf-max", "invert --eps-grid", "non-finite", "1e-4,inf,30", "eps_max must be a finite number"),
+    Row("invert-eps-grid-inf-max-four-parts", "invert --eps-grid", "wrong shape", "1e-4,inf,30,lin", USAGE),
+    Row("invert-eps-grid-lin-spacing", "invert --eps-grid", "wrong shape", "1e-4,50,25,lin", USAGE),
+    Row("invert-eps-grid-log-spacing", "invert --eps-grid", "wrong shape", "1e-4,50,25,log", USAGE),
+    Row("invert-yobs-short", "invert --yobs", "mismatched",
         _array("", lambda y: y[:-1]), "observation has 3 travel times, the dataset has 4 rays"),
-    Row(INVERT + "test_truth_length_mismatch_exits_2", "invert --oracle --truth", "mismatched",
+    Row("invert-truth-long", "invert --oracle --truth", "mismatched",
         _array("", lambda x: np.append(x, 0.5)), "truth has 31 cells, the dataset has 30"),
-    Row(INVERT + "test_checkpoint_dataset_cell_mismatch_exits_2", "invert --dataset", "mismatched",
+    Row("invert-dataset-other-cells", "invert --dataset", "mismatched",
         _other_dataset(grid={**GRID, "n_rows": 7}), "dimension 30 differs from the dataset's 35 cells"),
-    Row(INVERT + "test_checkpoint_dataset_ray_mismatch_exits_2",
+    Row("invert-dataset-other-rays",
         "invert --dataset", "mismatched", _other_dataset(n_rcv=3), "dimension 4 differs from the dataset's 6 rays"),
-    Row(INVERT + "test_oracle_config_grid_mismatch_exits_2", "invert --oracle --config", "mismatched", TALLER, "config grid"),
+    Row("invert-oracle-config-other-grid", "invert --oracle --config", "mismatched", TALLER, "config grid"),
     *(
-        Row(INVERT + f"test_non_finite_yobs_exits_2[{bad}]", "invert --yobs", "non-finite",
+        Row(f"invert-yobs-{bad}", "invert --yobs", "non-finite",
             _array("", _with(bad, 1)), "observation holds a NaN or infinite value")
         for bad in (NAN, INF)
     ),
-    Row(INVERT + "test_non_finite_truth_with_oracle_exits_2", "invert --oracle --truth", "non-finite",
+    Row("invert-truth-nan", "invert --oracle --truth", "non-finite",
         _array("", _with(NAN, 0)), "truth holds a NaN or infinite value"),
-    Row(INVERT + "test_non_finite_dataset_cell_exits_2", "invert --oracle --dataset", "non-finite",
+    Row("invert-dataset-nan-cell", "invert --oracle --dataset", "non-finite",
         _array("/train_x.f64", _with(NAN, (5, 2))), "train_x.f64 holds a NaN or infinite value"),
-    Row(INVERT + "test_missing_truth_exits_2", "invert --oracle --truth", "missing", _missing, "missing artifacts"),
-    Row(INVERT + "test_yobs_sidecar_without_blob_exits_2", "invert --yobs", "missing", _removed(""), "missing artifacts"),
-    Row(INVERT + "test_truncated_checkpoint_exits_2", "invert --checkpoint", "truncated", _truncated(n_bytes=4), AT),
-    Row(INVERT + "test_checkpoint_manifest_not_json_exits_2",
-        "invert --checkpoint", "not JSON", _text(".json", "{not json"), AT),
-    Row(INVERT + "test_checkpoint_manifest_without_standardizer_exits_2", "invert --checkpoint", "missing key",
+    Row("invert-truth-missing", "invert --oracle --truth", "missing", _missing, "missing artifacts"),
+    Row("invert-yobs-sidecar-without-blob", "invert --yobs", "missing", _removed(""), "missing artifacts"),
+    Row("invert-checkpoint-truncated", "invert --checkpoint", "truncated", _truncated(n_bytes=4), AT),
+    Row("invert-checkpoint-manifest-not-json", "invert --checkpoint", "not JSON", _text(".json", "{not json"), AT),
+    Row("invert-checkpoint-manifest-without-standardizer", "invert --checkpoint", "missing key",
         _json(".json", lambda doc: doc.pop("standardizer")), AT + ": KeyError('standardizer')"),
-    Row(INVERT + "test_checkpoint_manifest_wrong_type_exits_2", "invert --checkpoint", "wrong type",
+    Row("invert-checkpoint-manifest-wrong-type", "invert --checkpoint", "wrong type",
         _json(".json", lambda doc: doc["encoder"].update(sizes="abc")), AT),
-    Row(INVERT + "test_truncated_yobs_exits_2", "invert --yobs", "truncated", _truncated(), AT),
-    Row(INVERT + "test_dataset_manifest_not_json_exits_2",
+    Row("invert-yobs-truncated", "invert --yobs", "truncated", _truncated(), AT),
+    Row("invert-dataset-manifest-not-json",
         "invert --dataset", "not JSON", _text("/manifest.json", "not json"), AT + "/manifest.json"),
     *(
-        Row(f"{test}test_dataset_manifest_without_field_exits_2[{field}]",
+        Row(f"{command.split()[0]}-dataset-manifest-without-{field}",
             f"{command} --dataset", "missing key", _without(field), AT + "/manifest.json")
-        for test, command, fields in [
-            (INVERT, "invert --oracle", ("n_cells", "n_rays", "config.grid")),
-            (ORACLE, "oracle-posterior", ("n_rays", "config.grid")),
+        for command, fields in [
+            ("invert --oracle", ("n_cells", "n_rays", "config.grid")),
+            ("oracle-posterior", ("n_rays", "config.grid")),
         ]
         for field in fields
     ),
-    Row(ORACLE + "test_missing_yobs_exits_2", "oracle-posterior --yobs", "missing", _missing, "missing artifacts"),
-    Row(ORACLE + "test_yobs_length_mismatch_exits_2", "oracle-posterior --yobs", "mismatched",
+    Row("oracle-posterior-yobs-missing", "oracle-posterior --yobs", "missing", _missing, "missing artifacts"),
+    Row("oracle-posterior-yobs-long", "oracle-posterior --yobs", "mismatched",
         _array("", lambda y: np.append(y, 1.0)), "observation has 5 travel times, the dataset has 4 rays"),
-    Row(ORACLE + "test_config_grid_mismatch_exits_2", "oracle-posterior --config", "mismatched", TALLER, "config grid"),
-    Row(ORACLE + "test_non_finite_yobs_exits_2", "oracle-posterior --yobs", "non-finite",
+    Row("oracle-posterior-config-other-grid", "oracle-posterior --config", "mismatched", TALLER, "config grid"),
+    Row("oracle-posterior-yobs-nan", "oracle-posterior --yobs", "non-finite",
         _array("", _with(NAN, 0)), "observation holds a NaN or infinite value"),
-    Row(EVALUATE + "test_evaluate_missing_run_exits_2", "evaluate --runs", "missing", _missing, "missing artifacts"),
-    Row(EVALUATE + "test_evaluate_non_numeric_cell_exits_2",
+    Row("evaluate-runs-missing", "evaluate --runs", "missing", _missing, "missing artifacts"),
+    Row("evaluate-non-numeric-cell",
         "evaluate --runs", "wrong type", _text("/metrics.csv", METRICS.format("oops")), AT + "/metrics.csv"),
-    # cases without a one-off test of their own
-    Row(f"{NEW}[gendata-config-not-json]", "gendata --config", "not JSON", _text("", "{not"), "is not valid JSON"),
-    Row(f"{NEW}[invert-checkpoint-missing]", "invert --checkpoint", "missing", _missing, "missing artifacts"),
-    Row(f"{NEW}[invert-checkpoint-nan-weight]",
+    Row("gendata-config-not-json", "gendata --config", "not JSON", _text("", "{not"), "is not valid JSON"),
+    Row("invert-checkpoint-missing", "invert --checkpoint", "missing", _missing, "missing artifacts"),
+    Row("invert-checkpoint-nan-weight",
         "invert --checkpoint", "non-finite", _nan_decoder_weight, AT + ": ValueError('checkpoint {path} holds a NaN"),
-    Row(f"{NEW}[invert-checkpoint-short-std_y]", "invert --checkpoint", "wrong shape",
+    Row("invert-checkpoint-short-std_y", "invert --checkpoint", "wrong shape",
         _json(".json", lambda doc: doc["standardizer"]["std_y"].pop()), "std_y has shape (3,), the model implies (4,)"),
-    Row(f"{NEW}[invert-checkpoint-zero-std_x]", "invert --checkpoint", "out of range",
+    Row("invert-checkpoint-zero-std_x", "invert --checkpoint", "out of range",
         _json(".json", lambda doc: doc["standardizer"]["std_x"].__setitem__(0, 0.0)), "std_x has an entry that is not"),
-    Row(f"{NEW}[invert-truth-truncated]", "invert --oracle --truth", "truncated", _truncated(), AT),
-    Row(f"{NEW}[invert-ray-matrix-nan]", "invert --oracle --dataset", "non-finite",
+    Row("invert-truth-truncated", "invert --oracle --truth", "truncated", _truncated(), AT),
+    Row("invert-ray-matrix-nan", "invert --oracle --dataset", "non-finite",
         _nan_path_length, "{path}/ray_matrix.bin holds a NaN or infinite value"),
-    Row(f"{NEW}[invert-ray-matrix-6-rays]", "invert --dataset", "wrong shape",
+    Row("invert-ray-matrix-6-rays", "invert --dataset", "wrong shape",
         _ray_matrix_of(n_rcv=3), "{path}/ray_matrix.bin has shape (6, 30), the manifest implies (4, 30)"),
-    Row(f"{NEW}[evaluate-nan-cell]",
+    Row("evaluate-nan-cell",
         "evaluate --runs", "non-finite", _text("/metrics.csv", METRICS.format("nan")), AT + "/metrics.csv"),
-    Row(f"{NEW}[evaluate-no-truth-column]", "evaluate --runs", "missing key",
+    Row("evaluate-no-truth-column", "evaluate --runs", "missing key",
         _text("/metrics.csv", "sample,resim_rmse_model,resim_rmse_obs\n0,0.5,0.25\n"), "no run has a truth column"),
 ]
 
 
-def _bind(rows, namespace):
-    """Make each row run as the test its ``test`` field names.
-
-    The rows of ``name[id]`` are the cases of a parametrized ``name``; rows
-    that share a name without brackets run in turn, in one test.
-    """
-    groups = {}
-    for row in rows:
-        name, _, case = row.test.partition("[")
-        groups.setdefault(name, []).append(pytest.param(row, id=case[:-1]) if case else row)
-    for name, cases in groups.items():
-        if isinstance(cases[0], Row):
-
-            def test(refused, rows=tuple(cases)):
-                for row in rows:
-                    refused(row)
-
-        else:
-
-            @pytest.mark.parametrize("row", cases)
-            def test(refused, row):
-                refused(row)
-
-        owner, _, func = name.rpartition("::")
-        if owner:
-            setattr(namespace.setdefault(owner, type(owner, (), {})), func, staticmethod(test))
-        else:
-            namespace[func] = test
-
-
-_bind(REFUSALS, globals())
+@pytest.mark.parametrize("row", REFUSALS, ids=[row.id for row in REFUSALS])
+def test_refused_input(refused, row):
+    refused(row)
 
 
 def test_every_path_option_has_missing_and_malformed_rows():

@@ -137,7 +137,7 @@ class TestCurvature:
     def test_requires_smoothed(self):
         x = np.linspace(0.1, 1.0, 11)
         with pytest.raises(ValueError, match="smooth"):
-            curvature(ThresholdCurve(eps=x, eps_n=x, log_p=x))
+            curvature(ThresholdCurve(eps=x, eps_n=x, log_p=x), 5)
 
     def test_invariant_to_constant_shift(self):
         x = np.linspace(0.1, 2.0, 31)

@@ -1,5 +1,7 @@
 """Subset simulation against exact rare-event probabilities."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -7,6 +9,7 @@ from scipy.stats import chi2, kstest
 
 from latent_abcss.rng_linalg import RngStream, load_array, save_array
 from latent_abcss.subsim import (
+    _PROPOSAL_SCALE,
     LevelRecord,
     SubSimConfig,
     SubSimTrace,
@@ -160,7 +163,7 @@ class TestSubsimRun:
         trace = subsim_run(g2, np.zeros(3), 6, cfg, RngStream(7))
         ts = [lvl.threshold for lvl in trace.levels]
         assert all(a > b for a, b in zip(ts, ts[1:]))
-        assert np.all(trace.final_dissimilarities <= trace.levels[-1].threshold)
+        assert np.all(trace.level_dissimilarities[-1] <= trace.levels[-1].threshold)
         # every recorded population satisfies its level threshold
         for j in range(1, len(trace.level_dissimilarities)):
             assert np.all(trace.level_dissimilarities[j] <= ts[j - 1] + 1e-12)
@@ -263,7 +266,7 @@ class TestSubsimRun:
         assert len(calls) == 1 + sum(lvl.g2_calls for lvl in trace.levels)
         # 40 survivors grow back to 400 states: 9 lockstep proposals per chain
         assert all(lvl.g2_calls == 9 for lvl in trace.levels[:-1])
-        assert trace.levels[0].proposal_scale == cfg.proposal_scale
+        assert trace.levels[0].proposal_scale == _PROPOSAL_SCALE
         assert all(1e-3 <= lvl.proposal_scale <= 1.0 for lvl in trace.levels)
 
     def test_survivors_filling_every_slot_stagnate(self):
@@ -300,11 +303,13 @@ class TestTraceIO:
         assert back.stagnation is None
         np.testing.assert_array_equal(back.final_samples, trace.final_samples)
         np.testing.assert_array_equal(back.level_dissimilarities, trace.level_dissimilarities)
-        np.testing.assert_array_equal(back.final_dissimilarities, trace.final_dissimilarities)
         # one array per trace: row 0 the prior population, the last row the final one
         pops = load_array(prefix + "_dissimilarities.f64")
         assert pops.shape == (trace.n_levels + 1, cfg.n_particles)
-        np.testing.assert_array_equal(pops[-1], trace.final_dissimilarities)
+        np.testing.assert_array_equal(pops[-1], trace.level_dissimilarities[-1])
+        # the sampler's fixed constants are not settings, so the trace does not carry them
+        config = json.load(open(prefix + ".json"))["config"]
+        assert set(config) == {"target_eps", "n_particles", "level_fraction", "max_levels"}
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "trace.json",
             "trace_dissimilarities.f64",
