@@ -385,15 +385,17 @@ def _reconstruct(model: JGNNModel, x_std, y_std):
 
 @dataclass(frozen=True)
 class _DecoderView:
-    """The decoder frozen for inference, built once per model.
+    """The decoder frozen for inference in f32, built once per model.
 
-    ``trunk`` holds non-spectral copies of every layer but the output layer,
-    sigma folded in as ``weights / sigma`` (a spectral :func:`mlp_forward` on
-    the identity batch, bit for bit), or is ``None`` with no hidden layer.
-    The output layer is split into a field head (rows ``[:dim_x]``) and a
-    travel-time head (rows ``[dim_x:]``), each ``(w_eff, bias,
-    activation)``.  A view made for one variable has the other head set to
-    ``None``, so its rows are never evaluated.
+    ``trunk`` holds non-spectral f32 copies of every layer but the output
+    layer, sigma folded in as ``weights / sigma`` in f64 (a spectral
+    :func:`mlp_forward` on the identity batch, bit for bit) and rounded once
+    to f32, or is ``None`` with no hidden layer.  The output layer is split
+    into a field head (rows ``[:dim_x]``) and a travel-time head (rows
+    ``[dim_x:]``), each ``(w_eff, bias, activation)`` in f32.  A view made
+    for one variable has the other head set to ``None``, so its rows are
+    never evaluated.  Checkpoints store f32 weights, so a loaded model's
+    unfolded layers lose nothing to the cast.
     """
 
     latent_dim: int
@@ -403,11 +405,14 @@ class _DecoderView:
     standardizer: Standardizer
 
 
-def _decoder_view(model: JGNNModel) -> _DecoderView:
+def _decoder_view(model: JGNNModel | _DecoderView) -> _DecoderView:
+    """The frozen f32 decoder of ``model``; a view is returned as it is."""
+    if isinstance(model, _DecoderView):
+        return model
     *trunk, out = [
         Layer(
-            l.weights / l.sigma() if l.spectral else l.weights.copy(),
-            l.bias.copy(),
+            (l.weights / l.sigma() if l.spectral else l.weights).astype(np.float32),
+            l.bias.astype(np.float32),
             l.activation,
             spectral=False,
         )
@@ -431,20 +436,24 @@ def _apply(h: np.ndarray, head: tuple) -> np.ndarray:
 def generate(model: JGNNModel | _DecoderView, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode a latent batch into (fields, travel times), de-standardized.
 
-    The trunk runs once and each head is one GEMM over its own rows.
-    :func:`g1_of_latent` and :func:`g2_of_latent` pass their frozen one-head
-    decoder view as ``model``; the variable whose head it dropped comes back
-    as ``None``.
+    The latents are checked as given, then cast to f32: the trunk runs once
+    and each head is one GEMM over its own rows, all in f32, and each head's
+    output is cast back to f64 before de-standardizing, so both returned
+    arrays are f64.  :func:`g1_of_latent` and :func:`g2_of_latent` pass
+    their frozen one-head decoder view as ``model``; the variable whose head
+    it dropped comes back as ``None``.  A caller decoding many batches of
+    one model builds the view once with :func:`_decoder_view`.
     """
     view = model if isinstance(model, _DecoderView) else _decoder_view(model)
-    h = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if h.shape[1] != view.latent_dim:
-        raise ValueError(f"latent dim {h.shape[1]} does not match model {view.latent_dim}")
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if z.shape[1] != view.latent_dim:
+        raise ValueError(f"latent dim {z.shape[1]} does not match model {view.latent_dim}")
+    h = z.astype(np.float32)
     if view.trunk is not None:
         h, _ = mlp_forward(view.trunk, h)
     std = view.standardizer
-    x = None if view.x_head is None else std.x_from_std(_apply(h, view.x_head))
-    y = None if view.y_head is None else std.y_from_std(_apply(h, view.y_head))
+    x = None if view.x_head is None else std.x_from_std(_apply(h, view.x_head).astype(np.float64))
+    y = None if view.y_head is None else std.y_from_std(_apply(h, view.y_head).astype(np.float64))
     return x, y
 
 
@@ -456,21 +465,21 @@ def encode(model: JGNNModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return z
 
 
-def g1_of_latent(model: JGNNModel):
+def g1_of_latent(model: JGNNModel | _DecoderView):
     """Latent -> field map as a plain callable; decodes only the field head.
 
     The decoder is frozen when the callable is made: later changes to
-    ``model`` do not reach it.
+    ``model`` do not reach it.  Given a decoder view, it reuses that view.
     """
     view = replace(_decoder_view(model), y_head=None)
     return lambda z: generate(view, z)[0]
 
 
-def g2_of_latent(model: JGNNModel):
+def g2_of_latent(model: JGNNModel | _DecoderView):
     """Latent -> travel-time map as a plain callable (drives the sampler).
 
     Decodes only the travel-time head, from a decoder frozen when the
-    callable is made.
+    callable is made, or from the decoder view it is given.
     """
     view = replace(_decoder_view(model), x_head=None)
     return lambda z: generate(view, z)[1]

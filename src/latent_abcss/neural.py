@@ -62,7 +62,11 @@ def _activate_grad(s: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Layer:
-    """Affine layer ``act(x @ W.T + b)`` with optional spectral normalization."""
+    """Affine layer ``act(x @ W.T + b)`` with optional spectral normalization.
+
+    Its arrays take the weights' dtype: f32 weights stay f32 (the frozen
+    decoder of inference), anything else becomes f64.
+    """
 
     weights: np.ndarray          # (out, in)
     bias: np.ndarray             # (out,)
@@ -74,13 +78,15 @@ class Layer:
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        weights = np.asarray(self.weights)
+        dtype = np.float32 if weights.dtype == np.float32 else np.float64
+        self.weights = np.asarray(weights, dtype=dtype)
+        self.bias = np.asarray(self.bias, dtype=dtype)
         out_dim, in_dim = self.weights.shape
         if self.bias.shape != (out_dim,):
             raise ValueError("bias shape does not chain with weights")
         if self.u is None:
-            self.u = np.ones(out_dim) / np.sqrt(out_dim)
+            self.u = np.ones(out_dim, dtype) / dtype(np.sqrt(out_dim))
         if self.v is None:
             w_tu = self.weights.T @ self.u
             self.v = w_tu / max(float(np.linalg.norm(w_tu)), _SIGMA_FLOOR)
@@ -113,7 +119,11 @@ def flat_size(sizes: list[int]) -> int:
 
 
 class MLPParams:
-    """An ordered stack of :class:`Layer` whose arrays are views of one f64 vector, ``flat``."""
+    """An ordered stack of :class:`Layer` whose arrays are views of one vector, ``flat``.
+
+    ``flat`` is f64 for every network that trains; a stack of f32 layers
+    packs into an f32 vector (the frozen decoder's trunk, see ``jgnn``).
+    """
 
     def __init__(self, layers: list[Layer]):
         """Pack the layers' arrays into a fresh vector and rebind them as views of it."""
@@ -121,7 +131,7 @@ class MLPParams:
             if nxt.weights.shape[1] != prev.weights.shape[0]:
                 raise ValueError("consecutive layer dimensions do not chain")
         self.sizes = [layers[0].weights.shape[1]] + [l.weights.shape[0] for l in layers]
-        self.flat = np.empty(flat_size(self.sizes))
+        self.flat = np.empty(flat_size(self.sizes), np.result_type(*(l.weights for l in layers)))
         self.layers = layers
         for layer, views in zip(layers, self.blocks(self.flat)):
             for name, view in zip(_BLOCKS, views):
@@ -181,11 +191,13 @@ def refresh_spectral(params: MLPParams) -> None:
 
 
 def mlp_forward(params: MLPParams, x: np.ndarray):
-    """Batched forward pass.
+    """Batched forward pass in the dtype of ``params.flat``.
 
     A ``spectral`` layer divides ``x @ W.T`` by its sigma estimate in place,
     forming no ``W / sigma``; on the identity batch with zero bias this is
     exactly ``weights / sigma``, the fold of inference copies of the layer.
+    The input is cast to the parameters' dtype, so an f32 network (the
+    frozen decoder's trunk) computes and returns f32.
 
     Args:
         params: the network.
@@ -195,7 +207,7 @@ def mlp_forward(params: MLPParams, x: np.ndarray):
         (output batch, cache) where the cache, per layer ``x``, ``s`` and
         ``sigma`` (None if not spectral), feeds :func:`mlp_backward`.
     """
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    h = np.atleast_2d(np.asarray(x, dtype=params.flat.dtype))
     if h.shape[1] != params.sizes[0]:
         raise ValueError(f"input dim {h.shape[1]} does not match first layer {params.sizes[0]}")
     cache = []

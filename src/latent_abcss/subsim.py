@@ -13,7 +13,7 @@ threshold diagnostics are built on.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -271,12 +271,22 @@ def save_trace(prefix: str, trace: SubSimTrace, provenance: dict | None = None) 
     save_array(prefix + "_dissimilarities.f64", np.stack(trace.level_dissimilarities), provenance)
 
 
+def _from_doc(cls, doc: dict, path: str, what: str):
+    """``cls(**doc)``, refusing a block whose keys are not exactly ``cls``'s fields."""
+    names = {f.name for f in fields(cls)}
+    wrong = {"unknown": sorted(set(doc) - names), "missing": sorted(names - set(doc))}
+    if any(wrong.values()):
+        raise ValueError(f"{path}: {what} has " + " and ".join(f"{k} keys {v}" for k, v in wrong.items() if v))
+    return cls(**doc)
+
+
 def load_trace(prefix: str) -> SubSimTrace:
     """Read a trace written by :func:`save_trace`; the one reader of that format."""
-    with open(prefix + ".json") as fh:
+    path = prefix + ".json"
+    with open(path) as fh:
         doc = json.load(fh)
-    trace = SubSimTrace(config=SubSimConfig(**doc["config"]))
-    trace.levels = [LevelRecord(**lvl) for lvl in doc["levels"]]
+    trace = SubSimTrace(config=_from_doc(SubSimConfig, doc["config"], path, "config"))
+    trace.levels = [_from_doc(LevelRecord, lvl, path, f"level {j}") for j, lvl in enumerate(doc["levels"])]
     trace.p_hat = float("nan") if doc["p_hat"] is None else doc["p_hat"]
     trace.stagnation = doc["stagnation"]
     if trace.stagnation not in (None, "flat_threshold", "slow_improvement", "level_budget"):

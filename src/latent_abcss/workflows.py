@@ -35,7 +35,8 @@ from .diagnostics import (
     wasserstein_diagnostics,
 )
 from .gp_prior import GPConfig, Grid, build_covariance, sample_fields
-from .jgnn import JGNNModel, TrainConfig, g1_of_latent, g2_of_latent, generate, load_model, save_model, train
+from .jgnn import JGNNModel, TrainConfig, _decoder_view, g1_of_latent, g2_of_latent, generate
+from .jgnn import load_model, save_model, train
 from .rng_linalg import RngStream, add_jitter, load_array, read_csv_columns, save_array, write_csv, write_json
 from .sinkhorn import SinkhornConfig
 from .subsim import SubSimConfig, save_trace, subsim_run
@@ -344,7 +345,9 @@ def run_inversion(
         DiagnosticFailure: when the curve has no curvature peak; the deep
             trace and unsmoothed curve are attached to the exception.
     """
-    g2 = g2_of_latent(model)
+    # one frozen f32 decoder serves the sampler, the final decode and the audit
+    view = _decoder_view(model)
+    g2 = g2_of_latent(view)
     y_obs = np.asarray(y_obs, dtype=np.float64).ravel()
     n_obs = y_obs.size
     grid_eps = default_eps_grid(cfg.eps_min, cfg.eps_max, cfg.eps_count)
@@ -362,7 +365,7 @@ def run_inversion(
     eps_star = float(n_obs * curve.selected_eps_n**2)
     final = subsim_run(g2, y_obs, model.latent_dim, cfg.subsim_config(eps_star), rng.split(1))
     z_final = final.final_samples
-    solutions_x, solutions_y = generate(model, z_final)
+    solutions_x, solutions_y = generate(view, z_final)
 
     metrics = MetricsReport()
     metrics.resim_rmse_model, metrics.resim_rmse_obs = resimulation_report(
@@ -405,7 +408,7 @@ def run_inversion(
         # each cloud is solved on its distinct states (see _distinct_rows)
         rows = []
         for eps_n_level, sols, weights in _deep_level_solutions(
-            model, deep, float(grid_eps[-1]), n_obs, m_sub
+            view, deep, float(grid_eps[-1]), n_obs, m_sub
         ):
             rows.append((eps_n_level, _audit_row(eps_n_level, sols, weights, refs, solves)))
         first, weights = _distinct_rows(z_final[:m_sub])
@@ -474,7 +477,7 @@ def _distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], counts[order] / z.shape[0]
 
 
-def _deep_level_solutions(model: JGNNModel, deep, eps_top: float, n_obs: int, m_sub: int):
+def _deep_level_solutions(view, deep, eps_top: float, n_obs: int, m_sub: int):
     """Snapshots in field space of each deep-run level population.
 
     Yields ``(eps_n, fields, weights)`` per level: the decoded distinct
@@ -482,9 +485,9 @@ def _deep_level_solutions(model: JGNNModel, deep, eps_top: float, n_obs: int, m_
     multiplicities as probability weights.  The level-0 population (pure
     prior draws) represents the top-of-grid tolerance, where essentially
     every latent would be accepted; each later population represents its
-    own level threshold.
+    own level threshold.  ``view`` is the inversion's decoder view.
     """
-    g1 = g1_of_latent(model)
+    g1 = g1_of_latent(view)
     thresholds = [lvl.threshold for lvl in deep.levels]
     for j, z_pop in enumerate(deep.level_samples):
         eps_j = eps_top if j == 0 else min(thresholds[j - 1], eps_top)

@@ -363,6 +363,35 @@ class TestInvert:
         assert result.metrics.wasserstein_by_eps
         assert all(np.isfinite(v) for _, divs in result.metrics.wasserstein_by_eps for v in divs.values())
 
+    def test_oracle_inversion_builds_one_decoder_view(self, pipeline, monkeypatch):
+        # the sampler's g2, the final decode and the audit's g1 share one frozen f32 decoder
+        from latent_abcss import jgnn
+        from latent_abcss.workflows import PipelineConfig, run_inversion
+
+        built, build = [], jgnn._decoder_view
+
+        def counted(model):
+            view = build(model)
+            if view is not model:
+                built.append(view)
+            return view
+
+        monkeypatch.setattr(jgnn, "_decoder_view", counted)
+        monkeypatch.setattr(workflows, "_decoder_view", counted)
+        root, cfg, data, model = pipeline
+        files = json.load(open(os.path.join(data, "manifest.json")))["files"]
+        result = run_inversion(
+            load_model(os.path.join(model, "model.ckpt")),
+            load_ray_matrix(os.path.join(data, files["ray_matrix"])),
+            load_array(str(root / "yobs.f64")),
+            PipelineConfig.from_json(cfg),
+            RngStream(7, 3),
+            truth=load_array(str(root / "truth.f64")),
+            oracle=True,
+        )
+        assert len(built) == 1
+        assert result.solutions_x.dtype == result.solutions_y.dtype == np.float64
+
     def test_budget_exhausted_solves_are_named(self, pipeline, monkeypatch):
         from dataclasses import replace
 

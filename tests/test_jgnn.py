@@ -273,7 +273,8 @@ class TestGenerateEncode:
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
         x_single, _ = generate(best, z[3])
-        np.testing.assert_allclose(x_single[0], x1[3])
+        # the decode runs in f32, where a one-row GEMM and the batched one round differently (~3e-7)
+        assert np.max(np.abs(x_single[0] - x1[3])) <= 1e-5 * np.max(np.abs(x1[3]))
 
     def test_encode_batch_order_preserved(self, trained_toy):
         xs, ys, _, best, _ = trained_toy
@@ -295,6 +296,13 @@ class TestGenerateEncode:
         _, _, _, best, _ = trained_toy
         z = RngStream(41).generator().standard_normal((4, DIM_Z))
         np.testing.assert_array_equal(g1_of_latent(best)(z), generate(best, z)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_decoded_maps_return_f64(self, trained_toy, dtype):
+        _, _, _, best, _ = trained_toy
+        z = RngStream(45).generator().standard_normal((3, DIM_Z)).astype(dtype)
+        for out in (*generate(best, z), g1_of_latent(best)(z), g2_of_latent(best)(z)):
+            assert out.dtype == np.float64
 
 
 @pytest.fixture(scope="module")
@@ -333,18 +341,33 @@ class TestHeadSplit:
         y_ref = model.standardizer.y_from_std(out[:, model.dim_x :])
         for got, ref in ((g1_of_latent(model)(z), x_ref), (g2_of_latent(model)(z), y_ref)):
             assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert got.dtype == np.float64
+            # the maps decode in f32: within f32 rounding of the f64 forward
+            assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     def test_trunk_fold_is_the_identity_forward(self, full_scale_model):
-        """A spectral layer's forward on the identity batch is weights / sigma, the trunk's fold, bit for bit."""
+        """A spectral layer's forward on the identity batch is the f64 fold weights / sigma, bit for bit;
+        the trunk holds that fold rounded once to f32."""
         decoder, trunk = full_scale_model.decoder, _decoder_view(full_scale_model).trunk
         for layer, folded in zip(decoder.layers, trunk.layers):
             assert layer.spectral
             alone = MLPParams([Layer(layer.weights, np.zeros_like(layer.bias), "linear", u=layer.u, v=layer.v)])
             out, _ = mlp_forward(alone, np.eye(layer.weights.shape[1]))
-            want = (layer.weights / layer.sigma()).view(np.uint64)
-            np.testing.assert_array_equal(out.T.view(np.uint64), want)
-            np.testing.assert_array_equal(folded.weights.view(np.uint64), want)
+            fold = layer.weights / layer.sigma()
+            np.testing.assert_array_equal(out.T.view(np.uint64), fold.view(np.uint64))
+            np.testing.assert_array_equal(folded.weights.view(np.uint32), fold.astype(np.float32).view(np.uint32))
+
+    @pytest.mark.parametrize("hidden", [None, ()])
+    def test_view_is_f32(self, full_scale_model, hidden):
+        model = full_scale_model if hidden is None else JGNNModel.init(30, 13, 4, RngStream(7), hidden=hidden)
+        view = _decoder_view(model)
+        assert (view.trunk is None) == (hidden == ())
+        arrays = [a for head in (view.x_head, view.y_head) for a in head[:2]]
+        if view.trunk is not None:
+            arrays += [view.trunk.flat] + [getattr(l, n) for l in view.trunk.layers for n in ("weights", "bias")]
+        assert all(a.dtype == np.float32 for a in arrays)
+        # the model itself is untouched: training keeps f64 parameters
+        assert model.decoder.flat.dtype == np.float64
 
     @pytest.mark.parametrize("make", [g1_of_latent, g2_of_latent])
     def test_latent_dim_checked(self, full_scale_model, make):
@@ -386,6 +409,15 @@ class TestCheckpointIO:
             for name in ("weights", "bias", "u", "v"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name).astype(np.float32))
             assert (got.activation, got.spectral) == (want.activation, want.spectral)
+
+    def test_init_and_load_hold_f64_parameters(self, trained_toy, tmp_path):
+        _, _, _, best, _ = trained_toy
+        path = str(tmp_path / "model.ckpt")
+        save_model(path, best)
+        for model in (JGNNModel.init(DIM_X, DIM_Y, DIM_Z, RngStream(1), hidden=(8,)), best, load_model(path)):
+            for net in (model.encoder, model.decoder):
+                arrays = [net.flat] + [getattr(l, n) for l in net.layers for n in ("weights", "bias", "u", "v")]
+                assert all(a.dtype == np.float64 for a in arrays)
 
     def test_manifest_is_json(self, trained_toy, tmp_path):
         import json

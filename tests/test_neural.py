@@ -82,6 +82,25 @@ class TestMlpForward:
         masked = np.where(s > 0.0, s, LEAKY_SLOPE * s)
         np.testing.assert_array_equal(_activate(s, "leaky_relu").view(np.uint64), masked.view(np.uint64))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_runs_in_the_parameters_dtype(self, dtype):
+        gen = RngStream(12).generator()
+        layers = [
+            Layer(gen.standard_normal((5, 3)).astype(dtype), np.zeros(5), "leaky_relu"),
+            Layer(gen.standard_normal((2, 5)).astype(dtype), np.zeros(2), "linear", spectral=False),
+        ]
+        net = MLPParams(layers)
+        assert net.flat.dtype == dtype
+        assert all(getattr(l, n).dtype == dtype for l in net.layers for n in ("weights", "bias", "u", "v"))
+        for x_dtype in (np.float64, np.float32):
+            out, cache = mlp_forward(net, gen.standard_normal((4, 3)).astype(x_dtype))
+            assert out.dtype == dtype
+            assert all(c["x"].dtype == c["s"].dtype == dtype for c in cache)
+
+    def test_non_float_weights_become_f64(self):
+        layer = Layer(np.eye(2, dtype=np.int64), [0, 0], "linear")
+        assert all(getattr(layer, n).dtype == np.float64 for n in ("weights", "bias", "u", "v"))
+
     def test_input_dimension_checked(self):
         net = MLPParams([Layer(np.eye(3), np.zeros(3), "linear")])
         with pytest.raises(ValueError, match="input dim"):

@@ -351,6 +351,25 @@ class TestTraceIO:
         back = load_trace(prefix)
         assert back.stagnation == cause and back.stagnated
 
+    @pytest.mark.parametrize("block", ["config", "level"])
+    @pytest.mark.parametrize("change", ["add", "drop"])
+    def test_unknown_or_missing_key_rejected(self, tmp_path, block, change):
+        cfg = SubSimConfig(target_eps=0.5, n_particles=300)
+        trace = subsim_run(lambda z: z[:, :2], np.zeros(2), 4, cfg, RngStream(11))
+        prefix = str(tmp_path / "trace")
+        save_trace(prefix, trace)
+        doc = json.load(open(prefix + ".json"))
+        # a key of a sampler constant that left SubSimConfig, or one a reader needs
+        part = doc["config"] if block == "config" else doc["levels"][0]
+        if change == "add":
+            part["acceptance_target"] = 0.44
+        else:
+            part.pop("n_particles" if block == "config" else "g2_calls")
+        json.dump(doc, open(prefix + ".json", "w"))
+        want = "unknown keys \\['acceptance_target'\\]" if change == "add" else "missing keys"
+        with pytest.raises(ValueError, match=rf"trace\.json: (config|level 0) has {want}"):
+            load_trace(prefix)
+
     def test_unknown_stagnation_cause_rejected(self, tmp_path):
         cfg = SubSimConfig(target_eps=0.5, n_particles=300)
         trace = subsim_run(lambda z: z[:, :2], np.zeros(2), 4, cfg, RngStream(11))
