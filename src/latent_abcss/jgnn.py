@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .rng_linalg import RngStream, write_csv, write_json
-from .neural import AdamState, Layer, MLPParams, _activate, adam_step, flat_size
+from .neural import _BLOCK, AdamState, Layer, MLPParams, _activate, adam_step, flat_size
 from .neural import mlp_backward, mlp_forward, refresh_spectral
 from .sinkhorn import SinkhornConfig, _plain_entropic_ot, cost_matrix, ot_point_gradient
 
@@ -45,6 +47,10 @@ _STD_FLOOR = 1e-12
 # Adam's step size for both networks, and the share of couples held out for validation
 _LEARNING_RATE = 0.001
 _VAL_FRACTION = 0.1
+# the decoder's Adam step gets a worker thread from this many Adam blocks up;
+# a DESK-scale decoder (~63K parameters, 2 blocks) loses more to the hand-off
+# than the overlap saves
+_THREADED_ADAM_BLOCKS = 8
 
 
 @dataclass
@@ -306,7 +312,13 @@ def train(
     parameters with the lowest total are kept, each rounded to the f32
     value :func:`save_model` stores, so the returned model is its own
     checkpoint bit for bit.  Deterministic per seed.
-    A non-finite batch loss or validation MSE raises :class:`TrainingDiverged`.
+    A non-finite batch loss, gradient or validation MSE raises
+    :class:`TrainingDiverged`.
+
+    A decoder of at least ``_THREADED_ADAM_BLOCKS`` Adam blocks takes its
+    Adam step on one worker thread while the encoder's runs, unless the
+    process has one CPU or its BLAS pool is pinned to one thread; the
+    parameters are the same bits as with the steps in turn.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
@@ -333,48 +345,80 @@ def train(
     best_val = np.inf
     best_model = model.copy()
 
-    for epoch in range(cfg.epochs):
-        lam = lambda_schedule(epoch, cfg)
-        order = rng.split(1, epoch).generator().permutation(train_idx.size)
-        ep_mx = ep_my = ep_ot = 0.0
-        for b in range(n_batches):
-            idx = train_idx[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
-            refresh_spectral(model.encoder)
-            refresh_spectral(model.decoder)
-            draws = (
-                rng.split(2, epoch, b)
-                .generator()
-                .standard_normal((cfg.batch_size, model.latent_dim))
-            )
-            try:
-                res = jgnn_loss(xs_s[idx], ys_s[idx], model, lam, cfg.sinkhorn, draws)
-            except ValueError as err:
-                raise TrainingDiverged(epoch, history) from err
-            adam_step(enc_state, model.encoder, res.encoder_grad, "encoder layer")
-            adam_step(dec_state, model.decoder, res.decoder_grad, "decoder layer")
-            ep_mx += res.mse_x
-            ep_my += res.mse_y
-            ep_ot += res.ot_cost
+    # a worker needs a second CPU, and none is spare with the BLAS pool pinned
+    # to one thread (--threads 1 and LATENT_ABCSS_THREADS=1 export this variable)
+    threaded = (
+        model.decoder.flat.size >= _THREADED_ADAM_BLOCKS * _BLOCK
+        and _cpu_count() > 1
+        and os.environ.get("OPENBLAS_NUM_THREADS") != "1"
+    )
+    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
+        for epoch in range(cfg.epochs):
+            lam = lambda_schedule(epoch, cfg)
+            order = rng.split(1, epoch).generator().permutation(train_idx.size)
+            ep_mx = ep_my = ep_ot = 0.0
+            for b in range(n_batches):
+                idx = train_idx[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
+                refresh_spectral(model.encoder)
+                refresh_spectral(model.decoder)
+                draws = (
+                    rng.split(2, epoch, b)
+                    .generator()
+                    .standard_normal((cfg.batch_size, model.latent_dim))
+                )
+                try:
+                    res = jgnn_loss(xs_s[idx], ys_s[idx], model, lam, cfg.sinkhorn, draws)
+                    _adam_steps(pool, model, res, enc_state, dec_state)
+                except ValueError as err:
+                    raise TrainingDiverged(epoch, history) from err
+                ep_mx += res.mse_x
+                ep_my += res.mse_y
+                ep_ot += res.ot_cost
 
-        val_x_rec, val_y_rec = _reconstruct(model, x_val, y_val)
-        vmx = float(np.mean((val_x_rec - x_val) ** 2))
-        vmy = float(np.mean((val_y_rec - y_val) ** 2))
-        history.mse_x.append(ep_mx / n_batches)
-        history.mse_y.append(ep_my / n_batches)
-        history.ot_term.append(ep_ot / n_batches)
-        history.lam.append(lam)
-        history.val_mse_x.append(vmx)
-        history.val_mse_y.append(vmy)
-        if not np.isfinite(vmx + vmy):  # a NaN would never beat best_val, leaving the initial weights
-            raise TrainingDiverged(epoch, history)
-        if vmx + vmy < best_val:
-            best_val = vmx + vmy
-            best_model = model.copy()
+            val_x_rec, val_y_rec = _reconstruct(model, x_val, y_val)
+            vmx = float(np.mean((val_x_rec - x_val) ** 2))
+            vmy = float(np.mean((val_y_rec - y_val) ** 2))
+            history.mse_x.append(ep_mx / n_batches)
+            history.mse_y.append(ep_my / n_batches)
+            history.ot_term.append(ep_ot / n_batches)
+            history.lam.append(lam)
+            history.val_mse_x.append(vmx)
+            history.val_mse_y.append(vmy)
+            if not np.isfinite(vmx + vmy):  # a NaN would never beat best_val, leaving the initial weights
+                raise TrainingDiverged(epoch, history)
+            if vmx + vmy < best_val:
+                best_val = vmx + vmy
+                best_model = model.copy()
 
     best_model.standardizer = model.standardizer
     for net in (best_model.encoder, best_model.decoder):
         net.flat[:] = net.flat.astype(np.float32)
     return best_model, history
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _adam_steps(pool, model: JGNNModel, res: LossResult, enc_state: AdamState, dec_state: AdamState):
+    """Both networks' Adam steps; the decoder's on ``pool``'s worker thread when there is a pool.
+
+    The two updates touch disjoint arrays and numpy's element-wise passes
+    release the GIL, so they overlap and give the same bits as in turn.  The
+    worker is joined before this returns or raises; with both gradients
+    non-finite, the encoder's error is the one raised, as in turn.
+    """
+    if pool is None:
+        adam_step(enc_state, model.encoder, res.encoder_grad, "encoder layer")
+        adam_step(dec_state, model.decoder, res.decoder_grad, "decoder layer")
+        return
+    dec = pool.submit(adam_step, dec_state, model.decoder, res.decoder_grad, "decoder layer")
+    try:
+        adam_step(enc_state, model.encoder, res.encoder_grad, "encoder layer")
+    finally:
+        wait((dec,))
+    dec.result()
 
 
 def _reconstruct(model: JGNNModel, x_std, y_std):

@@ -272,7 +272,9 @@ def save_trace(prefix: str, trace: SubSimTrace, provenance: dict | None = None) 
 
 
 def _from_doc(cls, doc: dict, path: str, what: str):
-    """``cls(**doc)``, refusing a block whose keys are not exactly ``cls``'s fields."""
+    """``cls(**doc)``, refusing a block that is not an object with exactly ``cls``'s fields as keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} is a {type(doc).__name__}, not an object")
     names = {f.name for f in fields(cls)}
     wrong = {"unknown": sorted(set(doc) - names), "missing": sorted(names - set(doc))}
     if any(wrong.values()):
@@ -281,10 +283,23 @@ def _from_doc(cls, doc: dict, path: str, what: str):
 
 
 def load_trace(prefix: str) -> SubSimTrace:
-    """Read a trace written by :func:`save_trace`; the one reader of that format."""
+    """Read a trace written by :func:`save_trace`; the one reader of that format.
+
+    Raises:
+        ValueError: if the JSON is not an object holding ``config``,
+            ``levels`` (a list), ``p_hat`` and ``stagnation``, the config
+            block or a level is not an object with exactly its fields as
+            keys, the stagnation cause is unknown, or the population array
+            does not hold one row per population.
+    """
     path = prefix + ".json"
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("levels", []), list):
+        raise ValueError(f"{path}: a trace is an object whose levels are a list")
+    missing = sorted({"config", "levels", "p_hat", "stagnation"} - set(doc))
+    if missing:
+        raise ValueError(f"{path}: trace has missing keys {missing}")
     trace = SubSimTrace(config=_from_doc(SubSimConfig, doc["config"], path, "config"))
     trace.levels = [_from_doc(LevelRecord, lvl, path, f"level {j}") for j, lvl in enumerate(doc["levels"])]
     trace.p_hat = float("nan") if doc["p_hat"] is None else doc["p_hat"]

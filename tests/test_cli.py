@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from collections import namedtuple
 
@@ -16,11 +17,11 @@ import numpy as np
 import pytest
 
 import latent_abcss
-from latent_abcss import workflows
+from latent_abcss import jgnn, workflows
 from latent_abcss.cli import _build_parser, main
 from latent_abcss.gp_prior import build_covariance
 from latent_abcss.jgnn import generate, load_model
-from latent_abcss.neural import flat_size
+from latent_abcss.neural import _BLOCK, flat_size
 from latent_abcss.rng_linalg import RngStream, add_jitter, cholesky, load_array, sample_mvn, save_array
 from latent_abcss.tomography import NoiseModel, add_noise, load_ray_matrix, save_ray_matrix
 from latent_abcss.workflows import PipelineConfig, generate_dataset
@@ -81,13 +82,30 @@ def tree_digest(root):
     return h.hexdigest()
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # --threads must reach the BLAS pool, which is sized when numpy loads
+def _import_report(preset_spin):
+    """In a fresh interpreter: whether numpy loaded after ``import latent_abcss``, then
+    after ``import latent_abcss.cli``, and the OpenBLAS spin setting after both."""
     src = os.path.dirname(os.path.dirname(latent_abcss.__file__))
-    code = "import sys, latent_abcss.cli; print('numpy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import os, sys, latent_abcss; a = 'numpy' in sys.modules; import latent_abcss.cli; "
+        "print(a, 'numpy' in sys.modules, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = src
+    if preset_spin is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset_spin
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads and the OpenBLAS spin must reach the BLAS pool, which is sized
+    # when numpy loads; the package sets the spin before anything imports numpy
+    assert _import_report(None) == ["False", "False", "22"]
+
+
+def test_preset_blas_spin_is_kept():
+    assert _import_report("4") == ["False", "False", "4"]
 
 
 @pytest.mark.parametrize(
@@ -240,6 +258,34 @@ class TestTrain:
         _, _, _, model = pipeline
         header = open(os.path.join(model, "history.csv")).readline().strip()
         assert header == "epoch,mse_x,mse_y,ot_term,lambda,val_mse_x,val_mse_y"
+
+    def test_threads_1_writes_the_default_checkpoint(self, pipeline, tmp_path, monkeypatch):
+        # a decoder above the Adam worker rule, so the default run steps it on the
+        # worker (given a second CPU) and --threads 1 steps it in turn
+        data = pipeline[2]
+        assert flat_size([3, 512, 512, 34]) >= 8 * _BLOCK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**MICRO_CONFIG, "hidden": [512, 512], "epochs": 3}))
+        monkeypatch.setattr(jgnn, "_cpu_count", lambda: 2)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "")  # records the value that teardown restores over --threads 1's
+            monkeypatch.delenv(var)
+        on_worker, adam_step = set(), jgnn.adam_step
+
+        def spy(*args):
+            on_worker.add(threading.current_thread() is not threading.main_thread())
+            return adam_step(*args)
+
+        monkeypatch.setattr(jgnn, "adam_step", spy)
+        runs = []
+        for flags in ([], ["--threads", "1"]):
+            out = tmp_path / f"model{len(runs)}"
+            assert main([*flags, "train", "--config", str(cfg), "--dataset", data, "--out", str(out)]) == 0
+            files = [(out / name).read_bytes() for name in ("model.ckpt", "model.ckpt.json", "history.csv")]
+            runs.append((sorted(on_worker), files))
+            on_worker.clear()
+        assert [workers for workers, _ in runs] == [[False, True], [False]]
+        assert runs[0][1] == runs[1][1]
 
     def test_library_and_checkpoint_paths_agree(self, pipeline, tmp_path, monkeypatch):
         # train returns the f32 values its checkpoint stores, so an inversion of the

@@ -1,8 +1,11 @@
 """Joint generative model: loss, schedule, training on a linear toy problem."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from latent_abcss import jgnn
 from latent_abcss.jgnn import (
     JGNNModel,
     TrainConfig,
@@ -19,7 +22,7 @@ from latent_abcss.jgnn import (
     train,
     _decoder_view,
 )
-from latent_abcss.neural import Layer, MLPParams, mlp_forward, refresh_spectral
+from latent_abcss.neural import _BLOCK, Layer, MLPParams, adam_step, mlp_forward, refresh_spectral
 from latent_abcss.rng_linalg import RngStream
 from latent_abcss.sinkhorn import SinkhornConfig, _plain_entropic_ot, cost_matrix, entropic_ot
 
@@ -262,6 +265,78 @@ class TestTrain:
         xs, ys, _ = linear_toy_dataset(50)
         with pytest.raises(ValueError, match="batch"):
             train(xs, ys, JGNNModel.init(DIM_X, DIM_Y, 4, RngStream(3), hidden=(8,)), TrainConfig(epochs=1))
+
+
+def _spy_adam(monkeypatch):
+    """Record each Adam step as (network, ran on a worker thread)."""
+    calls = []
+
+    def spy(state, params, grad, block_prefix):
+        calls.append((block_prefix.split()[0], threading.current_thread() is not threading.main_thread()))
+        return adam_step(state, params, grad, block_prefix)
+
+    monkeypatch.setattr(jgnn, "adam_step", spy)
+    return calls
+
+
+class TestThreadedAdam:
+    def _train(self, hidden, epochs=2):
+        xs, ys, _ = linear_toy_dataset(300, seed=5)
+        model = JGNNModel.init(DIM_X, DIM_Y, DIM_Z, RngStream(2), hidden=hidden)
+        best, history = train(xs, ys, model, TrainConfig(epochs=epochs, batch_size=128, seed=9))
+        return model, best, history
+
+    def test_worker_gives_the_sequential_bits(self, monkeypatch):
+        # a decoder above the worker rule: 10 -> 512 -> 512 -> 28 is ~8.6 Adam blocks
+        assert JGNNModel.init(DIM_X, DIM_Y, DIM_Z, RngStream(2), hidden=(512, 512)).decoder.flat.size >= 8 * _BLOCK
+        monkeypatch.setattr(jgnn, "_cpu_count", lambda: 2)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        calls = _spy_adam(monkeypatch)
+        threaded = self._train((512, 512))
+        assert set(calls) == {("encoder", False), ("decoder", True)} and len(calls) == 8
+        calls.clear()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # what --threads 1 exports
+        in_turn = self._train((512, 512))
+        assert set(calls) == {("encoder", False), ("decoder", False)} and len(calls) == 8
+        for a, b in zip(threaded[:2], in_turn[:2]):
+            for net in ("encoder", "decoder"):
+                assert getattr(a, net).flat.tobytes() == getattr(b, net).flat.tobytes()
+        assert vars(threaded[2]) == vars(in_turn[2])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_small_decoder_or_one_cpu_steps_in_turn(self, monkeypatch, cpus):
+        monkeypatch.setattr(jgnn, "_cpu_count", lambda: cpus)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        calls = _spy_adam(monkeypatch)
+        self._train((512, 512) if cpus == 1 else (64,), epochs=1)
+        assert calls == [("encoder", False), ("decoder", False)] * 2
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["worker", "in_turn"])
+    @pytest.mark.parametrize("net", ["encoder", "decoder"])
+    def test_non_finite_gradient_diverges(self, monkeypatch, net, threaded):
+        monkeypatch.setattr(jgnn, "_THREADED_ADAM_BLOCKS", 0)
+        monkeypatch.setattr(jgnn, "_cpu_count", lambda: 2 if threaded else 1)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        loss = jgnn.jgnn_loss
+
+        def poisoned(*args, **kwargs):
+            res = loss(*args, **kwargs)
+            getattr(res, f"{net}_grad")[0] = np.nan
+            return res
+
+        monkeypatch.setattr(jgnn, "jgnn_loss", poisoned)
+        calls = _spy_adam(monkeypatch)
+        n_threads = threading.active_count()
+        with pytest.raises(TrainingDiverged, match="epoch 0") as info:
+            self._train((16,))
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == f"non-finite gradient in {net} layer 0 weights"
+        assert info.value.history.mse_x == []
+        if threaded:
+            assert sorted(calls) == [("decoder", True), ("encoder", False)]
+        else:  # in turn, an encoder error comes before the decoder's step
+            assert calls == [("encoder", False), ("decoder", False)][: 1 + (net == "decoder")]
+        assert threading.active_count() == n_threads  # the worker was joined
 
 
 class TestGenerateEncode:

@@ -370,6 +370,30 @@ class TestTraceIO:
         with pytest.raises(ValueError, match=rf"trace\.json: (config|level 0) has {want}"):
             load_trace(prefix)
 
+    @pytest.mark.parametrize(
+        "edit",
+        ["level_not_object", "levels_not_list", "not_object", "no_config", "no_levels", "no_p_hat", "no_stagnation"],
+    )
+    def test_malformed_structure_rejected(self, tmp_path, edit):
+        cfg = SubSimConfig(target_eps=0.5, n_particles=300)
+        trace = subsim_run(lambda z: z[:, :2], np.zeros(2), 4, cfg, RngStream(11))
+        prefix = str(tmp_path / "trace")
+        save_trace(prefix, trace)
+        doc = json.load(open(prefix + ".json"))
+        if edit == "level_not_object":
+            doc["levels"][0], want = 1.5, "level 0 is a float, not an object"
+        elif edit == "levels_not_list":
+            doc["levels"], want = 1.5, "a trace is an object whose levels are a list"
+        elif edit == "not_object":
+            doc, want = [doc], "a trace is an object whose levels are a list"
+        else:
+            key = edit.removeprefix("no_")
+            del doc[key]
+            want = rf"trace has missing keys \['{key}'\]"
+        json.dump(doc, open(prefix + ".json", "w"))
+        with pytest.raises(ValueError, match=rf"trace\.json: {want}"):
+            load_trace(prefix)
+
     def test_unknown_stagnation_cause_rejected(self, tmp_path):
         cfg = SubSimConfig(target_eps=0.5, n_particles=300)
         trace = subsim_run(lambda z: z[:, :2], np.zeros(2), 4, cfg, RngStream(11))
