@@ -17,7 +17,7 @@ gp = GPConfig(lengthscale=2.5, variance=0.16, mean=0.5)
 print(f"grid: {grid.n_rows} x {grid.n_cols} cells of {grid.cell_size} m "
       f"({grid.width} m wide, {grid.height} m deep, {grid.n_cells} unknowns)")
 
-geom = build_geometry(grid)
+geom = build_geometry(grid, n_src=9, n_rcv=9, depth_min=0.5, depth_max=4.5, separation=3.9)
 a = assemble_matrix(grid, geom)
 print(f"geometry: sources at x={geom.source_x:.2f} m, receivers at x={geom.receiver_x:.2f} m, "
       f"{a.n_rays} rays")

@@ -21,7 +21,6 @@ import numpy as np
 from .rng_linalg import write_csv
 from .sinkhorn import (
     SinkhornConfig,
-    TransportPlan,
     _check_weights,
     _gemm_cost,
     _plain_entropic_ot,
@@ -37,9 +36,6 @@ __all__ = [
     "default_eps_grid",
     "normalize_eps",
     "probability_curve",
-    "smooth_log_curve",
-    "curvature",
-    "select_threshold",
     "analyze_curve",
     "rmse_batch",
     "ReferenceSet",
@@ -68,16 +64,29 @@ def normalize_eps(eps, n_obs: int):
 
 @dataclass
 class ThresholdCurve:
-    """Probability-content curve on the reached part of a tolerance grid."""
+    """Probability-content curve on the reached part of a tolerance grid.
+
+    :func:`probability_curve` gives ``eps``, ``eps_n`` and ``log_p``;
+    :func:`analyze_curve` fills ``smoothed``, ``curvature`` and
+    ``selected_index``, in that order.  The selected and stagnation
+    tolerances are read from the selection, and are None until it succeeds.
+    """
 
     eps: np.ndarray
     eps_n: np.ndarray
     log_p: np.ndarray
     smoothed: np.ndarray | None = None
     curvature: np.ndarray | None = None
-    selected_eps_n: float | None = None
-    stagnation_eps_n: float | None = None
     selected_index: int | None = None
+
+    @property
+    def selected_eps_n(self) -> float | None:
+        return None if self.selected_index is None else float(self.eps_n[self.selected_index])
+
+    @property
+    def stagnation_eps_n(self) -> float | None:
+        """The smallest reached grid value, where the run stagnates."""
+        return None if self.selected_index is None else float(self.eps_n[0])
 
 
 def probability_curve(trace: SubSimTrace, n_obs: int, eps_grid: np.ndarray) -> ThresholdCurve:
@@ -133,59 +142,38 @@ def _local_quadratic(x: np.ndarray, y: np.ndarray, window: int):
     return val, d1, d2
 
 
-def smooth_log_curve(curve: ThresholdCurve, window: int) -> np.ndarray:
-    """Local-quadratic smoothing of log10 p over the normalized-tolerance axis.
+def analyze_curve(curve: ThresholdCurve, window: int) -> ThresholdCurve:
+    """Smooth the curve, take the curvature of the smoothed curve, and pick its knee.
 
-    Endpoints fall back to shrunken one-sided windows, so a curve that is
-    exactly quadratic passes through unchanged.
-    """
-    val, _, _ = _local_quadratic(curve.eps_n, curve.log_p, window)
-    return val
+    Smoothing fits a moving local least-squares quadratic to log10 p over
+    the normalized-tolerance axis; endpoints fall back to shrunken
+    one-sided windows, so a curve that is exactly quadratic passes through
+    unchanged.  The curvature |f''| / (1 + f'^2)^(3/2) against eps_n comes
+    from the same fit of the smoothed curve.  The stagnation point is the
+    smallest reached grid value; the selection is the curvature argmax
+    strictly above it, ties broken toward larger tolerances.
 
-
-def curvature(curve: ThresholdCurve, window: int) -> np.ndarray:
-    """|f''| / (1 + f'^2)^(3/2) of the smoothed curve against eps_n."""
-    if curve.smoothed is None:
-        raise ValueError("smooth the curve before computing curvature")
-    _, d1, d2 = _local_quadratic(curve.eps_n, curve.smoothed, window)
-    return np.abs(d2) / np.power(1.0 + d1 * d1, 1.5)
-
-
-def select_threshold(curve: ThresholdCurve) -> tuple[float, float]:
-    """Pick the knee of the probability-content curve.
-
-    The stagnation point is the smallest reached grid value; the selection is
-    the curvature argmax strictly above it, ties broken toward larger
-    tolerances.
+    ``curve`` gets ``smoothed``, then ``curvature``, then ``selected_index``,
+    and is returned.  A step that fails leaves the ones before it, so a
+    curve whose selection fails still has both columns for ``curve.csv``.
 
     Raises:
-        ValueError: if the curve has no usable curvature peak.
+        ValueError: on an even window or one below 3, or a curve with fewer
+            points than the window (nothing set); or when the curve has no
+            usable curvature peak (columns set).
     """
-    if curve.curvature is None:
-        raise ValueError("compute curvature before selecting a threshold")
-    stagnation = float(curve.eps_n[0])
+    curve.smoothed, _, _ = _local_quadratic(curve.eps_n, curve.log_p, window)
+    _, d1, d2 = _local_quadratic(curve.eps_n, curve.smoothed, window)
+    curve.curvature = np.abs(d2) / np.power(1.0 + d1 * d1, 1.5)
+    # the window leaves at least two candidates above the stagnation point
     cand = curve.curvature[1:]
-    if cand.size == 0:
-        raise ValueError("no curvature peak: curve has a single reached point")
     x_range = float(curve.eps_n[-1] - curve.eps_n[0])
     y_range = float(np.max(curve.smoothed) - np.min(curve.smoothed))
     flat_tol = 1e-8 * (y_range / max(x_range, 1e-300) ** 2 + 1e-300)
     if float(np.max(cand)) <= flat_tol:
         raise ValueError("no curvature peak: curve is flat or affine")
     # argmax with ties toward the larger tolerance
-    rev = cand[::-1]
-    idx = cand.size - 1 - int(np.argmax(rev)) + 1
-    curve.selected_index = idx
-    curve.selected_eps_n = float(curve.eps_n[idx])
-    curve.stagnation_eps_n = stagnation
-    return curve.selected_eps_n, stagnation
-
-
-def analyze_curve(curve: ThresholdCurve, window: int) -> ThresholdCurve:
-    """Smooth, differentiate and select in one pass (mutates and returns)."""
-    curve.smoothed = smooth_log_curve(curve, window)
-    curve.curvature = curvature(curve, window)
-    select_threshold(curve)
+    curve.selected_index = cand.size - int(np.argmax(cand[::-1]))
     return curve
 
 
@@ -198,15 +186,6 @@ def rmse_batch(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean((samples - reference[None, :]) ** 2, axis=1))
 
 
-def _cost(tp: TransportPlan, kind: str, reference: str | None, solves: list | None) -> float:
-    """``tp.cost``; ``solves``, if given, gets the solve's record (see :func:`wasserstein_diagnostics`)."""
-    if solves is not None:
-        solves.append(
-            {"kind": kind, "reference": reference, "iterations": tp.iterations, "converged": tp.converged}
-        )
-    return tp.cost
-
-
 @dataclass(frozen=True)
 class ReferenceSet:
     """Reference clouds prepared once for every divergence against them.
@@ -214,7 +193,9 @@ class ReferenceSet:
     ``rows`` stacks every reference's points, shifted by ``centre`` (the
     mean of all of them), and ``squared_norms`` holds each row's
     ``||r||^2``; ``slices`` gives each reference's rows by name, and
-    ``self_costs`` its self-transport cost OT(r, r).
+    ``self_costs`` its self-transport cost OT(r, r).  ``exhausted`` names
+    the references whose self solve ended on its iteration budget, in
+    ``slices`` order.
     """
 
     centre: np.ndarray
@@ -222,11 +203,10 @@ class ReferenceSet:
     squared_norms: np.ndarray
     slices: dict[str, slice]
     self_costs: dict[str, float]
+    exhausted: tuple[str, ...]
 
 
-def prepare_references(
-    clouds: dict[str, np.ndarray], ot_cfg: SinkhornConfig, solves: list | None = None
-) -> ReferenceSet:
+def prepare_references(clouds: dict[str, np.ndarray], ot_cfg: SinkhornConfig) -> ReferenceSet:
     """Centre, stack and self-solve the reference clouds, once per inversion.
 
     Each cloud is a uniform point cloud in the flattened field space; a
@@ -235,8 +215,7 @@ def prepare_references(
     :func:`~latent_abcss.sinkhorn.self_transport`) and every
     :func:`wasserstein_diagnostics` call against them reuses them.  A
     Dirac's self term is 0, with no solve: its only coupling with itself
-    moves nothing.  ``solves``, if given, collects each self solve's record
-    (see :func:`wasserstein_diagnostics`).
+    moves nothing.
 
     Raises:
         ValueError: with no clouds, or clouds of different point dimensions.
@@ -254,14 +233,16 @@ def prepare_references(
     squared_norms = _squared_norms(rows)
     ends = np.cumsum([p.shape[0] for p in parts])
     slices = {name: slice(end - p.shape[0], end) for name, p, end in zip(clouds, parts, ends)}
-    self_costs = {}
+    self_costs, exhausted = {}, []
     for name, s in slices.items():
         if s.stop - s.start == 1:
             self_costs[name] = 0.0
             continue
-        c = _gemm_cost(rows[s], rows[s], squared_norms[s], squared_norms[s])
-        self_costs[name] = _cost(self_transport(c, ot_cfg), "self", name, solves)
-    return ReferenceSet(centre, rows, squared_norms, slices, self_costs)
+        tp = self_transport(_gemm_cost(rows[s], rows[s], squared_norms[s], squared_norms[s]), ot_cfg)
+        self_costs[name] = tp.cost
+        if not tp.converged:
+            exhausted.append(name)
+    return ReferenceSet(centre, rows, squared_norms, slices, self_costs, tuple(exhausted))
 
 
 def wasserstein_diagnostics(
@@ -269,8 +250,7 @@ def wasserstein_diagnostics(
     references: ReferenceSet,
     ot_cfg: SinkhornConfig,
     weights: np.ndarray | None = None,
-    solves: list | None = None,
-) -> dict[str, float]:
+) -> tuple[dict[str, float], list[tuple[str, str | None]]]:
     """Debiased transport divergence of the solutions against each reference.
 
     S(s, r) = OT(s, r) - OT(s, s)/2 - OT(r, r)/2, keyed by reference name
@@ -291,10 +271,10 @@ def wasserstein_diagnostics(
     shift-invariant, so these agree with
     :func:`~latent_abcss.sinkhorn.cost_matrix` to rounding.
 
-    ``solves``, if given, collects one record per solve, the self term
-    first (a Dirac makes none): ``kind`` ("self" or "cross"), ``reference``
-    (None for the solutions' self term), ``iterations`` and ``converged``
-    (False when the budget ended it).
+    Returns the divergences and the solves that ended on their iteration
+    budget, as ``(kind, reference)`` pairs: ``("self", None)`` for the
+    solutions' self term first, then ``("cross", name)`` in ``slices``
+    order (a Dirac makes no solve).
 
     Raises:
         ValueError: on weights of the wrong length, non-finite or
@@ -312,9 +292,9 @@ def wasserstein_diagnostics(
     with np.errstate(invalid="ignore"):
         solutions = solutions - references.centre
     sq = _squared_norms(solutions)
-    self_s = _cost(
-        self_transport(_gemm_cost(solutions, solutions, sq, sq), ot_cfg, weights), "self", None, solves
-    )
+    tp = self_transport(_gemm_cost(solutions, solutions, sq, sq), ot_cfg, weights)
+    self_s = tp.cost
+    exhausted = [] if tp.converged else [("self", None)]
     cross = _gemm_cost(solutions, references.rows, sq, references.squared_norms)
     out = {}
     for name, cols in references.slices.items():
@@ -322,9 +302,12 @@ def wasserstein_diagnostics(
             to_dirac = cross[:, cols.start]
             ot = float(to_dirac.mean() if weights is None else weights @ to_dirac)
         else:
-            ot = _cost(_plain_entropic_ot(cross[:, cols], ot_cfg, weights), "cross", name, solves)
+            tp = _plain_entropic_ot(cross[:, cols], ot_cfg, weights)
+            ot = tp.cost
+            if not tp.converged:
+                exhausted.append(("cross", name))
         out[name] = ot - 0.5 * self_s - 0.5 * references.self_costs[name]
-    return out
+    return out, exhausted
 
 
 def resimulation_report(

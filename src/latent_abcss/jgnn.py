@@ -47,6 +47,13 @@ _STD_FLOOR = 1e-12
 # Adam's step size for both networks, and the share of couples held out for validation
 _LEARNING_RATE = 0.001
 _VAL_FRACTION = 0.1
+# the latent term's Sinkhorn regularization and budget (TrainConfig sets the
+# tol stop).  reg 10 rather than the heavier smoothing used for plain cost
+# estimates: above ~the squared cloud diameter the debiased cost's scale
+# sensitivity fades to mean-matching only, and the encodings never spread to
+# the prior; at reg 10 the aggregate-matching invariant is reached quickly
+_SINKHORN_REG = 10.0
+_SINKHORN_MAX_ITER = 40
 # the decoder's Adam step gets a worker thread from this many Adam blocks up;
 # a DESK-scale decoder (~63K parameters, 2 blocks) loses more to the hand-off
 # than the overlap saves
@@ -118,7 +125,7 @@ class JGNNModel:
         dim_y: int,
         latent_dim: int,
         rng: RngStream,
-        hidden: tuple[int, ...] = (512, 512),
+        hidden: tuple[int, ...],
     ) -> "JGNNModel":
         """Fresh model; output heads are exempt from spectral normalization.
 
@@ -142,21 +149,13 @@ class JGNNModel:
         return JGNNModel(self.encoder.copy(), self.decoder.copy(), *dims, replace(self.standardizer))
 
 
-def _default_train_sinkhorn() -> SinkhornConfig:
-    # reg 10 rather than the heavier smoothing used for plain cost estimates:
-    # above ~the squared cloud diameter the debiased cost's scale sensitivity
-    # fades to mean-matching only, and the encodings never spread to the
-    # prior; at reg 10 the aggregate-matching invariant is reached quickly
-    return SinkhornConfig(reg=10.0, max_iter=40)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5000
     batch_size: int = 128
     lambda0: float = 150.0
     lambda_halving_period: int = 500
-    sinkhorn: SinkhornConfig = field(default_factory=_default_train_sinkhorn)
+    sinkhorn_tol: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -164,6 +163,8 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and lambda_halving_period must be positive")
         if self.lambda0 <= 0:
             raise ValueError("lambda0 must be positive")
+        if not self.sinkhorn_tol >= 0:  # NaN fails too
+            raise ValueError("sinkhorn_tol must be nonnegative")
 
 
 @dataclass
@@ -324,6 +325,7 @@ def train(
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     n = xs.shape[0]
     rng = RngStream(cfg.seed, stream_id=17)
+    sinkhorn_cfg = SinkhornConfig(reg=_SINKHORN_REG, max_iter=_SINKHORN_MAX_ITER, tol=cfg.sinkhorn_tol)
 
     n_val = max(1, int(round(_VAL_FRACTION * n)))
     perm = rng.split(0).generator().permutation(n)
@@ -367,7 +369,7 @@ def train(
                     .standard_normal((cfg.batch_size, model.latent_dim))
                 )
                 try:
-                    res = jgnn_loss(xs_s[idx], ys_s[idx], model, lam, cfg.sinkhorn, draws)
+                    res = jgnn_loss(xs_s[idx], ys_s[idx], model, lam, sinkhorn_cfg, draws)
                     _adam_steps(pool, model, res, enc_state, dec_state)
                 except ValueError as err:
                     raise TrainingDiverged(epoch, history) from err

@@ -114,15 +114,19 @@ def cholesky(m) -> np.ndarray:
         raise NotPositiveDefiniteError(info - 1) from None
 
 
-def add_jitter(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:
-    """Copy of ``m`` with ``rel * trace/n`` added to the diagonal.
+# add_jitter's diagonal jitter, relative to the mean diagonal entry
+_JITTER_REL = 1e-10
+
+
+def add_jitter(m: np.ndarray) -> np.ndarray:
+    """Copy of ``m`` with ``_JITTER_REL * trace/n`` added to the diagonal.
 
     Near-singular covariance matrices (fine-grid exponential kernels) need
     this before factoring; plain :func:`cholesky` never jitters on its own,
     and it is what checks the result is a finite square matrix.
     """
     out = np.array(m, dtype=np.float64)
-    out[np.diag_indices_from(out)] += rel * np.trace(out) / out.shape[0]
+    out[np.diag_indices_from(out)] += _JITTER_REL * np.trace(out) / out.shape[0]
     return out
 
 

@@ -103,12 +103,7 @@ class RayMatrix:
 
 
 def build_geometry(
-    grid: Grid,
-    n_src: int = 9,
-    n_rcv: int = 9,
-    depth_min: float = 0.5,
-    depth_max: float = 4.5,
-    separation: float = 3.9,
+    grid: Grid, n_src: int, n_rcv: int, depth_min: float, depth_max: float, separation: float
 ) -> AcquisitionGeometry:
     """Place the two boreholes symmetrically about the grid center.
 

@@ -13,8 +13,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import zip_longest
+from dataclasses import asdict, dataclass, field, fields
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -143,8 +143,10 @@ class PipelineConfig:
                 raise ValueError(f"smoothing_window must be odd and in [3, eps_count = {self.eps_count}]")
             if self.noise_std < 0:
                 raise ValueError("noise_std must be nonnegative")
-            if min(self.train_size, self.test_size, self.latent_dim) < 1:
-                raise ValueError("train_size, test_size, latent_dim must be positive")
+            sizes = [(n, getattr(self, n)) for n in ("train_size", "test_size", "latent_dim", "diag_subsample")]
+            for name, size in sizes + [(f"hidden[{i}]", h) for i, h in enumerate(self.hidden)]:
+                if size < 1:
+                    raise ValueError(f"{name} must be positive, got {size}")
             self.subsim_config(self.eps_min)
         except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from err
@@ -155,13 +157,13 @@ class PipelineConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        cfg = TrainConfig(
+        return TrainConfig(
             epochs=self.epochs,
             batch_size=self.batch_size,
             lambda_halving_period=self.lambda_halving_period,
+            sinkhorn_tol=self.sinkhorn_tol,
             seed=self.seed,
         )
-        return replace(cfg, sinkhorn=replace(cfg.sinkhorn, tol=self.sinkhorn_tol))
 
     def subsim_config(self, target_eps: float) -> SubSimConfig:
         return SubSimConfig(target_eps=target_eps, n_particles=self.n_particles, max_levels=self.max_levels)
@@ -343,7 +345,8 @@ def run_inversion(
 
     Raises:
         DiagnosticFailure: when the curve has no curvature peak; the deep
-            trace and unsmoothed curve are attached to the exception.
+            trace and the curve, with whatever columns its analysis filled,
+            are attached to the exception.
     """
     # one frozen f32 decoder serves the sampler, the final decode and the audit
     view = _decoder_view(model)
@@ -362,7 +365,7 @@ def run_inversion(
         failure.curve = curve
         raise failure from err
 
-    eps_star = float(n_obs * curve.selected_eps_n**2)
+    eps_star = n_obs * curve.selected_eps_n**2
     final = subsim_run(g2, y_obs, model.latent_dim, cfg.subsim_config(eps_star), rng.split(1))
     z_final = final.final_samples
     solutions_x, solutions_y = generate(view, z_final)
@@ -397,31 +400,29 @@ def run_inversion(
             clouds["truth"] = np.asarray(truth, dtype=np.float64).reshape(1, -1)
         # the references never change within an inversion: centre them and
         # solve their self-transport once for every divergence row below
-        ref_solves = []
-        refs = prepare_references(clouds, ORACLE_OT, ref_solves)
+        refs = prepare_references(clouds, ORACLE_OT)
         # refs holds its own stacked copy: drop the full ensembles (and the
         # views into them) so the audit below does not hold both
         del post_samples, prior_samples, clouds
-        solves = [dict(s, eps_n=None) for s in ref_solves]
+        exhausted = [{"kind": "self", "reference": name, "eps_n": None} for name in refs.exhausted]
         # one divergence row per tested tolerance: the deep run's level
-        # populations stand in for the solution set at their own threshold;
-        # each cloud is solved on its distinct states (see _distinct_rows)
+        # populations stand in for the solution set at their own threshold,
+        # then the final solutions at the selected one; each cloud is solved
+        # on its distinct states (see _distinct_rows), one cloud at a time
+        def selected_solutions():
+            first, weights = _distinct_rows(z_final[:m_sub])
+            yield curve.selected_eps_n, solutions_x[first], weights
+
         rows = []
-        for eps_n_level, sols, weights in _deep_level_solutions(
-            view, deep, float(grid_eps[-1]), n_obs, m_sub
+        for eps_n, sols, weights in chain(
+            _deep_level_solutions(view, deep, float(grid_eps[-1]), n_obs, m_sub), selected_solutions()
         ):
-            rows.append((eps_n_level, _audit_row(eps_n_level, sols, weights, refs, solves)))
-        first, weights = _distinct_rows(z_final[:m_sub])
-        sol_divs = _audit_row(float(curve.selected_eps_n), solutions_x[first], weights, refs, solves)
-        rows.append((float(curve.selected_eps_n), sol_divs))
+            divs, ended = wasserstein_diagnostics(sols, refs, ORACLE_OT, weights)
+            rows.append((eps_n, divs))
+            exhausted += [{"kind": kind, "reference": ref, "eps_n": eps_n} for kind, ref in ended]
         metrics.wasserstein_by_eps = sorted(rows, key=lambda r: r[0])
-        exhausted = [
-            {"kind": s["kind"], "reference": s["reference"], "eps_n": s["eps_n"]}
-            for s in solves
-            if not s["converged"]
-        ]
         summary["oracle"] = {
-            "divergence_at_selected": sol_divs,
+            "divergence_at_selected": rows[-1][1],
             "budget_exhausted_solves": len(exhausted),
             "budget_exhausted": exhausted,
             "posterior_mean_rmse_to_truth": (
@@ -448,14 +449,6 @@ def _oracle_prior_noise(cfg: PipelineConfig, n_obs: int) -> tuple[GaussianDist, 
     prior_cov = add_jitter(build_covariance(cfg.grid, cfg.gp))
     prior = GaussianDist(np.full(cfg.grid.n_cells, cfg.gp.mean), prior_cov)
     return prior, max(cfg.noise_std, 1e-6) ** 2 * np.eye(n_obs)
-
-
-def _audit_row(eps_n: float, solutions, weights, refs, solves: list) -> dict[str, float]:
-    """One ``wasserstein.csv`` row; its solves' records join ``solves`` tagged with ``eps_n``."""
-    row_solves = []
-    divs = wasserstein_diagnostics(solutions, refs, ORACLE_OT, weights, row_solves)
-    solves += [dict(s, eps_n=eps_n) for s in row_solves]
-    return divs
 
 
 def _distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

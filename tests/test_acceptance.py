@@ -16,13 +16,13 @@ from scipy.special import erfc
 
 from latent_abcss.analytic_posterior import GaussianDist, linear_gaussian_posterior
 from latent_abcss.cli import main as cli_main
-from latent_abcss.gp_prior import Grid, sample_fields
+from latent_abcss.gp_prior import sample_fields
 from latent_abcss.jgnn import JGNNModel, jgnn_loss, train
 from latent_abcss.neural import refresh_spectral
 from latent_abcss.rng_linalg import RngStream, load_array, save_array
 from latent_abcss.sinkhorn import SinkhornConfig, cost_matrix, entropic_ot
 from latent_abcss.subsim import SubSimConfig, subsim_run
-from latent_abcss.tomography import NoiseModel, add_noise, assemble_matrix, build_geometry, forward
+from latent_abcss.tomography import NoiseModel, add_noise, assemble_matrix, forward
 from latent_abcss.workflows import PipelineConfig, run_inversion
 
 
@@ -175,8 +175,8 @@ class TestCriterion4GradientIntegrity:
 
 class TestCriterion5ForwardExactness:
     def test_row_sums_and_linearity(self):
-        grid = Grid()
-        geom = build_geometry(grid)
+        cfg = PipelineConfig()
+        grid, geom = cfg.grid, cfg.geometry()
         a = assemble_matrix(grid, geom)
         exact = np.array(
             [

@@ -234,6 +234,11 @@ class TestGendata:
             ("gendata", {"eps_count": 3}, "smoothing_window must be odd and in [3, eps_count = 3]"),
             ("gendata", {"smoothing_window": 4}, "smoothing_window must be odd and in [3, eps_count = 25]"),
             ("invert --oracle --noise-std nan", {}, "noise_std must be a finite number, got nan"),
+            ("gendata", {"hidden": [-5]}, "hidden[0] must be positive, got -5"),
+            ("gendata", {"hidden": [12, 0]}, "hidden[1] must be positive, got 0"),
+            ("gendata", {"diag_subsample": 0}, "diag_subsample must be positive, got 0"),
+            ("gendata", {"diag_subsample": -3}, "diag_subsample must be positive, got -3"),
+            ("gendata", {"sinkhorn_tol": -1.0}, "sinkhorn_tol must be nonnegative"),
         ],
     )
     def test_non_finite_or_inconsistent_setting_exits_2(self, refused, command, doc, message):
@@ -242,7 +247,7 @@ class TestGendata:
             *flags, value = flags
             row = Row(message, " ".join([name, *flags]), "non-finite", value, f"config error [{name}]: {message}")
         else:
-            kind = "out of range" if "smoothing_window" in message else "non-finite"
+            kind = "non-finite" if "finite" in message else "out of range"
             row = Row(message, f"{name} --config", kind, _config(**doc), f"config error [{name}]: {message}")
         refused(row)
 
@@ -461,16 +466,18 @@ class TestInvert:
         assert oracle == json.loads(json.dumps(result.summary["oracle"]))
         listed = oracle["budget_exhausted"]
         assert oracle["budget_exhausted_solves"] == len(listed) > 0
-        assert all(set(s) == {"kind", "reference", "eps_n"} for s in listed)
-        # reference self terms carry no row; the solutions' self term no reference
-        refs_self = [s["reference"] for s in listed if s["eps_n"] is None]
-        assert refs_self and set(refs_self) <= {"posterior", "prior"}
-        assert all(s["kind"] == "self" for s in listed if s["eps_n"] is None)
-        row_eps = {eps_n for eps_n, _ in result.metrics.wasserstein_by_eps}
-        for s in listed:
-            if s["eps_n"] is not None:
-                assert s["eps_n"] in row_eps
-                assert (s["kind"] == "self") == (s["reference"] is None)
+        # every solve ends on the budget, so the list is the audit's order: the
+        # reference self terms (no row), then each row's self term (no reference)
+        # and cross terms, the deep levels from the top and the selected row last
+        row_eps = [s["eps_n"] for s in listed if s["eps_n"] is not None and s["reference"] is None]
+        expected = [{"kind": "self", "reference": ref, "eps_n": None} for ref in ("posterior", "prior")]
+        for eps_n in row_eps:
+            solves = (("self", None), ("cross", "posterior"), ("cross", "prior"))
+            expected += [{"kind": kind, "reference": ref, "eps_n": eps_n} for kind, ref in solves]
+        assert listed == expected
+        assert row_eps[-1] == result.selected_eps_n
+        assert row_eps[:-1] == sorted(row_eps[:-1], reverse=True)
+        assert sorted(row_eps) == [eps_n for eps_n, _ in result.metrics.wasserstein_by_eps]
 
     def test_oracle_decodes_each_distinct_state_once(self, monkeypatch):
         from types import SimpleNamespace
@@ -503,6 +510,24 @@ class TestInvert:
             # each decoded state carries the share of the rows that hold it
             for row, w in zip(z, weights):
                 assert w * m_sub == pytest.approx(np.sum(np.all(pop[:m_sub] == row, axis=1)))
+
+    @pytest.mark.parametrize(
+        "grid, message, columns",
+        [("1000,5000,25", "no curvature peak: curve is flat or affine", True),
+         ("1e-6,0.3,25", "curve has 1 points, fewer than window 5", False)],
+        ids=["flat", "short"],
+    )
+    def test_failed_selection_exits_4_with_its_curve(self, pipeline, capsys, grid, message, columns):
+        out = pipeline[0] / f"inv_exit4_{grid}"
+        assert main(_argv("invert", _inputs(pipeline), str(out)) + ["--eps-grid", grid]) == 4
+        assert f"diagnostic failure [invert]: {message}" in capsys.readouterr().err
+        arrays = [f"deep_trace_{part}.f64{ext}" for part in ("dissimilarities", "samples") for ext in ("", ".json")]
+        assert sorted(os.listdir(out)) == sorted(["curve.csv", "summary.json", "deep_trace.json", *arrays])
+        assert set(json.load(open(out / "summary.json"))) == {"error", "provenance"}
+        # a selection that fails keeps the smoothed and curvature columns it computed
+        header, *rows = [line.split(",") for line in (out / "curve.csv").read_text().splitlines()]
+        assert header == ["eps", "eps_n", "log10_p", "smoothed", "curvature"]
+        assert {bool(row[3]) for row in rows} == {bool(row[4]) for row in rows} == {columns}
 
     def test_eps_grid_override(self, pipeline):
         out = str(pipeline[0] / "inv_grid")

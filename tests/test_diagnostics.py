@@ -1,5 +1,7 @@
 """Probability curve, smoothing, curvature selection, and metric helpers."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -8,7 +10,6 @@ from latent_abcss.diagnostics import (
     MetricsReport,
     ThresholdCurve,
     analyze_curve,
-    curvature,
     curve_summary,
     curve_to_csv,
     default_eps_grid,
@@ -17,8 +18,6 @@ from latent_abcss.diagnostics import (
     resimulation_report,
     rmse_batch,
     prepare_references,
-    select_threshold,
-    smooth_log_curve,
     wasserstein_diagnostics,
 )
 from latent_abcss.gp_prior import Grid
@@ -79,74 +78,74 @@ class TestProbabilityCurve:
         assert curve.eps.size == 2
 
 
+def flat_or_affine(x, y, window):
+    """A curve with no curvature peak, analysed: selection fails, the columns stay."""
+    curve = ThresholdCurve(eps=x, eps_n=x, log_p=y)
+    with pytest.raises(ValueError, match="no curvature peak"):
+        analyze_curve(curve, window)
+    assert curve.selected_index is curve.selected_eps_n is curve.stagnation_eps_n is None
+    return curve
+
+
 class TestSmoothing:
     def test_quadratic_unchanged(self):
         x = np.linspace(0.1, 2.0, 25)
         y = 1.3 - 0.7 * x + 0.2 * x * x
-        curve = ThresholdCurve(eps=x**2, eps_n=x, log_p=y)
-        np.testing.assert_allclose(smooth_log_curve(curve, 9), y, atol=1e-9)
+        curve = analyze_curve(ThresholdCurve(eps=x**2, eps_n=x, log_p=y), 9)
+        np.testing.assert_allclose(curve.smoothed, y, atol=1e-9)
 
     def test_constant_unchanged(self):
         x = np.linspace(0.1, 2.0, 15)
         curve = ThresholdCurve(eps=x**2, eps_n=x, log_p=np.full(15, 2.5))
-        np.testing.assert_allclose(smooth_log_curve(curve, 5), 2.5, atol=1e-12)
+        # the smoothed column is set before selection, which may or may not find
+        # a knee in the rounding-level curvature of a constant
+        with contextlib.suppress(ValueError):
+            analyze_curve(curve, 5)
+        np.testing.assert_allclose(curve.smoothed, 2.5, atol=1e-12)
 
     def test_recovers_slope_under_noise(self):
         gen = RngStream(31).generator()
         x = np.linspace(0.0, 3.0, 61)
         y = 2.0 * x + gen.normal(0.0, 0.05, x.size)
-        curve = ThresholdCurve(eps=np.exp(x), eps_n=x, log_p=y)
-        sm = smooth_log_curve(curve, 9)
-        slope = np.polyfit(x, sm, 1)[0]
+        curve = analyze_curve(ThresholdCurve(eps=np.exp(x), eps_n=x, log_p=y), 9)
+        slope = np.polyfit(x, curve.smoothed, 1)[0]
         assert slope == pytest.approx(2.0, rel=0.05)
 
     def test_window_validation(self):
         x = np.linspace(0.1, 1.0, 10)
-        curve = ThresholdCurve(eps=x, eps_n=x, log_p=x)
-        with pytest.raises(ValueError, match="odd"):
-            smooth_log_curve(curve, 4)
-        with pytest.raises(ValueError, match="fewer"):
-            smooth_log_curve(curve, 11)
+        for window, match in ((4, "odd"), (11, "fewer")):
+            curve = ThresholdCurve(eps=x, eps_n=x, log_p=x)
+            with pytest.raises(ValueError, match=match):
+                analyze_curve(curve, window)
+            assert curve.smoothed is curve.curvature is None
 
 
 class TestCurvature:
     def test_straight_line_zero(self):
         x = np.linspace(0.1, 2.0, 21)
-        curve = ThresholdCurve(eps=x, eps_n=x, log_p=3.0 * x - 1.0)
-        curve.smoothed = smooth_log_curve(curve, 5)
-        np.testing.assert_allclose(curvature(curve, 5), 0.0, atol=1e-9)
+        curve = flat_or_affine(x, 3.0 * x - 1.0, 5)
+        np.testing.assert_allclose(curve.curvature, 0.0, atol=1e-9)
 
     def test_parabola_apex(self):
         x = np.linspace(-1.0, 1.0, 41)
-        curve = ThresholdCurve(eps=x + 2.0, eps_n=x, log_p=x**2)
-        curve.smoothed = smooth_log_curve(curve, 7)
-        kappa = curvature(curve, 7)
+        curve = analyze_curve(ThresholdCurve(eps=x + 2.0, eps_n=x, log_p=x**2), 7)
         apex = np.argmin(np.abs(x))
-        assert kappa[apex] == pytest.approx(2.0, rel=1e-6)
+        assert curve.curvature[apex] == pytest.approx(2.0, rel=1e-6)
 
     def test_circle_curvature(self):
         r = 3.0
         theta = np.linspace(0.3, 0.7, 41)  # shallow arc of a circle of radius 3
         x = r * np.cos(theta)[::-1]
         y = r * np.sin(theta)[::-1] - r
-        curve = ThresholdCurve(eps=x, eps_n=x, log_p=y)
-        curve.smoothed = smooth_log_curve(curve, 7)
-        kappa = curvature(curve, 7)
-        np.testing.assert_allclose(kappa[5:-5], 1.0 / r, rtol=0.02)
-
-    def test_requires_smoothed(self):
-        x = np.linspace(0.1, 1.0, 11)
-        with pytest.raises(ValueError, match="smooth"):
-            curvature(ThresholdCurve(eps=x, eps_n=x, log_p=x), 5)
+        curve = analyze_curve(ThresholdCurve(eps=x, eps_n=x, log_p=y), 7)
+        np.testing.assert_allclose(curve.curvature[5:-5], 1.0 / r, rtol=0.02)
 
     def test_invariant_to_constant_shift(self):
         x = np.linspace(0.1, 2.0, 31)
         y = np.log10(1.0 / (1.0 + np.exp(-4.0 * (x - 1.0))))
-        c1 = ThresholdCurve(eps=x, eps_n=x, log_p=y)
-        c2 = ThresholdCurve(eps=x, eps_n=x, log_p=y + 5.0)
-        c1.smoothed = smooth_log_curve(c1, 7)
-        c2.smoothed = smooth_log_curve(c2, 7)
-        np.testing.assert_allclose(curvature(c1, 7), curvature(c2, 7), atol=1e-12)
+        c1 = analyze_curve(ThresholdCurve(eps=x, eps_n=x, log_p=y), 7)
+        c2 = analyze_curve(ThresholdCurve(eps=x, eps_n=x, log_p=y + 5.0), 7)
+        np.testing.assert_allclose(c1.curvature, c2.curvature, atol=1e-12)
 
 
 class TestSelectThreshold:
@@ -174,11 +173,8 @@ class TestSelectThreshold:
 
     def test_monotone_line_errors(self):
         x = np.linspace(0.5, 2.0, 30)
-        curve = ThresholdCurve(eps=x, eps_n=x, log_p=2.0 * x)
-        curve.smoothed = smooth_log_curve(curve, 9)
-        curve.curvature = curvature(curve, 9)
-        with pytest.raises(ValueError, match="no curvature peak"):
-            select_threshold(curve)
+        curve = flat_or_affine(x, 2.0 * x, 9)
+        assert curve.smoothed.shape == curve.curvature.shape == x.shape
 
     def test_never_returns_stagnation_point(self):
         curve = self._constructed_knee_curve()
@@ -238,14 +234,14 @@ class TestWassersteinDiagnostics:
         # converged, since the self and the cross terms run different loops
         cfg = SinkhornConfig(reg=1.0, max_iter=5000, tol=1e-12)
         refs = prepare_references({"self": sols.copy()}, cfg)
-        out = wasserstein_diagnostics(sols, refs, cfg)
+        out, _ = wasserstein_diagnostics(sols, refs, cfg)
         assert out["self"] == pytest.approx(0.0, abs=1e-9)
 
     def test_dirac_at_truth(self):
         truth = np.array([1.0, 2.0, 3.0])
         sols = np.tile(truth, (10, 1))
         cfg = SinkhornConfig(reg=1.0, max_iter=100)
-        out = wasserstein_diagnostics(sols, prepare_references({"truth": truth}, cfg), cfg)
+        out, _ = wasserstein_diagnostics(sols, prepare_references({"truth": truth}, cfg), cfg)
         assert out["truth"] == pytest.approx(0.0, abs=1e-12)
 
     def test_shifted_cloud_ranks_farther(self):
@@ -254,7 +250,7 @@ class TestWassersteinDiagnostics:
         near = gen.standard_normal((50, 3))
         far = gen.standard_normal((50, 3)) + 4.0
         cfg = SinkhornConfig(reg=1.0, max_iter=200)
-        out = wasserstein_diagnostics(sols, prepare_references({"near": near, "far": far}, cfg), cfg)
+        out, _ = wasserstein_diagnostics(sols, prepare_references({"near": near, "far": far}, cfg), cfg)
         assert out["near"] < out["far"]
 
     def test_empty_references_rejected(self):
@@ -274,15 +270,14 @@ class TestWassersteinDiagnostics:
         clouds = {"post": gen.standard_normal((7, 4)) + 3.0, "prior": gen.standard_normal((9, 4))}
         clouds["truth"] = np.ones(4)
         cfg = SinkhornConfig(reg=1.0, max_iter=300, tol=1e-10)
-        solves = []
-        refs = prepare_references(clouds, cfg, solves)
+        refs = prepare_references(clouds, cfg)
         stacked = np.concatenate([np.atleast_2d(c) for c in clouds.values()])
         np.testing.assert_allclose(refs.centre, stacked.mean(axis=0), rtol=1e-15)
         np.testing.assert_allclose(refs.rows + refs.centre, stacked, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(refs.squared_norms, np.sum(refs.rows**2, axis=1), rtol=1e-14)
         assert refs.slices == {"post": slice(0, 7), "prior": slice(7, 16), "truth": slice(16, 17)}
-        # the Dirac truth's self term is 0 with no solve
-        assert [(s["kind"], s["reference"]) for s in solves] == [("self", "post"), ("self", "prior")]
+        # the Dirac truth's self term is 0 with no solve; the others converged
+        assert refs.exhausted == ()
         assert refs.self_costs["truth"] == 0.0
         for name, cloud in clouds.items():
             c = cost_matrix(cloud, cloud)
@@ -305,7 +300,7 @@ class TestWassersteinDiagnostics:
             weights /= weights.sum()
         cfg = SinkhornConfig(reg=10.0, max_iter=2000, tol=1e-12)
         clouds = {"posterior": post, "prior": prior, "truth": truth}
-        out = wasserstein_diagnostics(sols, prepare_references(clouds, cfg), cfg, weights)
+        out, _ = wasserstein_diagnostics(sols, prepare_references(clouds, cfg), cfg, weights)
         self_s = _plain_entropic_ot(cost_matrix(sols, sols), cfg, weights, weights).cost
         for name, ref in clouds.items():
             cross = _plain_entropic_ot(cost_matrix(sols, ref), cfg, weights).cost
@@ -320,30 +315,27 @@ class TestWassersteinDiagnostics:
         cfg = SinkhornConfig(reg=1.0, max_iter=300, tol=1e-10)
         clouds = {"cloud": gen.standard_normal((40, 5)) + 0.5, "dirac": gen.standard_normal(5)}
         refs = prepare_references(clouds, cfg)
-        full = wasserstein_diagnostics(atoms[idx], refs, cfg)
+        full, _ = wasserstein_diagnostics(atoms[idx], refs, cfg)
         # np.unique numbers the atoms in order, so atoms[idx][first] is atoms
-        weighted = wasserstein_diagnostics(atoms, refs, cfg, weights=counts / idx.size)
+        weighted, _ = wasserstein_diagnostics(atoms, refs, cfg, weights=counts / idx.size)
         for name in refs.slices:
             assert weighted[name] == pytest.approx(full[name], rel=1e-12, abs=0.0)
         # uniform weights over the distinct atoms are a different measure
-        uniform = wasserstein_diagnostics(atoms, refs, cfg)
+        uniform, _ = wasserstein_diagnostics(atoms, refs, cfg)
         assert uniform["cloud"] != pytest.approx(full["cloud"], rel=1e-6)
 
     def test_solves_record_iterations_and_budget(self):
         gen = np.random.default_rng(10)
         sols = gen.standard_normal((12, 3))
         cfg = SinkhornConfig(reg=1.0, max_iter=4, tol=1e-12)
-        solves = []
-        clouds = {"a": gen.standard_normal((9, 3)), "b": gen.standard_normal(3)}
-        refs = prepare_references(clouds, cfg, solves)
-        wasserstein_diagnostics(sols, refs, cfg, solves=solves)
-        # the self term of a, then the solutions' self term and the cross
-        # term with a; the Dirac b has closed forms and no solve
-        assert solves == [
-            {"kind": "self", "reference": "a", "iterations": 4, "converged": False},
-            {"kind": "self", "reference": None, "iterations": 4, "converged": False},
-            {"kind": "cross", "reference": "a", "iterations": 4, "converged": False},
-        ]
+        clouds = {"a": gen.standard_normal((9, 3)), "b": gen.standard_normal(3), "c": gen.standard_normal((7, 3))}
+        refs = prepare_references(clouds, cfg)
+        _, exhausted = wasserstein_diagnostics(sols, refs, cfg)
+        # four iterations end every solve: the self terms of a and c, then the
+        # solutions' self term and the cross terms in the references' order;
+        # the Dirac b has closed forms and no solve
+        assert refs.exhausted == ("a", "c")
+        assert exhausted == [("self", None), ("cross", "a"), ("cross", "c")]
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
     def test_dirac_reference_is_the_sinkhorn_value_without_a_solve(self, weighted):
@@ -357,10 +349,8 @@ class TestWassersteinDiagnostics:
             weights = np.random.default_rng(16).integers(1, 6, size=48).astype(np.float64)
             weights /= weights.sum()
         cfg = SinkhornConfig(reg=10.0, max_iter=300, tol=1e-7)
-        solves = []
-        refs = prepare_references({"prior": fields[1], "truth": fields[2][0]}, cfg, solves)
-        out = wasserstein_diagnostics(sols, refs, cfg, weights, solves)
-        assert [(s["kind"], s["reference"]) for s in solves] == [("self", "prior"), ("self", None), ("cross", "prior")]
+        refs = prepare_references({"prior": fields[1], "truth": fields[2][0]}, cfg)
+        out, _ = wasserstein_diagnostics(sols, refs, cfg, weights)
         # the Sinkhorn solves the Dirac used to make, on the same prepared costs
         shifted = sols - refs.centre
         sq = _squared_norms(shifted)

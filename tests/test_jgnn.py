@@ -46,7 +46,7 @@ def small_train_config(epochs=700, seed=3):
         batch_size=64,
         lambda0=150.0,
         lambda_halving_period=150,
-        sinkhorn=SinkhornConfig(reg=10.0, max_iter=40, tol=1e-9),
+        sinkhorn_tol=1e-9,
         seed=seed,
     )
 
@@ -383,7 +383,7 @@ class TestGenerateEncode:
 @pytest.fixture(scope="module")
 def full_scale_model():
     """Untrained model at the pipeline's full-scale shapes (81 travel times)."""
-    model = JGNNModel.init(2000, 81, 20, RngStream(5))
+    model = JGNNModel.init(2000, 81, 20, RngStream(5), hidden=(512, 512))
     for _ in range(3):
         refresh_spectral(model.decoder)
     gen = RngStream(6).generator()

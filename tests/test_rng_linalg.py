@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import latent_abcss
+from latent_abcss import rng_linalg
 from latent_abcss.rng_linalg import (
     NotPositiveDefiniteError,
     RngStream,
@@ -165,9 +166,10 @@ class TestSampleMvn:
 
 
 class TestJitterAndArtifacts:
-    def test_add_jitter_targets_trace(self):
+    def test_add_jitter_targets_trace(self, monkeypatch):
+        monkeypatch.setattr(rng_linalg, "_JITTER_REL", 1e-2)
         m = np.diag([1.0, 3.0])
-        out = add_jitter(m, rel=1e-2)
+        out = add_jitter(m)
         np.testing.assert_allclose(np.diag(out), [1.02, 3.02])
         assert m[0, 0] == 1.0  # input untouched
 

@@ -15,13 +15,21 @@ from latent_abcss.tomography import (
     save_ray_matrix,
     trace_ray,
 )
+from latent_abcss.workflows import PipelineConfig
 
 GRID = Grid()  # 50 x 40 cells of 0.1 m
 
 
+def geometry(**change):
+    """The default pipeline's borehole geometry on GRID, with ``change`` applied."""
+    defaults = PipelineConfig()
+    args = {k: getattr(defaults, k) for k in ("n_src", "n_rcv", "depth_min", "depth_max", "separation")}
+    return build_geometry(GRID, **{**args, **change})
+
+
 class TestBuildGeometry:
     def test_defaults(self):
-        geom = build_geometry(GRID)
+        geom = geometry()
         assert geom.source_x == pytest.approx(0.05)
         assert geom.receiver_x == pytest.approx(3.95)
         assert geom.separation == pytest.approx(3.9)
@@ -29,16 +37,16 @@ class TestBuildGeometry:
         assert geom.n_rays == 81
 
     def test_single_degenerate_depth(self):
-        geom = build_geometry(GRID, n_src=1, n_rcv=1, depth_min=2.0, depth_max=2.0)
+        geom = geometry(n_src=1, n_rcv=1, depth_min=2.0, depth_max=2.0)
         np.testing.assert_array_equal(geom.source_depths, [2.0])
 
     def test_separation_exceeding_width(self):
         with pytest.raises(ValueError, match="separation"):
-            build_geometry(GRID, separation=4.5)
+            geometry(separation=4.5)
 
     def test_depths_outside_grid(self):
         with pytest.raises(ValueError, match="depth"):
-            build_geometry(GRID, depth_min=0.5, depth_max=5.5)
+            geometry(depth_min=0.5, depth_max=5.5)
 
 
 class TestTraceRay:
@@ -76,15 +84,15 @@ class TestTraceRay:
 
 class TestAssembleMatrix:
     def test_default_shape(self):
-        a = assemble_matrix(GRID, build_geometry(GRID))
+        a = assemble_matrix(GRID, geometry())
         assert a.shape == (81, 2000)
 
     def test_single_pair(self):
-        a = assemble_matrix(GRID, build_geometry(GRID, n_src=1, n_rcv=1, depth_min=1.0, depth_max=1.0))
+        a = assemble_matrix(GRID, geometry(n_src=1, n_rcv=1, depth_min=1.0, depth_max=1.0))
         assert a.shape[0] == 1
 
     def test_row_sums_equal_euclidean_lengths(self):
-        geom = build_geometry(GRID)
+        geom = geometry()
         a = assemble_matrix(GRID, geom)
         exact = np.array(
             [
@@ -99,7 +107,7 @@ class TestAssembleMatrix:
         assert exact[8] == pytest.approx(5.5866, abs=2e-4)
 
     def test_extreme_ray_lengths(self):
-        geom = build_geometry(GRID)
+        geom = geometry()
         a = assemble_matrix(GRID, geom)
         lengths = a.ray_lengths()
         assert lengths.min() == pytest.approx(3.9)
@@ -108,7 +116,7 @@ class TestAssembleMatrix:
 
 class TestForward:
     def setup_method(self):
-        self.geom = build_geometry(GRID)
+        self.geom = geometry()
         self.a = assemble_matrix(GRID, self.geom)
 
     def test_uniform_slowness_gives_ray_lengths(self):
