@@ -168,8 +168,11 @@ def analyze_curve(curve: ThresholdCurve, window: int) -> ThresholdCurve:
     # the window leaves at least two candidates above the stagnation point
     cand = curve.curvature[1:]
     x_range = float(curve.eps_n[-1] - curve.eps_n[0])
+    # rounding leaves a flat curve at level c a curvature that scales with |c|,
+    # so the floor takes the curve's level as well as its range
     y_range = float(np.max(curve.smoothed) - np.min(curve.smoothed))
-    flat_tol = 1e-8 * (y_range / max(x_range, 1e-300) ** 2 + 1e-300)
+    y_level = float(np.max(np.abs(curve.smoothed)))
+    flat_tol = 1e-8 * ((y_range + y_level) / max(x_range, 1e-300) ** 2 + 1e-300)
     if float(np.max(cand)) <= flat_tol:
         raise ValueError("no curvature peak: curve is flat or affine")
     # argmax with ties toward the larger tolerance

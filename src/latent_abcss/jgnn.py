@@ -313,7 +313,8 @@ def train(
     parameters with the lowest total are kept, each rounded to the f32
     value :func:`save_model` stores, so the returned model is its own
     checkpoint bit for bit.  Deterministic per seed.
-    A non-finite batch loss, gradient or validation MSE raises
+    A non-finite batch loss or validation MSE, or a gradient entry that is
+    not finite once rounded to f32 (Adam's precision), raises
     :class:`TrainingDiverged`.
 
     A decoder of at least ``_THREADED_ADAM_BLOCKS`` Adam blocks takes its
@@ -409,7 +410,7 @@ def _adam_steps(pool, model: JGNNModel, res: LossResult, enc_state: AdamState, d
     The two updates touch disjoint arrays and numpy's element-wise passes
     release the GIL, so they overlap and give the same bits as in turn.  The
     worker is joined before this returns or raises; with both gradients
-    non-finite, the encoder's error is the one raised, as in turn.
+    refused, the encoder's error is the one raised, as in turn.
     """
     if pool is None:
         adam_step(enc_state, model.encoder, res.encoder_grad, "encoder layer")

@@ -41,11 +41,16 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Adam streams its vectors in blocks of this many f64 entries (256 KiB each),
-# so that the six block-sized arrays an Adam block touches (parameters,
-# gradient, two moments, two scratch buffers; 1.5 MiB) stay in a 2 MiB L2
-# cache.  The work is element-wise, so results do not depend on the block size.
+# Adam streams its vectors in blocks of this many entries, so that the six
+# block-sized arrays an Adam block touches (f64 parameters and gradient,
+# 256 KiB each; f32 moments and two f32 scratch buffers, 128 KiB each; 1 MiB
+# in all) stay in a 2 MiB L2 cache.  The work is element-wise, so results do
+# not depend on the block size.
 _BLOCK = 32768
+
+# The least f64 magnitude that rounds to inf in f32: f32's largest value plus
+# half a unit in its last place (that tie rounds to even, which is up).
+_F32_OVERFLOW = float(np.finfo(np.float32).max) + 2.0**103
 
 
 def _activate(s: np.ndarray, kind: str) -> np.ndarray:
@@ -263,7 +268,13 @@ def mlp_backward(params: MLPParams, cache, output_gradient: np.ndarray, input_gr
 
 @dataclass
 class AdamState:
-    """Adam's step count and moment vectors, in the network's parameter layout."""
+    """Adam's step count and scaled moment vectors, in the network's parameter layout.
+
+    ``m`` and ``v`` hold Kingma & Ba's moments without their (1 - beta)
+    factors, M = m_t / (1 - beta1) and V = v_t / (1 - beta2), as f32
+    vectors; both are None, which :func:`adam_step` reads as zero, before
+    the first step.
+    """
 
     lr: float
     t: int = 0
@@ -272,47 +283,56 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefix: str = "layer"):
-    """Standard bias-corrected Adam update of ``params.flat``, applied in place.
+    """Bias-corrected Adam update of ``params.flat``, applied in place.
 
-    ``grad`` is a vector in the layout of ``params.flat``; its zero u and v
-    entries leave zero moments and a zero step there.  The whole gradient is
-    checked before anything is written; the update then runs over
+    Kingma & Ba's update with both bias corrections and the (1 - beta)
+    factors moved into three scalars of the step count t ("Adam", ICLR 2015,
+    section 2).  With k = sqrt((1 - b2) / (1 - b2^t)),
+    alpha = lr (1 - b1) / ((1 - b1^t) k) and eps' = eps / k, it runs
+
+        g' = f32(g),  M <- b1 M + g',  V <- b2 V + g'^2,
+        p <- p - alpha M / (sqrt(V) + eps'),
+
+    which is lr m_hat / (sqrt(v_hat) + eps) up to f32 rounding.  The step is
+    computed in f32 and subtracted from the f64 parameters.  ``grad`` is a
+    vector in the layout of ``params.flat``; its zero u and v entries leave
+    zero moments and a zero step there.  The whole gradient is checked
+    before anything is written; the update then runs over
     ``_BLOCK``-sized slices with two scratch buffers, so it streams through
     cache instead of making whole-vector temporaries.
 
     Raises:
-        ValueError: naming the offending block if a gradient is non-finite.
+        ValueError: naming the offending block if a gradient entry is not
+            finite once rounded to f32 (NaN, inf, or beyond f32's range).
     """
     if grad.shape != params.flat.shape:
         raise ValueError(f"gradient shape {grad.shape} does not fit {block_prefix} parameters {params.flat.shape}")
-    if not np.isfinite(grad).all():
-        first = np.flatnonzero(~np.isfinite(grad))[0]
-        k, name = next((k, name) for k, name, s, _ in _layout(params.sizes)[0] if first < s.stop)
-        raise ValueError(f"non-finite gradient in {block_prefix} {k} {name}")
+    # min and max carry a NaN through, and a NaN fails either comparison
+    if not (-_F32_OVERFLOW < grad.min() and grad.max() < _F32_OVERFLOW):
+        first = np.flatnonzero(~(np.abs(grad) < _F32_OVERFLOW))[0]
+        layer, name = next((k, name) for k, name, s, _ in _layout(params.sizes)[0] if first < s.stop)
+        raise ValueError(f"non-finite gradient in {block_prefix} {layer} {name}")
     if state.m is None:
-        state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        state.m, state.v = np.zeros(grad.size, np.float32), np.zeros(grad.size, np.float32)
     state.t += 1
-    bc1 = 1.0 - ADAM_BETA1**state.t
-    bc2 = 1.0 - ADAM_BETA2**state.t
+    k = math.sqrt((1.0 - ADAM_BETA2) / (1.0 - ADAM_BETA2**state.t))
+    alpha = state.lr * (1.0 - ADAM_BETA1) / ((1.0 - ADAM_BETA1**state.t) * k)
+    eps = ADAM_EPS / k
     n = min(_BLOCK, grad.size)
-    step, denom = np.empty(n), np.empty(n)
+    g32, step = np.empty(n, np.float32), np.empty(n, np.float32)
     for start in range(0, grad.size, _BLOCK):
         blk = slice(start, start + _BLOCK)
-        p, g, m, v = params.flat[blk], grad[blk], state.m[blk], state.v[blk]
-        a, b = step[: g.size], denom[: g.size]
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        p, m, v = params.flat[blk], state.m[blk], state.v[blk]
+        g, a = g32[: p.size], step[: p.size]
+        g[...] = grad[blk]
         m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-        m += a
+        m += g
+        g *= g
         v *= ADAM_BETA2
-        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
-        a *= g
-        v += a
-        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps); bc1 is exactly 1.0 from step 356
-        np.multiply(m if bc1 == 1.0 else np.divide(m, bc1, out=a), state.lr, out=a)
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
+        v += g
+        np.sqrt(v, out=g)
+        g += eps
+        np.multiply(m, alpha, out=a)
+        a /= g
         p -= a
     return params, state

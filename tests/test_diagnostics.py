@@ -1,7 +1,5 @@
 """Probability curve, smoothing, curvature selection, and metric helpers."""
 
-import contextlib
-
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -96,12 +94,10 @@ class TestSmoothing:
 
     def test_constant_unchanged(self):
         x = np.linspace(0.1, 2.0, 15)
-        curve = ThresholdCurve(eps=x**2, eps_n=x, log_p=np.full(15, 2.5))
-        # the smoothed column is set before selection, which may or may not find
-        # a knee in the rounding-level curvature of a constant
-        with contextlib.suppress(ValueError):
-            analyze_curve(curve, 5)
-        np.testing.assert_allclose(curve.smoothed, 2.5, atol=1e-12)
+        # a constant has no knee at any level, whatever curvature rounding leaves
+        for level in (0.0, 2.5, -0.5):
+            curve = flat_or_affine(x, np.full(15, level), 5)
+            np.testing.assert_allclose(curve.smoothed, level, atol=1e-12)
 
     def test_recovers_slope_under_noise(self):
         gen = RngStream(31).generator()

@@ -1,5 +1,8 @@
 """Dense-network kernels: forward, reverse-mode gradients, Adam, spectral norm."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -250,6 +253,21 @@ class TestSpectralNormalize:
         assert abs(top - 1.0) < 0.05
 
 
+def scaled_moment_adam(p, m, v, grad, lr, t):
+    """Reference: one Adam step on f32 scaled moments M = m/(1 - b1), V = v/(1 - b2), in place."""
+    k = math.sqrt((1.0 - 0.999) / (1.0 - 0.999**t))
+    alpha = lr * (1.0 - 0.9) / ((1.0 - 0.9**t) * k)
+    g = grad.astype(np.float32)
+    m[...] = np.float32(0.9) * m + g
+    v[...] = np.float32(0.999) * v + g * g
+    p -= np.float32(alpha) * m / (np.sqrt(v) + np.float32(1e-8 / k))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
 class TestAdamStep:
     def _one_layer(self, w0):
         return MLPParams([Layer(np.array([[w0]]), np.zeros(1), "linear", spectral=False)])
@@ -309,9 +327,17 @@ class TestAdamStep:
         ids=["one_adam_block", "several_adam_blocks"],
     )
     def test_matches_per_block_update(self, sizes):
-        """Reference: the per-(layer, W/b) Adam loop the flat step replaced."""
+        """Reference: the scaled-moment update per (layer, W/b) block; and textbook f64 Adam."""
 
         def per_block_step(state, blocks, grads, lr):
+            if not state["m"]:
+                state["m"] = [np.zeros(b.shape, np.float32) for b in blocks]
+                state["v"] = [np.zeros(b.shape, np.float32) for b in blocks]
+            state["t"] += 1
+            for target, grad, m, v in zip(blocks, grads, state["m"], state["v"]):
+                scaled_moment_adam(target, m, v, grad, lr, state["t"])
+
+        def textbook_step(state, blocks, grads, lr):
             if not state["m"]:
                 state["m"] = [np.zeros_like(b) for b in blocks]
                 state["v"] = [np.zeros_like(b) for b in blocks]
@@ -331,7 +357,9 @@ class TestAdamStep:
         if sizes[0] > 5:  # flat spans full Adam blocks and ends in a partial one
             assert net.flat.size > 2 * _BLOCK and net.flat.size % _BLOCK
         ref_blocks = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
+        textbook_blocks = [a.copy() for a in ref_blocks]
         ref_state = {"t": 0, "m": [], "v": []}
+        textbook_state = {"t": 0, "m": [], "v": []}
         u_v = [(l.u.copy(), l.v.copy()) for l in net.layers]
         gen = RngStream(9).generator()
         x, target = gen.standard_normal((11, sizes[0])), gen.standard_normal((11, 3))
@@ -339,52 +367,61 @@ class TestAdamStep:
         for _ in range(60):
             out, cache = mlp_forward(net, x)
             grad, _ = mlp_backward(net, cache, out - target)
-            per_block_step(ref_state, ref_blocks, [b for dw, db, _, _ in net.blocks(grad) for b in (dw, db)], 0.01)
+            grads = [b for dw, db, _, _ in net.blocks(grad) for b in (dw, db)]
+            per_block_step(ref_state, ref_blocks, grads, 0.01)
+            textbook_step(textbook_state, textbook_blocks, grads, 0.01)
             adam_step(state, net, grad)
+        assert state.m.dtype == state.v.dtype == np.float32
         for k, (layer, (u, v)) in enumerate(zip(net.layers, u_v)):
-            np.testing.assert_array_equal(layer.weights, ref_blocks[2 * k])
-            np.testing.assert_array_equal(layer.bias, ref_blocks[2 * k + 1])
+            assert_same_bits(layer.weights, ref_blocks[2 * k])
+            assert_same_bits(layer.bias, ref_blocks[2 * k + 1])
+            np.testing.assert_allclose(layer.weights, textbook_blocks[2 * k], rtol=0.0, atol=1e-6)
+            np.testing.assert_allclose(layer.bias, textbook_blocks[2 * k + 1], rtol=0.0, atol=1e-6)
             np.testing.assert_array_equal(layer.u, u)
             np.testing.assert_array_equal(layer.v, v)
             for flat_moment, ref_moment in ((state.m, ref_state["m"]), (state.v, ref_state["v"])):
                 dw, db, du, dv = net.blocks(flat_moment)[k]
-                np.testing.assert_array_equal(dw, ref_moment[2 * k])
-                np.testing.assert_array_equal(db, ref_moment[2 * k + 1])
+                assert_same_bits(dw, ref_moment[2 * k])
+                assert_same_bits(db, ref_moment[2 * k + 1])
                 np.testing.assert_array_equal(du, 0.0)
                 np.testing.assert_array_equal(dv, 0.0)
         assert state.t == ref_state["t"] == 60
 
     @pytest.mark.parametrize("t0", [354, 355, 400])
     def test_steps_past_unit_bias_correction_match_formula(self, t0):
-        # 1 - 0.9**t rounds to exactly 1.0 from t = 356 on
+        # 1 - 0.9**t rounds to exactly 1.0 from t = 356 on; the update takes no branch there
         assert 1.0 - 0.9**355 != 1.0 and 1.0 - 0.9**356 == 1.0
         net = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(21))
         gen = RngStream(22).generator()
-        m, v = gen.standard_normal(net.flat.size), gen.random(net.flat.size)
+        m = gen.standard_normal(net.flat.size).astype(np.float32)
+        v = gen.random(net.flat.size).astype(np.float32)
         grad = gen.standard_normal(net.flat.size)
         state = AdamState(lr=0.01, t=t0, m=m.copy(), v=v.copy())
         p = net.flat.copy()
         adam_step(state, net, grad)
-        t = t0 + 1
-        m = 0.9 * m + (1.0 - 0.9) * grad
-        v = 0.999 * v + (1.0 - 0.999) * grad * grad
-        p -= 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        scaled_moment_adam(p, m, v, grad, 0.01, t0 + 1)
+        assert state.m.dtype == state.v.dtype == np.float32
         for got, want in ((net.flat, p), (state.m, m), (state.v, v)):
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert_same_bits(got, want)
 
     def test_non_finite_in_last_block_writes_nothing(self):
         net = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(19))
         assert net.flat.size > _BLOCK
         state = AdamState(lr=0.01)
         grad = RngStream(20).generator().standard_normal(net.flat.size)
-        adam_step(state, net, grad)
-        before = [a.copy() for a in (net.flat, state.m, state.v)]
-        net.blocks(grad)[2][0][-1, -1] = np.nan
-        assert np.isnan(grad[(grad.size - 1) // _BLOCK * _BLOCK :]).any()  # in the last, partial block
-        with pytest.raises(ValueError, match="layer 2 weights"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither a step nor a refusal warns
             adam_step(state, net, grad)
+            before = [a.copy() for a in (net.flat, state.m, state.v)]
+            bad = net.blocks(grad)[2][0][-1, -1:]
+            assert np.shares_memory(bad, grad[(grad.size - 1) // _BLOCK * _BLOCK :])  # in the last, partial block
+            # NaN, and 1e39: finite in f64, but inf once rounded to Adam's f32
+            for value in (np.nan, 1e39):
+                bad[...] = value
+                with pytest.raises(ValueError, match="non-finite gradient in layer 2 weights"):
+                    adam_step(state, net, grad)
         for after, kept in zip((net.flat, state.m, state.v), before):
-            np.testing.assert_array_equal(after.view(np.uint64), kept.view(np.uint64))
+            assert_same_bits(after, kept)
         assert state.t == 1
 
 
