@@ -8,6 +8,12 @@ entropic transport cost between the batch encodings and fresh draws from the
 standard-normal latent prior.  That latent term is what pushes the aggregate
 encoding distribution onto the prior, so that decoding prior draws samples
 the learned joint distribution.
+
+Training is mixed-precision: Adam updates f64 master networks, and every
+GEMM of the loss and of validation runs on an f32 mirror of them that Adam
+writes in the same pass.  The reconstruction residuals, the transport costs,
+Sinkhorn and the latent term's point gradients stay f64; an f32 Gibbs kernel
+would underflow once |c| / reg exceeds ~87.
 """
 
 from __future__ import annotations
@@ -143,10 +149,6 @@ class JGNNModel:
             [latent_dim, *hidden, dim_x + dim_y], acts, rng.split(1), spectral=sn
         )
         return cls(encoder, decoder, dim_x, dim_y, latent_dim)
-
-    def copy(self) -> "JGNNModel":
-        dims = (self.dim_x, self.dim_y, self.latent_dim)
-        return JGNNModel(self.encoder.copy(), self.decoder.copy(), *dims, replace(self.standardizer))
 
 
 @dataclass(frozen=True)
@@ -306,15 +308,23 @@ def train(
     model: JGNNModel,
     cfg: TrainConfig,
 ) -> tuple[JGNNModel, TrainHistory]:
-    """Mini-batch Adam training; returns the best-validation checkpoint.
+    """Mixed-precision mini-batch Adam training; returns the best-validation checkpoint.
+
+    Adam updates ``model``'s f64 networks (the masters) and writes their f32
+    rounding into a mirror of each, built once; after each spectral refresh
+    of the masters, the refreshed u and v go to the mirror too.  The loss
+    and its gradients are computed on the mirror, so every network GEMM runs
+    in f32, while the residuals, transport costs and Sinkhorn stay f64.
 
     A seeded fraction of the couples is held out; after every epoch the
-    validation reconstruction MSE (standardized space) is recorded and the
-    parameters with the lowest total are kept, each rounded to the f32
-    value :func:`save_model` stores, so the returned model is its own
-    checkpoint bit for bit.  Deterministic per seed.
-    A non-finite batch loss or validation MSE, or a gradient entry that is
-    not finite once rounded to f32 (Adam's precision), raises
+    validation reconstruction MSE (standardized space) is computed on the
+    mirror, which is then f32(master) bit for bit, that is, the weights
+    :func:`save_model` stores.  The mirror of the epoch with the lowest
+    total is snapshotted, and the returned model is built from that
+    snapshot, so it is its own checkpoint bit for bit and its f32 forward
+    gives the recorded validation figures exactly.  Deterministic per seed.
+    A non-finite batch loss or validation MSE, or a gradient entry that Adam
+    refuses (NaN, infinite or beyond its f32 range), raises
     :class:`TrainingDiverged`.
 
     A decoder of at least ``_THREADED_ADAM_BLOCKS`` Adam blocks takes its
@@ -345,8 +355,12 @@ def train(
     dec_state = AdamState(lr=_LEARNING_RATE)
     history = TrainHistory()
     n_batches = train_idx.size // cfg.batch_size
+    dims = (model.dim_x, model.dim_y, model.latent_dim)
+    masters = (model.encoder, model.decoder)
+    mirrors = tuple(net.copy(np.float32) for net in masters)
+    mirror = JGNNModel(*mirrors, *dims, model.standardizer)
     best_val = np.inf
-    best_model = model.copy()
+    best = [net.copy() for net in mirrors]
 
     # a worker needs a second CPU, and none is spare with the BLAS pool pinned
     # to one thread (--threads 1 and LATENT_ABCSS_THREADS=1 export this variable)
@@ -362,23 +376,26 @@ def train(
             ep_mx = ep_my = ep_ot = 0.0
             for b in range(n_batches):
                 idx = train_idx[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
-                refresh_spectral(model.encoder)
-                refresh_spectral(model.decoder)
+                for master, twin in zip(masters, mirrors):
+                    refresh_spectral(master)
+                    for src, dst in zip(master.layers, twin.layers):
+                        if src.spectral:
+                            dst.u[...], dst.v[...] = src.u, src.v
                 draws = (
                     rng.split(2, epoch, b)
                     .generator()
                     .standard_normal((cfg.batch_size, model.latent_dim))
                 )
                 try:
-                    res = jgnn_loss(xs_s[idx], ys_s[idx], model, lam, sinkhorn_cfg, draws)
-                    _adam_steps(pool, model, res, enc_state, dec_state)
+                    res = jgnn_loss(xs_s[idx], ys_s[idx], mirror, lam, sinkhorn_cfg, draws)
+                    _adam_steps(pool, model, mirror, res, enc_state, dec_state)
                 except ValueError as err:
                     raise TrainingDiverged(epoch, history) from err
                 ep_mx += res.mse_x
                 ep_my += res.mse_y
                 ep_ot += res.ot_cost
 
-            val_x_rec, val_y_rec = _reconstruct(model, x_val, y_val)
+            val_x_rec, val_y_rec = _reconstruct(mirror, x_val, y_val)
             vmx = float(np.mean((val_x_rec - x_val) ** 2))
             vmy = float(np.mean((val_y_rec - y_val) ** 2))
             history.mse_x.append(ep_mx / n_batches)
@@ -391,12 +408,11 @@ def train(
                 raise TrainingDiverged(epoch, history)
             if vmx + vmy < best_val:
                 best_val = vmx + vmy
-                best_model = model.copy()
+                for snapshot, net in zip(best, mirrors):
+                    snapshot.flat[...] = net.flat
 
-    best_model.standardizer = model.standardizer
-    for net in (best_model.encoder, best_model.decoder):
-        net.flat[:] = net.flat.astype(np.float32)
-    return best_model, history
+    encoder, decoder = (snapshot.copy(np.float64) for snapshot in best)
+    return JGNNModel(encoder, decoder, *dims, model.standardizer), history
 
 
 def _cpu_count() -> int:
@@ -404,21 +420,25 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _adam_steps(pool, model: JGNNModel, res: LossResult, enc_state: AdamState, dec_state: AdamState):
+def _adam_steps(pool, model: JGNNModel, mirror: JGNNModel, res: LossResult, enc_state: AdamState, dec_state: AdamState):
     """Both networks' Adam steps; the decoder's on ``pool``'s worker thread when there is a pool.
 
-    The two updates touch disjoint arrays and numpy's element-wise passes
-    release the GIL, so they overlap and give the same bits as in turn.  The
-    worker is joined before this returns or raises; with both gradients
-    refused, the encoder's error is the one raised, as in turn.
+    Each step updates a master network of ``model`` and writes its mirror
+    in ``mirror``.  The two updates touch disjoint arrays and numpy's
+    element-wise passes release the GIL, so they overlap and give the same
+    bits as in turn.  The worker is joined before this returns or raises;
+    with both gradients refused, the encoder's error is the one raised, as
+    in turn.
     """
+    enc = (enc_state, model.encoder, res.encoder_grad, "encoder layer", mirror.encoder.flat)
+    dec = (dec_state, model.decoder, res.decoder_grad, "decoder layer", mirror.decoder.flat)
     if pool is None:
-        adam_step(enc_state, model.encoder, res.encoder_grad, "encoder layer")
-        adam_step(dec_state, model.decoder, res.decoder_grad, "decoder layer")
+        adam_step(*enc)
+        adam_step(*dec)
         return
-    dec = pool.submit(adam_step, dec_state, model.decoder, res.decoder_grad, "decoder layer")
+    dec = pool.submit(adam_step, *dec)
     try:
-        adam_step(enc_state, model.encoder, res.encoder_grad, "encoder layer")
+        adam_step(*enc)
     finally:
         wait((dec,))
     dec.result()

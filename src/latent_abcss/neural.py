@@ -9,6 +9,11 @@ During differentiation the per-layer direction vectors (u, v) are treated as
 constants, so the effective weight ``W / (u' W v)`` is a smooth function of
 ``W`` and analytic gradients match finite differences exactly.  The vectors
 are refreshed once per optimizer step via :func:`refresh_spectral`.
+
+Training is mixed-precision (Micikevicius et al., "Mixed Precision
+Training", ICLR 2018): :func:`adam_step` updates f64 master parameters and
+writes their f32 rounding into a mirror network, and the forward and
+backward passes run on that mirror, in the dtype of its parameters.
 """
 
 from __future__ import annotations
@@ -41,16 +46,19 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Adam streams its vectors in blocks of this many entries, so that the six
-# block-sized arrays an Adam block touches (f64 parameters and gradient,
-# 256 KiB each; f32 moments and two f32 scratch buffers, 128 KiB each; 1 MiB
-# in all) stay in a 2 MiB L2 cache.  The work is element-wise, so results do
-# not depend on the block size.
+# Adam streams its vectors in blocks of this many entries, so that the
+# block-sized arrays a training step's Adam block touches (f64 parameters,
+# 256 KiB; the f32 gradient, moments, mirror and two scratch buffers, 128 KiB
+# each; 1 MiB in all) stay in a 2 MiB L2 cache.  The work is element-wise, so
+# results do not depend on the block size.
 _BLOCK = 32768
 
-# The least f64 magnitude that rounds to inf in f32: f32's largest value plus
-# half a unit in its last place (that tie rounds to even, which is up).
-_F32_OVERFLOW = float(np.finfo(np.float32).max) + 2.0**103
+# Adam refuses a gradient entry of this magnitude or more.  Under a constant
+# g the f32 second moment V = v / (1 - beta2) tends to g^2 / (1 - beta2), so
+# |g| < sqrt(f32 max (1 - beta2)) keeps V finite; 1% off covers f32's rounding
+# of beta2 and of each update.  The limit is an f32 value, so comparing it
+# with an f32 gradient casts nothing that overflows.
+_GRAD_LIMIT = float(np.float32(0.99 * math.sqrt(float(np.finfo(np.float32).max) * (1.0 - ADAM_BETA2))))
 
 
 def _activate(s: np.ndarray, kind: str) -> np.ndarray:
@@ -61,8 +69,8 @@ def _activate(s: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _activate_grad(s: np.ndarray) -> np.ndarray:
-    """Leaky ReLU's derivative; a linear layer's is 1 and is never formed."""
-    return np.where(s > 0.0, 1.0, LEAKY_SLOPE)
+    """Leaky ReLU's derivative in the dtype of ``s``; a linear layer's is 1 and is never formed."""
+    return np.where(s > 0.0, s.dtype.type(1.0), s.dtype.type(LEAKY_SLOPE))
 
 
 @dataclass
@@ -70,7 +78,7 @@ class Layer:
     """Affine layer ``act(x @ W.T + b)`` with optional spectral normalization.
 
     Its arrays take the weights' dtype: f32 weights stay f32 (the frozen
-    decoder of inference), anything else becomes f64.
+    decoder of inference, training's mirror), anything else becomes f64.
     """
 
     weights: np.ndarray          # (out, in)
@@ -126,8 +134,9 @@ def flat_size(sizes: list[int]) -> int:
 class MLPParams:
     """An ordered stack of :class:`Layer` whose arrays are views of one vector, ``flat``.
 
-    ``flat`` is f64 for every network that trains; a stack of f32 layers
-    packs into an f32 vector (the frozen decoder's trunk, see ``jgnn``).
+    ``flat`` is f64 for every network that Adam updates; a stack of f32
+    layers packs into an f32 vector (the frozen decoder's trunk and
+    training's mirror networks, see ``jgnn``).
     """
 
     def __init__(self, layers: list[Layer]):
@@ -177,9 +186,10 @@ class MLPParams:
             layers.append(Layer(w, np.zeros(n_out), activations[k], spectral=bool(spectral[k]), u=u))
         return cls(layers)
 
-    def copy(self) -> "MLPParams":
+    def copy(self, dtype=None) -> "MLPParams":
+        """A network on a fresh vector, in ``dtype`` (default: the same dtype)."""
         acts, sn = [l.activation for l in self.layers], [l.spectral for l in self.layers]
-        return MLPParams.from_flat(self.flat.copy(), self.sizes, acts, sn)
+        return MLPParams.from_flat(self.flat.astype(dtype or self.flat.dtype), self.sizes, acts, sn)
 
 
 def refresh_spectral(params: MLPParams) -> None:
@@ -228,7 +238,10 @@ def mlp_forward(params: MLPParams, x: np.ndarray):
 
 
 def mlp_backward(params: MLPParams, cache, output_gradient: np.ndarray, input_gradient: bool = True):
-    """Reverse-mode gradients of a cached forward pass.
+    """Reverse-mode gradients of a cached forward pass, in the dtype of ``params.flat``.
+
+    The output gradient is cast to the parameters' dtype, so an f32 network
+    (training's mirror) makes every GEMM and both returned gradients f32.
 
     Args:
         input_gradient: False skips the first layer's input-gradient GEMM,
@@ -239,7 +252,7 @@ def mlp_backward(params: MLPParams, cache, output_gradient: np.ndarray, input_gr
         ``params.flat``, zero in the u and v slots; ``input_gradient`` has
         the input batch shape, or is None when not asked for.
     """
-    g = np.atleast_2d(np.asarray(output_gradient, dtype=np.float64))
+    g = np.atleast_2d(np.asarray(output_gradient, dtype=params.flat.dtype))
     if len(cache) != len(params.layers):
         raise ValueError("cache does not match network depth")
     if g.shape != cache[-1]["s"].shape:
@@ -282,7 +295,7 @@ class AdamState:
     v: np.ndarray | None = None
 
 
-def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefix: str = "layer"):
+def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefix: str = "layer", mirror=None):
     """Bias-corrected Adam update of ``params.flat``, applied in place.
 
     Kingma & Ba's update with both bias corrections and the (1 - beta)
@@ -294,24 +307,28 @@ def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefi
         p <- p - alpha M / (sqrt(V) + eps'),
 
     which is lr m_hat / (sqrt(v_hat) + eps) up to f32 rounding.  The step is
-    computed in f32 and subtracted from the f64 parameters.  ``grad`` is a
-    vector in the layout of ``params.flat``; its zero u and v entries leave
-    zero moments and a zero step there.  The whole gradient is checked
-    before anything is written; the update then runs over
+    computed in f32 and subtracted from the f64 parameters.  ``grad``, f32
+    or f64, is a vector in the layout of ``params.flat``; its zero u and v
+    entries leave zero moments and a zero step there.  The whole gradient is
+    checked before anything is written; the update then runs over
     ``_BLOCK``-sized slices with two scratch buffers, so it streams through
-    cache instead of making whole-vector temporaries.
+    cache instead of making whole-vector temporaries.  ``mirror``, an f32
+    vector in the same layout (training's mirror network, see ``jgnn.train``),
+    receives each updated block rounded to f32 while the block is in cache.
 
     Raises:
-        ValueError: naming the offending block if a gradient entry is not
-            finite once rounded to f32 (NaN, inf, or beyond f32's range).
+        ValueError: naming the offending block if a gradient entry is NaN,
+            infinite, or of magnitude ``_GRAD_LIMIT`` (~5.8e17) or more,
+            where the f32 second moment could overflow.
     """
     if grad.shape != params.flat.shape:
         raise ValueError(f"gradient shape {grad.shape} does not fit {block_prefix} parameters {params.flat.shape}")
     # min and max carry a NaN through, and a NaN fails either comparison
-    if not (-_F32_OVERFLOW < grad.min() and grad.max() < _F32_OVERFLOW):
-        first = np.flatnonzero(~(np.abs(grad) < _F32_OVERFLOW))[0]
+    if not (-_GRAD_LIMIT < grad.min() and grad.max() < _GRAD_LIMIT):
+        first = np.flatnonzero(~(np.abs(grad) < _GRAD_LIMIT))[0]
         layer, name = next((k, name) for k, name, s, _ in _layout(params.sizes)[0] if first < s.stop)
-        raise ValueError(f"non-finite gradient in {block_prefix} {layer} {name}")
+        kind = "non-finite" if not np.isfinite(grad[first]) else "out-of-range"
+        raise ValueError(f"{kind} gradient in {block_prefix} {layer} {name}")
     if state.m is None:
         state.m, state.v = np.zeros(grad.size, np.float32), np.zeros(grad.size, np.float32)
     state.t += 1
@@ -335,4 +352,6 @@ def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefi
         np.multiply(m, alpha, out=a)
         a /= g
         p -= a
+        if mirror is not None:
+            mirror[blk] = p
     return params, state

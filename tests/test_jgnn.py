@@ -261,6 +261,64 @@ class TestTrain:
         assert np.isfinite(history.mse_x).all() and np.isnan(history.val_mse_x).all()
         assert len(history.val_mse_x) == 1
 
+    def test_every_gemm_and_adam_gradient_is_f32(self, monkeypatch):
+        # a stray f64 factor (say, an activation derivative) upcasts the backward
+        # GEMMs silently: every other test still passes, only slower
+        xs, ys, _ = linear_toy_dataset(300, seed=5)
+        seen = {"forward": 0, "backward": 0, "adam": 0}
+        forward, backward, step = jgnn.mlp_forward, jgnn.mlp_backward, jgnn.adam_step
+
+        def f32(*arrays):
+            return all(a.dtype == np.float32 for a in arrays)
+
+        def spy_forward(params, x):
+            out, cache = forward(params, x)
+            assert f32(params.flat, out, *(c[k] for c in cache for k in ("x", "s")))
+            seen["forward"] += 1
+            return out, cache
+
+        def spy_backward(params, cache, output_gradient, input_gradient=True):
+            grad, gx = backward(params, cache, output_gradient, input_gradient)
+            assert f32(params.flat, grad) and (gx is None or f32(gx))
+            seen["backward"] += 1
+            return grad, gx
+
+        def spy_step(state, params, grad, block_prefix, mirror):
+            assert params.flat.dtype == np.float64 and f32(grad, mirror)
+            seen["adam"] += 1
+            return step(state, params, grad, block_prefix, mirror)
+
+        monkeypatch.setattr(jgnn, "mlp_forward", spy_forward)
+        monkeypatch.setattr(jgnn, "mlp_backward", spy_backward)
+        monkeypatch.setattr(jgnn, "adam_step", spy_step)
+        model = JGNNModel.init(DIM_X, DIM_Y, DIM_Z, RngStream(2), hidden=(32, 16))
+        train(xs, ys, model, TrainConfig(epochs=2, batch_size=64, seed=9))
+        # 4 batches per epoch: two forwards, two backwards and two Adam steps each;
+        # and one validation forward through both networks per epoch
+        assert seen == {"forward": 2 * 4 * 2 + 2 * 2, "backward": 2 * 4 * 2, "adam": 2 * 4 * 2}
+
+    def test_best_validation_figure_is_the_checkpoints(self, tmp_path):
+        # an f32 forward of the returned weights (what the checkpoint stores)
+        # gives the best epoch's recorded validation MSE exactly
+        xs, ys, _ = linear_toy_dataset(400, seed=7)
+        cfg = TrainConfig(epochs=6, batch_size=64, lambda0=5.0, seed=11)
+        best, history = train(xs, ys, JGNNModel.init(DIM_X, DIM_Y, 4, RngStream(8), hidden=(24,)), cfg)
+        totals = np.add(history.val_mse_x, history.val_mse_y)
+        best_epoch = int(np.argmin(totals))
+        n_val = max(1, int(round(jgnn._VAL_FRACTION * len(xs))))
+        val = RngStream(cfg.seed, stream_id=17).split(0).generator().permutation(len(xs))[:n_val]
+        x_val, y_val = best.standardizer.x_to_std(xs[val]), best.standardizer.y_to_std(ys[val])
+        path = str(tmp_path / "model.ckpt")
+        save_model(path, best)
+        for model in (best, load_model(path)):
+            enc, dec = model.encoder.copy(np.float32), model.decoder.copy(np.float32)
+            assert enc.flat.astype(np.float64).tobytes() == model.encoder.flat.tobytes()
+            z, _ = mlp_forward(enc, np.concatenate([x_val, y_val], axis=1))
+            out, _ = mlp_forward(dec, z)
+            vmx = float(np.mean((out[:, :DIM_X] - x_val) ** 2))
+            vmy = float(np.mean((out[:, DIM_X:] - y_val) ** 2))
+            assert (vmx, vmy) == (history.val_mse_x[best_epoch], history.val_mse_y[best_epoch])
+
     def test_dataset_smaller_than_batch_rejected(self):
         xs, ys, _ = linear_toy_dataset(50)
         with pytest.raises(ValueError, match="batch"):
@@ -271,9 +329,9 @@ def _spy_adam(monkeypatch):
     """Record each Adam step as (network, ran on a worker thread)."""
     calls = []
 
-    def spy(state, params, grad, block_prefix):
+    def spy(state, params, grad, block_prefix, *args):
         calls.append((block_prefix.split()[0], threading.current_thread() is not threading.main_thread()))
-        return adam_step(state, params, grad, block_prefix)
+        return adam_step(state, params, grad, block_prefix, *args)
 
     monkeypatch.setattr(jgnn, "adam_step", spy)
     return calls

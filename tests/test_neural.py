@@ -8,11 +8,13 @@ import pytest
 
 from latent_abcss.neural import (
     _BLOCK,
+    _GRAD_LIMIT,
     LEAKY_SLOPE,
     AdamState,
     Layer,
     MLPParams,
     _activate,
+    _activate_grad,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -415,14 +417,114 @@ class TestAdamStep:
             before = [a.copy() for a in (net.flat, state.m, state.v)]
             bad = net.blocks(grad)[2][0][-1, -1:]
             assert np.shares_memory(bad, grad[(grad.size - 1) // _BLOCK * _BLOCK :])  # in the last, partial block
-            # NaN, and 1e39: finite in f64, but inf once rounded to Adam's f32
-            for value in (np.nan, 1e39):
+            # NaN; 1e39, finite in f64 but inf once rounded to Adam's f32; and
+            # 1e20, finite in f32 but a square that overflows Adam's f32 moments
+            for value, kind in ((np.nan, "non-finite"), (1e39, "out-of-range"), (1e20, "out-of-range")):
                 bad[...] = value
-                with pytest.raises(ValueError, match="non-finite gradient in layer 2 weights"):
+                with pytest.raises(ValueError, match=f"^{kind} gradient in layer 2 weights$"):
                     adam_step(state, net, grad)
         for after, kept in zip((net.flat, state.m, state.v), before):
             assert_same_bits(after, kept)
         assert state.t == 1
+
+
+class TestAdamRange:
+    """Adam refuses any gradient entry its f32 second moment could overflow on, before writing."""
+
+    def test_limit_is_an_f32_value_below_the_overflow_bound(self):
+        assert float(np.float32(_GRAD_LIMIT)) == _GRAD_LIMIT
+        assert 5.7e17 < _GRAD_LIMIT < math.sqrt(float(np.finfo(np.float32).max) * (1.0 - 0.999))
+
+    @pytest.mark.parametrize("value", [1e20, -_GRAD_LIMIT, np.nan, np.inf, -np.inf])
+    def test_refused_f32_entry_writes_nothing(self, value):
+        net = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(23))
+        state = AdamState(lr=0.01)
+        grad = RngStream(24).generator().standard_normal(net.flat.size).astype(np.float32)
+        kind = "out-of-range" if np.isfinite(value) else "non-finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in a cast, a square or a comparison
+            adam_step(state, net, grad)
+            before = [a.copy() for a in (net.flat, state.m, state.v)]
+            net.blocks(grad)[1][1][3] = value
+            with pytest.raises(ValueError, match=f"^{kind} gradient in layer 1 bias$"):
+                adam_step(state, net, grad)
+        for after, kept in zip((net.flat, state.m, state.v), before):
+            assert_same_bits(after, kept)
+        assert state.t == 1
+
+    def test_entries_just_below_the_limit_keep_the_moments_finite(self):
+        # under a constant g, V tends to g^2 / (1 - beta2); 12000 steps take it
+        # within 1e-5 of that fixed point, which must stay below f32's maximum
+        net = MLPParams([Layer(np.zeros((1, 1)), np.zeros(1), "linear", spectral=False)])
+        below = float(np.nextafter(np.float32(_GRAD_LIMIT), np.float32(0.0)))
+        grad = np.array([below, -below, 0.0, 0.0])
+        state = AdamState(lr=0.001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(12000):
+                adam_step(state, net, grad)
+        assert np.isfinite(state.v).all() and np.isfinite(state.m).all()
+        assert state.v[0] > 0.99 * below**2 / (1.0 - 0.999)
+        np.testing.assert_allclose(net.flat[:2], [-12.0, 12.0], rtol=1e-3)
+
+
+class TestMixedPrecision:
+    """f32 mirror networks: gradients in the parameters' dtype, and Adam writing the mirror."""
+
+    def _nets(self):
+        net64 = MLPParams.init([30, 40, 20, 5], ["leaky_relu", "leaky_relu", "linear"], RngStream(25))
+        refresh_spectral(net64)
+        return net64, net64.copy(np.float32)
+
+    def test_copy_to_f32_is_a_rounded_twin(self):
+        net64, net32 = self._nets()
+        assert net32.flat.dtype == np.float32 and not np.shares_memory(net32.flat, net64.flat)
+        assert_same_bits(net32.flat, net64.flat.astype(np.float32))
+        for l32, l64 in zip(net32.layers, net64.layers):
+            assert (l32.activation, l32.spectral) == (l64.activation, l64.spectral)
+            assert all(np.shares_memory(getattr(l32, n), net32.flat) for n in ("weights", "bias", "u", "v"))
+
+    @pytest.mark.parametrize("input_gradient", [True, False])
+    def test_backward_runs_in_the_parameters_dtype(self, input_gradient):
+        net64, net32 = self._nets()
+        gen = RngStream(26).generator()
+        x, g = gen.standard_normal((64, 30)), gen.standard_normal((64, 5))
+        grads = {}
+        for net in (net64, net32):
+            _, cache = mlp_forward(net, x)
+            grads[net.flat.dtype] = mlp_backward(net, cache, g, input_gradient=input_gradient)
+        (p64, x64), (p32, x32) = grads[np.dtype(np.float64)], grads[np.dtype(np.float32)]
+        assert p32.dtype == np.float32
+        # within f32 rounding of the f64 gradients (64-term sums, three layers deep)
+        assert np.max(np.abs(p32 - p64)) <= 1e-5 * np.max(np.abs(p64))
+        if input_gradient:
+            assert x32.dtype == np.float32
+            assert np.max(np.abs(x32 - x64)) <= 1e-5 * np.max(np.abs(x64))
+        else:
+            assert x32 is None
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_activation_derivative_keeps_the_dtype(self, dtype):
+        s = RngStream(27).generator().standard_normal(100).astype(dtype)
+        d = _activate_grad(s)
+        assert d.dtype == dtype
+        np.testing.assert_array_equal(d, np.where(s > 0, 1.0, LEAKY_SLOPE).astype(dtype))
+
+    def test_adam_writes_the_f32_rounding_of_every_block(self):
+        net = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(28))
+        assert net.flat.size > 2 * _BLOCK and net.flat.size % _BLOCK
+        plain = net.copy()
+        mirror = net.copy(np.float32)
+        states = AdamState(lr=0.01), AdamState(lr=0.01)
+        gen = RngStream(29).generator()
+        for _ in range(3):
+            grad = gen.standard_normal(net.flat.size).astype(np.float32)
+            adam_step(states[0], net, grad, "layer", mirror.flat)
+            adam_step(states[1], plain, grad)
+            assert_same_bits(mirror.flat, net.flat.astype(np.float32))
+        # writing the mirror leaves the masters' update as it is
+        assert_same_bits(net.flat, plain.flat)
+        assert_same_bits(states[0].v, states[1].v)
 
 
 class TestFlatParameters:
