@@ -9,9 +9,8 @@ standard-normal latent prior.  That latent term is what pushes the aggregate
 encoding distribution onto the prior, so that decoding prior draws samples
 the learned joint distribution.
 
-Training is mixed-precision: Adam updates f64 master networks, and every
-GEMM of the loss and of validation runs on an f32 mirror of them that Adam
-writes in the same pass.  The reconstruction residuals, the transport costs,
+Training updates f32 copies of the networks, so every GEMM of the loss and
+of validation is f32.  The reconstruction residuals, the transport costs,
 Sinkhorn and the latent term's point gradients stay f64; an f32 Gibbs kernel
 would underflow once |c| / reg exceeds ~87.
 """
@@ -308,32 +307,43 @@ def train(
     model: JGNNModel,
     cfg: TrainConfig,
 ) -> tuple[JGNNModel, TrainHistory]:
-    """Mixed-precision mini-batch Adam training; returns the best-validation checkpoint.
+    """Mini-batch Adam training in f32; returns the best-validation checkpoint.
 
-    Adam updates ``model``'s f64 networks (the masters) and writes their f32
-    rounding into a mirror of each, built once; after each spectral refresh
-    of the masters, the refreshed u and v go to the mirror too.  The loss
-    and its gradients are computed on the mirror, so every network GEMM runs
-    in f32, while the residuals, transport costs and Sinkhorn stay f64.
+    ``model``'s networks are copied to f32 once, and Adam updates those
+    copies in place; each step's spectral refresh, the loss and its
+    gradients and the validation forward all run on them, so every network
+    GEMM is f32, while the residuals, transport costs and Sinkhorn stay f64.
+    ``model`` itself is left as it is: the standardizer fitted to the
+    training couples goes on the returned model only.
 
     A seeded fraction of the couples is held out; after every epoch the
     validation reconstruction MSE (standardized space) is computed on the
-    mirror, which is then f32(master) bit for bit, that is, the weights
-    :func:`save_model` stores.  The mirror of the epoch with the lowest
-    total is snapshotted, and the returned model is built from that
-    snapshot, so it is its own checkpoint bit for bit and its f32 forward
-    gives the recorded validation figures exactly.  Deterministic per seed.
-    A non-finite batch loss or validation MSE, or a gradient entry that Adam
-    refuses (NaN, infinite or beyond its f32 range), raises
-    :class:`TrainingDiverged`.
+    f32 networks, the weights :func:`save_model` stores.  The networks of
+    the epoch with the lowest total are snapshotted, and the returned model
+    is built from that snapshot, so it is its own checkpoint bit for bit and
+    its f32 forward gives the recorded validation figures exactly.
+    Deterministic per seed.
 
     A decoder of at least ``_THREADED_ADAM_BLOCKS`` Adam blocks takes its
     Adam step on one worker thread while the encoder's runs, unless the
     process has one CPU or its BLAS pool is pinned to one thread; the
     parameters are the same bits as with the steps in turn.
+
+    Raises:
+        ValueError: before any work, if ``xs`` and ``ys`` differ in rows,
+            their columns from ``model``'s dimensions, or the training split
+            is smaller than a batch.
+        TrainingDiverged: on a non-finite batch loss or validation MSE, or a
+            gradient entry Adam refuses (NaN, infinite or beyond f32 range).
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    if xs.shape[0] != ys.shape[0]:
+        raise ValueError(f"xs has {xs.shape[0]} rows but ys has {ys.shape[0]}")
+    if (xs.shape[1], ys.shape[1]) != (model.dim_x, model.dim_y):
+        raise ValueError(
+            f"data has dim_x {xs.shape[1]} and dim_y {ys.shape[1]}, the model {model.dim_x} and {model.dim_y}"
+        )
     n = xs.shape[0]
     rng = RngStream(cfg.seed, stream_id=17)
     sinkhorn_cfg = SinkhornConfig(reg=_SINKHORN_REG, max_iter=_SINKHORN_MAX_ITER, tol=cfg.sinkhorn_tol)
@@ -346,9 +356,9 @@ def train(
             f"dataset leaves {train_idx.size} training couples for batch size {cfg.batch_size}"
         )
 
-    model.standardizer = Standardizer.fit(xs[train_idx], ys[train_idx])
-    xs_s = model.standardizer.x_to_std(xs)
-    ys_s = model.standardizer.y_to_std(ys)
+    standardizer = Standardizer.fit(xs[train_idx], ys[train_idx])
+    xs_s = standardizer.x_to_std(xs)
+    ys_s = standardizer.y_to_std(ys)
     x_val, y_val = xs_s[val_idx], ys_s[val_idx]
 
     enc_state = AdamState(lr=_LEARNING_RATE)
@@ -356,11 +366,10 @@ def train(
     history = TrainHistory()
     n_batches = train_idx.size // cfg.batch_size
     dims = (model.dim_x, model.dim_y, model.latent_dim)
-    masters = (model.encoder, model.decoder)
-    mirrors = tuple(net.copy(np.float32) for net in masters)
-    mirror = JGNNModel(*mirrors, *dims, model.standardizer)
+    nets = (model.encoder.copy(np.float32), model.decoder.copy(np.float32))
+    trained = JGNNModel(*nets, *dims, standardizer)
     best_val = np.inf
-    best = [net.copy() for net in mirrors]
+    best = [net.copy() for net in nets]
 
     # a worker needs a second CPU, and none is spare with the BLAS pool pinned
     # to one thread (--threads 1 and LATENT_ABCSS_THREADS=1 export this variable)
@@ -376,26 +385,23 @@ def train(
             ep_mx = ep_my = ep_ot = 0.0
             for b in range(n_batches):
                 idx = train_idx[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
-                for master, twin in zip(masters, mirrors):
-                    refresh_spectral(master)
-                    for src, dst in zip(master.layers, twin.layers):
-                        if src.spectral:
-                            dst.u[...], dst.v[...] = src.u, src.v
+                for net in nets:
+                    refresh_spectral(net)
                 draws = (
                     rng.split(2, epoch, b)
                     .generator()
                     .standard_normal((cfg.batch_size, model.latent_dim))
                 )
                 try:
-                    res = jgnn_loss(xs_s[idx], ys_s[idx], mirror, lam, sinkhorn_cfg, draws)
-                    _adam_steps(pool, model, mirror, res, enc_state, dec_state)
+                    res = jgnn_loss(xs_s[idx], ys_s[idx], trained, lam, sinkhorn_cfg, draws)
+                    _adam_steps(pool, trained, res, enc_state, dec_state)
                 except ValueError as err:
                     raise TrainingDiverged(epoch, history) from err
                 ep_mx += res.mse_x
                 ep_my += res.mse_y
                 ep_ot += res.ot_cost
 
-            val_x_rec, val_y_rec = _reconstruct(mirror, x_val, y_val)
+            val_x_rec, val_y_rec = _reconstruct(trained, x_val, y_val)
             vmx = float(np.mean((val_x_rec - x_val) ** 2))
             vmy = float(np.mean((val_y_rec - y_val) ** 2))
             history.mse_x.append(ep_mx / n_batches)
@@ -408,11 +414,11 @@ def train(
                 raise TrainingDiverged(epoch, history)
             if vmx + vmy < best_val:
                 best_val = vmx + vmy
-                for snapshot, net in zip(best, mirrors):
+                for snapshot, net in zip(best, nets):
                     snapshot.flat[...] = net.flat
 
     encoder, decoder = (snapshot.copy(np.float64) for snapshot in best)
-    return JGNNModel(encoder, decoder, *dims, model.standardizer), history
+    return JGNNModel(encoder, decoder, *dims, standardizer), history
 
 
 def _cpu_count() -> int:
@@ -420,18 +426,16 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _adam_steps(pool, model: JGNNModel, mirror: JGNNModel, res: LossResult, enc_state: AdamState, dec_state: AdamState):
-    """Both networks' Adam steps; the decoder's on ``pool``'s worker thread when there is a pool.
+def _adam_steps(pool, model: JGNNModel, res: LossResult, enc_state: AdamState, dec_state: AdamState):
+    """Both networks' Adam steps on ``model``; the decoder's on ``pool``'s worker thread when there is a pool.
 
-    Each step updates a master network of ``model`` and writes its mirror
-    in ``mirror``.  The two updates touch disjoint arrays and numpy's
-    element-wise passes release the GIL, so they overlap and give the same
-    bits as in turn.  The worker is joined before this returns or raises;
-    with both gradients refused, the encoder's error is the one raised, as
-    in turn.
+    The two updates touch disjoint arrays and numpy's element-wise passes
+    release the GIL, so they overlap and give the same bits as in turn.
+    The worker is joined before this returns or raises; with both gradients
+    refused, the encoder's error is the one raised, as in turn.
     """
-    enc = (enc_state, model.encoder, res.encoder_grad, "encoder layer", mirror.encoder.flat)
-    dec = (dec_state, model.decoder, res.decoder_grad, "decoder layer", mirror.decoder.flat)
+    enc = (enc_state, model.encoder, res.encoder_grad, "encoder layer")
+    dec = (dec_state, model.decoder, res.decoder_grad, "decoder layer")
     if pool is None:
         adam_step(*enc)
         adam_step(*dec)

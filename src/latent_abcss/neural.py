@@ -9,11 +9,6 @@ During differentiation the per-layer direction vectors (u, v) are treated as
 constants, so the effective weight ``W / (u' W v)`` is a smooth function of
 ``W`` and analytic gradients match finite differences exactly.  The vectors
 are refreshed once per optimizer step via :func:`refresh_spectral`.
-
-Training is mixed-precision (Micikevicius et al., "Mixed Precision
-Training", ICLR 2018): :func:`adam_step` updates f64 master parameters and
-writes their f32 rounding into a mirror network, and the forward and
-backward passes run on that mirror, in the dtype of its parameters.
 """
 
 from __future__ import annotations
@@ -47,9 +42,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # Adam streams its vectors in blocks of this many entries, so that the
-# block-sized arrays a training step's Adam block touches (f64 parameters,
-# 256 KiB; the f32 gradient, moments, mirror and two scratch buffers, 128 KiB
-# each; 1 MiB in all) stay in a 2 MiB L2 cache.  The work is element-wise, so
+# block-sized arrays a training step's Adam block touches (the f32
+# parameters, gradient, moments and two scratch buffers, 128 KiB each;
+# 768 KiB in all) stay in a 2 MiB L2 cache.  The work is element-wise, so
 # results do not depend on the block size.
 _BLOCK = 32768
 
@@ -77,8 +72,9 @@ def _activate_grad(s: np.ndarray) -> np.ndarray:
 class Layer:
     """Affine layer ``act(x @ W.T + b)`` with optional spectral normalization.
 
-    Its arrays take the weights' dtype: f32 weights stay f32 (the frozen
-    decoder of inference, training's mirror), anything else becomes f64.
+    Its arrays take the weights' dtype: f32 weights stay f32 (the networks
+    training updates, the frozen decoder of inference), anything else
+    becomes f64.
     """
 
     weights: np.ndarray          # (out, in)
@@ -134,9 +130,9 @@ def flat_size(sizes: list[int]) -> int:
 class MLPParams:
     """An ordered stack of :class:`Layer` whose arrays are views of one vector, ``flat``.
 
-    ``flat`` is f64 for every network that Adam updates; a stack of f32
-    layers packs into an f32 vector (the frozen decoder's trunk and
-    training's mirror networks, see ``jgnn``).
+    ``flat`` has the layers' dtype: f64 for an initialized or loaded
+    network, f32 for the networks training updates (see ``jgnn.train``)
+    and the frozen decoder's trunk.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -241,7 +237,7 @@ def mlp_backward(params: MLPParams, cache, output_gradient: np.ndarray, input_gr
     """Reverse-mode gradients of a cached forward pass, in the dtype of ``params.flat``.
 
     The output gradient is cast to the parameters' dtype, so an f32 network
-    (training's mirror) makes every GEMM and both returned gradients f32.
+    (training's) makes every GEMM and both returned gradients f32.
 
     Args:
         input_gradient: False skips the first layer's input-gradient GEMM,
@@ -295,7 +291,7 @@ class AdamState:
     v: np.ndarray | None = None
 
 
-def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefix: str = "layer", mirror=None):
+def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefix: str = "layer"):
     """Bias-corrected Adam update of ``params.flat``, applied in place.
 
     Kingma & Ba's update with both bias corrections and the (1 - beta)
@@ -307,14 +303,13 @@ def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefi
         p <- p - alpha M / (sqrt(V) + eps'),
 
     which is lr m_hat / (sqrt(v_hat) + eps) up to f32 rounding.  The step is
-    computed in f32 and subtracted from the f64 parameters.  ``grad``, f32
-    or f64, is a vector in the layout of ``params.flat``; its zero u and v
-    entries leave zero moments and a zero step there.  The whole gradient is
-    checked before anything is written; the update then runs over
-    ``_BLOCK``-sized slices with two scratch buffers, so it streams through
-    cache instead of making whole-vector temporaries.  ``mirror``, an f32
-    vector in the same layout (training's mirror network, see ``jgnn.train``),
-    receives each updated block rounded to f32 while the block is in cache.
+    computed in f32 and subtracted from the parameters in their own dtype
+    (f32 in training).  ``grad``, f32 or f64, is a vector in the layout of
+    ``params.flat``; its zero u and v entries leave zero moments and a zero
+    step there.  The whole gradient is checked before anything is written;
+    the update then runs over ``_BLOCK``-sized slices with two scratch
+    buffers, so it streams through cache instead of making whole-vector
+    temporaries.
 
     Raises:
         ValueError: naming the offending block if a gradient entry is NaN,
@@ -352,6 +347,4 @@ def adam_step(state: AdamState, params: MLPParams, grad: np.ndarray, block_prefi
         np.multiply(m, alpha, out=a)
         a /= g
         p -= a
-        if mirror is not None:
-            mirror[blk] = p
     return params, state

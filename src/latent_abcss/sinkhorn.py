@@ -41,8 +41,9 @@ class SinkhornConfig:
 
     ``debiased`` makes :func:`entropic_ot` subtract the two self-transport
     costs, so the value vanishes on identical clouds.  The training latent
-    term and the transport diagnostics combine plain solves themselves and
-    do not use it.
+    term and the transport diagnostics form their own divergences and do
+    not use it: training from two plain solves, the diagnostics from plain
+    cross solves and :func:`self_transport` self terms.
 
     ``max_iter`` is a hard budget.  With ``tol`` zero (the default, and the
     training setting) the budget is simply spent; a positive ``tol`` stops

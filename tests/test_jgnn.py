@@ -283,10 +283,10 @@ class TestTrain:
             seen["backward"] += 1
             return grad, gx
 
-        def spy_step(state, params, grad, block_prefix, mirror):
-            assert params.flat.dtype == np.float64 and f32(grad, mirror)
+        def spy_step(state, params, grad, block_prefix):
+            assert f32(params.flat, grad)
             seen["adam"] += 1
-            return step(state, params, grad, block_prefix, mirror)
+            return step(state, params, grad, block_prefix)
 
         monkeypatch.setattr(jgnn, "mlp_forward", spy_forward)
         monkeypatch.setattr(jgnn, "mlp_backward", spy_backward)
@@ -319,6 +319,36 @@ class TestTrain:
             vmy = float(np.mean((out[:, DIM_X:] - y_val) ** 2))
             assert (vmx, vmy) == (history.val_mse_x[best_epoch], history.val_mse_y[best_epoch])
 
+    def test_mismatched_inputs_rejected_before_any_work(self, monkeypatch):
+        xs, ys, _ = linear_toy_dataset(300, seed=5)
+        model = JGNNModel.init(DIM_X, DIM_Y, 4, RngStream(3), hidden=(8,))
+        narrow = JGNNModel.init(DIM_X - 1, DIM_Y, 4, RngStream(3), hidden=(8,))
+        # fitting the standardizer is the first work on the data
+        monkeypatch.setattr(jgnn, "Standardizer", None)
+        cases = [
+            (narrow, xs, ys, "^data has dim_x 8 and dim_y 20, the model 7 and 20$"),
+            (model, xs, ys[:-1], "^xs has 300 rows but ys has 299$"),
+            (model, xs[:-1], ys, "^xs has 299 rows but ys has 300$"),
+        ]
+        for net, x, y, match in cases:
+            with pytest.raises(ValueError, match=match):
+                train(x, y, net, TrainConfig(epochs=1, batch_size=64))
+
+    def test_passed_model_is_left_untouched(self):
+        xs, ys, _ = linear_toy_dataset(300, seed=5)
+        model = JGNNModel.init(DIM_X, DIM_Y, 4, RngStream(3), hidden=(16,))
+
+        def state():
+            nets = [net.flat.tobytes() for net in (model.encoder, model.decoder)]
+            return nets, {k: v.tobytes() for k, v in vars(model.standardizer).items()}
+
+        before = state()
+        best, _ = train(xs, ys, model, TrainConfig(epochs=2, batch_size=64, seed=9))
+        assert state() == before
+        # the fitted standardizer is on the returned model only
+        assert best.standardizer is not model.standardizer
+        assert best.standardizer.mean_x.tobytes() != before[1]["mean_x"]
+
     def test_dataset_smaller_than_batch_rejected(self):
         xs, ys, _ = linear_toy_dataset(50)
         with pytest.raises(ValueError, match="batch"):
@@ -329,9 +359,9 @@ def _spy_adam(monkeypatch):
     """Record each Adam step as (network, ran on a worker thread)."""
     calls = []
 
-    def spy(state, params, grad, block_prefix, *args):
+    def spy(state, params, grad, block_prefix):
         calls.append((block_prefix.split()[0], threading.current_thread() is not threading.main_thread()))
-        return adam_step(state, params, grad, block_prefix, *args)
+        return adam_step(state, params, grad, block_prefix)
 
     monkeypatch.setattr(jgnn, "adam_step", spy)
     return calls
@@ -341,8 +371,7 @@ class TestThreadedAdam:
     def _train(self, hidden, epochs=2):
         xs, ys, _ = linear_toy_dataset(300, seed=5)
         model = JGNNModel.init(DIM_X, DIM_Y, DIM_Z, RngStream(2), hidden=hidden)
-        best, history = train(xs, ys, model, TrainConfig(epochs=epochs, batch_size=128, seed=9))
-        return model, best, history
+        return train(xs, ys, model, TrainConfig(epochs=epochs, batch_size=128, seed=9))
 
     def test_worker_gives_the_sequential_bits(self, monkeypatch):
         # a decoder above the worker rule: 10 -> 512 -> 512 -> 28 is ~8.6 Adam blocks
@@ -356,10 +385,9 @@ class TestThreadedAdam:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # what --threads 1 exports
         in_turn = self._train((512, 512))
         assert set(calls) == {("encoder", False), ("decoder", False)} and len(calls) == 8
-        for a, b in zip(threaded[:2], in_turn[:2]):
-            for net in ("encoder", "decoder"):
-                assert getattr(a, net).flat.tobytes() == getattr(b, net).flat.tobytes()
-        assert vars(threaded[2]) == vars(in_turn[2])
+        for net in ("encoder", "decoder"):
+            assert getattr(threaded[0], net).flat.tobytes() == getattr(in_turn[0], net).flat.tobytes()
+        assert vars(threaded[1]) == vars(in_turn[1])
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_small_decoder_or_one_cpu_steps_in_turn(self, monkeypatch, cpus):

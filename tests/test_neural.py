@@ -393,18 +393,21 @@ class TestAdamStep:
     def test_steps_past_unit_bias_correction_match_formula(self, t0):
         # 1 - 0.9**t rounds to exactly 1.0 from t = 356 on; the update takes no branch there
         assert 1.0 - 0.9**355 != 1.0 and 1.0 - 0.9**356 == 1.0
-        net = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(21))
+        net64 = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(21))
         gen = RngStream(22).generator()
-        m = gen.standard_normal(net.flat.size).astype(np.float32)
-        v = gen.random(net.flat.size).astype(np.float32)
-        grad = gen.standard_normal(net.flat.size)
-        state = AdamState(lr=0.01, t=t0, m=m.copy(), v=v.copy())
-        p = net.flat.copy()
-        adam_step(state, net, grad)
-        scaled_moment_adam(p, m, v, grad, 0.01, t0 + 1)
-        assert state.m.dtype == state.v.dtype == np.float32
-        for got, want in ((net.flat, p), (state.m, m), (state.v, v)):
-            assert_same_bits(got, want)
+        m0 = gen.standard_normal(net64.flat.size).astype(np.float32)
+        v0 = gen.random(net64.flat.size).astype(np.float32)
+        grad = gen.standard_normal(net64.flat.size)
+        # f64 parameters, and the f32 ones training updates: the step is subtracted in their dtype
+        for net in (net64, net64.copy(np.float32)):
+            m, v = m0.copy(), v0.copy()
+            state = AdamState(lr=0.01, t=t0, m=m.copy(), v=v.copy())
+            p = net.flat.copy()
+            adam_step(state, net, grad)
+            scaled_moment_adam(p, m, v, grad, 0.01, t0 + 1)
+            assert state.m.dtype == state.v.dtype == np.float32
+            for got, want in ((net.flat, p), (state.m, m), (state.v, v)):
+                assert_same_bits(got, want)
 
     def test_non_finite_in_last_block_writes_nothing(self):
         net = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(19))
@@ -469,7 +472,7 @@ class TestAdamRange:
 
 
 class TestMixedPrecision:
-    """f32 mirror networks: gradients in the parameters' dtype, and Adam writing the mirror."""
+    """f32 copies of a network, and gradients in the parameters' dtype."""
 
     def _nets(self):
         net64 = MLPParams.init([30, 40, 20, 5], ["leaky_relu", "leaky_relu", "linear"], RngStream(25))
@@ -509,22 +512,6 @@ class TestMixedPrecision:
         d = _activate_grad(s)
         assert d.dtype == dtype
         np.testing.assert_array_equal(d, np.where(s > 0, 1.0, LEAKY_SLOPE).astype(dtype))
-
-    def test_adam_writes_the_f32_rounding_of_every_block(self):
-        net = MLPParams.init([300, 200, 100, 3], ["leaky_relu", "leaky_relu", "linear"], RngStream(28))
-        assert net.flat.size > 2 * _BLOCK and net.flat.size % _BLOCK
-        plain = net.copy()
-        mirror = net.copy(np.float32)
-        states = AdamState(lr=0.01), AdamState(lr=0.01)
-        gen = RngStream(29).generator()
-        for _ in range(3):
-            grad = gen.standard_normal(net.flat.size).astype(np.float32)
-            adam_step(states[0], net, grad, "layer", mirror.flat)
-            adam_step(states[1], plain, grad)
-            assert_same_bits(mirror.flat, net.flat.astype(np.float32))
-        # writing the mirror leaves the masters' update as it is
-        assert_same_bits(net.flat, plain.flat)
-        assert_same_bits(states[0].v, states[1].v)
 
 
 class TestFlatParameters:
