@@ -3,14 +3,14 @@
 One encoder maps a couple to a latent vector; one decoder maps latents back
 through a shared trunk that splits into a field head and a travel-time head.
 Training minimizes reconstruction MSE of both variables (each normalized by
-its dimension, in standardized space) plus a scheduled multiple of the
-entropic transport cost between the batch encodings and fresh draws from the
-standard-normal latent prior.  That latent term is what pushes the aggregate
-encoding distribution onto the prior, so that decoding prior draws samples
-the learned joint distribution.
+its dimension, on standardized ``[x | y]`` rows) plus a scheduled multiple
+of the entropic transport cost between the batch encodings and fresh draws
+from the standard-normal latent prior.  That latent term is what pushes the
+aggregate encoding distribution onto the prior, so that decoding prior
+draws samples the learned joint distribution.
 
 Training updates f32 copies of the networks, so every GEMM of the loss and
-of validation is f32.  The reconstruction residuals, the transport costs,
+of validation is f32.  The reconstruction residual, the transport costs,
 Sinkhorn and the latent term's point gradients stay f64; an f32 Gibbs kernel
 would underflow once |c| / reg exceeds ~87.
 """
@@ -87,14 +87,15 @@ class Standardizer:
     def identity(cls, dim_x: int, dim_y: int) -> "Standardizer":
         return cls(np.zeros(dim_x), np.ones(dim_x), np.zeros(dim_y), np.ones(dim_y))
 
-    def x_to_std(self, xs):
-        return (xs - self.mean_x) / self.std_x
+    def couples_to_std(self, xs, ys) -> np.ndarray:
+        """Standardized ``[x | y]`` rows, the encoder's input: ``(v - mean) / std`` per column block."""
+        rows = np.concatenate([np.atleast_2d(xs), np.atleast_2d(ys)], axis=1, dtype=np.float64)
+        rows -= np.concatenate([self.mean_x, self.mean_y])
+        rows /= np.concatenate([self.std_x, self.std_y])
+        return rows
 
     def x_from_std(self, xs):
         return xs * self.std_x + self.mean_x
-
-    def y_to_std(self, ys):
-        return (ys - self.mean_y) / self.std_y
 
     def y_from_std(self, ys):
         return ys * self.std_y + self.mean_y
@@ -170,7 +171,7 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch training metrics (standardized space)."""
+    """Per-epoch training metrics (standardized space), and the epoch of the returned networks."""
 
     mse_x: list = field(default_factory=list)
     mse_y: list = field(default_factory=list)
@@ -178,6 +179,7 @@ class TrainHistory:
     lam: list = field(default_factory=list)
     val_mse_x: list = field(default_factory=list)
     val_mse_y: list = field(default_factory=list)
+    best_epoch: int | None = None
 
     def to_csv(self, path: str) -> None:
         cols = (self.mse_x, self.mse_y, self.ot_term, self.lam, self.val_mse_x, self.val_mse_y)
@@ -228,15 +230,14 @@ class LossResult:
 
 
 def jgnn_loss(
-    x_std: np.ndarray,
-    y_std: np.ndarray,
+    batch: np.ndarray,
     model: JGNNModel,
     lam: float,
     sinkhorn_cfg: SinkhornConfig,
     prior_draws: np.ndarray,
     frozen_plans: "FrozenPlans | None" = None,
 ) -> LossResult:
-    """Loss and gradients for one standardized batch.
+    """Loss and gradients for one batch of standardized ``[x | y]`` rows, the encoder's input.
 
     loss = MSE_x + MSE_y + lam * (OT(z, p) - OT(z, z) / 2)
 
@@ -259,22 +260,17 @@ def jgnn_loss(
     those fixed plans, which is the exact function the analytic gradient
     differentiates; the finite-difference checks rely on this.
     """
-    x_std = np.atleast_2d(x_std)
-    y_std = np.atleast_2d(y_std)
-    n = x_std.shape[0]
+    batch = np.atleast_2d(batch)
+    n = batch.shape[0]
     if n == 0:
         raise ValueError("batch must be nonempty")
     if prior_draws.shape != (n, model.latent_dim):
         raise ValueError("prior draws must match (batch, latent_dim)")
 
-    z, enc_cache = mlp_forward(model.encoder, np.concatenate([x_std, y_std], axis=1))
+    z, enc_cache = mlp_forward(model.encoder, batch)
     out, dec_cache = mlp_forward(model.decoder, z)
-    x_rec, y_rec = out[:, : model.dim_x], out[:, model.dim_x :]
-
-    dx = x_rec - x_std
-    dy = y_rec - y_std
-    mse_x = float(np.mean(dx * dx))
-    mse_y = float(np.mean(dy * dy))
+    residual = out - batch
+    mse_x, mse_y = _block_mses(residual, model.dim_x)
 
     c_zp = cost_matrix(z, prior_draws)
     c_zz = cost_matrix(z, z)
@@ -288,10 +284,11 @@ def jgnn_loss(
     if not np.isfinite(loss):
         raise ValueError("non-finite loss")
 
-    g_out = np.concatenate(
-        [2.0 * dx / dx.size, 2.0 * dy / dy.size], axis=1
-    )
-    dec_grad, dz_rec = mlp_backward(model.decoder, dec_cache, g_out)
+    # the residual, scaled in place block by block, is d(MSE_x + MSE_y) / d out
+    residual *= 2.0
+    residual[:, : model.dim_x] /= n * model.dim_x
+    residual[:, model.dim_x :] /= n * model.dim_y
+    dec_grad, dz_rec = mlp_backward(model.decoder, dec_cache, residual)
     # self-transport: z enters both sides, so the envelope gradient sums the
     # source-side terms of the plan and of its transpose
     dz_zz = ot_point_gradient(z, z, plan_zz) + ot_point_gradient(z, z, plan_zz.T)
@@ -299,6 +296,12 @@ def jgnn_loss(
     # the decoder's input gradient feeds dz; the encoder's would be discarded
     enc_grad, _ = mlp_backward(model.encoder, enc_cache, dz, input_gradient=False)
     return LossResult(loss, mse_x, mse_y, ot_cost, enc_grad, dec_grad, frozen_plans)
+
+
+def _block_mses(residual: np.ndarray, dim_x: int) -> tuple[float, float]:
+    """The mean squares of a ``[x | y]`` residual's field block and travel-time block."""
+    rx, ry = residual[:, :dim_x], residual[:, dim_x:]
+    return float(np.mean(rx * rx)), float(np.mean(ry * ry))
 
 
 def train(
@@ -312,16 +315,19 @@ def train(
     ``model``'s networks are copied to f32 once, and Adam updates those
     copies in place; each step's spectral refresh, the loss and its
     gradients and the validation forward all run on them, so every network
-    GEMM is f32, while the residuals, transport costs and Sinkhorn stay f64.
+    GEMM is f32, while the residual, transport costs and Sinkhorn stay f64.
+    The couples are standardized once into ``[x | y]`` rows (see
+    :meth:`Standardizer.couples_to_std`); a batch is one gather of them.
     ``model`` itself is left as it is: the standardizer fitted to the
     training couples goes on the returned model only.
 
     A seeded fraction of the couples is held out; after every epoch the
     validation reconstruction MSE (standardized space) is computed on the
     f32 networks, the weights :func:`save_model` stores.  The networks of
-    the epoch with the lowest total are snapshotted, and the returned model
-    is built from that snapshot, so it is its own checkpoint bit for bit and
-    its f32 forward gives the recorded validation figures exactly.
+    the first epoch with the lowest total, ``history.best_epoch``, are
+    snapshotted, and the returned model is built from that snapshot, so it
+    is its own checkpoint bit for bit and its f32 forward gives the
+    recorded validation figures exactly.
     Deterministic per seed.
 
     A decoder of at least ``_THREADED_ADAM_BLOCKS`` Adam blocks takes its
@@ -357,9 +363,8 @@ def train(
         )
 
     standardizer = Standardizer.fit(xs[train_idx], ys[train_idx])
-    xs_s = standardizer.x_to_std(xs)
-    ys_s = standardizer.y_to_std(ys)
-    x_val, y_val = xs_s[val_idx], ys_s[val_idx]
+    data = standardizer.couples_to_std(xs, ys)
+    val = data[val_idx]
 
     enc_state = AdamState(lr=_LEARNING_RATE)
     dec_state = AdamState(lr=_LEARNING_RATE)
@@ -393,7 +398,7 @@ def train(
                     .standard_normal((cfg.batch_size, model.latent_dim))
                 )
                 try:
-                    res = jgnn_loss(xs_s[idx], ys_s[idx], trained, lam, sinkhorn_cfg, draws)
+                    res = jgnn_loss(data[idx], trained, lam, sinkhorn_cfg, draws)
                     _adam_steps(pool, trained, res, enc_state, dec_state)
                 except ValueError as err:
                     raise TrainingDiverged(epoch, history) from err
@@ -401,9 +406,9 @@ def train(
                 ep_my += res.mse_y
                 ep_ot += res.ot_cost
 
-            val_x_rec, val_y_rec = _reconstruct(trained, x_val, y_val)
-            vmx = float(np.mean((val_x_rec - x_val) ** 2))
-            vmy = float(np.mean((val_y_rec - y_val) ** 2))
+            z, _ = mlp_forward(trained.encoder, val)
+            out, _ = mlp_forward(trained.decoder, z)
+            vmx, vmy = _block_mses(out - val, model.dim_x)
             history.mse_x.append(ep_mx / n_batches)
             history.mse_y.append(ep_my / n_batches)
             history.ot_term.append(ep_ot / n_batches)
@@ -414,6 +419,7 @@ def train(
                 raise TrainingDiverged(epoch, history)
             if vmx + vmy < best_val:
                 best_val = vmx + vmy
+                history.best_epoch = epoch
                 for snapshot, net in zip(best, nets):
                     snapshot.flat[...] = net.flat
 
@@ -446,12 +452,6 @@ def _adam_steps(pool, model: JGNNModel, res: LossResult, enc_state: AdamState, d
     finally:
         wait((dec,))
     dec.result()
-
-
-def _reconstruct(model: JGNNModel, x_std, y_std):
-    z, _ = mlp_forward(model.encoder, np.concatenate([x_std, y_std], axis=1))
-    out, _ = mlp_forward(model.decoder, z)
-    return out[:, : model.dim_x], out[:, model.dim_x :]
 
 
 @dataclass(frozen=True)
@@ -530,9 +530,7 @@ def generate(model: JGNNModel | _DecoderView, z: np.ndarray) -> tuple[np.ndarray
 
 def encode(model: JGNNModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Deterministic encoding of raw couples into the latent space."""
-    x_std = model.standardizer.x_to_std(np.atleast_2d(x))
-    y_std = model.standardizer.y_to_std(np.atleast_2d(y))
-    z, _ = mlp_forward(model.encoder, np.concatenate([x_std, y_std], axis=1))
+    z, _ = mlp_forward(model.encoder, model.standardizer.couples_to_std(x, y))
     return z
 
 

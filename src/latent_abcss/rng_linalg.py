@@ -211,12 +211,14 @@ def write_csv(path: str, header, rows) -> str:
 
 
 def read_csv_columns(path: str) -> dict[str, np.ndarray]:
-    """Float columns of a numeric CSV by header name; empty cells are skipped."""
+    """Float columns of a numeric CSV by header name; empty cells are skipped, a ragged row is a ValueError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         cols = {h: [] for h in header}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             cells = line.rstrip("\n").split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{path} line {lineno} has {len(cells)} cells, its header {len(header)}")
             for h, c in zip(header, cells):
                 if c != "":
                     cols[h].append(float(c))

@@ -301,8 +301,7 @@ def train_from_dataset(cfg: PipelineConfig, dataset_dir: str, out_dir: str) -> s
     )
     best, history = train(xs, ys, model, cfg.train_config())
     ckpt = os.path.join(out_dir, "model.ckpt")
-    best_epoch = int(np.argmin(np.asarray(history.val_mse_x) + np.asarray(history.val_mse_y)))
-    save_model(ckpt, best, extra={"provenance": cfg.provenance("train"), "best_epoch": best_epoch})
+    save_model(ckpt, best, extra={"provenance": cfg.provenance("train"), "best_epoch": history.best_epoch})
     history.to_csv(os.path.join(out_dir, "history.csv"))
     return ckpt
 

@@ -139,9 +139,10 @@ class TestCriterion4GradientIntegrity:
         gen = RngStream(78).generator()
         xb = gen.standard_normal((6, 4))
         yb = gen.standard_normal((6, 3))
+        batch = np.hstack([xb, yb])
         draws = gen.standard_normal((6, 2))
         cfg = SinkhornConfig(reg=100.0, max_iter=40)
-        base = jgnn_loss(xb, yb, model, 0.7, cfg, draws)
+        base = jgnn_loss(batch, model, 0.7, cfg, draws)
         plans = base.plans
         h = 1e-5
         worst = 0.0
@@ -156,9 +157,9 @@ class TestCriterion4GradientIntegrity:
                         idx = it.multi_index
                         orig = arr[idx]
                         arr[idx] = orig + h
-                        lp = jgnn_loss(xb, yb, model, 0.7, cfg, draws, frozen_plans=plans).loss
+                        lp = jgnn_loss(batch, model, 0.7, cfg, draws, frozen_plans=plans).loss
                         arr[idx] = orig - h
-                        lm = jgnn_loss(xb, yb, model, 0.7, cfg, draws, frozen_plans=plans).loss
+                        lm = jgnn_loss(batch, model, 0.7, cfg, draws, frozen_plans=plans).loss
                         arr[idx] = orig
                         fd = (lp - lm) / (2 * h)
                         worst = max(worst, abs(fd - g[idx]) / max(abs(fd), 1e-6))

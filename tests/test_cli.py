@@ -853,6 +853,15 @@ REFUSALS = [
     Row("evaluate-runs-missing", "evaluate --runs", "missing", _missing, "missing artifacts"),
     Row("evaluate-non-numeric-cell",
         "evaluate --runs", "wrong type", _text("/metrics.csv", METRICS.format("oops")), AT + "/metrics.csv"),
+    *(
+        Row(f"evaluate-row-{case}", "evaluate --runs", "wrong shape",
+            _text("/metrics.csv", "sample,rmse_solutions_truth,rmse_prior_truth\n" + rows),
+            "{path}/metrics.csv " + refusal)
+        for case, rows, refusal in (
+            ("extra-cell", "0,0.5,0.25,9.9\n1,0.7,0.5\n", "line 2 has 4 cells, its header 3"),
+            ("missing-cell", "0,0.5,0.25\n1,0.7\n", "line 3 has 2 cells, its header 3"),
+        )
+    ),
     Row("gendata-config-not-json", "gendata --config", "not JSON", _text("", "{not"), "is not valid JSON"),
     Row("invert-checkpoint-missing", "invert --checkpoint", "missing", _missing, "missing artifacts"),
     Row("invert-checkpoint-nan-weight",

@@ -1,0 +1,36 @@
+"""numpy and scipy are the only runtime dependencies of the package and its demos."""
+
+import ast
+import glob
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "latent_abcss"}
+MODULES = sorted(
+    glob.glob(os.path.join(ROOT, "src", "latent_abcss", "*.py")) + glob.glob(os.path.join(ROOT, "demos", "*.py"))
+)
+
+
+def imported_packages(source):
+    """The top-level package of every absolute import in ``source``; relative imports stay in the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_every_import_form_is_seen():
+    source = "import os.path, torch\nfrom sklearn.linear_model import Ridge\nfrom . import jgnn\nfrom .neural import Layer\n"
+    assert imported_packages(source) == {"os", "torch", "sklearn"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: os.path.relpath(path, ROOT))
+def test_imports_only_the_standard_library_numpy_scipy_and_the_package(path):
+    with open(path) as fh:
+        assert imported_packages(fh.read()) <= ALLOWED

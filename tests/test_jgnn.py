@@ -78,6 +78,21 @@ class TestLambdaSchedule:
             lambda_schedule(-1, small_train_config())
 
 
+class TestStandardizer:
+    @pytest.mark.parametrize("n", [None, 5], ids=["one_1d_couple", "five_couples"])
+    def test_couples_to_std_is_the_per_variable_formulas(self, n):
+        gen = RngStream(50).generator()
+        xs = 3.0 * gen.standard_normal((6,) if n is None else (n, 6)) + 1.0
+        ys = gen.standard_normal((4,) if n is None else (n, 4)) - 2.0
+        std = Standardizer(
+            gen.standard_normal(6), gen.uniform(0.5, 2, 6), gen.standard_normal(4), gen.uniform(0.5, 2, 4)
+        )
+        want = np.atleast_2d(np.hstack([(xs - std.mean_x) / std.std_x, (ys - std.mean_y) / std.std_y]))
+        got = std.couples_to_std(xs, ys)
+        assert got.shape == want.shape == (n or 1, 10)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestJgnnLoss:
     def _tiny_model(self):
         return JGNNModel.init(4, 3, 2, RngStream(11), hidden=(8, 8))
@@ -86,8 +101,8 @@ class TestJgnnLoss:
         model = self._tiny_model()
         gen = RngStream(12).generator()
         z = gen.standard_normal((6, 2))
-        x_std, y_std = generate(model, z)  # identity standardizer: already std space
-        res = jgnn_loss(x_std, y_std, model, 0.0, SinkhornConfig(), gen.standard_normal((6, 2)))
+        batch = np.hstack(generate(model, z))  # identity standardizer: already std space
+        res = jgnn_loss(batch, model, 0.0, SinkhornConfig(), gen.standard_normal((6, 2)))
         # feeding the model's own decode back through encode+decode is not
         # exact, but the latent term must vanish at lambda = 0
         assert res.loss == pytest.approx(res.mse_x + res.mse_y)
@@ -101,7 +116,7 @@ class TestJgnnLoss:
         cfg = SinkhornConfig(reg=100.0, max_iter=40)
         # ot_cost leaves out OT(p, p) / 2; with it, the debiased divergence
         # vanishes when the draws coincide with the encodings
-        res = jgnn_loss(xb, yb, model, 1.0, cfg, z.copy())
+        res = jgnn_loss(np.hstack([xb, yb]), model, 1.0, cfg, z.copy())
         pp_cost = _plain_entropic_ot(cost_matrix(z, z), cfg).cost
         assert res.ot_cost - 0.5 * pp_cost == pytest.approx(0.0, abs=1e-9)
 
@@ -118,11 +133,12 @@ class TestJgnnLoss:
         model = self._tiny_model()
         gen = RngStream(15).generator()
         xb, yb, draws = gen.standard_normal((6, 4)), gen.standard_normal((6, 3)), gen.standard_normal((6, 2))
-        fresh = jgnn_loss(xb, yb, model, 0.7, SinkhornConfig(), draws)
+        batch = np.hstack([xb, yb])
+        fresh = jgnn_loss(batch, model, 0.7, SinkhornConfig(), draws)
         z = encode(model, xb, yb)
         # the cross solve, then the encodings' self solve; none over the draws
         assert [c.tolist() for c in costs] == [cost_matrix(z, draws).tolist(), cost_matrix(z, z).tolist()]
-        frozen = jgnn_loss(xb, yb, model, 0.7, SinkhornConfig(), draws, frozen_plans=fresh.plans)
+        frozen = jgnn_loss(batch, model, 0.7, SinkhornConfig(), draws, frozen_plans=fresh.plans)
         assert len(costs) == 2
         assert frozen.loss == fresh.loss
 
@@ -131,8 +147,9 @@ class TestJgnnLoss:
         gen = RngStream(16).generator()
         xb = gen.standard_normal((6, 4))
         xb[2, 1] = np.nan
+        batch = np.hstack([xb, gen.standard_normal((6, 3))])
         with pytest.raises(ValueError, match="non-finite loss"):
-            jgnn_loss(xb, gen.standard_normal((6, 3)), model, 1.0, SinkhornConfig(), gen.standard_normal((6, 2)))
+            jgnn_loss(batch, model, 1.0, SinkhornConfig(), gen.standard_normal((6, 2)))
 
     def test_gradient_matches_finite_differences(self):
         model = self._tiny_model()
@@ -141,9 +158,10 @@ class TestJgnnLoss:
         gen = RngStream(14).generator()
         xb = gen.standard_normal((6, 4))
         yb = gen.standard_normal((6, 3))
+        batch = np.hstack([xb, yb])
         draws = gen.standard_normal((6, 2))
         cfg = SinkhornConfig(reg=100.0, max_iter=40)
-        base = jgnn_loss(xb, yb, model, 0.7, cfg, draws)
+        base = jgnn_loss(batch, model, 0.7, cfg, draws)
         plans = base.plans
         h = 1e-5
         worst = 0.0
@@ -158,9 +176,9 @@ class TestJgnnLoss:
                         idx = it.multi_index
                         orig = arr[idx]
                         arr[idx] = orig + h
-                        lp = jgnn_loss(xb, yb, model, 0.7, cfg, draws, frozen_plans=plans).loss
+                        lp = jgnn_loss(batch, model, 0.7, cfg, draws, frozen_plans=plans).loss
                         arr[idx] = orig - h
-                        lm = jgnn_loss(xb, yb, model, 0.7, cfg, draws, frozen_plans=plans).loss
+                        lm = jgnn_loss(batch, model, 0.7, cfg, draws, frozen_plans=plans).loss
                         arr[idx] = orig
                         fd = (lp - lm) / (2 * h)
                         worst = max(worst, abs(fd - g[idx]) / max(abs(fd), 1e-6))
@@ -169,7 +187,7 @@ class TestJgnnLoss:
     def test_empty_batch_rejected(self):
         model = self._tiny_model()
         with pytest.raises(ValueError):
-            jgnn_loss(np.empty((0, 4)), np.empty((0, 3)), model, 1.0, SinkhornConfig(), np.empty((0, 2)))
+            jgnn_loss(np.empty((0, 7)), model, 1.0, SinkhornConfig(), np.empty((0, 2)))
 
 
 class TestTrain:
@@ -305,18 +323,20 @@ class TestTrain:
         best, history = train(xs, ys, JGNNModel.init(DIM_X, DIM_Y, 4, RngStream(8), hidden=(24,)), cfg)
         totals = np.add(history.val_mse_x, history.val_mse_y)
         best_epoch = int(np.argmin(totals))
+        assert history.best_epoch == best_epoch
         n_val = max(1, int(round(jgnn._VAL_FRACTION * len(xs))))
         val = RngStream(cfg.seed, stream_id=17).split(0).generator().permutation(len(xs))[:n_val]
-        x_val, y_val = best.standardizer.x_to_std(xs[val]), best.standardizer.y_to_std(ys[val])
+        std = best.standardizer
+        rows = np.hstack([(xs[val] - std.mean_x) / std.std_x, (ys[val] - std.mean_y) / std.std_y])
         path = str(tmp_path / "model.ckpt")
         save_model(path, best)
         for model in (best, load_model(path)):
             enc, dec = model.encoder.copy(np.float32), model.decoder.copy(np.float32)
             assert enc.flat.astype(np.float64).tobytes() == model.encoder.flat.tobytes()
-            z, _ = mlp_forward(enc, np.concatenate([x_val, y_val], axis=1))
+            z, _ = mlp_forward(enc, rows)
             out, _ = mlp_forward(dec, z)
-            vmx = float(np.mean((out[:, :DIM_X] - x_val) ** 2))
-            vmy = float(np.mean((out[:, DIM_X:] - y_val) ** 2))
+            vmx = float(np.mean((out[:, :DIM_X] - rows[:, :DIM_X]) ** 2))
+            vmy = float(np.mean((out[:, DIM_X:] - rows[:, DIM_X:]) ** 2))
             assert (vmx, vmy) == (history.val_mse_x[best_epoch], history.val_mse_y[best_epoch])
 
     def test_mismatched_inputs_rejected_before_any_work(self, monkeypatch):

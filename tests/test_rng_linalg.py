@@ -250,6 +250,16 @@ class TestCsv:
         np.testing.assert_array_equal(cols["b"], b)
         assert np.signbit(cols["b"][-1])
 
+    def test_ragged_row_refused_with_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for rows, refusal in (
+            ("0,0.5,0.25,9.9\n", "line 2 has 4 cells"),
+            ("0,0.5,0.25\n1,0.7\n", "line 3 has 2 cells"),
+        ):
+            path.write_text("sample,a,b\n" + rows)
+            with pytest.raises(ValueError, match=f"^{path} {refusal}, its header 3$"):
+                read_csv_columns(str(path))
+
     def test_cell_rules(self, tmp_path):
         path = write_csv(
             str(tmp_path / "t.csv"), ("s", "n", "x", "f", "none"), [("lbl", 3, np.float64(0.5), 2, None)]
