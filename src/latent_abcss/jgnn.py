@@ -12,7 +12,8 @@ draws samples the learned joint distribution.
 Training updates f32 copies of the networks, so every GEMM of the loss and
 of validation is f32.  The reconstruction residual, the transport costs,
 Sinkhorn and the latent term's point gradients stay f64; an f32 Gibbs kernel
-would underflow once |c| / reg exceeds ~87.
+would underflow once |c| / reg exceeds ~87.  Trained and loaded models stay
+f32; :func:`encode` and the decoder's fold widen a transient copy.
 """
 
 from __future__ import annotations
@@ -325,9 +326,9 @@ def train(
     validation reconstruction MSE (standardized space) is computed on the
     f32 networks, the weights :func:`save_model` stores.  The networks of
     the first epoch with the lowest total, ``history.best_epoch``, are
-    snapshotted, and the returned model is built from that snapshot, so it
-    is its own checkpoint bit for bit and its f32 forward gives the
-    recorded validation figures exactly.
+    snapshotted, and the returned model's networks are that f32 snapshot,
+    so they are its checkpoint's values bit for bit and their forward gives
+    the recorded validation figures exactly.
     Deterministic per seed.
 
     A decoder of at least ``_THREADED_ADAM_BLOCKS`` Adam blocks takes its
@@ -423,8 +424,7 @@ def train(
                 for snapshot, net in zip(best, nets):
                     snapshot.flat[...] = net.flat
 
-    encoder, decoder = (snapshot.copy(np.float64) for snapshot in best)
-    return JGNNModel(encoder, decoder, *dims, standardizer), history
+    return JGNNModel(*best, *dims, standardizer), history
 
 
 def _cpu_count() -> int:
@@ -465,8 +465,8 @@ class _DecoderView:
     into a field head (rows ``[:dim_x]``) and a travel-time head (rows
     ``[dim_x:]``), each ``(w_eff, bias, activation)`` in f32.  A view made
     for one variable has the other head set to ``None``, so its rows are
-    never evaluated.  Checkpoints store f32 weights, so a loaded model's
-    unfolded layers lose nothing to the cast.
+    never evaluated.  The fold runs on an f64 copy of the decoder, so an
+    f32 model (trained or loaded) and its f64 widening give the same view.
     """
 
     latent_dim: int
@@ -487,7 +487,7 @@ def _decoder_view(model: JGNNModel | _DecoderView) -> _DecoderView:
             l.activation,
             spectral=False,
         )
-        for l in model.decoder.layers
+        for l in model.decoder.copy(np.float64).layers
     ]
     d = model.dim_x
     return _DecoderView(
@@ -529,8 +529,8 @@ def generate(model: JGNNModel | _DecoderView, z: np.ndarray) -> tuple[np.ndarray
 
 
 def encode(model: JGNNModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Deterministic encoding of raw couples into the latent space."""
-    z, _ = mlp_forward(model.encoder, model.standardizer.couples_to_std(x, y))
+    """Deterministic f64 encoding of raw couples into the latent space, on an f64 copy of the encoder."""
+    z, _ = mlp_forward(model.encoder.copy(np.float64), model.standardizer.couples_to_std(x, y))
     return z
 
 
@@ -587,14 +587,14 @@ def save_model(path: str, model: JGNNModel, extra: dict | None = None) -> None:
     }
     if extra:
         manifest.update(extra)
-    blob = np.concatenate([model.encoder.flat, model.decoder.flat]).astype("<f4")
+    blob = np.concatenate([model.encoder.flat, model.decoder.flat], dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(blob.tobytes())
     write_json(path + ".json", manifest)
 
 
 def load_model(path: str) -> JGNNModel:
-    """Read a checkpoint written by :func:`save_model`.
+    """Read a checkpoint written by :func:`save_model`; its networks are f32 views of the blob.
 
     Raises:
         ValueError: if the blob size differs from what the manifest implies,
@@ -610,7 +610,7 @@ def load_model(path: str) -> JGNNModel:
     size = os.path.getsize(path)
     if size != 4 * (n_enc + n_dec):
         raise ValueError(f"checkpoint {path} has {size} bytes, manifest implies {4 * (n_enc + n_dec)}")
-    flat = np.fromfile(path, dtype="<f4").astype(np.float64)
+    flat = np.fromfile(path, dtype="<f4")
     if not np.isfinite(flat).all():
         raise ValueError(f"checkpoint {path} holds a NaN or infinite weight")
     encoder, decoder = (

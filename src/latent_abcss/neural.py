@@ -72,9 +72,9 @@ def _activate_grad(s: np.ndarray) -> np.ndarray:
 class Layer:
     """Affine layer ``act(x @ W.T + b)`` with optional spectral normalization.
 
-    Its arrays take the weights' dtype: f32 weights stay f32 (the networks
-    training updates, the frozen decoder of inference), anything else
-    becomes f64.
+    Its arrays take the weights' dtype: f32 weights stay f32 (a trained or
+    loaded network, the frozen decoder of inference), anything else becomes
+    f64.
     """
 
     weights: np.ndarray          # (out, in)
@@ -130,9 +130,9 @@ def flat_size(sizes: list[int]) -> int:
 class MLPParams:
     """An ordered stack of :class:`Layer` whose arrays are views of one vector, ``flat``.
 
-    ``flat`` has the layers' dtype: f64 for an initialized or loaded
-    network, f32 for the networks training updates (see ``jgnn.train``)
-    and the frozen decoder's trunk.
+    ``flat`` has the layers' dtype: f64 for an initialized network, f32 for
+    a trained or loaded one (see ``jgnn.train``) and the frozen decoder's
+    trunk.
     """
 
     def __init__(self, layers: list[Layer]):

@@ -264,36 +264,29 @@ def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
     return manifest
 
 
-def _load_dataset(dataset_dir: str):
+def _load_dataset(dataset_dir: str, *names: str) -> dict:
+    """The manifest and only the named arrays, each checked for its manifest shape and finite values."""
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     _require([manifest_path])
     with _reading(manifest_path):
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        paths = {k: os.path.join(dataset_dir, v) for k, v in manifest["files"].items()}
-        data = {
-            "train_x": _load_input(load_array, paths["train_x"]),
-            "train_y": _load_input(load_array, paths["train_y"]),
-            "ray_matrix": _load_input(load_ray_matrix, paths["ray_matrix"]),
-            "manifest": manifest,
-        }
         n_train, n_cells, n_rays = manifest["n_train"], manifest["n_cells"], manifest["n_rays"]
-        checks = (
-            ("train_x", (n_train, n_cells), data["train_x"]),
-            ("train_y", (n_train, n_rays), data["train_y"]),
-            ("ray_matrix", (n_rays, n_cells), data["ray_matrix"].paths.data),  # the stored path lengths
-        )
-        for name, shape, values in checks:
-            if data[name].shape != shape:
-                raise ConfigError(f"{paths[name]} has shape {data[name].shape}, the manifest implies {shape}")
-            if not np.isfinite(values).all():
-                raise ConfigError(f"{paths[name]} holds a NaN or infinite value")
+        shapes = {"train_x": (n_train, n_cells), "train_y": (n_train, n_rays), "ray_matrix": (n_rays, n_cells)}
+        data = {"manifest": manifest}
+        for name in names:
+            path = os.path.join(dataset_dir, manifest["files"][name])
+            data[name] = arr = _load_input(load_ray_matrix if name == "ray_matrix" else load_array, path)
+            if arr.shape != shapes[name]:
+                raise ConfigError(f"{path} has shape {arr.shape}, the manifest implies {shapes[name]}")
+            if not np.isfinite(arr.paths.data if name == "ray_matrix" else arr).all():
+                raise ConfigError(f"{path} holds a NaN or infinite value")
         return data
 
 
 def train_from_dataset(cfg: PipelineConfig, dataset_dir: str, out_dir: str) -> str:
     """Train the joint model on a generated dataset; write checkpoint + history."""
-    data = _load_dataset(dataset_dir)
+    data = _load_dataset(dataset_dir, "train_x", "train_y")
     os.makedirs(out_dir, exist_ok=True)
     xs, ys = data["train_x"], data["train_y"]
     model = JGNNModel.init(
@@ -534,7 +527,8 @@ def invert_artifacts(
     y_obs = _load_input(load_array, y_obs_path)
     truth = _load_input(load_array, truth_path) if truth_path else None
     model = _load_input(load_model, checkpoint)
-    data = _load_dataset(dataset_dir)
+    # train_x serves only the truth metrics (rmse_train_truth)
+    data = _load_dataset(dataset_dir, "ray_matrix", *(["train_x"] if truth is not None else []))
     with _reading(os.path.join(dataset_dir, "manifest.json")):
         _check_model_fits(model, data["manifest"])
         _check_observation(cfg, data["manifest"], y_obs, truth, oracle)
@@ -551,7 +545,7 @@ def invert_artifacts(
             rng,
             truth=truth,
             oracle=oracle,
-            train_x=data.get("train_x") if truth is not None else None,
+            train_x=data.get("train_x"),
         )
     except DiagnosticFailure as failure:
         save_trace(os.path.join(out_dir, "deep_trace"), failure.deep_trace, prov)
@@ -630,7 +624,7 @@ def compute_oracle_posterior(
 ) -> GaussianDist:
     """Exact Gaussian posterior artifacts for a given observation."""
     y_obs = _load_input(load_array, y_obs_path)
-    data = _load_dataset(dataset_dir)
+    data = _load_dataset(dataset_dir, "ray_matrix")
     with _reading(os.path.join(dataset_dir, "manifest.json")):
         _check_observation(cfg, data["manifest"], y_obs)
     os.makedirs(out_dir, exist_ok=True)

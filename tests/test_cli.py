@@ -304,7 +304,7 @@ class TestTrain:
             np.testing.assert_array_equal(getattr(model, net).flat, getattr(loaded, net).flat)
         yobs = str(root / "yobs.f64")
         cli = workflows.invert_artifacts(config, ckpt, yobs, data, str(tmp_path / "inv"))
-        a = workflows._load_dataset(data)["ray_matrix"]
+        a = workflows._load_dataset(data, "ray_matrix")["ray_matrix"]
         lib = workflows.run_inversion(model, a, load_array(yobs), config, RngStream(config.seed, 3))
         np.testing.assert_array_equal(lib.solutions_x, cli.solutions_x)
         np.testing.assert_array_equal(lib.final_trace.final_samples, cli.final_trace.final_samples)
@@ -607,6 +607,28 @@ class TestEvaluateAndOracle:
         assert tree_digest(lazy) == tree_digest(eager)
 
 
+def test_each_command_reads_only_its_dataset_files(pipeline, tmp_path):
+    # invert without --truth and oracle-posterior never read the training couples, and train never
+    # reads the ray matrix: each writes the same tree from a dataset copy without those files
+    data, inputs = pipeline[2], _inputs(pipeline)
+    for command, unread in (
+        ("invert", ("train_x.f64", "train_y.f64")),
+        ("oracle-posterior", ("train_x.f64", "train_y.f64")),
+        ("train", ("ray_matrix.bin",)),
+    ):
+        partial = str(tmp_path / f"{command}_data")
+        shutil.copytree(data, partial)
+        for name in unread:
+            for suffix in ("", ".json"):
+                os.remove(os.path.join(partial, name + suffix))
+        trees = []
+        for dataset in (data, partial):
+            out = str(tmp_path / f"{command}_{len(trees)}")
+            assert main(_argv(command, {**inputs, "--dataset": dataset}, out)) == 0
+            trees.append(tree_digest(out))
+        assert trees[0] == trees[1], command
+
+
 def test_every_json_artifact_is_strict_json(pipeline):
     """NaN and Infinity are not JSON; every artifact must parse without them."""
     root = pipeline[0]
@@ -850,6 +872,8 @@ REFUSALS = [
     Row("oracle-posterior-config-other-grid", "oracle-posterior --config", "mismatched", TALLER, "config grid"),
     Row("oracle-posterior-yobs-nan", "oracle-posterior --yobs", "non-finite",
         _array("", _with(NAN, 0)), "observation holds a NaN or infinite value"),
+    Row("oracle-posterior-ray-matrix-nan", "oracle-posterior --dataset", "non-finite",
+        _nan_path_length, "{path}/ray_matrix.bin holds a NaN or infinite value"),
     Row("evaluate-runs-missing", "evaluate --runs", "missing", _missing, "missing artifacts"),
     Row("evaluate-non-numeric-cell",
         "evaluate --runs", "wrong type", _text("/metrics.csv", METRICS.format("oops")), AT + "/metrics.csv"),

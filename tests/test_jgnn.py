@@ -316,7 +316,7 @@ class TestTrain:
         assert seen == {"forward": 2 * 4 * 2 + 2 * 2, "backward": 2 * 4 * 2, "adam": 2 * 4 * 2}
 
     def test_best_validation_figure_is_the_checkpoints(self, tmp_path):
-        # an f32 forward of the returned weights (what the checkpoint stores)
+        # the returned f32 weights are the checkpoint blob, and their forward
         # gives the best epoch's recorded validation MSE exactly
         xs, ys, _ = linear_toy_dataset(400, seed=7)
         cfg = TrainConfig(epochs=6, batch_size=64, lambda0=5.0, seed=11)
@@ -330,9 +330,11 @@ class TestTrain:
         rows = np.hstack([(xs[val] - std.mean_x) / std.std_x, (ys[val] - std.mean_y) / std.std_y])
         path = str(tmp_path / "model.ckpt")
         save_model(path, best)
+        blob = open(path, "rb").read()
         for model in (best, load_model(path)):
-            enc, dec = model.encoder.copy(np.float32), model.decoder.copy(np.float32)
-            assert enc.flat.astype(np.float64).tobytes() == model.encoder.flat.tobytes()
+            enc, dec = model.encoder, model.decoder
+            assert enc.flat.dtype == dec.flat.dtype == np.float32
+            assert enc.flat.tobytes() + dec.flat.tobytes() == blob
             z, _ = mlp_forward(enc, rows)
             out, _ = mlp_forward(dec, z)
             vmx = float(np.mean((out[:, :DIM_X] - rows[:, :DIM_X]) ** 2))
@@ -468,6 +470,17 @@ class TestGenerateEncode:
         with pytest.raises(ValueError, match="latent"):
             generate(best, np.zeros((2, DIM_Z + 1)))
 
+    def test_f32_model_encodes_and_decodes_as_its_f64_widening(self, trained_toy):
+        # encode and the decoder's sigma fold widen a copy, so the f32 model gives the f64 bits
+        xs, ys, _, best, _ = trained_toy
+        wide = JGNNModel(best.encoder.copy(np.float64), best.decoder.copy(np.float64), DIM_X, DIM_Y, DIM_Z,
+                         best.standardizer)
+        np.testing.assert_array_equal(encode(best, xs[:9], ys[:9]), encode(wide, xs[:9], ys[:9]))
+        z = RngStream(46).generator().standard_normal((5, DIM_Z))
+        for got, want in zip(generate(best, z), generate(wide, z)):
+            np.testing.assert_array_equal(got, want)
+        assert best.encoder.flat.dtype == best.decoder.flat.dtype == np.float32  # only copies were widened
+
     def test_g2_callable_matches_generate(self, trained_toy):
         _, _, _, best, _ = trained_toy
         z = RngStream(41).generator().standard_normal((4, DIM_Z))
@@ -547,7 +560,7 @@ class TestHeadSplit:
         if view.trunk is not None:
             arrays += [view.trunk.flat] + [getattr(l, n) for l in view.trunk.layers for n in ("weights", "bias")]
         assert all(a.dtype == np.float32 for a in arrays)
-        # the model itself is untouched: training keeps f64 parameters
+        # the model itself is untouched: an initialized model keeps f64 parameters
         assert model.decoder.flat.dtype == np.float64
 
     @pytest.mark.parametrize("make", [g1_of_latent, g2_of_latent])
@@ -591,14 +604,18 @@ class TestCheckpointIO:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name).astype(np.float32))
             assert (got.activation, got.spectral) == (want.activation, want.spectral)
 
-    def test_init_and_load_hold_f64_parameters(self, trained_toy, tmp_path):
+    def test_init_holds_f64_and_trained_and_loaded_hold_f32(self, trained_toy, tmp_path):
         _, _, _, best, _ = trained_toy
         path = str(tmp_path / "model.ckpt")
         save_model(path, best)
-        for model in (JGNNModel.init(DIM_X, DIM_Y, DIM_Z, RngStream(1), hidden=(8,)), best, load_model(path)):
+        init, loaded = JGNNModel.init(DIM_X, DIM_Y, DIM_Z, RngStream(1), hidden=(8,)), load_model(path)
+        for model, dtype in ((init, np.float64), (best, np.float32), (loaded, np.float32)):
             for net in (model.encoder, model.decoder):
                 arrays = [net.flat] + [getattr(l, n) for l in net.layers for n in ("weights", "bias", "u", "v")]
-                assert all(a.dtype == np.float64 for a in arrays)
+                assert all(a.dtype == dtype for a in arrays)
+                # every layer array is a view of the one vector: no widened copy beside it
+                assert all(np.shares_memory(a, net.flat) for a in arrays[1:])
+        assert loaded.encoder.flat.base is loaded.decoder.flat.base  # both views of the blob as read
 
     def test_manifest_is_json(self, trained_toy, tmp_path):
         import json
