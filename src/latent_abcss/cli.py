@@ -6,10 +6,9 @@ seeds, so reruns are byte-identical.  Exit codes: 0 ok, 2 config error,
 
 Heavy imports are deferred until after thread setup so ``--threads`` (or the
 LATENT_ABCSS_THREADS environment variable) can pin the BLAS pool before
-numpy loads.  The package's ``__init__`` has by then set OpenBLAS's idle spin
-(``OPENBLAS_THREAD_TIMEOUT=22`` unless already set), so that training's
-threaded Adam step finds the second core free after each GEMM.  A count of 1
-also keeps both networks' Adam steps on one thread.
+numpy loads.  That pool is the package's only parallelism; it starts no
+thread of its own.  Processes that share a host run fastest with a count of 1
+each.
 """
 
 from __future__ import annotations

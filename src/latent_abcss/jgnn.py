@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .rng_linalg import RngStream, write_csv, write_json
-from .neural import _BLOCK, AdamState, Layer, MLPParams, _activate, adam_step, flat_size
+from .neural import AdamState, Layer, MLPParams, _activate, adam_step, flat_size
 from .neural import mlp_backward, mlp_forward, refresh_spectral
 from .sinkhorn import SinkhornConfig, _plain_entropic_ot, cost_matrix, ot_point_gradient
 
@@ -60,10 +58,6 @@ _VAL_FRACTION = 0.1
 # the prior; at reg 10 the aggregate-matching invariant is reached quickly
 _SINKHORN_REG = 10.0
 _SINKHORN_MAX_ITER = 40
-# the decoder's Adam step gets a worker thread from this many Adam blocks up;
-# a DESK-scale decoder (~63K parameters, 2 blocks) loses more to the hand-off
-# than the overlap saves
-_THREADED_ADAM_BLOCKS = 8
 
 
 @dataclass
@@ -305,6 +299,11 @@ def _block_mses(residual: np.ndarray, dim_x: int) -> tuple[float, float]:
     return float(np.mean(rx * rx)), float(np.mean(ry * ry))
 
 
+def _n_val(n: int) -> int:
+    """How many of ``n`` couples :func:`train` holds out for validation."""
+    return max(1, int(round(_VAL_FRACTION * n)))
+
+
 def train(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -331,10 +330,9 @@ def train(
     the recorded validation figures exactly.
     Deterministic per seed.
 
-    A decoder of at least ``_THREADED_ADAM_BLOCKS`` Adam blocks takes its
-    Adam step on one worker thread while the encoder's runs, unless the
-    process has one CPU or its BLAS pool is pinned to one thread; the
-    parameters are the same bits as with the steps in turn.
+    Each batch takes the encoder's Adam step, then the decoder's, on the
+    calling thread; the package starts no thread, so BLAS is its only
+    parallelism.
 
     Raises:
         ValueError: before any work, if ``xs`` and ``ys`` differ in rows,
@@ -355,7 +353,7 @@ def train(
     rng = RngStream(cfg.seed, stream_id=17)
     sinkhorn_cfg = SinkhornConfig(reg=_SINKHORN_REG, max_iter=_SINKHORN_MAX_ITER, tol=cfg.sinkhorn_tol)
 
-    n_val = max(1, int(round(_VAL_FRACTION * n)))
+    n_val = _n_val(n)
     perm = rng.split(0).generator().permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if train_idx.size < cfg.batch_size:
@@ -377,81 +375,43 @@ def train(
     best_val = np.inf
     best = [net.copy() for net in nets]
 
-    # a worker needs a second CPU, and none is spare with the BLAS pool pinned
-    # to one thread (--threads 1 and LATENT_ABCSS_THREADS=1 export this variable)
-    threaded = (
-        model.decoder.flat.size >= _THREADED_ADAM_BLOCKS * _BLOCK
-        and _cpu_count() > 1
-        and os.environ.get("OPENBLAS_NUM_THREADS") != "1"
-    )
-    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
-        for epoch in range(cfg.epochs):
-            lam = lambda_schedule(epoch, cfg)
-            order = rng.split(1, epoch).generator().permutation(train_idx.size)
-            ep_mx = ep_my = ep_ot = 0.0
-            for b in range(n_batches):
-                idx = train_idx[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
-                for net in nets:
-                    refresh_spectral(net)
-                draws = (
-                    rng.split(2, epoch, b)
-                    .generator()
-                    .standard_normal((cfg.batch_size, model.latent_dim))
-                )
-                try:
-                    res = jgnn_loss(data[idx], trained, lam, sinkhorn_cfg, draws)
-                    _adam_steps(pool, trained, res, enc_state, dec_state)
-                except ValueError as err:
-                    raise TrainingDiverged(epoch, history) from err
-                ep_mx += res.mse_x
-                ep_my += res.mse_y
-                ep_ot += res.ot_cost
+    for epoch in range(cfg.epochs):
+        lam = lambda_schedule(epoch, cfg)
+        order = rng.split(1, epoch).generator().permutation(train_idx.size)
+        ep_mx = ep_my = ep_ot = 0.0
+        for b in range(n_batches):
+            idx = train_idx[order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
+            for net in nets:
+                refresh_spectral(net)
+            draws = rng.split(2, epoch, b).generator().standard_normal((cfg.batch_size, model.latent_dim))
+            try:
+                res = jgnn_loss(data[idx], trained, lam, sinkhorn_cfg, draws)
+                adam_step(enc_state, trained.encoder, res.encoder_grad, "encoder layer")
+                adam_step(dec_state, trained.decoder, res.decoder_grad, "decoder layer")
+            except ValueError as err:
+                raise TrainingDiverged(epoch, history) from err
+            ep_mx += res.mse_x
+            ep_my += res.mse_y
+            ep_ot += res.ot_cost
 
-            z, _ = mlp_forward(trained.encoder, val)
-            out, _ = mlp_forward(trained.decoder, z)
-            vmx, vmy = _block_mses(out - val, model.dim_x)
-            history.mse_x.append(ep_mx / n_batches)
-            history.mse_y.append(ep_my / n_batches)
-            history.ot_term.append(ep_ot / n_batches)
-            history.lam.append(lam)
-            history.val_mse_x.append(vmx)
-            history.val_mse_y.append(vmy)
-            if not np.isfinite(vmx + vmy):  # a NaN would never beat best_val, leaving the initial weights
-                raise TrainingDiverged(epoch, history)
-            if vmx + vmy < best_val:
-                best_val = vmx + vmy
-                history.best_epoch = epoch
-                for snapshot, net in zip(best, nets):
-                    snapshot.flat[...] = net.flat
+        z, _ = mlp_forward(trained.encoder, val)
+        out, _ = mlp_forward(trained.decoder, z)
+        vmx, vmy = _block_mses(out - val, model.dim_x)
+        history.mse_x.append(ep_mx / n_batches)
+        history.mse_y.append(ep_my / n_batches)
+        history.ot_term.append(ep_ot / n_batches)
+        history.lam.append(lam)
+        history.val_mse_x.append(vmx)
+        history.val_mse_y.append(vmy)
+        if not np.isfinite(vmx + vmy):  # a NaN would never beat best_val, leaving the initial weights
+            raise TrainingDiverged(epoch, history)
+        if vmx + vmy < best_val:
+            best_val = vmx + vmy
+            history.best_epoch = epoch
+            for snapshot, net in zip(best, nets):
+                snapshot.flat[...] = net.flat
 
     return JGNNModel(*best, *dims, standardizer), history
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _adam_steps(pool, model: JGNNModel, res: LossResult, enc_state: AdamState, dec_state: AdamState):
-    """Both networks' Adam steps on ``model``; the decoder's on ``pool``'s worker thread when there is a pool.
-
-    The two updates touch disjoint arrays and numpy's element-wise passes
-    release the GIL, so they overlap and give the same bits as in turn.
-    The worker is joined before this returns or raises; with both gradients
-    refused, the encoder's error is the one raised, as in turn.
-    """
-    enc = (enc_state, model.encoder, res.encoder_grad, "encoder layer")
-    dec = (dec_state, model.decoder, res.decoder_grad, "decoder layer")
-    if pool is None:
-        adam_step(*enc)
-        adam_step(*dec)
-        return
-    dec = pool.submit(adam_step, *dec)
-    try:
-        adam_step(*enc)
-    finally:
-        wait((dec,))
-    dec.result()
 
 
 @dataclass(frozen=True)

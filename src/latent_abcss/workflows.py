@@ -36,7 +36,7 @@ from .diagnostics import (
 )
 from .gp_prior import GPConfig, Grid, build_covariance, sample_fields
 from .jgnn import JGNNModel, TrainConfig, _decoder_view, g1_of_latent, g2_of_latent, generate
-from .jgnn import load_model, save_model, train
+from .jgnn import _n_val, load_model, save_model, train
 from .rng_linalg import RngStream, add_jitter, load_array, read_csv_columns, save_array, write_csv, write_json
 from .sinkhorn import SinkhornConfig
 from .subsim import SubSimConfig, save_trace, subsim_run
@@ -285,10 +285,18 @@ def _load_dataset(dataset_dir: str, *names: str) -> dict:
 
 
 def train_from_dataset(cfg: PipelineConfig, dataset_dir: str, out_dir: str) -> str:
-    """Train the joint model on a generated dataset; write checkpoint + history."""
+    """Train the joint model on a generated dataset; write checkpoint + history.
+
+    Raises:
+        ConfigError: before ``out_dir`` exists, if ``batch_size`` exceeds the training split.
+    """
     data = _load_dataset(dataset_dir, "train_x", "train_y")
-    os.makedirs(out_dir, exist_ok=True)
     xs, ys = data["train_x"], data["train_y"]
+    n_val = _n_val(len(xs))
+    if cfg.batch_size > len(xs) - n_val:
+        split = f"{len(xs) - n_val} training couples ({n_val} of {len(xs)} held out for validation)"
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds the dataset's {split}")
+    os.makedirs(out_dir, exist_ok=True)
     model = JGNNModel.init(
         xs.shape[1], ys.shape[1], cfg.latent_dim, RngStream(cfg.seed, stream_id=2), hidden=cfg.hidden
     )

@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 import warnings
 from collections import namedtuple
 
@@ -21,7 +20,7 @@ from latent_abcss import jgnn, workflows
 from latent_abcss.cli import _build_parser, main
 from latent_abcss.gp_prior import build_covariance
 from latent_abcss.jgnn import generate, load_model
-from latent_abcss.neural import _BLOCK, flat_size
+from latent_abcss.neural import flat_size
 from latent_abcss.rng_linalg import RngStream, add_jitter, cholesky, load_array, sample_mvn, save_array
 from latent_abcss.tomography import NoiseModel, add_noise, load_ray_matrix, save_ray_matrix
 from latent_abcss.workflows import PipelineConfig, generate_dataset
@@ -82,30 +81,19 @@ def tree_digest(root):
     return h.hexdigest()
 
 
-def _import_report(preset_spin):
-    """In a fresh interpreter: whether numpy loaded after ``import latent_abcss``, then
-    after ``import latent_abcss.cli``, and the OpenBLAS spin setting after both."""
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads must reach the BLAS pool, which is sized when numpy loads; the
+    # import writes no environment variable, OpenBLAS's idle spin included
     src = os.path.dirname(os.path.dirname(latent_abcss.__file__))
     code = (
-        "import os, sys, latent_abcss; a = 'numpy' in sys.modules; import latent_abcss.cli; "
-        "print(a, 'numpy' in sys.modules, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+        "import os, sys; env = dict(os.environ); import latent_abcss; a = 'numpy' in sys.modules; "
+        "import latent_abcss.cli; print(a, 'numpy' in sys.modules, dict(os.environ) == env, "
+        "'OPENBLAS_THREAD_TIMEOUT' in os.environ)"
     )
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
     env["PYTHONPATH"] = src
-    if preset_spin is not None:
-        env["OPENBLAS_THREAD_TIMEOUT"] = preset_spin
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    return out.stdout.split()
-
-
-def test_cli_import_leaves_numpy_unloaded():
-    # --threads and the OpenBLAS spin must reach the BLAS pool, which is sized
-    # when numpy loads; the package sets the spin before anything imports numpy
-    assert _import_report(None) == ["False", "False", "22"]
-
-
-def test_preset_blas_spin_is_kept():
-    assert _import_report("4") == ["False", "False", "4"]
+    assert out.stdout.split() == ["False", "False", "True", "False"]
 
 
 @pytest.mark.parametrize(
@@ -264,33 +252,29 @@ class TestTrain:
         header = open(os.path.join(model, "history.csv")).readline().strip()
         assert header == "epoch,mse_x,mse_y,ot_term,lambda,val_mse_x,val_mse_y"
 
-    def test_threads_1_writes_the_default_checkpoint(self, pipeline, tmp_path, monkeypatch):
-        # a decoder above the Adam worker rule, so the default run steps it on the
-        # worker (given a second CPU) and --threads 1 steps it in turn
+    def test_batch_of_the_whole_training_split_is_accepted(self, pipeline, tmp_path):
+        # 120 couples hold out 12, so a batch of 108 is the largest train accepts
         data = pipeline[2]
-        assert flat_size([3, 512, 512, 34]) >= 8 * _BLOCK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**MICRO_CONFIG, "batch_size": 108, "epochs": 2}))
+        out = tmp_path / "model"
+        assert main(["train", "--config", str(cfg), "--dataset", data, "--out", str(out)]) == 0
+        assert len((out / "history.csv").read_text().splitlines()) == 1 + 2
+
+    def test_threads_1_writes_the_default_checkpoint(self, pipeline, tmp_path, monkeypatch):
+        # a default-width network, trained with the BLAS pool unpinned and pinned to one thread
+        data = pipeline[2]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**MICRO_CONFIG, "hidden": [512, 512], "epochs": 3}))
-        monkeypatch.setattr(jgnn, "_cpu_count", lambda: 2)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "")  # records the value that teardown restores over --threads 1's
             monkeypatch.delenv(var)
-        on_worker, adam_step = set(), jgnn.adam_step
-
-        def spy(*args):
-            on_worker.add(threading.current_thread() is not threading.main_thread())
-            return adam_step(*args)
-
-        monkeypatch.setattr(jgnn, "adam_step", spy)
         runs = []
         for flags in ([], ["--threads", "1"]):
             out = tmp_path / f"model{len(runs)}"
             assert main([*flags, "train", "--config", str(cfg), "--dataset", data, "--out", str(out)]) == 0
-            files = [(out / name).read_bytes() for name in ("model.ckpt", "model.ckpt.json", "history.csv")]
-            runs.append((sorted(on_worker), files))
-            on_worker.clear()
-        assert [workers for workers, _ in runs] == [[False, True], [False]]
-        assert runs[0][1] == runs[1][1]
+            runs.append([(out / name).read_bytes() for name in ("model.ckpt", "model.ckpt.json", "history.csv")])
+        assert runs[0] == runs[1]
 
     def test_library_and_checkpoint_paths_agree(self, pipeline, tmp_path, monkeypatch):
         # train returns the f32 values its checkpoint stores, so an inversion of the
@@ -819,6 +803,8 @@ REFUSALS = [
     Row("train-dataset-array-truncated", "train --dataset", "truncated", _truncated("/train_x.f64"), AT + "/train_x.f64"),
     Row("train-dataset-nan-cell", "train --dataset", "non-finite",
         _array("/train_x.f64", _with(NAN, (5, 2))), "train_x.f64 holds a NaN or infinite value"),
+    Row("train-config-batch-larger-than-split", "train --config", "out of range", _config(batch_size=128),
+        "config error [train]: batch_size 128 exceeds the dataset's 108 training couples (12 of 120 held out"),
     Row("train-dataset-rows-short-of-manifest", "train --dataset", "wrong shape",
         _array("/train_y.f64", lambda a: a[:100]), "train_y.f64 has shape (100, 4), the manifest implies (120, 4)"),
     Row("invert-eps-grid-two-parts", "invert --eps-grid", "wrong shape", "5,4", USAGE),

@@ -1,4 +1,4 @@
-"""numpy and scipy are the only runtime dependencies of the package and its demos."""
+"""numpy and scipy are the only runtime dependencies of the package and its demos, and BLAS its only parallelism."""
 
 import ast
 import glob
@@ -9,9 +9,9 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "latent_abcss"}
-MODULES = sorted(
-    glob.glob(os.path.join(ROOT, "src", "latent_abcss", "*.py")) + glob.glob(os.path.join(ROOT, "demos", "*.py"))
-)
+PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "latent_abcss", "*.py")))
+MODULES = PACKAGE + sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+CONCURRENCY = {"threading", "concurrent", "multiprocessing", "_thread"}
 
 
 def imported_packages(source):
@@ -34,3 +34,10 @@ def test_every_import_form_is_seen():
 def test_imports_only_the_standard_library_numpy_scipy_and_the_package(path):
     with open(path) as fh:
         assert imported_packages(fh.read()) <= ALLOWED
+
+
+def test_the_package_starts_no_thread_or_process():
+    # BLAS sizes its own pool (``--threads``); a thread or process the package started would compete with it
+    for path in PACKAGE:
+        with open(path) as fh:
+            assert not imported_packages(fh.read()) & CONCURRENCY, os.path.relpath(path, ROOT)
