@@ -40,7 +40,7 @@ rng = RngStream(cfg.seed, stream_id=1)
 # both splits from one factor of the prior, as generate_dataset draws them
 train_x, test_x = sample_fields(cfg.grid, cfg.gp, (cfg.train_size, cfg.test_size), rng)
 train_y = forward(a, train_x)
-print(f"dataset: {train_x.shape[0]} couples, {a.n_rays} rays, {cfg.grid.n_cells} cells")
+print(f"dataset: {train_x.shape[0]} couples, {a.shape[0]} rays, {cfg.grid.n_cells} cells")
 
 model = JGNNModel.init(train_x.shape[1], train_y.shape[1], cfg.latent_dim,
                        RngStream(cfg.seed, stream_id=2), hidden=cfg.hidden)

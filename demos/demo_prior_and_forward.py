@@ -20,7 +20,7 @@ print(f"grid: {grid.n_rows} x {grid.n_cols} cells of {grid.cell_size} m "
 geom = build_geometry(grid, n_src=9, n_rcv=9, depth_min=0.5, depth_max=4.5, separation=3.9)
 a = assemble_matrix(grid, geom)
 print(f"geometry: sources at x={geom.source_x:.2f} m, receivers at x={geom.receiver_x:.2f} m, "
-      f"{a.n_rays} rays")
+      f"{a.shape[0]} rays")
 
 # every row of the path matrix must sum to its ray's Euclidean length
 exact = np.array([
@@ -28,7 +28,7 @@ exact = np.array([
     for sz in geom.source_depths
     for rz in geom.receiver_depths
 ])
-worst = np.max(np.abs(a.ray_lengths() - exact) / exact)
+worst = np.max(np.abs(np.asarray(a.sum(axis=1)).ravel() - exact) / exact)
 print(f"row-sum identity: worst relative error {worst:.2e}")
 
 rng = RngStream(seed=2024)

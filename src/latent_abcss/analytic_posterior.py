@@ -13,7 +13,6 @@ from functools import cached_property
 import numpy as np
 
 from .rng_linalg import RngStream, cholesky, sample_mvn
-from .tomography import RayMatrix
 
 __all__ = ["GaussianDist", "linear_gaussian_posterior", "posterior_sample"]
 
@@ -43,18 +42,13 @@ class GaussianDist:
         return self.mean.size
 
 
-def _dense_operator(a) -> np.ndarray:
-    if isinstance(a, RayMatrix):
-        return a.dense()
-    return np.asarray(a, dtype=np.float64)
-
-
 def linear_gaussian_posterior(
     prior: GaussianDist, a, noise_cov, y_obs
 ) -> GaussianDist:
     """Condition a Gaussian prior on linear observations.
 
-    For observation model ``y = A x + eta`` with ``eta ~ N(0, Cn)``:
+    For observation model ``y = A x + eta`` with ``eta ~ N(0, Cn)``, where
+    ``a`` is the dense operator ``A`` (a sparse ray matrix's ``toarray()``):
 
         mean = m + C A' S^-1 (y - A m)
         cov  = C - C A' S^-1 A C,      S = A C A' + Cn
@@ -67,7 +61,7 @@ def linear_gaussian_posterior(
     Raises:
         NotPositiveDefiniteError: if the innovation matrix is singular.
     """
-    amat = _dense_operator(a)
+    amat = np.asarray(a, dtype=np.float64)
     y = np.asarray(y_obs, dtype=np.float64).ravel()
     cn = np.asarray(noise_cov, dtype=np.float64)
     n_obs, n_dim = amat.shape

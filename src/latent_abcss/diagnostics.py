@@ -28,7 +28,7 @@ from .sinkhorn import (
     self_transport,
 )
 from .subsim import SubSimTrace
-from .tomography import RayMatrix, forward
+from .tomography import forward
 
 __all__ = [
     "ThresholdCurve",
@@ -316,10 +316,10 @@ def wasserstein_diagnostics(
 def resimulation_report(
     solutions_x: np.ndarray,
     model_ys: np.ndarray,
-    a: RayMatrix,
+    a,
     y_obs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Push solutions through the true forward operator and audit both gaps.
+    """Push solutions through the sparse ray matrix ``a`` and audit both gaps.
 
     Returns per-sample RMSE of the resimulated travel times against the
     generator's travel times (generator fidelity) and against the observed

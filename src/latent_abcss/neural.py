@@ -63,11 +63,6 @@ def _activate(s: np.ndarray, kind: str) -> np.ndarray:
     return s
 
 
-def _activate_grad(s: np.ndarray) -> np.ndarray:
-    """Leaky ReLU's derivative in the dtype of ``s``; a linear layer's is 1 and is never formed."""
-    return np.where(s > 0.0, s.dtype.type(1.0), s.dtype.type(LEAKY_SLOPE))
-
-
 @dataclass
 class Layer:
     """Affine layer ``act(x @ W.T + b)`` with optional spectral normalization.
@@ -261,7 +256,8 @@ def mlp_backward(params: MLPParams, cache, output_gradient: np.ndarray, input_gr
         dw, db, du, dv = blocks[k]
         du[...] = 0.0
         dv[...] = 0.0
-        ds = g if layer.activation == "linear" else g * _activate_grad(ck["s"])
+        # g times leaky ReLU's derivative, with the bits of g * where(s > 0, 1, slope)
+        ds = g if layer.activation == "linear" else np.where(ck["s"] > 0.0, g, g * LEAKY_SLOPE)
         np.sum(ds, axis=0, out=db)
         a, x = ds, ck["x"]
         if ck["sigma"] is not None:

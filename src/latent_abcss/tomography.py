@@ -4,6 +4,8 @@ Sources sit in one borehole and receivers in another; each (source, receiver)
 pair contributes one ray.  A ray's travel time is the path-length-weighted sum
 of the slowness it crosses, which makes the forward map a sparse linear
 operator: one matrix row per ray, one column per grid cell, entries in meters.
+That operator is a plain ``scipy.sparse.csr_matrix``; its ``shape`` is
+(rays, cells).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .gp_prior import Grid
 
 __all__ = [
     "AcquisitionGeometry",
-    "RayMatrix",
     "NoiseModel",
     "build_geometry",
     "trace_ray",
@@ -72,34 +73,6 @@ class NoiseModel:
     def __post_init__(self):
         if self.std < 0:
             raise ValueError("noise std must be nonnegative")
-
-
-class RayMatrix:
-    """Sparse per-cell path lengths (meters), one row per ray."""
-
-    def __init__(self, paths: sp.csr_matrix, n_rays: int, n_cells: int):
-        self.paths = paths.tocsr()
-        self.n_rays = int(n_rays)
-        self.n_cells = int(n_cells)
-        if self.paths.shape != (self.n_rays, self.n_cells):
-            raise ValueError("sparse matrix shape disagrees with declared dimensions")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rays, self.n_cells)
-
-    def ray_lengths(self) -> np.ndarray:
-        """Per-ray total path length in meters.
-
-        No pipeline code calls this.  It stays as the row-sum side of the
-        geometry check: each ray's lengths must add up to its straight-line
-        length, which acceptance criterion 5 and ``demo_prior_and_forward``
-        verify through it.
-        """
-        return np.asarray(self.paths.sum(axis=1)).ravel()
-
-    def dense(self) -> np.ndarray:
-        return self.paths.toarray()
 
 
 def build_geometry(
@@ -170,8 +143,8 @@ def trace_ray(grid: Grid, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     return uniq, summed
 
 
-def assemble_matrix(grid: Grid, geom: AcquisitionGeometry) -> RayMatrix:
-    """Trace every (source, receiver) pair, source-major row order."""
+def assemble_matrix(grid: Grid, geom: AcquisitionGeometry) -> sp.csr_matrix:
+    """Trace every (source, receiver) pair into per-cell path lengths, source-major row order."""
     rows, cols, data = [], [], []
     i = 0
     for sz in geom.source_depths:
@@ -181,14 +154,13 @@ def assemble_matrix(grid: Grid, geom: AcquisitionGeometry) -> RayMatrix:
             cols.append(cells)
             data.append(lengths)
             i += 1
-    mat = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(geom.n_rays, grid.n_cells),
     )
-    return RayMatrix(mat, geom.n_rays, grid.n_cells)
 
 
-def forward(a: RayMatrix, x) -> np.ndarray:
+def forward(a: sp.csr_matrix, x) -> np.ndarray:
     """Travel times ``A @ slowness`` in ns.
 
     ``x`` may be a flat slowness vector or a batch of vectors with shape
@@ -196,13 +168,14 @@ def forward(a: RayMatrix, x) -> np.ndarray:
     for batches).
     """
     values = np.asarray(x, dtype=np.float64)
+    n_cells = a.shape[1]
     if values.ndim == 1:
-        if values.shape[0] != a.n_cells:
-            raise ValueError(f"field has {values.shape[0]} cells, matrix expects {a.n_cells}")
-        return a.paths @ values
-    if values.shape[1] != a.n_cells:
-        raise ValueError(f"batch has {values.shape[1]} cells, matrix expects {a.n_cells}")
-    return (a.paths @ values.T).T
+        if values.shape[0] != n_cells:
+            raise ValueError(f"field has {values.shape[0]} cells, matrix expects {n_cells}")
+        return a @ values
+    if values.shape[1] != n_cells:
+        raise ValueError(f"batch has {values.shape[1]} cells, matrix expects {n_cells}")
+    return (a @ values.T).T
 
 
 def add_noise(y: np.ndarray, noise: NoiseModel, rng: RngStream) -> np.ndarray:
@@ -213,15 +186,16 @@ def add_noise(y: np.ndarray, noise: NoiseModel, rng: RngStream) -> np.ndarray:
     return y + noise.std * rng.generator().standard_normal(y.shape)
 
 
-def save_ray_matrix(path: str, a: RayMatrix, provenance: dict | None = None) -> None:
+def save_ray_matrix(path: str, a: sp.csr_matrix, provenance: dict | None = None) -> None:
     """JSON header + packed (ray:u32, cell:u32, length:f64) triples."""
-    coo = a.paths.tocoo()
+    coo = a.tocoo()
     order = np.lexsort((coo.col, coo.row))
     packed = np.empty(coo.nnz, dtype=_TRIPLE_DTYPE)
     packed["ray"] = coo.row[order]
     packed["cell"] = coo.col[order]
     packed["length"] = coo.data[order]
-    header = {"n_rays": a.n_rays, "n_cells": a.n_cells, "nnz": int(coo.nnz)}
+    n_rays, n_cells = a.shape
+    header = {"n_rays": n_rays, "n_cells": n_cells, "nnz": int(coo.nnz)}
     if provenance is not None:
         header["provenance"] = provenance
     write_json(path + ".json", header)
@@ -229,7 +203,7 @@ def save_ray_matrix(path: str, a: RayMatrix, provenance: dict | None = None) -> 
         fh.write(packed.tobytes())
 
 
-def load_ray_matrix(path: str) -> RayMatrix:
+def load_ray_matrix(path: str) -> sp.csr_matrix:
     with open(path + ".json") as fh:
         header = json.load(fh)
     expected = int(header["nnz"]) * _TRIPLE_DTYPE.itemsize
@@ -237,8 +211,7 @@ def load_ray_matrix(path: str) -> RayMatrix:
     if size != expected:
         raise ValueError(f"ray matrix file {path} has {size} bytes, header implies {expected}")
     packed = np.fromfile(path, dtype=_TRIPLE_DTYPE)
-    mat = sp.csr_matrix(
+    return sp.csr_matrix(
         (packed["length"], (packed["ray"], packed["cell"])),
         shape=(int(header["n_rays"]), int(header["n_cells"])),
     )
-    return RayMatrix(mat, int(header["n_rays"]), int(header["n_cells"]))

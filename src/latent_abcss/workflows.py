@@ -122,11 +122,13 @@ class PipelineConfig:
     def from_json(cls, path: str) -> "PipelineConfig":
         if not os.path.exists(path):
             raise ConfigError(f"missing config file: {path}")
-        with open(path) as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read config {path}: {err}") from err
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
@@ -199,13 +201,21 @@ def _require(paths: list[str]) -> None:
 
 @contextmanager
 def _reading(path: str):
-    """A malformed input artifact is a config error, not a numerical failure."""
+    """A malformed or unreadable input artifact is a config error, not a numerical failure."""
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, OSError) as err:  # JSONDecodeError is a ValueError
         raise ConfigError(f"malformed artifact {path}: {err!r}") from err
+
+
+def _make_out_dir(path: str) -> None:
+    """Create an output directory; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: {err}") from err
 
 
 def _load_input(load, path: str):
@@ -223,7 +233,7 @@ def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
     Training and test travel times are noise free: observation noise is
     added only when an inversion target is assembled.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     prov = cfg.provenance("gendata")
     geom = cfg.geometry()
     a = assemble_matrix(cfg.grid, geom)
@@ -251,8 +261,8 @@ def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
         "config": cfg.to_dict(),
         "n_train": cfg.train_size,
         "n_test": cfg.test_size,
-        "n_rays": a.n_rays,
-        "n_cells": a.n_cells,
+        "n_rays": a.shape[0],
+        "n_cells": a.shape[1],
         # Gaussian draws with at least one slowness cell <= 0
         "nonpositive_fields": {
             "train": int(np.any(train_x <= 0, axis=1).sum()),
@@ -265,7 +275,10 @@ def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
 
 
 def _load_dataset(dataset_dir: str, *names: str) -> dict:
-    """The manifest and only the named arrays, each checked for its manifest shape and finite values."""
+    """The manifest and only the named inputs, each checked for its manifest shape and finite values.
+
+    The ray matrix loads as a ``scipy.sparse.csr_matrix``, the rest as dense arrays.
+    """
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     _require([manifest_path])
     with _reading(manifest_path):
@@ -279,7 +292,7 @@ def _load_dataset(dataset_dir: str, *names: str) -> dict:
             data[name] = arr = _load_input(load_ray_matrix if name == "ray_matrix" else load_array, path)
             if arr.shape != shapes[name]:
                 raise ConfigError(f"{path} has shape {arr.shape}, the manifest implies {shapes[name]}")
-            if not np.isfinite(arr.paths.data if name == "ray_matrix" else arr).all():
+            if not np.isfinite(arr.data if name == "ray_matrix" else arr).all():
                 raise ConfigError(f"{path} holds a NaN or infinite value")
         return data
 
@@ -296,7 +309,7 @@ def train_from_dataset(cfg: PipelineConfig, dataset_dir: str, out_dir: str) -> s
     if cfg.batch_size > len(xs) - n_val:
         split = f"{len(xs) - n_val} training couples ({n_val} of {len(xs)} held out for validation)"
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds the dataset's {split}")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     model = JGNNModel.init(
         xs.shape[1], ys.shape[1], cfg.latent_dim, RngStream(cfg.seed, stream_id=2), hidden=cfg.hidden
     )
@@ -387,7 +400,7 @@ def run_inversion(
 
     if oracle:
         prior, noise_cov = _oracle_prior_noise(cfg, n_obs)
-        post = linear_gaussian_posterior(prior, a, noise_cov, y_obs)
+        post = linear_gaussian_posterior(prior, a.toarray(), noise_cov, y_obs)
         post_samples = posterior_sample(post, cfg.n_particles, rng.split(2))
         prior_samples = posterior_sample(prior, cfg.n_particles, rng.split(3))
         if truth is not None:
@@ -540,7 +553,7 @@ def invert_artifacts(
     with _reading(os.path.join(dataset_dir, "manifest.json")):
         _check_model_fits(model, data["manifest"])
         _check_observation(cfg, data["manifest"], y_obs, truth, oracle)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     prov = cfg.provenance("invert")
     rng = RngStream(cfg.seed, stream_id=3)
 
@@ -584,9 +597,13 @@ def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
     """Aggregate per-inversion RMSE pairings; write per-run and pooled rows.
 
     Raises:
-        ConfigError: on a missing or malformed ``metrics.csv``, or when no
-            run has a truth column to aggregate; before anything is written.
+        ConfigError: on a missing or malformed ``metrics.csv``, when no run
+            has a truth column to aggregate, or when ``out_path`` is a
+            directory (checked before any run is read); before anything is
+            written.
     """
+    if os.path.isdir(out_path):
+        raise ConfigError(f"output path {out_path} is a directory, not a CSV file")
     pairings = ("train", "post", "ours", "prior")
     col_of = {
         "train": "rmse_train_truth",
@@ -619,7 +636,7 @@ def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
         raise ConfigError(f"no run has a truth column ({', '.join(col_of.values())}): invert with --truth")
     cols = {p: (np.concatenate(pooled[p]) if pooled[p] else np.empty(0)) for p in pairings}
     rows += [row("pooled", p, cols[p]) for p in pairings if cols[p].size]
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+    _make_out_dir(os.path.dirname(out_path) or ".")
     write_csv(out_path, header, (r.values() for r in rows))
     # pooled per-sample distributions, one labeled column per pairing
     dist_path = os.path.splitext(out_path)[0] + "_pooled.csv"
@@ -635,10 +652,10 @@ def compute_oracle_posterior(
     data = _load_dataset(dataset_dir, "ray_matrix")
     with _reading(os.path.join(dataset_dir, "manifest.json")):
         _check_observation(cfg, data["manifest"], y_obs)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     prov = cfg.provenance("oracle-posterior")
     prior, noise_cov = _oracle_prior_noise(cfg, y_obs.size)
-    post = linear_gaussian_posterior(prior, data["ray_matrix"], noise_cov, y_obs)
+    post = linear_gaussian_posterior(prior, data["ray_matrix"].toarray(), noise_cov, y_obs)
     save_array(os.path.join(out_dir, "posterior_mean.f64"), post.mean, prov)
     save_array(os.path.join(out_dir, "posterior_cov.f64"), post.cov, prov)
     return post

@@ -640,8 +640,8 @@ def test_every_json_artifact_is_strict_json(pipeline):
 
 Row = namedtuple("Row", "id args corruption edit fragment code", defaults=(2,))
 
-MALFORMED = {"truncated", "not JSON", "missing key", "wrong type", "wrong shape", "non-finite"}
-CORRUPTIONS = MALFORMED | {"missing", "unknown key", "out of range", "mismatched", "unused flag"}
+MALFORMED = {"truncated", "not JSON", "not UTF-8", "missing key", "wrong type", "wrong shape", "non-finite"}
+CORRUPTIONS = MALFORMED | {"missing", "directory", "unknown key", "out of range", "mismatched", "unused flag"}
 GUARDED = ("subsim_run", "train", "sample_fields", "linear_gaussian_posterior")
 METRICS = "rmse_solutions_truth,rmse_prior_truth\n0.25,{}\n"
 
@@ -715,6 +715,22 @@ def _text(name, text):
     return lambda path: _write(path + name, text)
 
 
+def _bytes(blob):
+    def write(path):
+        with open(path, "wb") as fh:
+            fh.write(blob)
+
+    return write
+
+
+def _directory(name=""):
+    def replace(path):
+        os.remove(path + name)
+        os.mkdir(path + name)
+
+    return replace
+
+
 def _removed(name):
     return lambda path: os.remove(path + name)
 
@@ -764,7 +780,7 @@ def _ray_matrix_of(**doc):
 
 def _nan_path_length(path):
     a = load_ray_matrix(path + "/ray_matrix.bin")
-    a.paths.data[0] = np.nan
+    a.data[0] = np.nan
     save_ray_matrix(path + "/ray_matrix.bin", a)
 
 
@@ -841,6 +857,7 @@ REFUSALS = [
     Row("invert-checkpoint-manifest-wrong-type", "invert --checkpoint", "wrong type",
         _json(".json", lambda doc: doc["encoder"].update(sizes="abc")), AT),
     Row("invert-yobs-truncated", "invert --yobs", "truncated", _truncated(), AT),
+    Row("invert-yobs-sidecar-directory", "invert --yobs", "directory", _directory(".json"), AT),
     Row("invert-dataset-manifest-not-json",
         "invert --dataset", "not JSON", _text("/manifest.json", "not json"), AT + "/manifest.json"),
     *(
@@ -873,6 +890,10 @@ REFUSALS = [
         )
     ),
     Row("gendata-config-not-json", "gendata --config", "not JSON", _text("", "{not"), "is not valid JSON"),
+    Row("gendata-config-directory", "gendata --config", "directory", _directory(),
+        "config error [gendata]: cannot read config {path}"),
+    Row("gendata-config-not-utf8", "gendata --config", "not UTF-8", _bytes(b"\xff\xfe{"),
+        "config error [gendata]: cannot read config {path}"),
     Row("invert-checkpoint-missing", "invert --checkpoint", "missing", _missing, "missing artifacts"),
     Row("invert-checkpoint-nan-weight",
         "invert --checkpoint", "non-finite", _nan_decoder_weight, AT + ": ValueError('checkpoint {path} holds a NaN"),
@@ -895,6 +916,35 @@ REFUSALS = [
 @pytest.mark.parametrize("row", REFUSALS, ids=[row.id for row in REFUSALS])
 def test_refused_input(refused, row):
     refused(row)
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [(command, "{file}") for command in ("gendata", "train", "invert", "oracle-posterior")]
+    + [("invert", "{file}/sub"), ("evaluate", "{file}/agg.csv"), ("evaluate", "{dir}")],
+)
+def test_unusable_out_is_refused(pipeline, tmp_path, monkeypatch, capsys, command, out):
+    # an --out that cannot be an output directory (for evaluate, a CSV file) is
+    # a config error, raised before any expensive stage and leaving it as it was
+    run, taken = tmp_path / "run", tmp_path / "dir"
+    run.mkdir()
+    (run / "metrics.csv").write_text(METRICS.format(0.5))
+    taken.mkdir()
+    (taken / "kept.txt").write_text("kept")
+    offending = taken / "kept.txt" if "{file}" in out else taken
+    path = out.format(file=offending, dir=taken)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an expensive stage started before --out was refused")
+
+    for name in GUARDED + (("read_csv_columns",) if out == "{dir}" else ()):
+        monkeypatch.setattr(workflows, name, forbidden)
+    code = main(_argv(command, {**_inputs(pipeline), "--runs": str(run)}, path))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"config error [{command}]" in err and str(offending) in err, err
+    assert sorted(os.listdir(taken)) == ["kept.txt"]
+    assert (taken / "kept.txt").read_text() == "kept"
 
 
 def test_every_path_option_has_missing_and_malformed_rows():

@@ -391,7 +391,7 @@ class TestResimulationReport:
     def test_perfect_generator_zero_model_gap(self):
         gen = np.random.default_rng(7)
         xs = gen.uniform(0.3, 0.7, size=(6, self.grid.n_cells))
-        ys = (self.a.paths @ xs.T).T
+        ys = (self.a @ xs.T).T
         rmse_model, rmse_obs = resimulation_report(xs, ys, self.a, ys[0])
         np.testing.assert_allclose(rmse_model, 0.0, atol=1e-12)
         assert rmse_obs[0] == pytest.approx(0.0, abs=1e-12)
@@ -399,9 +399,9 @@ class TestResimulationReport:
     def test_noise_free_truth_zero_obs_gap(self):
         gen = np.random.default_rng(8)
         truth = gen.uniform(0.3, 0.7, self.grid.n_cells)
-        y_obs = self.a.paths @ truth
+        y_obs = self.a @ truth
         rmse_model, rmse_obs = resimulation_report(
-            truth[None, :], (self.a.paths @ truth)[None, :], self.a, y_obs
+            truth[None, :], (self.a @ truth)[None, :], self.a, y_obs
         )
         assert rmse_obs[0] == pytest.approx(0.0, abs=1e-12)
 

@@ -14,7 +14,6 @@ from latent_abcss.neural import (
     Layer,
     MLPParams,
     _activate,
-    _activate_grad,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -507,11 +506,17 @@ class TestMixedPrecision:
             assert x32 is None
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_activation_derivative_keeps_the_dtype(self, dtype):
-        s = RngStream(27).generator().standard_normal(100).astype(dtype)
-        d = _activate_grad(s)
-        assert d.dtype == dtype
-        np.testing.assert_array_equal(d, np.where(s > 0, 1.0, LEAKY_SLOPE).astype(dtype))
+    def test_leaky_layer_gradients_are_the_bits_of_the_derivative_product(self, dtype):
+        net = MLPParams.init([7, 5], ["leaky_relu"], RngStream(27), spectral=[False]).copy(dtype)
+        gen = RngStream(28).generator()
+        x, g = gen.standard_normal((50, 7)).astype(dtype), gen.standard_normal((50, 5)).astype(dtype)
+        _, cache = mlp_forward(net, x)
+        s = cache[0]["s"]
+        assert s.dtype == dtype and (s > 0).any() and (s <= 0).any()
+        ds_ref = g * np.where(s > 0, 1, LEAKY_SLOPE).astype(dtype)
+        dw, db, _, _ = net.blocks(mlp_backward(net, cache, g)[0])[0]
+        assert_same_bits(db, np.sum(ds_ref, axis=0))
+        assert_same_bits(dw, ds_ref.T @ cache[0]["x"])
 
 
 class TestFlatParameters:
