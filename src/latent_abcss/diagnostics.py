@@ -13,7 +13,7 @@ true forward operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -95,7 +95,9 @@ def probability_curve(trace: SubSimTrace, n_obs: int, eps_grid: np.ndarray) -> T
     For a tolerance t between two consecutive level thresholds, the level
     population just above it estimates the conditional mass below t, and the
     level factor alpha^j accounts for the mass of that population's own
-    region.  Grid points below everything the run reached are dropped.
+    region.  Grid points below everything the run reached are dropped; when
+    the run reaches none, the curve is empty and :func:`analyze_curve`
+    refuses it.
     """
     if not trace.level_dissimilarities:
         raise ValueError("empty trace")
@@ -110,8 +112,6 @@ def probability_curve(trace: SubSimTrace, n_obs: int, eps_grid: np.ndarray) -> T
         j = int(np.count_nonzero(thresholds > t))
         p[i] = alpha**j * np.count_nonzero(pops[j] <= t) / n
     reached = p > 0
-    if not np.any(reached):
-        raise ValueError("no grid point is reached by the run")
     return ThresholdCurve(
         eps=grid[reached],
         eps_n=normalize_eps(grid[reached], n_obs),
@@ -137,7 +137,7 @@ def _local_quadratic(x: np.ndarray, y: np.ndarray, window: int):
         design = np.vander(t, deg + 1, increasing=True)
         coef, *_ = np.linalg.lstsq(design, y[lo:hi], rcond=None)
         val[i] = coef[0]
-        d1[i] = coef[1] if deg >= 1 else 0.0
+        d1[i] = coef[1]
         d2[i] = 2.0 * coef[2] if deg >= 2 else 0.0
     return val, d1, d2
 
@@ -158,10 +158,13 @@ def analyze_curve(curve: ThresholdCurve, window: int) -> ThresholdCurve:
     curve whose selection fails still has both columns for ``curve.csv``.
 
     Raises:
-        ValueError: on an even window or one below 3, or a curve with fewer
-            points than the window (nothing set); or when the curve has no
-            usable curvature peak (columns set).
+        ValueError: on an empty curve (no grid point reached), an even
+            window or one below 3, or a curve with fewer points than the
+            window (nothing set); or when the curve has no usable curvature
+            peak (columns set).
     """
+    if curve.eps.size == 0:
+        raise ValueError("no grid point is reached by the run")
     curve.smoothed, _, _ = _local_quadratic(curve.eps_n, curve.log_p, window)
     _, d1, d2 = _local_quadratic(curve.eps_n, curve.smoothed, window)
     curve.curvature = np.abs(d2) / np.power(1.0 + d1 * d1, 1.5)
@@ -347,28 +350,19 @@ class MetricsReport:
     resim_rmse_obs: np.ndarray | None = None
     wasserstein_by_eps: list = field(default_factory=list)  # (eps_n, {name: value})
 
-    _FIELDS = (
-        "rmse_solutions_truth",
-        "rmse_posterior_truth",
-        "rmse_prior_truth",
-        "rmse_train_truth",
-        "resim_rmse_model",
-        "resim_rmse_obs",
-    )
+    def _vectors(self) -> dict:
+        """The per-sample vectors that are set, by name, in declaration order."""
+        named = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "wasserstein_by_eps")
+        return {name: v for name, v in named if v is not None}
 
     def summary(self) -> dict:
-        out = {}
-        for name in self._FIELDS:
-            v = getattr(self, name)
-            if v is not None:
-                out[f"median_{name}"] = float(np.median(v))
-        return out
+        return {f"median_{name}": float(np.median(v)) for name, v in self._vectors().items()}
 
     def to_csv(self, path: str) -> None:
-        present = [name for name in self._FIELDS if getattr(self, name) is not None]
+        present = self._vectors()
         if not present:
             raise ValueError("metrics report is empty")
-        cols = [np.asarray(getattr(self, name), dtype=np.float64).tolist() for name in present]
+        cols = [np.asarray(v, dtype=np.float64).tolist() for v in present.values()]
         n_rows = max(len(col) for col in cols)
         write_csv(path, ["sample", *present], zip_longest(range(n_rows), *cols))
 

@@ -3,7 +3,8 @@
 One encoder maps a couple to a latent vector; one decoder maps latents back
 through a shared trunk that splits into a field head and a travel-time head.
 Training minimizes reconstruction MSE of both variables (each normalized by
-its dimension, on standardized ``[x | y]`` rows) plus a scheduled multiple
+its dimension) on ``[x | y]`` rows, standardized column by column by one
+:class:`Standardizer` fitted to the training rows, plus a scheduled multiple
 of the entropic transport cost between the batch encodings and fresh draws
 from the standard-normal latent prior.  That latent term is what pushes the
 aggregate encoding distribution onto the prior, so that decoding prior
@@ -51,6 +52,8 @@ _STD_FLOOR = 1e-12
 # Adam's step size for both networks, and the share of couples held out for validation
 _LEARNING_RATE = 0.001
 _VAL_FRACTION = 0.1
+# the latent term's weight at epoch 0, halved every lambda_halving_period epochs
+_LAMBDA0 = 150.0
 # the latent term's Sinkhorn regularization and budget (TrainConfig sets the
 # tol stop).  reg 10 rather than the heavier smoothing used for plain cost
 # estimates: above ~the squared cloud diameter the debiased cost's scale
@@ -62,38 +65,20 @@ _SINKHORN_MAX_ITER = 40
 
 @dataclass
 class Standardizer:
-    """Per-dimension affine maps into and out of network space."""
+    """Per-column affine map of ``[x | y]`` rows into network space, ``(v - mean) / std``."""
 
-    mean_x: np.ndarray
-    std_x: np.ndarray
-    mean_y: np.ndarray
-    std_y: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
 
     @classmethod
-    def fit(cls, xs: np.ndarray, ys: np.ndarray) -> "Standardizer":
-        return cls(
-            mean_x=xs.mean(axis=0),
-            std_x=np.maximum(xs.std(axis=0), _STD_FLOOR),
-            mean_y=ys.mean(axis=0),
-            std_y=np.maximum(ys.std(axis=0), _STD_FLOOR),
-        )
+    def fit(cls, rows: np.ndarray) -> "Standardizer":
+        return cls(rows.mean(axis=0), np.maximum(rows.std(axis=0), _STD_FLOOR))
 
-    @classmethod
-    def identity(cls, dim_x: int, dim_y: int) -> "Standardizer":
-        return cls(np.zeros(dim_x), np.ones(dim_x), np.zeros(dim_y), np.ones(dim_y))
-
-    def couples_to_std(self, xs, ys) -> np.ndarray:
-        """Standardized ``[x | y]`` rows, the encoder's input: ``(v - mean) / std`` per column block."""
-        rows = np.concatenate([np.atleast_2d(xs), np.atleast_2d(ys)], axis=1, dtype=np.float64)
-        rows -= np.concatenate([self.mean_x, self.mean_y])
-        rows /= np.concatenate([self.std_x, self.std_y])
+    def standardize(self, rows: np.ndarray) -> np.ndarray:
+        """Standardize the f64 ``[x | y]`` rows in place and return them."""
+        rows -= self.mean
+        rows /= self.std
         return rows
-
-    def x_from_std(self, xs):
-        return xs * self.std_x + self.mean_x
-
-    def y_from_std(self, ys):
-        return ys * self.std_y + self.mean_y
 
 
 class JGNNModel:
@@ -117,7 +102,8 @@ class JGNNModel:
         self.dim_x = dim_x
         self.dim_y = dim_y
         self.latent_dim = latent_dim
-        self.standardizer = standardizer or Standardizer.identity(dim_x, dim_y)
+        dim = dim_x + dim_y
+        self.standardizer = standardizer or Standardizer(np.zeros(dim), np.ones(dim))
 
     @classmethod
     def init(
@@ -150,7 +136,6 @@ class JGNNModel:
 class TrainConfig:
     epochs: int = 5000
     batch_size: int = 128
-    lambda0: float = 150.0
     lambda_halving_period: int = 500
     sinkhorn_tol: float = 0.0
     seed: int = 0
@@ -158,8 +143,6 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.lambda_halving_period) < 1:
             raise ValueError("epochs, batch_size and lambda_halving_period must be positive")
-        if self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive")
         if not self.sinkhorn_tol >= 0:  # NaN fails too
             raise ValueError("sinkhorn_tol must be nonnegative")
 
@@ -195,10 +178,10 @@ class TrainingDiverged(RuntimeError):
 
 
 def lambda_schedule(epoch: int, cfg: TrainConfig) -> float:
-    """Latent-term weight: start at lambda0, halve every halving period."""
+    """Latent-term weight: start at ``_LAMBDA0``, halve every halving period."""
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
-    return cfg.lambda0 * 0.5 ** (epoch // cfg.lambda_halving_period)
+    return _LAMBDA0 * 0.5 ** (epoch // cfg.lambda_halving_period)
 
 
 @dataclass
@@ -316,10 +299,11 @@ def train(
     copies in place; each step's spectral refresh, the loss and its
     gradients and the validation forward all run on them, so every network
     GEMM is f32, while the residual, transport costs and Sinkhorn stay f64.
-    The couples are standardized once into ``[x | y]`` rows (see
-    :meth:`Standardizer.couples_to_std`); a batch is one gather of them.
-    ``model`` itself is left as it is: the standardizer fitted to the
-    training couples goes on the returned model only.
+    The couples are concatenated once into ``[x | y]`` rows, a
+    :class:`Standardizer` is fitted to the training rows and standardizes
+    the whole array in place; a batch is one gather of it.
+    ``model`` itself is left as it is: the fitted standardizer goes on the
+    returned model only.
 
     A seeded fraction of the couples is held out; after every epoch the
     validation reconstruction MSE (standardized space) is computed on the
@@ -361,8 +345,9 @@ def train(
             f"dataset leaves {train_idx.size} training couples for batch size {cfg.batch_size}"
         )
 
-    standardizer = Standardizer.fit(xs[train_idx], ys[train_idx])
-    data = standardizer.couples_to_std(xs, ys)
+    data = np.concatenate([xs, ys], axis=1)
+    standardizer = Standardizer.fit(data[train_idx])
+    standardizer.standardize(data)
     val = data[val_idx]
 
     enc_state = AdamState(lr=_LEARNING_RATE)
@@ -423,9 +408,10 @@ class _DecoderView:
     :func:`mlp_forward` on the identity batch, bit for bit) and rounded once
     to f32, or is ``None`` with no hidden layer.  The output layer is split
     into a field head (rows ``[:dim_x]``) and a travel-time head (rows
-    ``[dim_x:]``), each ``(w_eff, bias, activation)`` in f32.  A view made
-    for one variable has the other head set to ``None``, so its rows are
-    never evaluated.  The fold runs on an f64 copy of the decoder, so an
+    ``[dim_x:]``), each ``(w_eff, bias, activation, mean, std)``: its f32
+    rows of the layer and the f64 standardizer slice of its columns, which
+    de-standardize its output.  A view made for one variable has the other
+    head set to ``None``, so its rows are never evaluated.  The fold runs on an f64 copy of the decoder, so an
     f32 model (trained or loaded) and its f64 widening give the same view.
     """
 
@@ -433,7 +419,6 @@ class _DecoderView:
     trunk: MLPParams | None
     x_head: tuple | None
     y_head: tuple | None
-    standardizer: Standardizer
 
 
 def _decoder_view(model: JGNNModel | _DecoderView) -> _DecoderView:
@@ -449,48 +434,51 @@ def _decoder_view(model: JGNNModel | _DecoderView) -> _DecoderView:
         )
         for l in model.decoder.copy(np.float64).layers
     ]
-    d = model.dim_x
-    return _DecoderView(
-        model.latent_dim,
-        MLPParams(trunk) if trunk else None,
-        (out.weights[:d], out.bias[:d], out.activation),
-        (out.weights[d:], out.bias[d:], out.activation),
-        model.standardizer,
+    std = model.standardizer
+    x_head, y_head = (
+        (out.weights[rows], out.bias[rows], out.activation, std.mean[rows], std.std[rows])
+        for rows in (slice(None, model.dim_x), slice(model.dim_x, None))
     )
+    return _DecoderView(model.latent_dim, MLPParams(trunk) if trunk else None, x_head, y_head)
 
 
-def _apply(h: np.ndarray, head: tuple) -> np.ndarray:
-    w_eff, bias, activation = head
-    return _activate(h @ w_eff.T + bias, activation)
+def _apply(h: np.ndarray, head: tuple | None) -> np.ndarray | None:
+    """One head's f32 output, cast to f64 and de-standardized in place; ``None`` for no head."""
+    if head is None:
+        return None
+    w_eff, bias, activation, mean, std = head
+    v = _activate(h @ w_eff.T + bias, activation).astype(np.float64)
+    v *= std
+    v += mean
+    return v
 
 
 def generate(model: JGNNModel | _DecoderView, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode a latent batch into (fields, travel times), de-standardized.
 
     The latents are checked as given, then cast to f32: the trunk runs once
-    and each head is one GEMM over its own rows, all in f32, and each head's
-    output is cast back to f64 before de-standardizing, so both returned
+    and each head is one GEMM over its own rows, all in f32; each head's
+    output is cast to f64 and de-standardized in place by its own slice of
+    the standardizer (``*= std``, then ``+= mean``), so both returned
     arrays are f64.  :func:`g1_of_latent` and :func:`g2_of_latent` pass
     their frozen one-head decoder view as ``model``; the variable whose head
     it dropped comes back as ``None``.  A caller decoding many batches of
     one model builds the view once with :func:`_decoder_view`.
     """
-    view = model if isinstance(model, _DecoderView) else _decoder_view(model)
+    view = _decoder_view(model)
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.shape[1] != view.latent_dim:
         raise ValueError(f"latent dim {z.shape[1]} does not match model {view.latent_dim}")
     h = z.astype(np.float32)
     if view.trunk is not None:
         h, _ = mlp_forward(view.trunk, h)
-    std = view.standardizer
-    x = None if view.x_head is None else std.x_from_std(_apply(h, view.x_head).astype(np.float64))
-    y = None if view.y_head is None else std.y_from_std(_apply(h, view.y_head).astype(np.float64))
-    return x, y
+    return _apply(h, view.x_head), _apply(h, view.y_head)
 
 
 def encode(model: JGNNModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Deterministic f64 encoding of raw couples into the latent space, on an f64 copy of the encoder."""
-    z, _ = mlp_forward(model.encoder.copy(np.float64), model.standardizer.couples_to_std(x, y))
+    rows = np.concatenate([np.atleast_2d(x), np.atleast_2d(y)], axis=1, dtype=np.float64)
+    z, _ = mlp_forward(model.encoder.copy(np.float64), model.standardizer.standardize(rows))
     return z
 
 
@@ -531,6 +519,7 @@ def save_model(path: str, model: JGNNModel, extra: dict | None = None) -> None:
     The blob is the encoder's parameter vector, then the decoder's, as
     little-endian f32: per layer W, b, u, v (see ``neural.MLPParams``).
     """
+    std, d = model.standardizer, model.dim_x
     manifest = {
         "dim_x": model.dim_x,
         "dim_y": model.dim_y,
@@ -538,10 +527,10 @@ def save_model(path: str, model: JGNNModel, extra: dict | None = None) -> None:
         "encoder": _mlp_manifest(model.encoder),
         "decoder": _mlp_manifest(model.decoder),
         "standardizer": {
-            "mean_x": model.standardizer.mean_x.tolist(),
-            "std_x": model.standardizer.std_x.tolist(),
-            "mean_y": model.standardizer.mean_y.tolist(),
-            "std_y": model.standardizer.std_y.tolist(),
+            "mean_x": std.mean[:d].tolist(),
+            "std_x": std.std[:d].tolist(),
+            "mean_y": std.mean[d:].tolist(),
+            "std_y": std.std[d:].tolist(),
         },
         "weights_dtype": "f32",
     }
@@ -586,5 +575,5 @@ def load_model(path: str) -> JGNNModel:
         kind = "finite and positive" if key.startswith("std") else "finite"
         if not (np.isfinite(v).all() and (kind == "finite" or (v > 0).all())):
             raise ValueError(f"checkpoint standardizer {key} has an entry that is not {kind}")
-    standardizer = Standardizer(**std)
+    standardizer = Standardizer(*(np.concatenate([std[k + "_x"], std[k + "_y"]]) for k in ("mean", "std")))
     return JGNNModel(encoder, decoder, dim_x, dim_y, latent_dim, standardizer)

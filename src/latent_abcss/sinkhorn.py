@@ -212,11 +212,11 @@ def _gibbs(c: np.ndarray, reg: float):
     return None, neg_c, np.empty_like(neg_c)
 
 
-def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, a=None, b=None) -> TransportPlan:
-    """Sinkhorn coupling for the cost matrix ``c`` between weighted points.
+def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, a=None) -> TransportPlan:
+    """Sinkhorn coupling for the cost matrix ``c`` from weighted points to uniform ones.
 
-    ``a`` (n) and ``b`` (m) are probability weights of the rows and columns;
-    ``None`` is uniform, ``1/n`` or ``1/m``.
+    ``a`` (n) gives the rows' probability weights, ``None`` is uniform
+    ``1/n``; the columns weigh ``1/m`` each.
 
     With every ``|c|/reg`` under 300, ``K = exp(-c/reg)`` is formed once and
     lies in [e^-300, e^300], normal floats; each kernel sum then has a term of
@@ -233,7 +233,7 @@ def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, a=None, b=None) -> Tr
     n, m = c.shape
     reg = cfg.reg
     log_a = -np.log(n) if a is None else np.log(_check_weights(a, n, "a"))
-    log_b = -np.log(m) if b is None else np.log(_check_weights(b, m, "b"))
+    log_b = -np.log(m)
     gibbs = _gibbs(c, reg)
     kernel, neg_c, buf = gibbs
     tol = cfg.tol

@@ -357,9 +357,10 @@ def run_inversion(
     the truth are attached per tested tolerance.
 
     Raises:
-        DiagnosticFailure: when the curve has no curvature peak; the deep
-            trace and the curve, with whatever columns its analysis filled,
-            are attached to the exception.
+        DiagnosticFailure: when the curve picks no tolerance (no grid point
+            reached, fewer points than the smoothing window, or no curvature
+            peak); the deep trace and the curve, with whatever columns its
+            analysis filled, are attached to the exception.
     """
     # one frozen f32 decoder serves the sampler, the final decode and the audit
     view = _decoder_view(model)
@@ -604,7 +605,7 @@ def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
     """
     if os.path.isdir(out_path):
         raise ConfigError(f"output path {out_path} is a directory, not a CSV file")
-    pairings = ("train", "post", "ours", "prior")
+    # each pairing's metrics.csv column, in agg.csv's and agg_pooled.csv's order
     col_of = {
         "train": "rmse_train_truth",
         "post": "rmse_posterior_truth",
@@ -617,7 +618,7 @@ def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
         stats = (np.mean(col), np.median(col), *np.quantile(col, [0.05, 0.95]))
         return dict(zip(header, (inversion, p, int(col.size), *map(float, stats))))
 
-    pooled = {p: [] for p in pairings}
+    pooled = {p: [] for p in col_of}
     rows = []
     for run in run_dirs:
         path = os.path.join(run, "metrics.csv")
@@ -626,21 +627,21 @@ def evaluate_runs(run_dirs: list[str], out_path: str) -> dict:
             table = read_csv_columns(path)
             if not all(np.isfinite(col).all() for col in table.values()):
                 raise ValueError("a cell holds a NaN or infinite value")
-        for p in pairings:
-            col = table.get(col_of[p])
+        for p, name in col_of.items():
+            col = table.get(name)
             if col is None or col.size == 0:
                 continue
             pooled[p].append(col)
             rows.append(row(os.path.basename(os.path.normpath(run)), p, col))
     if not rows:
         raise ConfigError(f"no run has a truth column ({', '.join(col_of.values())}): invert with --truth")
-    cols = {p: (np.concatenate(pooled[p]) if pooled[p] else np.empty(0)) for p in pairings}
-    rows += [row("pooled", p, cols[p]) for p in pairings if cols[p].size]
+    cols = {p: (np.concatenate(parts) if parts else np.empty(0)) for p, parts in pooled.items()}
+    rows += [row("pooled", p, col) for p, col in cols.items() if col.size]
     _make_out_dir(os.path.dirname(out_path) or ".")
     write_csv(out_path, header, (r.values() for r in rows))
     # pooled per-sample distributions, one labeled column per pairing
     dist_path = os.path.splitext(out_path)[0] + "_pooled.csv"
-    write_csv(dist_path, pairings, zip_longest(*(cols[p].tolist() for p in pairings)))
+    write_csv(dist_path, cols, zip_longest(*(col.tolist() for col in cols.values())))
     return {"rows": rows, "aggregate_csv": out_path, "pooled_csv": dist_path}
 
 

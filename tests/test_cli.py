@@ -497,9 +497,10 @@ class TestInvert:
 
     @pytest.mark.parametrize(
         "grid, message, columns",
-        [("1000,5000,25", "no curvature peak: curve is flat or affine", True),
-         ("1e-6,0.3,25", "curve has 1 points, fewer than window 5", False)],
-        ids=["flat", "short"],
+        [("1000,5000,25", "no curvature peak: curve is flat or affine", {True}),
+         ("1e-6,0.3,25", "curve has 1 points, fewer than window 5", {False}),
+         ("1e-6,1e-5,25", "no grid point is reached by the run", set())],
+        ids=["flat", "short", "unreached"],
     )
     def test_failed_selection_exits_4_with_its_curve(self, pipeline, capsys, grid, message, columns):
         out = pipeline[0] / f"inv_exit4_{grid}"
@@ -508,10 +509,11 @@ class TestInvert:
         arrays = [f"deep_trace_{part}.f64{ext}" for part in ("dissimilarities", "samples") for ext in ("", ".json")]
         assert sorted(os.listdir(out)) == sorted(["curve.csv", "summary.json", "deep_trace.json", *arrays])
         assert set(json.load(open(out / "summary.json"))) == {"error", "provenance"}
-        # a selection that fails keeps the smoothed and curvature columns it computed
+        # a selection that fails keeps the smoothed and curvature columns it
+        # computed; an unreached grid leaves the header alone
         header, *rows = [line.split(",") for line in (out / "curve.csv").read_text().splitlines()]
         assert header == ["eps", "eps_n", "log10_p", "smoothed", "curvature"]
-        assert {bool(row[3]) for row in rows} == {bool(row[4]) for row in rows} == {columns}
+        assert {bool(row[3]) for row in rows} == {bool(row[4]) for row in rows} == columns
 
     def test_eps_grid_override(self, pipeline):
         out = str(pipeline[0] / "inv_grid")

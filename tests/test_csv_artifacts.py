@@ -53,6 +53,41 @@ def test_metrics_report_columns_of_different_lengths(tmp_path):
     )
 
 
+def test_metrics_report_every_column_in_declaration_order(tmp_path):
+    # the Wasserstein table has a file of its own and no column here
+    report = MetricsReport(
+        resim_rmse_obs=np.array([6.0]),
+        resim_rmse_model=np.array([5.0]),
+        rmse_train_truth=np.array([4.0]),
+        rmse_prior_truth=np.array([3.0]),
+        rmse_posterior_truth=np.array([2.0]),
+        rmse_solutions_truth=np.array([1.0]),
+        wasserstein_by_eps=[(0.5, {"ours": 0.25})],
+    )
+    path = str(tmp_path / "metrics.csv")
+    report.to_csv(path)
+    names = (
+        "rmse_solutions_truth,rmse_posterior_truth,rmse_prior_truth,rmse_train_truth,resim_rmse_model,resim_rmse_obs"
+    )
+    assert read(path) == f"sample,{names}\n0,1.0,2.0,3.0,4.0,5.0,6.0\n"
+    assert list(report.summary().items()) == [(f"median_{n}", float(i)) for i, n in enumerate(names.split(","), 1)]
+
+
+def test_evaluate_pairings_keep_their_order(tmp_path):
+    run = tmp_path / "r"
+    run.mkdir()
+    # the run's columns come in the reverse of the pairing order, with one that pairs with nothing
+    (run / "metrics.csv").write_text(
+        "sample,resim_rmse_obs,rmse_prior_truth,rmse_solutions_truth,rmse_posterior_truth,rmse_train_truth\n"
+        "0,9.0,4.0,3.0,2.0,1.0\n"
+    )
+    out = str(tmp_path / "agg.csv")
+    report = evaluate_runs([str(run)], out)
+    rows = [line.split(",")[:3] for line in read(out).splitlines()[1:]]
+    assert rows == [[inv, p, "1"] for inv in ("r", "pooled") for p in ("train", "post", "ours", "prior")]
+    assert read(report["pooled_csv"]) == "train,post,ours,prior\n1.0,2.0,3.0,4.0\n"
+
+
 def test_curve_without_smoothing(tmp_path):
     curve = ThresholdCurve(
         eps=np.array([0.01, 2.5]),

@@ -75,6 +75,14 @@ class TestProbabilityCurve:
         curve = probability_curve(quadratic_trace, 1, grid)
         assert curve.eps.size == 2
 
+    def test_unreached_grid_gives_an_empty_curve_that_selection_refuses(self, quadratic_trace):
+        floor = min(quadratic_trace.level_dissimilarities[-1])
+        curve = probability_curve(quadratic_trace, 1, np.array([floor / 1e6, floor / 1e3]))
+        assert curve.eps.size == curve.eps_n.size == curve.log_p.size == 0
+        with pytest.raises(ValueError, match="^no grid point is reached by the run$"):
+            analyze_curve(curve, 3)
+        assert curve.smoothed is curve.curvature is curve.selected_index is None
+
 
 def flat_or_affine(x, y, window):
     """A curve with no curvature peak, analysed: selection fails, the columns stay."""
@@ -218,11 +226,6 @@ class TestRmse:
             rmse_one([1.0], [1.0, 2.0])
 
 
-def alternating_self(c, cfg, a=None):
-    """A self term by the alternating two-potential loop, as a ``self_transport`` stand-in."""
-    return _plain_entropic_ot(c, cfg, a, a)
-
-
 class TestWassersteinDiagnostics:
     def test_solutions_equal_reference(self):
         gen = np.random.default_rng(5)
@@ -280,13 +283,10 @@ class TestWassersteinDiagnostics:
             assert refs.self_costs[name] == pytest.approx(self_transport(c, cfg).cost, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
-    def test_matches_the_per_reference_cost_matrix_path(self, weighted, monkeypatch):
-        # with the self terms on the alternating loop, the prepared costs are
-        # the only difference from solving cost_matrix per reference
-        from latent_abcss import diagnostics
+    def test_matches_the_per_reference_cost_matrix_path(self, weighted):
+        # the prepared costs are the only difference from solving cost_matrix per reference
         from latent_abcss.gp_prior import GPConfig, sample_fields
 
-        monkeypatch.setattr(diagnostics, "self_transport", alternating_self)
         fields = sample_fields(Grid(20, 16, 0.1), GPConfig(lengthscale=1.0), (48, 64, 40), RngStream(13, 1))
         sols, post, prior = fields[0], fields[1] + 0.05, fields[2]
         truth = fields[1][0]
@@ -297,10 +297,10 @@ class TestWassersteinDiagnostics:
         cfg = SinkhornConfig(reg=10.0, max_iter=2000, tol=1e-12)
         clouds = {"posterior": post, "prior": prior, "truth": truth}
         out, _ = wasserstein_diagnostics(sols, prepare_references(clouds, cfg), cfg, weights)
-        self_s = _plain_entropic_ot(cost_matrix(sols, sols), cfg, weights, weights).cost
+        self_s = self_transport(cost_matrix(sols, sols), cfg, weights).cost
         for name, ref in clouds.items():
             cross = _plain_entropic_ot(cost_matrix(sols, ref), cfg, weights).cost
-            self_r = _plain_entropic_ot(cost_matrix(ref, ref), cfg).cost
+            self_r = self_transport(cost_matrix(ref, ref), cfg).cost
             assert out[name] == pytest.approx(cross - 0.5 * self_s - 0.5 * self_r, rel=1e-12, abs=0.0)
 
     def test_weighted_atoms_match_the_repeated_cloud(self):

@@ -44,7 +44,6 @@ def small_train_config(epochs=700, seed=3):
     return TrainConfig(
         epochs=epochs,
         batch_size=64,
-        lambda0=150.0,
         lambda_halving_period=150,
         sinkhorn_tol=1e-9,
         seed=seed,
@@ -80,17 +79,34 @@ class TestLambdaSchedule:
 
 class TestStandardizer:
     @pytest.mark.parametrize("n", [None, 5], ids=["one_1d_couple", "five_couples"])
-    def test_couples_to_std_is_the_per_variable_formulas(self, n):
+    def test_standardized_rows_are_the_per_variable_formulas(self, n):
         gen = RngStream(50).generator()
         xs = 3.0 * gen.standard_normal((6,) if n is None else (n, 6)) + 1.0
         ys = gen.standard_normal((4,) if n is None else (n, 4)) - 2.0
-        std = Standardizer(
-            gen.standard_normal(6), gen.uniform(0.5, 2, 6), gen.standard_normal(4), gen.uniform(0.5, 2, 4)
-        )
-        want = np.atleast_2d(np.hstack([(xs - std.mean_x) / std.std_x, (ys - std.mean_y) / std.std_y]))
-        got = std.couples_to_std(xs, ys)
+        mean, std = gen.standard_normal(10), gen.uniform(0.5, 2, 10)
+        want = np.atleast_2d(np.hstack([(xs - mean[:6]) / std[:6], (ys - mean[6:]) / std[6:]]))
+        got = Standardizer(mean, std).standardize(np.concatenate([np.atleast_2d(xs), np.atleast_2d(ys)], axis=1))
         assert got.shape == want.shape == (n or 1, 10)
         assert got.tobytes() == want.tobytes()
+        # encode feeds the encoder those rows
+        model = JGNNModel.init(6, 4, 3, RngStream(51), hidden=(8,))
+        model.standardizer = Standardizer(mean, std)
+        z, _ = mlp_forward(model.encoder, want)
+        assert encode(model, xs, ys).tobytes() == z.tobytes()
+
+    def test_fit_is_the_per_variable_fit(self):
+        # a column's mean and std are the same bits on its block as on the [x | y] rows
+        gen = RngStream(52).generator()
+        xs, ys = 5.0 * gen.standard_normal((90, 30)) + 2.0, gen.standard_normal((90, 4))
+        ys[:, 1] = 0.25  # a constant column takes the std floor
+        rows = gen.permutation(90)[:81]
+        fitted = Standardizer.fit(np.concatenate([xs, ys], axis=1)[rows])
+        floor = jgnn._STD_FLOOR
+        mean = np.concatenate([xs[rows].mean(axis=0), ys[rows].mean(axis=0)])
+        std = np.concatenate([np.maximum(xs[rows].std(axis=0), floor), np.maximum(ys[rows].std(axis=0), floor)])
+        assert fitted.mean.tobytes() == mean.tobytes()
+        assert fitted.std.tobytes() == std.tobytes()
+        assert fitted.std[31] == floor
 
 
 class TestJgnnLoss:
@@ -231,17 +247,18 @@ class TestTrain:
         xs, ys, _, best, history = trained_toy
         z = encode(best, xs[:200], ys[:200])
         gx, gy = generate(best, z)
-        std_x = best.standardizer.std_x
+        std_x = best.standardizer.std[:DIM_X]
         mse = np.mean(((gx - xs[:200]) / std_x) ** 2)
         assert mse < max(4.0 * min(history.val_mse_x), 0.08)
 
-    def test_degenerate_single_couple_dataset(self):
+    def test_degenerate_single_couple_dataset(self, monkeypatch):
         x0 = np.full(3, 1.3)
         y0 = np.full(2, -0.4)
         xs = np.tile(x0, (64, 1))
         ys = np.tile(y0, (64, 1))
         model = JGNNModel.init(3, 2, 2, RngStream(30), hidden=(8,))
-        cfg = TrainConfig(epochs=60, batch_size=16, lambda0=1.0, lambda_halving_period=20, seed=1)
+        monkeypatch.setattr(jgnn, "_LAMBDA0", 1.0)
+        cfg = TrainConfig(epochs=60, batch_size=16, lambda_halving_period=20, seed=1)
         best, _ = train(xs, ys, model, cfg)
         gx, gy = generate(best, RngStream(31).generator().standard_normal((5, 2)))
         np.testing.assert_allclose(gx, np.tile(x0, (5, 1)), atol=0.05)
@@ -328,19 +345,20 @@ class TestTrain:
         # and one validation forward through both networks per epoch
         assert seen == {"forward": 2 * 4 * 2 + 2 * 2, "backward": 2 * 4 * 2, "adam": 2 * 4 * 2}
 
-    def test_best_validation_figure_is_the_checkpoints(self, tmp_path):
+    def test_best_validation_figure_is_the_checkpoints(self, tmp_path, monkeypatch):
         # the returned f32 weights are the checkpoint blob, and their forward
         # gives the best epoch's recorded validation MSE exactly
         xs, ys, _ = linear_toy_dataset(400, seed=7)
-        cfg = TrainConfig(epochs=6, batch_size=64, lambda0=5.0, seed=11)
+        monkeypatch.setattr(jgnn, "_LAMBDA0", 5.0)
+        cfg = TrainConfig(epochs=6, batch_size=64, seed=11)
         best, history = train(xs, ys, JGNNModel.init(DIM_X, DIM_Y, 4, RngStream(8), hidden=(24,)), cfg)
         totals = np.add(history.val_mse_x, history.val_mse_y)
         best_epoch = int(np.argmin(totals))
         assert history.best_epoch == best_epoch
         n_val = max(1, int(round(jgnn._VAL_FRACTION * len(xs))))
         val = RngStream(cfg.seed, stream_id=17).split(0).generator().permutation(len(xs))[:n_val]
-        std = best.standardizer
-        rows = np.hstack([(xs[val] - std.mean_x) / std.std_x, (ys[val] - std.mean_y) / std.std_y])
+        mean, std = best.standardizer.mean, best.standardizer.std
+        rows = np.hstack([(xs[val] - mean[:DIM_X]) / std[:DIM_X], (ys[val] - mean[DIM_X:]) / std[DIM_X:]])
         path = str(tmp_path / "model.ckpt")
         save_model(path, best)
         blob = open(path, "rb").read()
@@ -382,7 +400,7 @@ class TestTrain:
         assert state() == before
         # the fitted standardizer is on the returned model only
         assert best.standardizer is not model.standardizer
-        assert best.standardizer.mean_x.tobytes() != before[1]["mean_x"]
+        assert best.standardizer.mean.tobytes() != before[1]["mean"]
 
     def test_dataset_smaller_than_batch_rejected(self):
         xs, ys, _ = linear_toy_dataset(50)
@@ -501,12 +519,9 @@ def full_scale_model():
     gen = RngStream(6).generator()
     for layer in model.decoder.layers:
         layer.bias += 0.1 * gen.standard_normal(layer.bias.shape)
-    model.standardizer = Standardizer(
-        gen.standard_normal(2000),
-        gen.uniform(0.5, 2.0, 2000),
-        gen.standard_normal(81),
-        gen.uniform(0.5, 2.0, 81),
-    )
+    mean_x, std_x = gen.standard_normal(2000), gen.uniform(0.5, 2.0, 2000)
+    mean_y, std_y = gen.standard_normal(81), gen.uniform(0.5, 2.0, 81)
+    model.standardizer = Standardizer(np.concatenate([mean_x, mean_y]), np.concatenate([std_x, std_y]))
     return model
 
 
@@ -521,11 +536,12 @@ class TestHeadSplit:
         else:
             # 13 travel times, and with no hidden layer no trunk at all
             model = JGNNModel.init(30, 13, 4, RngStream(7), hidden=hidden)
-            model.standardizer = Standardizer(np.full(30, 0.5), np.full(30, 0.2), np.ones(13), np.full(13, 3.0))
+            mean, std = np.r_[np.full(30, 0.5), np.ones(13)], np.r_[np.full(30, 0.2), np.full(13, 3.0)]
+            model.standardizer = Standardizer(mean, std)
         z = RngStream(43, n).generator().standard_normal((n, model.latent_dim))
         out, _ = mlp_forward(model.decoder, z)
-        x_ref = model.standardizer.x_from_std(out[:, : model.dim_x])
-        y_ref = model.standardizer.y_from_std(out[:, model.dim_x :])
+        ref = out * model.standardizer.std + model.standardizer.mean
+        x_ref, y_ref = ref[:, : model.dim_x], ref[:, model.dim_x :]
         for got, ref in ((g1_of_latent(model)(z), x_ref), (g2_of_latent(model)(z), y_ref)):
             assert got.shape == ref.shape
             assert got.dtype == np.float64
@@ -609,6 +625,14 @@ class TestCheckpointIO:
                 # every layer array is a view of the one vector: no widened copy beside it
                 assert all(np.shares_memory(a, net.flat) for a in arrays[1:])
         assert loaded.encoder.flat.base is loaded.decoder.flat.base  # both views of the blob as read
+
+    def test_save_load_save_is_byte_identical(self, trained_toy, tmp_path):
+        _, _, _, best, _ = trained_toy
+        first, second = str(tmp_path / "first.ckpt"), str(tmp_path / "second.ckpt")
+        save_model(first, best, extra={"best_epoch": 3})
+        save_model(second, load_model(first), extra={"best_epoch": 3})
+        for ext in ("", ".json"):
+            assert open(first + ext, "rb").read() == open(second + ext, "rb").read()
 
     def test_manifest_is_json(self, trained_toy, tmp_path):
         import json

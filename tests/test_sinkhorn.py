@@ -334,8 +334,9 @@ def repeated_cloud(atoms, gen):
 def weighted_problems():
     """Costs of a repeated cloud, its atoms (see ``repeated_cloud``), cfg and the stop.
 
-    ``both`` marks a self problem, whose columns collapse as well as its
-    rows; ``converges`` is whether ``tol`` rather than the budget ends it.
+    ``both`` marks a self problem, solved by ``self_transport``, whose
+    columns collapse as well as its rows; ``converges`` is whether ``tol``
+    rather than the budget ends it.
     """
     gen = np.random.default_rng(64)
     fields = sample_fields(Grid(20, 16, 0.1), GPConfig(lengthscale=1.0), (40, 60), RngStream(65, 1))
@@ -349,9 +350,8 @@ def weighted_problems():
         pytest.param(
             cross, idx, first, w, False, replace(audit, tol=0.0, max_iter=40), False, id="cross-no-tol"
         ),
-        pytest.param(full, idx, first, w, True, replace(audit, reg=30.0), True, id="self-tol"),
-        # at the audit settings the self solve runs out its 300 iterations
-        pytest.param(full, idx, first, w, True, audit, False, id="self-budget"),
+        pytest.param(full, idx, first, w, True, audit, True, id="self-tol"),
+        pytest.param(full, idx, first, w, True, replace(audit, max_iter=5), False, id="self-budget"),
     ]
 
 
@@ -366,8 +366,9 @@ class TestWeightedAtoms:
         if log_domain:
             monkeypatch.setattr(sinkhorn, "_KERNEL_MAX_EXPONENT", 0.0)
         atoms = c[np.ix_(first, first)] if both else c[first]
-        full = sinkhorn._plain_entropic_ot(c, cfg)
-        tp = sinkhorn._plain_entropic_ot(atoms, cfg, w, w if both else None)
+        solve = sinkhorn.self_transport if both else sinkhorn._plain_entropic_ot
+        full = solve(c, cfg)
+        tp = solve(atoms, cfg, w)
         assert all((k is None) == log_domain for k in lse_calls)
         assert (tp.iterations, tp.converged) == (full.iterations, full.converged)
         assert tp.converged == converges
@@ -389,12 +390,11 @@ class TestWeightedAtoms:
             pytest.param(np.full(5, 0.2) * (1 + 1e-9), id="sum"),
         ],
     )
-    @pytest.mark.parametrize("side", ["a", "b"])
-    def test_bad_weights_rejected_before_any_iteration(self, bad, side, lse_calls):
+    def test_bad_weights_rejected_before_any_iteration(self, bad, lse_calls):
         gen = np.random.default_rng(67)
         c = cost_matrix(gen.standard_normal((5, 2)), gen.standard_normal((5, 2)))
-        with pytest.raises(ValueError, match=f"weights {side}"):
-            sinkhorn._plain_entropic_ot(c, SinkhornConfig(), **{side: bad})
+        with pytest.raises(ValueError, match="weights a"):
+            sinkhorn._plain_entropic_ot(c, SinkhornConfig(), a=bad)
         assert lse_calls == []
 
 
@@ -417,11 +417,12 @@ class TestSelfTransport:
         gen = np.random.default_rng(71)
         fields = sample_fields(Grid(20, 16, 0.1), GPConfig(lengthscale=1.0), (60,), RngStream(72, 1))
         c = cost_matrix(fields[0], fields[0])
-        w = None
+        w, rows = None, np.arange(60)
         if weighted:
-            w = gen.integers(1, 7, size=60).astype(np.float64)
-            w /= w.sum()
-        tight = sinkhorn._plain_entropic_ot(c, replace(self.AUDIT, max_iter=20_000, tol=1e-13), w, w)
+            counts = gen.integers(1, 7, size=60)
+            w, rows = counts / counts.sum(), np.repeat(rows, counts)
+        # a tight alternating solve on the cloud that repeats each field by its count
+        tight = sinkhorn._plain_entropic_ot(c[np.ix_(rows, rows)], replace(self.AUDIT, max_iter=20_000, tol=1e-13))
         assert tight.converged
         lse_calls.clear()
         tp = sinkhorn.self_transport(c, self.AUDIT, w)
