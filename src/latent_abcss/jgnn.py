@@ -305,6 +305,15 @@ def train(
     ``model`` itself is left as it is: the fitted standardizer goes on the
     returned model only.
 
+    What training keeps is that one array, the f32 networks, their best
+    snapshot, Adam's moments and the current step's loss and gradients,
+    dropped once both Adam steps have read them.  ``xs``, ``ys`` and
+    ``model`` stay referenced by the caller for the whole call, so a
+    caller that needs none of them afterwards, as
+    :func:`workflows.train_from_dataset` does, calls
+    :func:`_prepare_training` and :func:`_train_loop` itself and keeps no
+    reference to them in between.
+
     A seeded fraction of the couples is held out; after every epoch the
     validation reconstruction MSE (standardized space) is computed on the
     f32 networks, the weights :func:`save_model` stores.  The networks of
@@ -325,6 +334,17 @@ def train(
         TrainingDiverged: on a non-finite batch loss or validation MSE, or a
             gradient entry Adam refuses (NaN, infinite or beyond f32 range).
     """
+    return _train_loop(*_prepare_training(xs, ys, model, cfg), cfg)
+
+
+def _prepare_training(
+    xs: np.ndarray, ys: np.ndarray, model: JGNNModel, cfg: TrainConfig
+) -> tuple[np.ndarray, JGNNModel]:
+    """:func:`train`'s checks, then its f64 ``[x | y]`` rows and an f32 copy of ``model``'s networks.
+
+    The returned model's standardizer is the identity; neither return value
+    refers to ``xs``, ``ys`` or ``model``.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     if xs.shape[0] != ys.shape[0]:
@@ -333,20 +353,30 @@ def train(
         raise ValueError(
             f"data has dim_x {xs.shape[1]} and dim_y {ys.shape[1]}, the model {model.dim_x} and {model.dim_y}"
         )
-    n = xs.shape[0]
+    n_train = xs.shape[0] - _n_val(xs.shape[0])
+    if n_train < cfg.batch_size:
+        raise ValueError(f"dataset leaves {n_train} training couples for batch size {cfg.batch_size}")
+    nets = (model.encoder.copy(np.float32), model.decoder.copy(np.float32))
+    return np.concatenate([xs, ys], axis=1), JGNNModel(*nets, model.dim_x, model.dim_y, model.latent_dim)
+
+
+def _train_loop(data: np.ndarray, model: JGNNModel, cfg: TrainConfig) -> tuple[JGNNModel, TrainHistory]:
+    """:func:`train`'s loop on the rows and f32 model :func:`_prepare_training` returned.
+
+    Standardizes ``data`` in place, sets ``model.standardizer`` to the fit
+    and steps ``model``'s networks in place; returns the best snapshot with
+    that standardizer, and the history.  Each step's loss result, gradients
+    included, is dropped once the Adam steps and the epoch sums have read
+    it, before the next step allocates its own.
+    """
+    n = data.shape[0]
     rng = RngStream(cfg.seed, stream_id=17)
     sinkhorn_cfg = SinkhornConfig(reg=_SINKHORN_REG, max_iter=_SINKHORN_MAX_ITER, tol=cfg.sinkhorn_tol)
 
     n_val = _n_val(n)
     perm = rng.split(0).generator().permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if train_idx.size < cfg.batch_size:
-        raise ValueError(
-            f"dataset leaves {train_idx.size} training couples for batch size {cfg.batch_size}"
-        )
-
-    data = np.concatenate([xs, ys], axis=1)
-    standardizer = Standardizer.fit(data[train_idx])
+    model.standardizer = standardizer = Standardizer.fit(data[train_idx])
     standardizer.standardize(data)
     val = data[val_idx]
 
@@ -355,8 +385,7 @@ def train(
     history = TrainHistory()
     n_batches = train_idx.size // cfg.batch_size
     dims = (model.dim_x, model.dim_y, model.latent_dim)
-    nets = (model.encoder.copy(np.float32), model.decoder.copy(np.float32))
-    trained = JGNNModel(*nets, *dims, standardizer)
+    nets = (model.encoder, model.decoder)
     best_val = np.inf
     best = [net.copy() for net in nets]
 
@@ -370,17 +399,18 @@ def train(
                 refresh_spectral(net)
             draws = rng.split(2, epoch, b).generator().standard_normal((cfg.batch_size, model.latent_dim))
             try:
-                res = jgnn_loss(data[idx], trained, lam, sinkhorn_cfg, draws)
-                adam_step(enc_state, trained.encoder, res.encoder_grad, "encoder layer")
-                adam_step(dec_state, trained.decoder, res.decoder_grad, "decoder layer")
+                res = jgnn_loss(data[idx], model, lam, sinkhorn_cfg, draws)
+                adam_step(enc_state, model.encoder, res.encoder_grad, "encoder layer")
+                adam_step(dec_state, model.decoder, res.decoder_grad, "decoder layer")
             except ValueError as err:
                 raise TrainingDiverged(epoch, history) from err
             ep_mx += res.mse_x
             ep_my += res.mse_y
             ep_ot += res.ot_cost
+            del res  # its two gradients would otherwise live through the next jgnn_loss
 
-        z, _ = mlp_forward(trained.encoder, val)
-        out, _ = mlp_forward(trained.decoder, z)
+        z, _ = mlp_forward(model.encoder, val)
+        out, _ = mlp_forward(model.decoder, z)
         vmx, vmy = _block_mses(out - val, model.dim_x)
         history.mse_x.append(ep_mx / n_batches)
         history.mse_y.append(ep_my / n_batches)

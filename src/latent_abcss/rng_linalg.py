@@ -11,7 +11,9 @@ failing pivot) and multivariate-normal sampling from a precomputed factor.
 Every BLAS/LAPACK call of a successful run goes through numpy, so the whole
 package shares numpy's one OpenBLAS thread pool; scipy's ``dpotrf``, which
 links a second pool, runs only to name the failing pivot of a matrix that is
-not positive definite.
+not positive definite.  ``scipy.linalg`` is imported there too, on that
+failure only: a successful run never loads it (about 8 MB of resident
+memory in every process).
 The artifact readers and writers for flat arrays, JSON documents and CSV
 tables live here too.
 """
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "RngStream",
@@ -101,15 +102,20 @@ def cholesky(m) -> np.ndarray:
         ValueError: on asymmetry or malformed input.
     """
     a = _as_matrix(m)
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
+    # max |a| without an |a| temporary: _as_matrix refused non-finite entries
+    scale = max(float(a.max()), -float(a.min()), 1.0)
+    asym = a - a.T
+    if float(np.abs(asym, out=asym).max()) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
+    del asym  # before the factorization allocates its own full-size buffers
     try:
         # Fortran order, as LAPACK stores a factor: the products downstream
         # then round exactly as they do on dpotrf's output
         return np.asfortranarray(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
         # numpy does not say which pivot failed; LAPACK's dpotrf does
+        from scipy.linalg.lapack import dpotrf
+
         _, info = dpotrf(a, lower=1)
         raise NotPositiveDefiniteError(info - 1) from None
 

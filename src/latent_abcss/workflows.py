@@ -36,7 +36,7 @@ from .diagnostics import (
 )
 from .gp_prior import GPConfig, Grid, build_covariance, sample_fields
 from .jgnn import JGNNModel, TrainConfig, _decoder_view, g1_of_latent, g2_of_latent, generate
-from .jgnn import _n_val, load_model, save_model, train
+from .jgnn import _n_val, _prepare_training, _train_loop, load_model, save_model
 from .rng_linalg import RngStream, add_jitter, load_array, read_csv_columns, save_array, write_csv, write_json
 from .sinkhorn import SinkhornConfig
 from .subsim import SubSimConfig, save_trace, subsim_run
@@ -304,16 +304,19 @@ def train_from_dataset(cfg: PipelineConfig, dataset_dir: str, out_dir: str) -> s
         ConfigError: before ``out_dir`` exists, if ``batch_size`` exceeds the training split.
     """
     data = _load_dataset(dataset_dir, "train_x", "train_y")
-    xs, ys = data["train_x"], data["train_y"]
-    n_val = _n_val(len(xs))
-    if cfg.batch_size > len(xs) - n_val:
-        split = f"{len(xs) - n_val} training couples ({n_val} of {len(xs)} held out for validation)"
+    (n, dim_x), dim_y = data["train_x"].shape, data["train_y"].shape[1]
+    n_val = _n_val(n)
+    if cfg.batch_size > n - n_val:
+        split = f"{n - n_val} training couples ({n_val} of {n} held out for validation)"
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds the dataset's {split}")
     _make_out_dir(out_dir)
-    model = JGNNModel.init(
-        xs.shape[1], ys.shape[1], cfg.latent_dim, RngStream(cfg.seed, stream_id=2), hidden=cfg.hidden
-    )
-    best, history = train(xs, ys, model, cfg.train_config())
+    tc = cfg.train_config()
+    model = JGNNModel.init(dim_x, dim_y, cfg.latent_dim, RngStream(cfg.seed, stream_id=2), hidden=cfg.hidden)
+    # jgnn.train's two halves, so that nothing here holds the loaded couples
+    # or the f64 start networks while the loop runs
+    rows, start = _prepare_training(data.pop("train_x"), data.pop("train_y"), model, tc)
+    del model
+    best, history = _train_loop(rows, start, tc)
     ckpt = os.path.join(out_dir, "model.ckpt")
     save_model(ckpt, best, extra={"provenance": cfg.provenance("train"), "best_epoch": history.best_epoch})
     history.to_csv(os.path.join(out_dir, "history.csv"))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from collections import namedtuple
 
 import numpy as np
@@ -280,8 +281,8 @@ class TestTrain:
         # train returns the f32 values its checkpoint stores, so an inversion of the
         # returned model and `invert` from the checkpoint are the same computation
         root, cfg, data, _ = pipeline
-        config, train, returned = PipelineConfig.from_json(cfg), workflows.train, []
-        monkeypatch.setattr(workflows, "train", lambda *args: returned.append(train(*args)) or returned[0])
+        config, loop, returned = PipelineConfig.from_json(cfg), workflows._train_loop, []
+        monkeypatch.setattr(workflows, "_train_loop", lambda *args: returned.append(loop(*args)) or returned[0])
         ckpt = workflows.train_from_dataset(config, data, str(tmp_path / "model"))
         model, loaded = returned[0][0], load_model(ckpt)
         for net in ("encoder", "decoder"):
@@ -293,6 +294,35 @@ class TestTrain:
         np.testing.assert_array_equal(lib.solutions_x, cli.solutions_x)
         np.testing.assert_array_equal(lib.final_trace.final_samples, cli.final_trace.final_samples)
         assert lib.summary == cli.summary
+
+    def test_loaded_couples_and_f64_start_networks_are_freed_before_training(self, pipeline, tmp_path, monkeypatch):
+        # by the first Adam step nothing holds the arrays the dataset loader
+        # returned or the f64 networks JGNNModel.init made: the loop keeps one
+        # copy of the data, standardized, and the f32 networks it steps
+        _, cfg, data, _ = pipeline
+        load, init, step = workflows._load_dataset, jgnn.JGNNModel.init.__func__, jgnn.adam_step
+        refs, alive = [], []
+
+        def loaded(*args):
+            out = load(*args)
+            refs.extend(weakref.ref(arr) for name, arr in out.items() if name != "manifest")
+            return out
+
+        def initialized(cls, *args, **kwargs):
+            model = init(cls, *args, **kwargs)
+            refs.extend(weakref.ref(net.flat) for net in (model.encoder, model.decoder))
+            return model
+
+        def stepped(*args):
+            alive.append([ref() is not None for ref in refs])
+            return step(*args)
+
+        monkeypatch.setattr(workflows, "_load_dataset", loaded)
+        monkeypatch.setattr(jgnn.JGNNModel, "init", classmethod(initialized))
+        monkeypatch.setattr(jgnn, "adam_step", stepped)
+        workflows.train_from_dataset(PipelineConfig.from_json(cfg), data, str(tmp_path / "model"))
+        assert len(refs) == 4
+        assert alive[0] == [False] * 4
 
 
 @pytest.fixture(scope="module")
@@ -373,30 +403,22 @@ class TestInvert:
         exhausted = solves["self"].count(False) + solves["cross"].count(False)
         assert oracle["budget_exhausted_solves"] == exhausted == len(oracle["budget_exhausted"])
 
-    def test_oracle_inversion_never_reaches_scipy_lapack(self, pipeline, monkeypatch):
+    def test_oracle_inversion_never_reaches_scipy_lapack(self, pipeline, tmp_path):
         # scipy's LAPACK runs its own OpenBLAS pool (tests/test_rng_linalg.py
-        # scans the imports); a successful run must not need it
-        from latent_abcss import rng_linalg
-        from latent_abcss.workflows import PipelineConfig, run_inversion
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("scipy's dpotrf ran on a positive-definite matrix")
-
-        monkeypatch.setattr(rng_linalg, "dpotrf", refuse)
-        root, cfg, data, model = pipeline
-        files = json.load(open(os.path.join(data, "manifest.json")))["files"]
-        result = run_inversion(
-            load_model(os.path.join(model, "model.ckpt")),
-            load_ray_matrix(os.path.join(data, files["ray_matrix"])),
-            load_array(str(root / "yobs.f64")),
-            PipelineConfig.from_json(cfg),
-            RngStream(7, 3),
-            truth=load_array(str(root / "truth.f64")),
-            oracle=True,
-            train_x=load_array(os.path.join(data, files["train_x"])),
+        # scans the imports); a successful run must not need it, so a fresh
+        # interpreter that runs gendata, train and an oracle inversion ends
+        # with no scipy.linalg module loaded
+        data, model, inv = (str(tmp_path / name) for name in ("data", "model", "inv"))
+        inputs = {**_inputs(pipeline), "--dataset": data, "--checkpoint": os.path.join(model, "model.ckpt")}
+        argvs = [_argv("gendata", inputs, data), _argv("train", inputs, model), _argv("invert --oracle", inputs, inv)]
+        code = (
+            f"import sys; from latent_abcss.cli import main; print([main(argv) for argv in {argvs!r}]); "
+            "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))"
         )
-        assert result.metrics.wasserstein_by_eps
-        assert all(np.isfinite(v) for _, divs in result.metrics.wasserstein_by_eps for v in divs.values())
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(latent_abcss.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.stdout.splitlines()[-2:] == ["[0, 0, 0]", "[]"], out.stderr
+        assert os.path.isfile(os.path.join(inv, "wasserstein.csv"))
 
     def test_oracle_inversion_builds_one_decoder_view(self, pipeline, monkeypatch):
         # the sampler's g2, the final decode and the audit's g1 share one frozen f32 decoder
@@ -644,7 +666,7 @@ Row = namedtuple("Row", "id args corruption edit fragment code", defaults=(2,))
 
 MALFORMED = {"truncated", "not JSON", "not UTF-8", "missing key", "wrong type", "wrong shape", "non-finite"}
 CORRUPTIONS = MALFORMED | {"missing", "directory", "unknown key", "out of range", "mismatched", "unused flag"}
-GUARDED = ("subsim_run", "train", "sample_fields", "linear_gaussian_posterior")
+GUARDED = ("subsim_run", "_train_loop", "sample_fields", "linear_gaussian_posterior")
 METRICS = "rmse_solutions_truth,rmse_prior_truth\n0.25,{}\n"
 
 

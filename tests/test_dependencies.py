@@ -3,6 +3,7 @@
 import ast
 import glob
 import os
+import subprocess
 import sys
 
 import pytest
@@ -41,3 +42,15 @@ def test_the_package_starts_no_thread_or_process():
     for path in PACKAGE:
         with open(path) as fh:
             assert not imported_packages(fh.read()) & CONCURRENCY, os.path.relpath(path, ROOT)
+
+
+def test_importing_the_pipeline_loads_no_scipy_linalg():
+    # importing scipy.linalg costs a process ~8 MB of resident memory, and it
+    # is needed only to name a failed Cholesky pivot (rng_linalg.cholesky)
+    code = (
+        "import sys; import latent_abcss.workflows, latent_abcss.cli; "
+        "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout.splitlines() == ["[]"], out.stderr

@@ -1,6 +1,7 @@
 """Joint generative model: loss, schedule, training on a linear toy problem."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -401,6 +402,22 @@ class TestTrain:
         # the fitted standardizer is on the returned model only
         assert best.standardizer is not model.standardizer
         assert best.standardizer.mean.tobytes() != before[1]["mean"]
+
+    def test_previous_steps_gradients_are_freed_before_the_next_loss(self, monkeypatch):
+        # a step's loss result is dropped once both Adam steps have read it, so
+        # its two gradient vectors do not live beside the next step's
+        loss, grads, alive = jgnn.jgnn_loss, [], []
+
+        def tracked(*args, **kwargs):
+            alive.append([ref() is not None for ref in grads])
+            res = loss(*args, **kwargs)
+            grads[:] = [weakref.ref(res.encoder_grad), weakref.ref(res.decoder_grad)]
+            return res
+
+        monkeypatch.setattr(jgnn, "jgnn_loss", tracked)
+        xs, ys, _ = linear_toy_dataset(300, seed=5)
+        train(xs, ys, JGNNModel.init(DIM_X, DIM_Y, 4, RngStream(3), hidden=(16,)), TrainConfig(epochs=2, batch_size=64))
+        assert alive == [[]] + [[False, False]] * 7
 
     def test_dataset_smaller_than_batch_rejected(self):
         xs, ys, _ = linear_toy_dataset(50)

@@ -4,6 +4,8 @@ import ast
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +98,28 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             cholesky([[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("gap, error", [(5e-5, NotPositiveDefiniteError), (2e-4, ValueError)])
+    def test_symmetry_tolerance_scales_with_the_largest_magnitude(self, gap, error):
+        # the largest entry in magnitude is negative: the tolerance is 1e-10 * 1e6
+        with pytest.raises(error, match="pivot 1" if error is NotPositiveDefiniteError else "symmetric"):
+            cholesky([[1.0, -1e6], [-1e6 + gap, 1.0]])
+
+    def test_failed_pivot_is_named_in_a_cold_interpreter(self):
+        # scipy.linalg is imported only in the failure branch, so a process
+        # that has not loaded it still gets the failing pivot
+        code = (
+            "import sys\n"
+            "from latent_abcss.rng_linalg import NotPositiveDefiniteError, cholesky\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))\n"
+            "try:\n"
+            "    cholesky([[4.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])\n"
+            "except NotPositiveDefiniteError as err:\n"
+            "    print(err.pivot)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(latent_abcss.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.stdout.splitlines() == ["[]", "2"], out.stderr
 
     def test_empty_and_nonsquare_rejected(self):
         with pytest.raises(ValueError):
