@@ -363,9 +363,9 @@ def _prepare_training(
 def _train_loop(data: np.ndarray, model: JGNNModel, cfg: TrainConfig) -> tuple[JGNNModel, TrainHistory]:
     """:func:`train`'s loop on the rows and f32 model :func:`_prepare_training` returned.
 
-    Standardizes ``data`` in place, sets ``model.standardizer`` to the fit
-    and steps ``model``'s networks in place; returns the best snapshot with
-    that standardizer, and the history.  Each step's loss result, gradients
+    Standardizes ``data`` in place with a fit on its training rows and steps
+    ``model``'s networks in place; returns the best snapshot with that
+    standardizer, and the history.  Each step's loss result, gradients
     included, is dropped once the Adam steps and the epoch sums have read
     it, before the next step allocates its own.
     """
@@ -376,7 +376,7 @@ def _train_loop(data: np.ndarray, model: JGNNModel, cfg: TrainConfig) -> tuple[J
     n_val = _n_val(n)
     perm = rng.split(0).generator().permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    model.standardizer = standardizer = Standardizer.fit(data[train_idx])
+    standardizer = Standardizer.fit(data[train_idx])
     standardizer.standardize(data)
     val = data[val_idx]
 

@@ -22,7 +22,7 @@ from latent_abcss.cli import _build_parser, main
 from latent_abcss.gp_prior import build_covariance
 from latent_abcss.jgnn import generate, load_model
 from latent_abcss.neural import flat_size
-from latent_abcss.rng_linalg import RngStream, add_jitter, cholesky, load_array, sample_mvn, save_array
+from latent_abcss.rng_linalg import RngStream, add_jitter, cholesky, load_array, read_csv_columns, sample_mvn, save_array
 from latent_abcss.tomography import NoiseModel, add_noise, load_ray_matrix, save_ray_matrix
 from latent_abcss.workflows import PipelineConfig, generate_dataset
 
@@ -418,7 +418,12 @@ class TestInvert:
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(latent_abcss.__file__))}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert out.stdout.splitlines()[-2:] == ["[0, 0, 0]", "[]"], out.stderr
-        assert os.path.isfile(os.path.join(inv, "wasserstein.csv"))
+        # and the inversion still measured its posterior: one row per eps_n,
+        # a finite value in every divergence column
+        table = read_csv_columns(os.path.join(inv, "wasserstein.csv"))
+        rows, divergences = table.pop("eps_n").size, list(table.values())
+        assert rows and divergences
+        assert all(col.size == rows and np.isfinite(col).all() for col in divergences)
 
     def test_oracle_inversion_builds_one_decoder_view(self, pipeline, monkeypatch):
         # the sampler's g2, the final decode and the audit's g1 share one frozen f32 decoder
