@@ -2,7 +2,7 @@
 straight-ray forward map.
 
 Walks the physical half of the toolkit: build the acquisition geometry,
-assemble the sparse path-length matrix, check its exactness, and look at
+assemble the path-length matrix, check its exactness, and look at
 travel times for prior fields with and without measurement noise.
 """
 
@@ -28,7 +28,7 @@ exact = np.array([
     for sz in geom.source_depths
     for rz in geom.receiver_depths
 ])
-worst = np.max(np.abs(np.asarray(a.sum(axis=1)).ravel() - exact) / exact)
+worst = np.max(np.abs(a.sum(axis=1) - exact) / exact)
 print(f"row-sum identity: worst relative error {worst:.2e}")
 
 rng = RngStream(seed=2024)

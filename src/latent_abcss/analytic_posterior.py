@@ -48,7 +48,7 @@ def linear_gaussian_posterior(
     """Condition a Gaussian prior on linear observations.
 
     For observation model ``y = A x + eta`` with ``eta ~ N(0, Cn)``, where
-    ``a`` is the dense operator ``A`` (a sparse ray matrix's ``toarray()``):
+    ``a`` is the dense operator ``A`` (the ray matrix, as ``tomography`` holds it):
 
         mean = m + C A' S^-1 (y - A m)
         cov  = C - C A' S^-1 A C,      S = A C A' + Cn

@@ -189,7 +189,9 @@ def rmse_batch(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
     reference = np.asarray(reference, dtype=np.float64).ravel()
     if samples.shape[1] != reference.size:
         raise ValueError(f"length mismatch: {samples.shape[1]} vs {reference.size}")
-    return np.sqrt(np.mean((samples - reference[None, :]) ** 2, axis=1))
+    d = samples - reference[None, :]
+    d *= d  # in place: no second full-size temporary
+    return np.sqrt(np.mean(d, axis=1))
 
 
 @dataclass(frozen=True)
@@ -322,7 +324,7 @@ def resimulation_report(
     a,
     y_obs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Push solutions through the sparse ray matrix ``a`` and audit both gaps.
+    """Push solutions through the dense ray matrix ``a`` (``tomography.forward``) and audit both gaps.
 
     Returns per-sample RMSE of the resimulated travel times against the
     generator's travel times (generator fidelity) and against the observed

@@ -568,7 +568,7 @@ def save_model(path: str, model: JGNNModel, extra: dict | None = None) -> None:
         manifest.update(extra)
     blob = np.concatenate([model.encoder.flat, model.decoder.flat], dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(blob.tobytes())
+        fh.write(blob)  # the buffer itself, with no tobytes() copy
     write_json(path + ".json", manifest)
 
 

@@ -158,7 +158,7 @@ def save_array(path: str, arr, provenance: dict | None = None) -> None:
     """Write ``arr`` as raw little-endian float64 plus a ``.json`` sidecar."""
     a = np.asarray(arr, dtype="<f8", order="C")  # keeps a 0-d shape, which ascontiguousarray makes (1,)
     with open(path, "wb") as fh:
-        fh.write(a.tobytes(order="C"))
+        fh.write(a)  # the C-contiguous buffer itself, with no tobytes() copy
     sidecar = {"shape": list(a.shape), "dtype": "f64", "order": "row-major"}
     if provenance is not None:
         sidecar["provenance"] = provenance

@@ -2,10 +2,10 @@
 
 Sources sit in one borehole and receivers in another; each (source, receiver)
 pair contributes one ray.  A ray's travel time is the path-length-weighted sum
-of the slowness it crosses, which makes the forward map a sparse linear
-operator: one matrix row per ray, one column per grid cell, entries in meters.
-That operator is a plain ``scipy.sparse.csr_matrix``; its ``shape`` is
-(rays, cells).
+of the slowness it crosses, which makes the forward map a linear operator:
+one matrix row per ray, one column per grid cell, entries in meters.  That
+operator is a plain dense ``(rays, cells)`` float64 array.  A ray crosses
+few cells, so the ray matrix file stores only the nonzero entries.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rng_linalg import RngStream, write_json
 from .gp_prior import Grid
@@ -143,39 +142,55 @@ def trace_ray(grid: Grid, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     return uniq, summed
 
 
-def assemble_matrix(grid: Grid, geom: AcquisitionGeometry) -> sp.csr_matrix:
+def assemble_matrix(grid: Grid, geom: AcquisitionGeometry) -> np.ndarray:
     """Trace every (source, receiver) pair into per-cell path lengths, source-major row order."""
-    rows, cols, data = [], [], []
+    a = np.zeros((geom.n_rays, grid.n_cells))
     i = 0
     for sz in geom.source_depths:
         for rz in geom.receiver_depths:
             cells, lengths = trace_ray(grid, (geom.source_x, sz), (geom.receiver_x, rz))
-            rows.append(np.full(cells.size, i, dtype=np.intp))
-            cols.append(cells)
-            data.append(lengths)
+            a[i, cells] = lengths
             i += 1
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(geom.n_rays, grid.n_cells),
-    )
+    return a
 
 
-def forward(a: sp.csr_matrix, x) -> np.ndarray:
+def forward(a: np.ndarray, x) -> np.ndarray:
     """Travel times ``A @ slowness`` in ns.
 
     ``x`` may be a flat slowness vector or a batch of vectors with shape
     (n, n_cells); the result matches (one row of travel times per input row
     for batches).
+
+    Each travel time is summed as a CSR product sums it, bit for bit: from
+    0.0, over the ray's nonzero lengths in ascending cell order, adding each
+    rounded product in turn.  A BLAS product orders its sums otherwise and
+    would change every dataset's bits.  Rays are taken longest first, so the
+    rays still summing at step k are a leading slice.  A batch's result is
+    column-major, as the sparse product's was: the metrics reduce over it in
+    memory order, so its layout is part of their bits.
     """
     values = np.asarray(x, dtype=np.float64)
-    n_cells = a.shape[1]
+    n_rays, n_cells = a.shape
     if values.ndim == 1:
         if values.shape[0] != n_cells:
             raise ValueError(f"field has {values.shape[0]} cells, matrix expects {n_cells}")
-        return a @ values
-    if values.shape[1] != n_cells:
+    elif values.shape[1] != n_cells:
         raise ValueError(f"batch has {values.shape[1]} cells, matrix expects {n_cells}")
-    return (a @ values.T).T
+    rays, cells = np.nonzero(a)  # row-major, so each ray's cells ascend
+    lengths = a[rays, cells]
+    counts = np.bincount(rays, minlength=n_rays)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(-counts, kind="stable")
+    counts = counts[order]
+    per_cell = np.ascontiguousarray(values.reshape(-1, n_cells).T)
+    y = np.zeros((n_rays, per_cell.shape[1]))
+    for k in range(counts.max(initial=0)):
+        m = np.count_nonzero(counts > k)
+        j = starts[order[:m]] + k
+        y[:m] += per_cell[cells[j]] * lengths[j, None]
+    out = np.empty_like(y)
+    out[order] = y
+    return out[:, 0] if values.ndim == 1 else out.T
 
 
 def add_noise(y: np.ndarray, noise: NoiseModel, rng: RngStream) -> np.ndarray:
@@ -186,16 +201,15 @@ def add_noise(y: np.ndarray, noise: NoiseModel, rng: RngStream) -> np.ndarray:
     return y + noise.std * rng.generator().standard_normal(y.shape)
 
 
-def save_ray_matrix(path: str, a: sp.csr_matrix, provenance: dict | None = None) -> None:
-    """JSON header + packed (ray:u32, cell:u32, length:f64) triples."""
-    coo = a.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    packed = np.empty(coo.nnz, dtype=_TRIPLE_DTYPE)
-    packed["ray"] = coo.row[order]
-    packed["cell"] = coo.col[order]
-    packed["length"] = coo.data[order]
+def save_ray_matrix(path: str, a: np.ndarray, provenance: dict | None = None) -> None:
+    """JSON header + packed (ray:u32, cell:u32, length:f64) triples of the nonzero entries, row-major."""
+    rays, cells = np.nonzero(a)
+    packed = np.empty(rays.size, dtype=_TRIPLE_DTYPE)
+    packed["ray"] = rays
+    packed["cell"] = cells
+    packed["length"] = a[rays, cells]
     n_rays, n_cells = a.shape
-    header = {"n_rays": n_rays, "n_cells": n_cells, "nnz": int(coo.nnz)}
+    header = {"n_rays": n_rays, "n_cells": n_cells, "nnz": int(rays.size)}
     if provenance is not None:
         header["provenance"] = provenance
     write_json(path + ".json", header)
@@ -203,15 +217,35 @@ def save_ray_matrix(path: str, a: sp.csr_matrix, provenance: dict | None = None)
         fh.write(packed.tobytes())
 
 
-def load_ray_matrix(path: str) -> sp.csr_matrix:
+def load_ray_matrix(path: str) -> np.ndarray:
+    """The dense operator stored by :func:`save_ray_matrix`.
+
+    Raises:
+        ValueError: naming ``path``, if the file's size differs from what
+            its header implies, an index lies outside the header's shape,
+            a (ray, cell) pair is stored twice, or the shape is too large
+            to allocate.
+    """
     with open(path + ".json") as fh:
         header = json.load(fh)
+    shape = (int(header["n_rays"]), int(header["n_cells"]))
     expected = int(header["nnz"]) * _TRIPLE_DTYPE.itemsize
     size = os.path.getsize(path)
     if size != expected:
         raise ValueError(f"ray matrix file {path} has {size} bytes, header implies {expected}")
     packed = np.fromfile(path, dtype=_TRIPLE_DTYPE)
-    return sp.csr_matrix(
-        (packed["length"], (packed["ray"], packed["cell"])),
-        shape=(int(header["n_rays"]), int(header["n_cells"])),
-    )
+    index = (packed["ray"].astype(np.intp), packed["cell"].astype(np.intp))
+    for name, idx, bound in zip(("ray", "cell"), index, shape):
+        if idx.size and idx.max() >= bound:
+            raise ValueError(
+                f"ray matrix file {path} has {name} index {idx.max()}, outside its header's {bound} {name}s"
+            )
+    flat = np.ravel_multi_index(index, shape)
+    if np.unique(flat).size != flat.size:
+        raise ValueError(f"ray matrix file {path} stores a (ray, cell) pair twice")
+    try:
+        a = np.zeros(shape)
+    except MemoryError as err:  # else a huge header shape exits 1 before the manifest's shape check
+        raise ValueError(f"ray matrix file {path} declares shape {shape}, too large to hold") from err
+    a[index] = packed["length"]
+    return a

@@ -277,7 +277,7 @@ def generate_dataset(cfg: PipelineConfig, out_dir: str) -> dict:
 def _load_dataset(dataset_dir: str, *names: str) -> dict:
     """The manifest and only the named inputs, each checked for its manifest shape and finite values.
 
-    The ray matrix loads as a ``scipy.sparse.csr_matrix``, the rest as dense arrays.
+    Every input, the ray matrix too, loads as a dense float64 array.
     """
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     _require([manifest_path])
@@ -292,7 +292,7 @@ def _load_dataset(dataset_dir: str, *names: str) -> dict:
             data[name] = arr = _load_input(load_ray_matrix if name == "ray_matrix" else load_array, path)
             if arr.shape != shapes[name]:
                 raise ConfigError(f"{path} has shape {arr.shape}, the manifest implies {shapes[name]}")
-            if not np.isfinite(arr.data if name == "ray_matrix" else arr).all():
+            if not np.isfinite(arr).all():
                 raise ConfigError(f"{path} holds a NaN or infinite value")
         return data
 
@@ -404,7 +404,7 @@ def run_inversion(
 
     if oracle:
         prior, noise_cov = _oracle_prior_noise(cfg, n_obs)
-        post = linear_gaussian_posterior(prior, a.toarray(), noise_cov, y_obs)
+        post = linear_gaussian_posterior(prior, a, noise_cov, y_obs)
         post_samples = posterior_sample(post, cfg.n_particles, rng.split(2))
         prior_samples = posterior_sample(prior, cfg.n_particles, rng.split(3))
         if truth is not None:
@@ -659,7 +659,7 @@ def compute_oracle_posterior(
     _make_out_dir(out_dir)
     prov = cfg.provenance("oracle-posterior")
     prior, noise_cov = _oracle_prior_noise(cfg, y_obs.size)
-    post = linear_gaussian_posterior(prior, data["ray_matrix"].toarray(), noise_cov, y_obs)
+    post = linear_gaussian_posterior(prior, data["ray_matrix"], noise_cov, y_obs)
     save_array(os.path.join(out_dir, "posterior_mean.f64"), post.mean, prov)
     save_array(os.path.join(out_dir, "posterior_cov.f64"), post.cov, prov)
     return post

@@ -186,7 +186,7 @@ class TestCriterion5ForwardExactness:
                 for rz in geom.receiver_depths
             ]
         )
-        row_err = float(np.max(np.abs(np.asarray(a.sum(axis=1)).ravel() - exact) / exact))
+        row_err = float(np.max(np.abs(a.sum(axis=1) - exact) / exact))
 
         gen = np.random.default_rng(5)
         x1 = gen.standard_normal(2000)

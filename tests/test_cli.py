@@ -403,17 +403,18 @@ class TestInvert:
         exhausted = solves["self"].count(False) + solves["cross"].count(False)
         assert oracle["budget_exhausted_solves"] == exhausted == len(oracle["budget_exhausted"])
 
-    def test_oracle_inversion_never_reaches_scipy_lapack(self, pipeline, tmp_path):
+    def test_oracle_inversion_never_loads_scipy(self, pipeline, tmp_path):
         # scipy's LAPACK runs its own OpenBLAS pool (tests/test_rng_linalg.py
-        # scans the imports); a successful run must not need it, so a fresh
+        # scans the imports), and importing scipy.sparse alone costs a
+        # process ~15 MB; a successful run needs neither, so a fresh
         # interpreter that runs gendata, train and an oracle inversion ends
-        # with no scipy.linalg module loaded
+        # with no scipy module loaded
         data, model, inv = (str(tmp_path / name) for name in ("data", "model", "inv"))
         inputs = {**_inputs(pipeline), "--dataset": data, "--checkpoint": os.path.join(model, "model.ckpt")}
         argvs = [_argv("gendata", inputs, data), _argv("train", inputs, model), _argv("invert --oracle", inputs, inv)]
         code = (
             f"import sys; from latent_abcss.cli import main; print([main(argv) for argv in {argvs!r}]); "
-            "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
         )
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(latent_abcss.__file__))}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
@@ -670,7 +671,9 @@ def test_every_json_artifact_is_strict_json(pipeline):
 Row = namedtuple("Row", "id args corruption edit fragment code", defaults=(2,))
 
 MALFORMED = {"truncated", "not JSON", "not UTF-8", "missing key", "wrong type", "wrong shape", "non-finite"}
-CORRUPTIONS = MALFORMED | {"missing", "directory", "unknown key", "out of range", "mismatched", "unused flag"}
+CORRUPTIONS = MALFORMED | {
+    "missing", "directory", "unknown key", "out of range", "mismatched", "unused flag", "repeated",
+}
 GUARDED = ("subsim_run", "_train_loop", "sample_fields", "linear_gaussian_posterior")
 METRICS = "rmse_solutions_truth,rmse_prior_truth\n0.25,{}\n"
 
@@ -809,8 +812,21 @@ def _ray_matrix_of(**doc):
 
 def _nan_path_length(path):
     a = load_ray_matrix(path + "/ray_matrix.bin")
-    a.data[0] = np.nan
+    rays, cells = np.nonzero(a)
+    a[rays[0], cells[0]] = np.nan
     save_ray_matrix(path + "/ray_matrix.bin", a)
+
+
+def _ray_triples(edit):
+    """Edit the stored (ray, cell, length) records of a dataset's ray matrix file in place."""
+
+    def rewrite(path):
+        triples = np.dtype([("ray", "<u4"), ("cell", "<u4"), ("length", "<f8")])
+        packed = np.fromfile(path + "/ray_matrix.bin", dtype=triples)
+        edit(packed)
+        packed.tofile(path + "/ray_matrix.bin")
+
+    return rewrite
 
 
 def _nan_decoder_weight(path):
@@ -935,6 +951,15 @@ REFUSALS = [
         _nan_path_length, "{path}/ray_matrix.bin holds a NaN or infinite value"),
     Row("invert-ray-matrix-6-rays", "invert --dataset", "wrong shape",
         _ray_matrix_of(n_rcv=3), "{path}/ray_matrix.bin has shape (6, 30), the manifest implies (4, 30)"),
+    Row("invert-ray-matrix-cell-index-30", "invert --dataset", "out of range",
+        _ray_triples(lambda packed: packed["cell"].__setitem__(0, 30)),
+        "ray matrix file {path}/ray_matrix.bin has cell index 30, outside its header's 30 cells"),
+    Row("invert-ray-matrix-header-shape-too-large", "invert --dataset", "out of range",
+        _json("/ray_matrix.bin.json", lambda doc: doc.update(n_rays=10**7, n_cells=10**7)),
+        "ray matrix file {path}/ray_matrix.bin declares shape (10000000, 10000000), too large to hold"),
+    Row("oracle-posterior-ray-matrix-repeated-pair", "oracle-posterior --dataset", "repeated",
+        _ray_triples(lambda packed: packed.__setitem__(1, packed[0])),
+        "ray matrix file {path}/ray_matrix.bin stores a (ray, cell) pair twice"),
     Row("evaluate-nan-cell",
         "evaluate --runs", "non-finite", _text("/metrics.csv", METRICS.format("nan")), AT + "/metrics.csv"),
     Row("evaluate-no-truth-column", "evaluate --runs", "missing key",
