@@ -6,14 +6,13 @@ squared-Euclidean cost ``C[i, j] = ||x_i - y_j||^2``.  A cloud with repeated
 points is the same measure as its distinct points weighted by multiplicity,
 and the iteration on the two is the same map (equal rows of ``C`` get equal
 potentials), so the transport diagnostics solve on the distinct points.
-Where the Gibbs kernel ``exp(-C/reg)`` stays far from underflow, each
-log-sum-exp is one product with that kernel; smaller regularizations (down
-to 1e-3) sum over the max-shifted full matrix instead.  A cloud against
-itself has one potential, which :func:`self_transport` iterates with the
-symmetric averaged update.  On the kernel path a solve's transport cost
-comes from the potentials and ``K * c`` alone, and the coupling is formed
-only when a caller reads it (training does; the transport diagnostics read
-only the cost).
+Each log-sum-exp is one product with the Gibbs kernel ``exp(-C/reg)``,
+which at small regularizations (down to 1e-3) absorbs the potentials to
+stay in the normal floats.  A cloud against itself has one potential,
+which :func:`self_transport` iterates with the symmetric averaged update.
+A solve's transport cost comes from the potentials and ``K * c`` alone,
+and the coupling is formed only when a caller reads it (training does;
+the transport diagnostics read only the cost).
 Iteration counts are a fixed budget rather than a convergence guarantee
 (small budgets are a deliberate training-time setting).
 """
@@ -75,8 +74,8 @@ class TransportPlan:
 
     ``plan``, the n x m nonnegative coupling, is formed the first time it
     is read, so a caller that needs only ``cost`` skips its n x m
-    exponential.  On the kernel path it is formed from the solve's cost
-    matrix, which must not change before then.
+    exponential.  It is formed from the solve's cost matrix, which must not
+    change before then.
     """
 
     cost: float
@@ -126,59 +125,41 @@ def _gemm_cost(xs, ys, xs_sq, ys_sq) -> np.ndarray:
     return np.maximum(c, 0.0, out=c)
 
 
-_KERNEL_MAX_EXPONENT = 300.0  # the kernel path's bound on |C|/reg
+_KERNEL_MAX_EXPONENT = 300.0  # the plain Gibbs kernel's bound on |C|/reg
+_ABSORB_AT = 50.0  # an offset potential past this many reg is absorbed into the kernel
 
 
-def _logsumexp(neg_c, shift, axis, buf, kernel=None) -> np.ndarray:
-    """``log sum exp(neg_c + shift)`` along ``axis``.
-
-    ``shift`` varies along ``axis`` and is broadcast across the other one.
-    Given ``kernel = exp(neg_c)`` this is one matrix-vector product;
-    otherwise ``buf`` (same shape as ``neg_c``) is overwritten.
-    """
-    if kernel is not None:
-        mx = shift.max()
-        w = np.exp(shift - mx)
-        return np.log(kernel @ w if axis == 1 else w @ kernel) + mx
-    np.add(neg_c, shift[None, :] if axis == 1 else shift[:, None], out=buf)
-    mx = buf.max(axis=axis)
-    buf -= mx[:, None] if axis == 1 else mx[None, :]
-    np.exp(buf, out=buf)
-    return np.log(buf.sum(axis=axis)) + mx
-
-
-def _plan_into(buf, neg_c, f, g, reg, log_a, log_b) -> np.ndarray:
-    """The coupling ``exp((f_i + g_j - c_ij) / reg) a_i b_j``, written into ``buf`` (which may be ``neg_c``)."""
-    np.add(neg_c, (f / reg + log_a)[:, None], out=buf)
-    buf += (g / reg + log_b)[None, :]
-    return np.exp(buf, out=buf)
+def _logsumexp(kernel, shift, axis) -> np.ndarray:
+    """``log sum kernel * exp(shift)`` along ``axis`` (which ``shift`` spans): one product, max-shifted."""
+    mx = shift.max()
+    w = np.exp(shift - mx)
+    return np.log(kernel @ w if axis == 1 else w @ kernel) + mx
 
 
 def _cost_and_plan(c, reg, gibbs, f, g, log_a, log_b):
-    """Transport cost of the coupling of the potentials ``f``, ``g``, and the coupling.
+    """Transport cost of a solve's coupling, and the function that forms the coupling.
 
-    ``gibbs`` is the solve's :func:`_gibbs` triple.  On the log path the
-    coupling is formed into the scratch buffer and the cost is
-    ``sum(plan * c)``.  On the kernel path the cost is ``u @ (K * c) @ v``,
-    with ``u = exp(f/reg + log a)`` and ``v = exp(g/reg + log b)`` each
-    scaled by its largest entry and the scales multiplied back after: one
-    pass over ``K``, which it overwrites with ``K * c``, and two products.
-    The coupling is then returned as the function that forms it, exactly
-    as the log path does, from ``c``.
+    ``gibbs`` is the solve's :func:`_gibbs` triple ``(K, F, G)``, and ``f``,
+    ``g`` its potentials less ``F``, ``G``.  The cost is ``u @ (K * c) @ v``,
+    with ``u = exp(f/reg + log a)`` and ``v = exp(g/reg + log b)`` each scaled
+    by its largest entry and the scales multiplied back after: one pass over
+    ``K``, which it overwrites with ``K * c``, and two products.  The coupling
+    is formed from ``c`` and the whole potentials ``F + f``, ``G + g``.
     """
-    kernel, neg_c, buf = gibbs
-    if kernel is None:
-        plan = _plan_into(buf, neg_c, f, g, reg, log_a, log_b)
-        return float(np.sum(plan * c)), plan
+    kernel, fa, ga = gibbs
     alpha = f / reg + log_a
     beta = g / reg + log_b
     top_a, top_b = alpha.max(), beta.max()
     kc = np.multiply(kernel, c, out=kernel)
     cost = float(np.exp(alpha - top_a) @ kc @ np.exp(beta - top_b)) * math.exp(top_a + top_b)
+    if fa is not None:
+        f, g = fa + f, ga + g
 
     def plan():
-        neg_c = c / -reg
-        return _plan_into(neg_c, neg_c, f, g, reg, log_a, log_b)
+        p = c / -reg
+        p += (f / reg + log_a)[:, None]
+        p += (g / reg + log_b)[None, :]
+        return np.exp(p, out=p)
 
     return cost, plan
 
@@ -196,20 +177,31 @@ def _check_weights(w, n: int, name: str) -> np.ndarray:
     return w
 
 
-def _gibbs(c: np.ndarray, reg: float):
-    """``(kernel, neg_c, buf)`` of a solve on the cost matrix ``c``.
+def _gibbs(c: np.ndarray, reg: float, f=None, g=None, symmetric=False):
+    """``(K, f, g)``: the kernel ``exp((f_i + g_j - c_ij) / reg)`` of a solve on ``c`` and the potentials it absorbed.
 
-    When every ``|c|/reg`` is under the bound (see :func:`_plain_entropic_ot`)
-    this is the Gibbs kernel ``exp(-c/reg)`` and two Nones; otherwise None,
-    ``-c/reg`` and a scratch buffer of its shape for the log-domain sums.
-    ``c.max() / -reg`` is the smallest entry of ``-c/reg`` exactly, since
-    rounding keeps order, and NaN fails both comparisons.
+    A solve's first call passes no potentials and chooses for the solve.
+    With every ``|c|/reg`` under the bound (see :func:`_plain_entropic_ot`;
+    ``c.max() / -reg`` is the least entry of ``-c/reg`` exactly, and NaN
+    fails both tests) nothing is absorbed: ``K = exp(-c/reg)``, ``f = g =
+    None``.  Otherwise it absorbs (Schmitzer, SIAM J. Sci. Comput. 2019)
+    ``F_i = min_j c_ij`` and ``G_j = min_i (c_ij - F_i)``, so each row and
+    column of ``K`` holds a 1 and none exceeds it, or on a ``symmetric``
+    cost ``F = G = min_j c_ij / 2``.  Later calls pass the potentials to absorb.
     """
-    if -_KERNEL_MAX_EXPONENT < c.max() / -reg and c.min() / -reg < _KERNEL_MAX_EXPONENT:
-        kernel = np.divide(c, -reg)
-        return np.exp(kernel, out=kernel), None, None
-    neg_c = c / -reg
-    return None, neg_c, np.empty_like(neg_c)
+    if f is None:
+        if -_KERNEL_MAX_EXPONENT < c.max() / -reg and c.min() / -reg < _KERNEL_MAX_EXPONENT:
+            kernel = np.divide(c, -reg)
+            return np.exp(kernel, out=kernel), None, None
+        f = c.min(axis=1)
+        if symmetric:
+            f = g = 0.5 * f
+    kernel = np.subtract(c, f[:, None])
+    if g is None:
+        g = kernel.min(axis=0)
+    kernel -= g[None, :]
+    kernel /= -reg
+    return np.exp(kernel, out=kernel), f, g
 
 
 def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, a=None) -> TransportPlan:
@@ -218,13 +210,15 @@ def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, a=None) -> TransportP
     ``a`` (n) gives the rows' probability weights, ``None`` is uniform
     ``1/n``; the columns weigh ``1/m`` each.
 
-    With every ``|c|/reg`` under 300, ``K = exp(-c/reg)`` is formed once and
-    lies in [e^-300, e^300], normal floats; each kernel sum then has a term of
-    at least e^-300, and a weight ``exp(s - max s)`` that underflows drops a
-    term below e^-408, far under eps of the sum.  Larger ratios, inf and NaN
-    (which fails every comparison) keep the log-domain sum; the potentials,
-    the ``tol`` stop and the plan are shared, and the cost is computed on
-    each path as :func:`_cost_and_plan` says.
+    Each half step is one product with the :func:`_gibbs` kernel.  With
+    every ``|c|/reg`` under 300 that is ``K = exp(-c/reg)``, in [e^-300,
+    e^300]; each kernel sum has a term of at least e^-300, and a weight
+    ``exp(s - max s)`` that underflows drops a term below e^-408, far under
+    eps of the sum.  Otherwise the loop iterates the potentials less the
+    absorbed ``F``, ``G`` from ``-F``, ``-G`` (zero potentials), and the
+    kernel absorbs the whole potentials afresh once one passes ``50 reg``;
+    each sum keeps a term near 1, and the iterates are the log-domain
+    loop's to rounding.  A NaN or infinite cost gives a NaN ``cost``.
 
     Raises:
         ValueError: on weights of the wrong length, non-finite or
@@ -234,18 +228,20 @@ def _plain_entropic_ot(c: np.ndarray, cfg: SinkhornConfig, a=None) -> TransportP
     reg = cfg.reg
     log_a = -np.log(n) if a is None else np.log(_check_weights(a, n, "a"))
     log_b = -np.log(m)
-    gibbs = _gibbs(c, reg)
-    kernel, neg_c, buf = gibbs
+    gibbs = kernel, fa, ga = _gibbs(c, reg)
     tol = cfg.tol
-    f = np.zeros(n)
-    g = np.zeros(m)
+    f = np.zeros(n) if fa is None else -fa
+    g = np.zeros(m) if ga is None else -ga
     for iterations in range(1, cfg.max_iter + 1):
-        f_new = -reg * _logsumexp(neg_c, g / reg + log_b, 1, buf, kernel)
-        g_new = -reg * _logsumexp(neg_c, f_new / reg + log_a, 0, buf, kernel)
+        f_new = -reg * _logsumexp(kernel, g / reg + log_b, 1)
+        g_new = -reg * _logsumexp(kernel, f_new / reg + log_a, 0)
         converged = bool(tol > 0.0 and abs(f_new - f).max() < tol and abs(g_new - g).max() < tol)
         f, g = f_new, g_new
         if converged:
             break
+        if fa is not None and max(abs(f).max(), abs(g).max()) > _ABSORB_AT * reg:
+            gibbs = kernel, fa, ga = _gibbs(c, reg, fa + f, ga + g)
+            f, g = np.zeros(n), np.zeros(m)
     cost, plan = _cost_and_plan(c, reg, gibbs, f, g, log_a, log_b)
     return TransportPlan(cost, iterations, converged, plan)
 
@@ -262,9 +258,10 @@ def self_transport(c: np.ndarray, cfg: SinkhornConfig, a=None) -> TransportPlan:
     :func:`_plain_entropic_ot` alternates.  On a self problem that
     alternating loop can creep towards its fixed point and run out its
     budget; the averaged update converges in a few dozen iterations at the
-    audit settings.  The kernel/log-domain switch, the sup-norm ``tol`` stop
-    on the potential and the coupling ``exp((f_i + f_j - c_ij) / reg) a_i a_j``
-    are those of :func:`_plain_entropic_ot`.
+    audit settings.  The kernel, which absorbs one symmetric potential, the
+    sup-norm ``tol`` stop on the potential and the coupling
+    ``exp((f_i + f_j - c_ij) / reg) a_i a_j`` are those of
+    :func:`_plain_entropic_ot`.
 
     Raises:
         ValueError: on a non-square ``c``, or weights of the wrong length,
@@ -275,16 +272,18 @@ def self_transport(c: np.ndarray, cfg: SinkhornConfig, a=None) -> TransportPlan:
         raise ValueError(f"a self-transport cost is square, not {n} x {m}")
     reg = cfg.reg
     log_a = -np.log(n) if a is None else np.log(_check_weights(a, n, "a"))
-    gibbs = _gibbs(c, reg)
-    kernel, neg_c, buf = gibbs
+    gibbs = kernel, fa, _ = _gibbs(c, reg, symmetric=True)
     tol = cfg.tol
-    f = np.zeros(n)
+    f = np.zeros(n) if fa is None else -fa
     for iterations in range(1, cfg.max_iter + 1):
-        f_new = 0.5 * (f - reg * _logsumexp(neg_c, f / reg + log_a, 1, buf, kernel))
+        f_new = 0.5 * (f - reg * _logsumexp(kernel, f / reg + log_a, 1))
         converged = bool(tol > 0.0 and abs(f_new - f).max() < tol)
         f = f_new
         if converged:
             break
+        if fa is not None and abs(f).max() > _ABSORB_AT * reg:
+            gibbs = kernel, fa, _ = _gibbs(c, reg, fa + f, fa + f)
+            f = np.zeros(n)
     cost, plan = _cost_and_plan(c, reg, gibbs, f, f, log_a, log_a)
     return TransportPlan(cost, iterations, converged, plan)
 

@@ -1,6 +1,7 @@
 """Entropic transport against brute-force and closed-form oracles."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from latent_abcss.sinkhorn import (
     entropic_ot,
     ot_point_gradient,
 )
+from latent_abcss.workflows import ORACLE_OT
 
 
 def brute_force_assignment_cost(xs, ys):
@@ -174,8 +176,13 @@ class TestOtPointGradient:
                 assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
-def log_domain_reference(c, cfg):
-    """Oracle: the log-domain loop alone, written out without the kernel path."""
+def log_domain_reference(c, cfg, symmetric=False):
+    """Oracle: the log-domain loop alone, written out without a kernel.
+
+    ``symmetric`` runs ``self_transport``'s averaged update on one potential
+    instead of the alternating one.  Returns the plan, the cost, the
+    iterations run and whether the ``tol`` stop ended them.
+    """
     n, m = c.shape
     reg = cfg.reg
     log_a, log_b = -np.log(n), -np.log(m)
@@ -189,31 +196,79 @@ def log_domain_reference(c, cfg):
         return np.log(np.sum(t, axis=axis)) + np.squeeze(mx, axis=axis)
 
     f, g = np.zeros(n), np.zeros(m)
-    for _ in range(cfg.max_iter):
-        f_new = -reg * lse(g / reg + log_b, 1)
-        g_new = -reg * lse(f_new / reg + log_a, 0)
+    converged = False
+    for iterations in range(1, cfg.max_iter + 1):
+        if symmetric:
+            f_new = g_new = 0.5 * (f - reg * lse(f / reg + log_a, 1))
+        else:
+            f_new = -reg * lse(g / reg + log_b, 1)
+            g_new = -reg * lse(f_new / reg + log_a, 0)
         moved = max(float(np.max(np.abs(f_new - f))), float(np.max(np.abs(g_new - g))))
         f, g = f_new, g_new
         if cfg.tol > 0.0 and moved < cfg.tol:
+            converged = True
             break
     t = neg_c + (f / reg + log_a)[:, None]
     t += (g / reg + log_b)[None, :]
     plan = np.exp(t)
-    return plan, float(np.sum(plan * c))
+    return plan, float(np.sum(plan * c)), iterations, converged
+
+
+def kernel_reference(c, cfg):
+    """Oracle: the plain Gibbs-kernel loop, written out in the solver's own operations.
+
+    A solve under the bound must match it bit for bit: that keeps training
+    and the desk-scale audit byte-identical.  Returns what
+    ``log_domain_reference`` does.
+    """
+    n, m = c.shape
+    reg = cfg.reg
+    log_a, log_b = -np.log(n), -np.log(m)
+    kernel = np.exp(c / -reg)
+
+    def lse(shift, axis):
+        mx = shift.max()
+        w = np.exp(shift - mx)
+        return np.log(kernel @ w if axis == 1 else w @ kernel) + mx
+
+    f, g = np.zeros(n), np.zeros(m)
+    converged = False
+    for iterations in range(1, cfg.max_iter + 1):
+        f_new = -reg * lse(g / reg + log_b, 1)
+        g_new = -reg * lse(f_new / reg + log_a, 0)
+        moved = max(np.max(np.abs(f_new - f)), np.max(np.abs(g_new - g)))
+        f, g = f_new, g_new
+        if cfg.tol > 0.0 and moved < cfg.tol:
+            converged = True
+            break
+    alpha, beta = f / reg + log_a, g / reg + log_b
+    scale = math.exp(alpha.max() + beta.max())
+    cost = float(np.exp(alpha - alpha.max()) @ (kernel * c) @ np.exp(beta - beta.max())) * scale
+    return np.exp(c / -reg + alpha[:, None] + beta[None, :]), cost, iterations, converged
 
 
 @pytest.fixture
-def lse_calls(monkeypatch):
-    """Every ``_logsumexp`` call's kernel argument (None on the log path)."""
+def gibbs_calls(monkeypatch):
+    """Whether each ``_gibbs`` call absorbed potentials.
+
+    A solve's first call chooses for the solve; each later one re-absorbs.
+    """
     calls = []
-    plain = sinkhorn._logsumexp
+    plain = sinkhorn._gibbs
 
-    def counted(neg_c, shift, axis, buf, kernel=None):
-        calls.append(kernel)
-        return plain(neg_c, shift, axis, buf, kernel)
+    def spy(*args, **kwargs):
+        gibbs = plain(*args, **kwargs)
+        calls.append(gibbs[1] is not None)
+        return gibbs
 
-    monkeypatch.setattr(sinkhorn, "_logsumexp", counted)
+    monkeypatch.setattr(sinkhorn, "_gibbs", spy)
     return calls
+
+
+def force_absorption(monkeypatch):
+    """Make every solve absorb, as a cost past the bound does, and re-absorb once an offset passes one reg."""
+    monkeypatch.setattr(sinkhorn, "_KERNEL_MAX_EXPONENT", 0.0)
+    monkeypatch.setattr(sinkhorn, "_ABSORB_AT", 1.0)
 
 
 def kernel_path_problems():
@@ -239,42 +294,73 @@ def kernel_path_problems():
     ]
 
 
+def criterion_three_problems():
+    """Criterion 3's draws and settings, on a shorter budget: reg 1e-3 puts max C/reg far above the bound."""
+    gen = np.random.default_rng(12345)
+    cfg = SinkhornConfig(reg=1e-3, max_iter=500, tol=1e-13)
+    problems = []
+    for _ in range(20):
+        xs = gen.uniform(size=(8, 2))
+        ys = gen.uniform(size=(8, 2))
+        problems += [(cost_matrix(a, b), cfg, False) for a, b in ((xs, ys), (xs, xs), (ys, ys))]
+    return problems
+
+
+def full_scale_problems():
+    """A cross and a self problem on default-grid (2000-cell) fields at the audit's settings.
+
+    Each cloud puts its fields in two modes a uniform 0.5 apart, in opposite
+    proportions (54:6 and 4:36), so the cross solve must carry mass between
+    the modes: max C/reg passes the bound, the potentials drift far from the
+    absorbed ones so that the solve rebuilds its kernel, and it spends its
+    budget as some full-scale audit solves do.
+    """
+    xs, ys = sample_fields(Grid(), GPConfig(), (60, 40), RngStream(81, 1))
+    xs[:54] += 0.5
+    ys[:4] += 0.5
+    return [(cost_matrix(xs, ys), ORACLE_OT, False), (cost_matrix(xs, xs), ORACLE_OT, True)]
+
+
 class TestKernelPath:
-    """Below the bound the Gibbs kernel runs the same map as the log domain."""
+    """Below the bound the plain Gibbs kernel runs, bit for bit; absorbing runs the same map."""
 
     @pytest.mark.parametrize("c, cfg, stops", kernel_path_problems())
-    def test_matches_log_domain_and_stops_at_the_same_iteration(self, c, cfg, stops, monkeypatch, lse_calls):
+    def test_is_the_plain_kernel_loop_and_matches_absorption(self, c, cfg, stops, monkeypatch, gibbs_calls):
         assert np.max(c) / cfg.reg < sinkhorn._KERNEL_MAX_EXPONENT
         for tol in (0.0, cfg.tol):
             run = replace(cfg, tol=tol, max_iter=min(cfg.max_iter, 60) if tol == 0.0 else cfg.max_iter)
             kern = sinkhorn._plain_entropic_ot(c, run)
-            kern_calls = list(lse_calls)
-            lse_calls.clear()
+            assert gibbs_calls == [False]
+            plan, cost, iterations, converged = kernel_reference(c, run)
+            assert (kern.iterations, kern.converged) == (iterations, converged)
+            assert kern.cost == cost
+            np.testing.assert_array_equal(kern.plan, plan)
+            gibbs_calls.clear()
             with monkeypatch.context() as m:
-                m.setattr(sinkhorn, "_KERNEL_MAX_EXPONENT", 0.0)
-                logd = sinkhorn._plain_entropic_ot(c, run)
-            assert all(k is not None for k in kern_calls)
-            assert all(k is None for k in lse_calls)
-            assert len(kern_calls) == len(lse_calls)
+                force_absorption(m)
+                absorbed = sinkhorn._plain_entropic_ot(c, run)
+            assert gibbs_calls and all(gibbs_calls)
+            assert (absorbed.iterations, absorbed.converged) == (kern.iterations, kern.converged)
             if tol > 0.0:
-                assert (len(kern_calls) < 2 * run.max_iter) == stops
-            lse_calls.clear()
-            assert kern.cost == pytest.approx(logd.cost, rel=1e-12, abs=0.0)
-            scale = np.max(logd.plan)
-            assert np.max(np.abs(kern.plan - logd.plan)) <= 1e-12 * scale
+                assert (kern.iterations < run.max_iter) == stops
+            gibbs_calls.clear()
+            assert absorbed.cost == pytest.approx(kern.cost, rel=1e-12, abs=0.0)
+            scale = np.max(kern.plan)
+            assert np.max(np.abs(absorbed.plan - kern.plan)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("log_domain", [False, True], ids=["kernel", "log"])
+    @pytest.mark.parametrize("absorb", [False, True], ids=["kernel", "absorbed"])
     @pytest.mark.parametrize("c, cfg, stops", kernel_path_problems())
-    def test_plan_on_demand_is_the_eager_plan(self, c, cfg, stops, log_domain, monkeypatch):
-        # the potentials each solve ends with, to form its plan eagerly beside it
-        if log_domain:
-            monkeypatch.setattr(sinkhorn, "_KERNEL_MAX_EXPONENT", 0.0)
+    def test_plan_on_demand_is_the_eager_plan(self, c, cfg, stops, absorb, monkeypatch):
+        # the whole potentials each solve ends with, to form its plan eagerly beside it
+        if absorb:
+            force_absorption(monkeypatch)
         ends = []
         finish = sinkhorn._cost_and_plan
 
-        def spy(c, reg, gibbs, *potentials):
-            ends.append(potentials)
-            return finish(c, reg, gibbs, *potentials)
+        def spy(c, reg, gibbs, f, g, log_a, log_b):
+            _, fa, ga = gibbs
+            ends.append((f, g, log_a, log_b) if fa is None else (fa + f, ga + g, log_a, log_b))
+            return finish(c, reg, gibbs, f, g, log_a, log_b)
 
         monkeypatch.setattr(sinkhorn, "_cost_and_plan", spy)
         solves = [sinkhorn._plain_entropic_ot(c, cfg)]
@@ -282,42 +368,41 @@ class TestKernelPath:
             solves.append(sinkhorn.self_transport(c, cfg))
         assert len(ends) == len(solves)
         for tp, (f, g, log_a, log_b) in zip(solves, ends):
-            eager = sinkhorn._plan_into(np.empty_like(c), c / -cfg.reg, f, g, cfg.reg, log_a, log_b)
-            cost = tp.cost  # read before the plan: the kernel path never forms it for the cost
+            eager = np.exp(c / -cfg.reg + (f / cfg.reg + log_a)[:, None] + (g / cfg.reg + log_b)[None, :])
+            cost = tp.cost  # read before the plan: the solve never forms it for the cost
             np.testing.assert_array_equal(tp.plan, eager)
-            if log_domain:
-                assert cost == float(np.sum(eager * c))
-            else:
-                assert cost == pytest.approx(float(np.sum(eager * c)), rel=1e-13, abs=0.0)
+            assert cost == pytest.approx(float(np.sum(eager * c)), rel=1e-13, abs=0.0)
 
-    def test_criterion_three_problems_stay_in_the_log_domain(self, lse_calls):
-        # criterion 3's draws and settings, on a shorter budget: reg 1e-3
-        # puts max C/reg far above the bound
-        gen = np.random.default_rng(12345)
-        cfg = SinkhornConfig(reg=1e-3, max_iter=500, tol=1e-13)
-        for _ in range(20):
-            xs = gen.uniform(size=(8, 2))
-            ys = gen.uniform(size=(8, 2))
-            for c in (cost_matrix(xs, ys), cost_matrix(xs, xs), cost_matrix(ys, ys)):
-                lse_calls.clear()
-                tp = sinkhorn._plain_entropic_ot(c, cfg)
-                assert lse_calls and all(k is None for k in lse_calls)
-                plan, cost = log_domain_reference(c, cfg)
-                np.testing.assert_array_equal(tp.plan, plan)
-                assert tp.cost == cost
+    @pytest.mark.parametrize(
+        "problems",
+        [
+            pytest.param(criterion_three_problems, id="criterion-3"),
+            pytest.param(full_scale_problems, id="full-scale"),
+        ],
+    )
+    def test_problems_past_the_bound_absorb_and_match_the_log_domain(self, problems, gibbs_calls):
+        rebuilt = False
+        for c, cfg, symmetric in problems():
+            assert np.max(c) / cfg.reg > sinkhorn._KERNEL_MAX_EXPONENT
+            gibbs_calls.clear()
+            tp = (sinkhorn.self_transport if symmetric else sinkhorn._plain_entropic_ot)(c, cfg)
+            assert gibbs_calls and all(gibbs_calls)
+            plan, cost, iterations, converged = log_domain_reference(c, cfg, symmetric)
+            assert (tp.iterations, tp.converged) == (iterations, converged)
+            assert tp.cost == pytest.approx(cost, rel=1e-12, abs=0.0)
+            assert np.max(np.abs(tp.plan - plan)) <= 1e-12 * np.max(plan)
+            rebuilt |= len(gibbs_calls) > 1
+        assert rebuilt  # each set drifts far enough to rebuild a kernel
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_costs_stay_in_the_log_domain(self, bad, lse_calls):
+    def test_non_finite_costs_give_a_nan_cost(self, bad):
         gen = np.random.default_rng(63)
         c = cost_matrix(gen.standard_normal((6, 2)), gen.standard_normal((5, 2)))
         c[2, 3] = bad
-        cfg = SinkhornConfig(reg=1.0, max_iter=20)
         with np.errstate(invalid="ignore"):
-            tp = sinkhorn._plain_entropic_ot(c, cfg)
-            plan, cost = log_domain_reference(c, cfg)
-        assert len(lse_calls) == 40 and all(k is None for k in lse_calls)
-        np.testing.assert_array_equal(tp.plan, plan)
-        np.testing.assert_array_equal(tp.cost, cost)
+            tp = sinkhorn._plain_entropic_ot(c, SinkhornConfig(reg=1.0, max_iter=20))
+        assert (tp.iterations, tp.converged) == (20, False)
+        assert np.isnan(tp.cost)
 
 
 def repeated_cloud(atoms, gen):
@@ -358,18 +443,18 @@ def weighted_problems():
 class TestWeightedAtoms:
     """Repeated points solved once, weighted by multiplicity, give the same solve."""
 
-    @pytest.mark.parametrize("log_domain", [False, True], ids=["kernel", "log"])
+    @pytest.mark.parametrize("absorb", [False, True], ids=["kernel", "absorbed"])
     @pytest.mark.parametrize("c, idx, first, w, both, cfg, converges", weighted_problems())
     def test_matches_the_repeated_cloud(
-        self, c, idx, first, w, both, cfg, converges, log_domain, monkeypatch, lse_calls
+        self, c, idx, first, w, both, cfg, converges, absorb, monkeypatch, gibbs_calls
     ):
-        if log_domain:
-            monkeypatch.setattr(sinkhorn, "_KERNEL_MAX_EXPONENT", 0.0)
+        if absorb:
+            force_absorption(monkeypatch)
         atoms = c[np.ix_(first, first)] if both else c[first]
         solve = sinkhorn.self_transport if both else sinkhorn._plain_entropic_ot
         full = solve(c, cfg)
         tp = solve(atoms, cfg, w)
-        assert all((k is None) == log_domain for k in lse_calls)
+        assert gibbs_calls and all(k == absorb for k in gibbs_calls)
         assert (tp.iterations, tp.converged) == (full.iterations, full.converged)
         assert tp.converged == converges
         assert (tp.iterations < cfg.max_iter) == converges
@@ -390,12 +475,12 @@ class TestWeightedAtoms:
             pytest.param(np.full(5, 0.2) * (1 + 1e-9), id="sum"),
         ],
     )
-    def test_bad_weights_rejected_before_any_iteration(self, bad, lse_calls):
+    def test_bad_weights_rejected_before_any_iteration(self, bad, gibbs_calls):
         gen = np.random.default_rng(67)
         c = cost_matrix(gen.standard_normal((5, 2)), gen.standard_normal((5, 2)))
         with pytest.raises(ValueError, match="weights a"):
             sinkhorn._plain_entropic_ot(c, SinkhornConfig(), a=bad)
-        assert lse_calls == []
+        assert gibbs_calls == []
 
 
 def desk_self_cost(seed):
@@ -409,11 +494,11 @@ class TestSelfTransport:
 
     AUDIT = SinkhornConfig(reg=10.0, max_iter=300, tol=1e-7)
 
-    @pytest.mark.parametrize("log_domain", [False, True], ids=["kernel", "log"])
+    @pytest.mark.parametrize("absorb", [False, True], ids=["kernel", "absorbed"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
-    def test_matches_a_tight_alternating_solve(self, weighted, log_domain, monkeypatch, lse_calls):
-        if log_domain:
-            monkeypatch.setattr(sinkhorn, "_KERNEL_MAX_EXPONENT", 0.0)
+    def test_matches_a_tight_alternating_solve(self, weighted, absorb, monkeypatch, gibbs_calls):
+        if absorb:
+            force_absorption(monkeypatch)
         gen = np.random.default_rng(71)
         fields = sample_fields(Grid(20, 16, 0.1), GPConfig(lengthscale=1.0), (60,), RngStream(72, 1))
         c = cost_matrix(fields[0], fields[0])
@@ -424,10 +509,19 @@ class TestSelfTransport:
         # a tight alternating solve on the cloud that repeats each field by its count
         tight = sinkhorn._plain_entropic_ot(c[np.ix_(rows, rows)], replace(self.AUDIT, max_iter=20_000, tol=1e-13))
         assert tight.converged
-        lse_calls.clear()
+        gibbs_calls.clear()
+        half_steps = []
+        lse = sinkhorn._logsumexp
+
+        def counted(kernel, shift, axis):
+            half_steps.append(axis)
+            return lse(kernel, shift, axis)
+
+        monkeypatch.setattr(sinkhorn, "_logsumexp", counted)
         tp = sinkhorn.self_transport(c, self.AUDIT, w)
-        assert lse_calls and all((k is None) == log_domain for k in lse_calls)
-        assert len(lse_calls) == tp.iterations  # one half step per iteration
+        assert gibbs_calls and all(k == absorb for k in gibbs_calls)
+        assert (len(gibbs_calls) > 1) == absorb  # the symmetric rebuild runs too
+        assert half_steps == [1] * tp.iterations  # one half step per iteration
         assert tp.converged and tp.iterations < self.AUDIT.max_iter
         assert tp.cost == pytest.approx(tight.cost, rel=1e-9, abs=0.0)
         np.testing.assert_allclose(tp.plan, tp.plan.T, rtol=1e-12)  # the GEMM cost is symmetric to rounding
@@ -467,8 +561,8 @@ class TestSelfTransport:
             pytest.param(np.full(5, 0.2) * (1 + 1e-9), id="sum"),
         ],
     )
-    def test_bad_weights_rejected_before_any_iteration(self, bad, lse_calls):
+    def test_bad_weights_rejected_before_any_iteration(self, bad, gibbs_calls):
         xs = np.random.default_rng(73).standard_normal((5, 2))
         with pytest.raises(ValueError, match="weights a"):
             sinkhorn.self_transport(cost_matrix(xs, xs), SinkhornConfig(), bad)
-        assert lse_calls == []
+        assert gibbs_calls == []
